@@ -248,6 +248,9 @@ type Node struct {
 	rt     sim.Runtime
 	send   transport.Sender
 	engine *storage.Engine
+	// placement is the ring's replica sets as seen from this coordinator
+	// (closest first), resolved once at construction.
+	placement *ring.ProximityView
 
 	nextOp            uint64
 	pendingReads      map[uint64]*readOp
@@ -303,6 +306,7 @@ func New(cfg Config, rt sim.Runtime, send transport.Sender) *Node {
 		hints:             make(map[ring.NodeID][]wire.Mutation),
 		groups:            cfg.Groups,
 		groupFn:           cfg.GroupFn,
+		placement:         cfg.Ring.ProximityView(cfg.Strategy, cfg.ID),
 	}
 	n.counters.groups.Store(newGroupTallies(0, cfg.Groups))
 	engOpts := cfg.Engine
@@ -470,10 +474,9 @@ func (n *Node) Deliver(from ring.NodeID, m wire.Message) {
 
 // replicasFor returns the replica set for key ordered by proximity to this
 // coordinator, so the closest replicas are contacted (and waited on) first.
+// The slice is a row of the ring's shared placement table: read-only.
 func (n *Node) replicasFor(key []byte) []ring.NodeID {
-	reps := ring.ReplicasForKey(n.cfg.Ring, n.cfg.Strategy, key)
-	n.cfg.Ring.Topology().SortByProximity(n.cfg.ID, reps)
-	return reps
+	return n.placement.ReplicasForKey(key)
 }
 
 // shedOverload fails a client op fast when the coordinator's in-flight
@@ -556,6 +559,8 @@ func (n *Node) coordinateRead(client ring.NodeID, req wire.ReadRequest) {
 		clientID: req.ID,
 		need:     need,
 		total:    len(targets),
+		got:      make([]wire.ReplicaReadResp, 0, len(targets)),
+		from:     make([]ring.NodeID, 0, len(targets)),
 		shadow:   req.Shadow,
 		group:    n.groupOf(req.Key),
 		epoch:    n.epoch,
@@ -585,8 +590,15 @@ func (n *Node) coordinateRead(client ring.NodeID, req wire.ReadRequest) {
 		tallies.shadowSamples[op.group].Add(1)
 	}
 	op.cancel = n.rt.After(opTimeout(n.cfg.ReadTimeout, req.DeadlineMs), func() { n.readTimeout(op.id) })
+	n.sendReplicaReads(op, targets)
+}
+
+// sendReplicaReads asks each target for its version of op's key. The request
+// is boxed into its interface once and the one value sent to every target.
+func (n *Node) sendReplicaReads(op *readOp, targets []ring.NodeID) {
+	var m wire.Message = wire.ReplicaRead{ID: op.id, Key: op.key}
 	for _, r := range targets {
-		n.send.Send(n.cfg.ID, r, wire.ReplicaRead{ID: op.id, Key: req.Key})
+		n.send.Send(n.cfg.ID, r, m)
 	}
 }
 
@@ -643,9 +655,7 @@ func (n *Node) sessionProgress(op *readOp) {
 		op.escalated = true
 		if op.total < len(op.sessLive) {
 			n.counters.sessionUpgrades.Add(1)
-			for _, r := range op.sessLive[op.total:] {
-				n.send.Send(n.cfg.ID, r, wire.ReplicaRead{ID: op.id, Key: op.key})
-			}
+			n.sendReplicaReads(op, op.sessLive[op.total:])
 			op.total = len(op.sessLive)
 			return
 		}
@@ -668,9 +678,7 @@ func (n *Node) sessionRepoll(id uint64) {
 	if !ok || op.responded {
 		return
 	}
-	for _, r := range op.sessLive {
-		n.send.Send(n.cfg.ID, r, wire.ReplicaRead{ID: op.id, Key: op.key})
-	}
+	n.sendReplicaReads(op, op.sessLive)
 	op.total += len(op.sessLive)
 }
 
@@ -875,6 +883,7 @@ func (n *Node) coordinateWrite(client ring.NodeID, req wire.WriteRequest) {
 	}
 	op.cancel = n.rt.After(opTimeout(n.cfg.WriteTimeout, req.DeadlineMs), func() { n.writeTimeout(op.id) })
 	mut := wire.Mutation{ID: op.id, Key: req.Key, Value: v}
+	var boxed wire.Message = mut // one interface value for every live replica
 	for _, r := range reps {
 		if !n.cfg.Alive(r) {
 			// Convicted replicas are never contacted (they cannot ack, so
@@ -887,7 +896,7 @@ func (n *Node) coordinateWrite(client ring.NodeID, req wire.WriteRequest) {
 			continue
 		}
 		op.total++
-		n.send.Send(n.cfg.ID, r, mut)
+		n.send.Send(n.cfg.ID, r, boxed)
 	}
 	if op.total < op.need {
 		// Enough replicas are down (their mutations hinted) that the

@@ -24,15 +24,16 @@ type Plan struct {
 
 // BuildPlan decomposes the ring into its vnode arcs and intersects replica
 // sets: arc i is (token[i-1], token[i]] (the first arc wraps), replicated on
-// strategy.Replicas(token[i]) — every key hashing into the arc has exactly
-// that replica set, which is what makes the arc the unit of repair.
+// r.Replicas(strategy, token[i]) — every key hashing into the arc has exactly
+// that replica set, which is what makes the arc the unit of repair. The sets
+// are read from the ring's shared placement table.
 func BuildPlan(r *ring.Ring, strat ring.Strategy, self ring.NodeID) Plan {
 	tokens := r.Tokens()
 	p := Plan{Shared: make(map[ring.NodeID][]wire.TokenRange)}
 	for i, tok := range tokens {
 		prev := tokens[(i+len(tokens)-1)%len(tokens)]
 		arc := wire.TokenRange{Start: uint64(prev), End: uint64(tok)}
-		reps := strat.Replicas(r, tok)
+		reps := r.Replicas(strat, tok)
 		mine := false
 		for _, rep := range reps {
 			if rep == self {

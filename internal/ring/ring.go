@@ -8,6 +8,8 @@ package ring
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // NodeID identifies a storage node. IDs are stable strings such as
@@ -133,6 +135,12 @@ func (t *Topology) SortByProximity(origin NodeID, nodes []NodeID) {
 type Ring struct {
 	topo   *Topology
 	tokens []tokenEntry
+
+	// Placement tables built so far, one per built-in strategy value (see
+	// placement.go). Lookups load the list without locking; buildMu only
+	// serialises the rare build that replaces it.
+	buildMu sync.Mutex
+	tables  atomic.Pointer[[]*placement]
 }
 
 type tokenEntry struct {
@@ -199,7 +207,9 @@ func (r *Ring) walk(tok Token, fn func(NodeID) bool) {
 	}
 	seen := make(map[NodeID]bool)
 	start := r.successorIndex(tok)
-	for i := 0; i < len(r.tokens); i++ {
+	// Every topology node owns vnodes, so once each has been yielded the
+	// rest of the ring holds only repeats.
+	for i := 0; i < len(r.tokens) && len(seen) < len(r.topo.order); i++ {
 		e := r.tokens[(start+i)%len(r.tokens)]
 		if seen[e.node] {
 			continue
@@ -229,6 +239,9 @@ type SimpleStrategy struct{ RF int }
 
 // Replicas implements Strategy.
 func (s SimpleStrategy) Replicas(r *Ring, tok Token) []NodeID {
+	if s.RF <= 0 {
+		return nil
+	}
 	out := make([]NodeID, 0, s.RF)
 	r.walk(tok, func(n NodeID) bool {
 		out = append(out, n)
@@ -252,12 +265,12 @@ type NetworkTopologyStrategy struct{ RF int }
 
 // Replicas implements Strategy.
 func (s NetworkTopologyStrategy) Replicas(r *Ring, tok Token) []NodeID {
-	type placement struct {
-		node NodeID
+	if s.RF <= 0 {
+		return nil
 	}
-	var candidates []placement
+	var candidates []NodeID
 	r.walk(tok, func(n NodeID) bool {
-		candidates = append(candidates, placement{node: n})
+		candidates = append(candidates, n)
 		return true // collect full ring order of distinct nodes
 	})
 	out := make([]NodeID, 0, s.RF)
@@ -276,17 +289,17 @@ func (s NetworkTopologyStrategy) Replicas(r *Ring, tok Token) []NodeID {
 			if len(out) >= s.RF {
 				return out
 			}
-			if used[c.node] {
+			if used[c] {
 				continue
 			}
-			info, _ := r.topo.Info(c.node)
+			info, _ := r.topo.Info(c)
 			if !accept(info) {
 				continue
 			}
-			used[c.node] = true
+			used[c] = true
 			usedDC[info.DC] = true
 			usedRack[info.DC+"/"+info.Rack] = true
-			out = append(out, c.node)
+			out = append(out, c)
 		}
 	}
 	return out
@@ -298,7 +311,9 @@ func (s NetworkTopologyStrategy) ReplicationFactor() int { return s.RF }
 // Name implements Strategy.
 func (s NetworkTopologyStrategy) Name() string { return "NetworkTopologyStrategy" }
 
-// ReplicasForKey is a convenience combining HashKey and the strategy.
+// ReplicasForKey returns the replica set of key under s, primary first. Like
+// Ring.Replicas, the result is shared and read-only for the built-in
+// strategies.
 func ReplicasForKey(r *Ring, s Strategy, key []byte) []NodeID {
-	return s.Replicas(r, HashKey(key))
+	return r.Replicas(s, HashKey(key))
 }

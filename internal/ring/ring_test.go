@@ -274,6 +274,7 @@ func BenchmarkReplicasForKey(b *testing.B) {
 	}
 	s := NetworkTopologyStrategy{RF: 5}
 	key := []byte("benchmark-key")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ReplicasForKey(r, s, key)
