@@ -21,6 +21,7 @@ type ServiceTimer func(m wire.Message) time.Duration
 // The queue must only be driven from its runtime (the Bus guarantees this).
 type ServiceQueue struct {
 	rt        sim.Runtime
+	schedule  func(time.Duration, func())
 	h         Handler
 	svc       ServiceTimer
 	busyUntil time.Time
@@ -32,7 +33,7 @@ type ServiceQueue struct {
 
 // NewServiceQueue wraps h with a service-time queue.
 func NewServiceQueue(rt sim.Runtime, h Handler, svc ServiceTimer) *ServiceQueue {
-	return &ServiceQueue{rt: rt, h: h, svc: svc}
+	return &ServiceQueue{rt: rt, schedule: scheduler(rt), h: h, svc: svc}
 }
 
 // Deliver implements Handler: the message is handed to the wrapped handler
@@ -41,8 +42,18 @@ func NewServiceQueue(rt sim.Runtime, h Handler, svc ServiceTimer) *ServiceQueue 
 // ping, which the kernel answers without waiting behind the storage
 // process's request backlog.
 func (q *ServiceQueue) Deliver(from ring.NodeID, m wire.Message) {
-	switch m.(type) {
+	d := newDelivery()
+	d.from, d.m = from, m
+	q.enqueue(d)
+}
+
+// enqueue admits a message to the queue. The Bus hands over the record the
+// message crossed the network in; Deliver makes one for everyone else.
+func (q *ServiceQueue) enqueue(d *delivery) {
+	switch d.m.(type) {
 	case wire.Ping, wire.Pong:
+		from, m := d.from, d.m
+		d.release()
 		q.h.Deliver(from, m)
 		return
 	}
@@ -51,21 +62,27 @@ func (q *ServiceQueue) Deliver(from ring.NodeID, m wire.Message) {
 	if q.busyUntil.After(start) {
 		start = q.busyUntil
 	}
-	d := q.svc(m)
-	if d < 0 {
-		d = 0
+	svc := q.svc(d.m)
+	if svc < 0 {
+		svc = 0
 	}
-	q.busyUntil = start.Add(d)
-	q.busyFor += d
+	q.busyUntil = start.Add(svc)
+	q.busyFor += svc
 	q.depth++
 	if q.depth > q.maxDepth {
 		q.maxDepth = q.depth
 	}
-	q.rt.After(q.busyUntil.Sub(now), func() {
-		q.depth--
-		q.served++
-		q.h.Deliver(from, m)
-	})
+	d.q = q
+	q.schedule(q.busyUntil.Sub(now), d.fire)
+}
+
+// serve ends a message's service time and hands it to the wrapped handler.
+func (q *ServiceQueue) serve(d *delivery) {
+	q.depth--
+	q.served++
+	from, m := d.from, d.m
+	d.release()
+	q.h.Deliver(from, m)
 }
 
 // QueueStats is a snapshot of queue behaviour.

@@ -7,6 +7,7 @@ package transport
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"harmony/internal/ring"
@@ -41,21 +42,36 @@ type Sender interface {
 // runtime. One Bus instance serves both the DES and the real-time mode —
 // the difference is which Runtime implementations are registered.
 type Bus struct {
-	mu        sync.Mutex
-	net       *simnet.Net
-	endpoints map[ring.NodeID]busEndpoint
-	dropped   uint64
-	delivered uint64
+	mu  sync.Mutex
+	net *simnet.Net
+	// endpoints holds one entry per ID ever registered. Unregister clears
+	// the entry's registered flag instead of deleting it, so a message in
+	// flight keeps a pointer it can re-check at delivery without a second
+	// map lookup.
+	endpoints map[ring.NodeID]*busEndpoint
+	dropped   atomic.Uint64
+	delivered atomic.Uint64
 }
 
 type busEndpoint struct {
-	rt sim.Runtime
-	h  Handler
+	registered bool
+	h          Handler
+	schedule   func(time.Duration, func())
+}
+
+// scheduler returns rt's cheapest way to run a callback after a delay with
+// no means of cancelling it: the simulator's allocation-free Schedule when
+// rt is one, After with the handle dropped on any other runtime.
+func scheduler(rt sim.Runtime) func(time.Duration, func()) {
+	if s, ok := rt.(*sim.Sim); ok {
+		return s.Schedule
+	}
+	return func(d time.Duration, fn func()) { rt.After(d, fn) }
 }
 
 // NewBus creates a bus over the given simulated network.
 func NewBus(net *simnet.Net) *Bus {
-	return &Bus{net: net, endpoints: make(map[ring.NodeID]busEndpoint)}
+	return &Bus{net: net, endpoints: make(map[ring.NodeID]*busEndpoint)}
 }
 
 // Register attaches an endpoint. Re-registering an ID replaces the previous
@@ -63,57 +79,115 @@ func NewBus(net *simnet.Net) *Bus {
 func (b *Bus) Register(id ring.NodeID, rt sim.Runtime, h Handler) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.endpoints[id] = busEndpoint{rt: rt, h: h}
+	ep := b.endpoints[id]
+	if ep == nil {
+		ep = new(busEndpoint)
+		b.endpoints[id] = ep
+	}
+	ep.registered, ep.h, ep.schedule = true, h, scheduler(rt)
 }
 
 // Unregister detaches an endpoint; in-flight messages to it are dropped.
 func (b *Bus) Unregister(id ring.NodeID) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	delete(b.endpoints, id)
+	if ep := b.endpoints[id]; ep != nil {
+		ep.registered = false
+	}
 }
 
 // Send implements Sender. The message is delivered after the network delay,
 // or dropped when the link is partitioned or the target unknown.
 func (b *Bus) Send(from, to ring.NodeID, m wire.Message) {
 	b.mu.Lock()
-	ep, ok := b.endpoints[to]
-	b.mu.Unlock()
-	if !ok {
-		b.drop()
+	ep := b.endpoints[to]
+	if ep == nil || !ep.registered {
+		b.mu.Unlock()
+		b.dropped.Add(1)
 		return
 	}
+	h, schedule := ep.h, ep.schedule
+	b.mu.Unlock()
 	delay, up := b.net.Delay(from, to, wire.Size(m))
 	if !up {
-		b.drop()
+		b.dropped.Add(1)
 		return
 	}
-	b.mu.Lock()
-	b.delivered++
-	b.mu.Unlock()
-	ep.rt.After(delay, func() {
-		// Re-check registration at delivery time: the node may have
-		// stopped while the message was in flight.
-		b.mu.Lock()
-		cur, still := b.endpoints[to]
-		b.mu.Unlock()
-		if still && cur.h == ep.h {
-			ep.h.Deliver(from, m)
-		}
-	})
+	b.delivered.Add(1)
+	d := newDelivery()
+	d.bus, d.ep, d.h, d.from, d.m = b, ep, h, from, m
+	schedule(delay, d.fire)
 }
 
-func (b *Bus) drop() {
+// arrive ends a message's network hop on the target's runtime.
+func (b *Bus) arrive(d *delivery) {
+	// Re-check registration at delivery time: the node may have stopped
+	// (or restarted behind a different handler) while the message was in
+	// flight.
 	b.mu.Lock()
-	b.dropped++
+	ok := d.ep.registered && d.ep.h == d.h
 	b.mu.Unlock()
+	if !ok {
+		d.release()
+		return
+	}
+	if q, isQueue := d.h.(*ServiceQueue); isQueue {
+		q.enqueue(d) // the same record carries the message through the queue
+		return
+	}
+	h, from, m := d.h, d.from, d.m
+	d.release()
+	h.Deliver(from, m)
 }
 
 // Stats reports delivered and dropped message counts.
 func (b *Bus) Stats() (delivered, dropped uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.delivered, b.dropped
+	return b.delivered.Load(), b.dropped.Load()
+}
+
+// delivery is one simulated message on its way to a handler: first across
+// the Bus's network-delay hop, then — when the endpoint is a ServiceQueue —
+// through the queue's service-time hop. The two hops stay two scheduled
+// events, but they share this one record, and records are recycled, so a
+// message in steady state costs no allocation in the fabric.
+type delivery struct {
+	bus  *Bus
+	ep   *busEndpoint
+	h    Handler // the endpoint's handler when the message was sent
+	q    *ServiceQueue
+	from ring.NodeID
+	m    wire.Message
+	// fire is d.run bound once, when the record is first made, so that
+	// scheduling a recycled record allocates no closure.
+	fire func()
+}
+
+var deliveryPool sync.Pool
+
+func newDelivery() *delivery {
+	if d, ok := deliveryPool.Get().(*delivery); ok {
+		return d
+	}
+	d := new(delivery)
+	d.fire = d.run
+	return d
+}
+
+// release recycles the record; the caller has copied out what it still
+// needs.
+func (d *delivery) release() {
+	fire := d.fire
+	*d = delivery{fire: fire}
+	deliveryPool.Put(d)
+}
+
+// run is the record's scheduled callback, for whichever hop it is on.
+func (d *delivery) run() {
+	if d.q != nil {
+		d.q.serve(d)
+		return
+	}
+	d.bus.arrive(d)
 }
 
 // Loopback is a degenerate Sender delivering synchronously on the calling
