@@ -186,11 +186,36 @@ type logicalOp struct {
 	done        bool
 	lastErr     error
 
-	cancels     map[uint64]func() // live attempt id -> its timeout timer
+	// live holds the attempts in flight — the current one and, for a hedged
+	// read, its duplicate — each with the cancel of its timeout timer. It
+	// starts out on liveBuf, so the usual op allocates no attempt table.
+	live        []attempt
+	liveBuf     [2]attempt
 	hedgeCancel func()
 
 	onRead  func(ReadResult)
 	onWrite func(WriteResult)
+}
+
+// attempt is one outstanding wire attempt of a logical op.
+type attempt struct {
+	id     uint64
+	cancel func() // stops the attempt's timeout timer
+}
+
+// dropAttempt forgets the attempt with the given wire id and returns the
+// cancel of its timeout timer; ok is false when no such attempt is live.
+func (op *logicalOp) dropAttempt(id uint64) (cancel func(), ok bool) {
+	for i, a := range op.live {
+		if a.id == id {
+			last := len(op.live) - 1
+			op.live[i] = op.live[last]
+			op.live[last] = attempt{}
+			op.live = op.live[:last]
+			return a.cancel, true
+		}
+	}
+	return nil, false
 }
 
 // New creates a driver and registers nothing: the caller must register the
@@ -293,7 +318,6 @@ func (d *Driver) readToken(key []byte, level wire.ConsistencyLevel, token []wire
 		deadline:    d.rt.Now().Add(d.opts.Timeout),
 		maxAttempts: maxAttempts,
 		backoff:     d.opts.RetryBackoff,
-		cancels:     make(map[uint64]func()),
 		onRead:      cb,
 	}
 	d.issue(op)
@@ -330,7 +354,6 @@ func (d *Driver) write(key, value []byte, del bool, cb func(WriteResult)) {
 		deadline:    d.rt.Now().Add(d.opts.Timeout),
 		maxAttempts: d.opts.MaxAttempts,
 		backoff:     d.opts.RetryBackoff,
-		cancels:     make(map[uint64]func()),
 		onWrite:     cb,
 	}
 	if d.opts.MaxAttempts > 1 {
@@ -357,7 +380,10 @@ func (d *Driver) issue(op *logicalOp) {
 	op.attempts++
 	id := d.newOp()
 	d.pending[id] = op
-	op.cancels[id] = d.rt.After(at, func() { d.attemptFailed(op, id, ErrTimeout, "attempt timed out") })
+	if op.live == nil {
+		op.live = op.liveBuf[:0]
+	}
+	op.live = append(op.live, attempt{id: id, cancel: d.rt.After(at, func() { d.attemptFailed(op, id, ErrTimeout, "attempt timed out") })})
 	deadlineMs := uint64(remaining / time.Millisecond)
 	if deadlineMs == 0 {
 		deadlineMs = 1
@@ -380,7 +406,7 @@ func (d *Driver) issue(op *logicalOp) {
 // duplicate attempt to the next coordinator. First response wins.
 func (d *Driver) hedge(op *logicalOp) {
 	op.hedgeCancel = nil
-	if op.done || len(op.cancels) == 0 {
+	if op.done || len(op.live) == 0 {
 		// Completed, or between retries (backoff); the retry path is
 		// already driving the op.
 		return
@@ -393,15 +419,17 @@ func (d *Driver) hedge(op *logicalOp) {
 // forgotten and the op retries, waits for a still-outstanding sibling
 // (hedge), or completes with the error.
 func (d *Driver) attemptFailed(op *logicalOp, id uint64, base error, detail string) {
-	cancel, live := op.cancels[id]
-	if op.done || !live {
+	if op.done {
+		return
+	}
+	cancel, live := op.dropAttempt(id)
+	if !live {
 		return
 	}
 	cancel()
-	delete(op.cancels, id)
 	delete(d.pending, id)
 	op.lastErr = d.wrapErr(op, base, detail)
-	if len(op.cancels) > 0 {
+	if len(op.live) > 0 {
 		return // a sibling attempt is still in flight; let it race
 	}
 	if op.attempts >= op.maxAttempts {
@@ -430,11 +458,11 @@ func (d *Driver) finish(op *logicalOp, r ReadResult, w WriteResult) {
 		return
 	}
 	op.done = true
-	for id, cancel := range op.cancels {
-		cancel()
-		delete(op.cancels, id)
-		delete(d.pending, id)
+	for _, a := range op.live {
+		a.cancel()
+		delete(d.pending, a.id)
 	}
+	op.live = nil
 	if op.hedgeCancel != nil {
 		op.hedgeCancel()
 		op.hedgeCancel = nil
