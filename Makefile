@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race repair-test storage-test admin-smoke bench bench-micro bench-smoke chaos-smoke lint api-check api-baseline ci
+.PHONY: build test test-race repair-test storage-test admin-smoke bench bench-micro bench-smoke benchmark-test benchmark-smoke chaos-smoke lint api-check api-baseline ci
 
 build:
 	$(GO) build ./...
@@ -69,6 +69,19 @@ bench-smoke: bench-micro
 	$(GO) run ./cmd/harmony-bench -backend live -experiment hotcold -procs 3 -live-measure 3s -live-keys 1500 -json out/live.json
 	$(GO) run ./cmd/harmony-bench -backend live -experiment churn -procs 3 -live-outage 1500ms -live-postwatch 4s -live-keys 900 -json out/churn.json
 
+# The repo benchmark (BENCHMARK.json, benchmark/) is its own Go module that
+# `go build ./... && go test ./...` at the root does not see, so a change to a
+# name it imports from internal/ breaks it silently. benchmark-test vets it
+# and runs its self-tests (< 1 s, no cluster); benchmark-smoke builds it the
+# way the driver does and runs five seconds of the simulated workload, whose
+# exit code covers every correctness check the run makes (error_frac, key
+# mismatches, stale fraction under the tolerance).
+benchmark-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+benchmark-smoke:
+	bash benchmark/run.sh --workload sim-ycsb-a --seed 1 --seconds 5 --trace 1
+
 # Chaos smoke: the network-partition experiment on both backends, each run
 # self-checking its contract (majority availability >= 80% of pre-cut,
 # minority CL=ONE still served while quorum work there refuses fail-fast
@@ -101,4 +114,4 @@ api-check:
 api-baseline:
 	$(GO) run ./cmd/apicheck > api/exported.txt
 
-ci: lint build api-check test-race admin-smoke bench-smoke chaos-smoke
+ci: lint build api-check test-race benchmark-test benchmark-smoke admin-smoke bench-smoke chaos-smoke

@@ -68,6 +68,8 @@ var suite = []struct {
 	{"transport/unbatched-tput", micro.TransportUnbatchedThroughput},
 	{"merkle/write-path", micro.MerkleWritePath},
 	{"merkle/invalidate-rebuild", micro.MerkleInvalidateRebuild},
+	{"ring/replicas-for-key", micro.RingReplicasForKey},
+	{"sim/timer-churn", micro.SimTimerChurn},
 	{"cluster/ops", micro.ClusterOps},
 }
 

@@ -1,7 +1,8 @@
 // Package micro is the tracked micro-benchmark suite over the hot paths:
 // storage engine Apply/Get/Scan (both the in-memory default and the
 // persistent bitcask engine, including crash recovery), wire codec
-// Encode/Decode/Size, Merkle write-path maintenance, and end-to-end
+// Encode/Decode/Size, Merkle write-path maintenance, the simulator substrate
+// (placement lookup, scheduler under timer churn), and end-to-end
 // simulated-cluster throughput.
 //
 // The same benchmark bodies run two ways: as ordinary `go test -bench`
@@ -20,6 +21,8 @@ import (
 	"harmony/internal/bench"
 	"harmony/internal/obs"
 	"harmony/internal/repair"
+	"harmony/internal/ring"
+	"harmony/internal/sim"
 	"harmony/internal/storage"
 	"harmony/internal/wire"
 	"harmony/internal/ycsb"
@@ -370,6 +373,71 @@ func MerkleInvalidateRebuild(b *testing.B) {
 		e.Apply(k, wire.Value{Data: []byte("0123456789abcdef"), Timestamp: int64(4096 + i + 1)})
 		c.Invalidate(k)
 		c.Trees(full) // pays the O(arc) rebuild
+	}
+}
+
+// RingReplicasForKey measures the placement lookup every coordinated
+// operation and every loaded key pays, on 20 nodes x 32 vnodes under
+// NetworkTopologyStrategy RF 5: a hash, a binary search and an index into the
+// ring's placement table (built once, outside the timer), no allocation.
+func RingReplicasForKey(b *testing.B) {
+	var nodes []ring.NodeInfo
+	for i := 0; i < 20; i++ {
+		nodes = append(nodes, ring.NodeInfo{ID: ring.NodeID(fmt.Sprintf("n%d", i)), DC: "dc1", Rack: fmt.Sprintf("r%d", i%4)})
+	}
+	topo, err := ring.NewTopology(nodes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := ring.Build(topo, 32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := ring.NetworkTopologyStrategy{RF: 5}
+	ks := keys(1024)
+	ring.ReplicasForKey(r, s, ks[0])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(ring.ReplicasForKey(r, s, ks[i&1023])) != 5 {
+			b.Fatal("short replica set")
+		}
+	}
+}
+
+// SimTimerChurn is the scheduler's real diet: a few hundred messages in
+// flight, and every one that lands arms a 5 s timeout, sends the next message
+// and cancels the timeout armed one hop earlier. Almost no timeout ever
+// fires, so the queue must stay the size of the live set; a scheduler that
+// parks cancelled timers until their instant would carry five virtual seconds
+// of corpses here, and the benchmark fails if the queue outgrows the chains.
+func SimTimerChurn(b *testing.B) {
+	const chains = 300
+	s := sim.New(1)
+	rng := s.NewStream()
+	n, maxPending := 0, 0
+	for c := 0; c < chains; c++ {
+		cancel := func() {}
+		var hop func()
+		hop = func() {
+			cancel()
+			cancel = s.After(5*time.Second, func() { b.Error("a cancelled timeout fired") })
+			if p := s.Pending(); p > maxPending {
+				maxPending = p
+			}
+			if n++; n < b.N {
+				s.Schedule(time.Duration(100+rng.Intn(900))*time.Microsecond, hop)
+			}
+		}
+		s.Schedule(time.Duration(rng.Intn(1000))*time.Microsecond, hop)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n < b.N && s.Step() {
+	}
+	b.StopTimer()
+	if maxPending > 2*chains {
+		b.Fatalf("queue reached %d events for %d chains of one message and one timeout each", maxPending, chains)
 	}
 }
 

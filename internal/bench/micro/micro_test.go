@@ -31,6 +31,8 @@ func BenchmarkTransportBatched(b *testing.B)        { TransportBatchedThroughput
 func BenchmarkTransportUnbatched(b *testing.B)      { TransportUnbatchedThroughput(b) }
 func BenchmarkMerkleWritePath(b *testing.B)         { MerkleWritePath(b) }
 func BenchmarkMerkleInvalidateRebuild(b *testing.B) { MerkleInvalidateRebuild(b) }
+func BenchmarkRingReplicasForKey(b *testing.B)      { RingReplicasForKey(b) }
+func BenchmarkSimTimerChurn(b *testing.B)           { SimTimerChurn(b) }
 func BenchmarkClusterOps(b *testing.B)              { ClusterOps(b) }
 
 // TestObservedHotPathAllocs pins the acceptance bar for the observability

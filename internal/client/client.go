@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"time"
 
 	"harmony/internal/ring"
@@ -208,10 +209,7 @@ type attempt struct {
 func (op *logicalOp) dropAttempt(id uint64) (cancel func(), ok bool) {
 	for i, a := range op.live {
 		if a.id == id {
-			last := len(op.live) - 1
-			op.live[i] = op.live[last]
-			op.live[last] = attempt{}
-			op.live = op.live[:last]
+			op.live = slices.Delete(op.live, i, i+1)
 			return a.cancel, true
 		}
 	}

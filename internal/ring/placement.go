@@ -1,5 +1,10 @@
 package ring
 
+import (
+	"slices"
+	"sync"
+)
+
 // Placement is a pure function of the vnode arc a token falls in, so it is
 // computed once per (ring, built-in strategy) and then looked up: hash, binary
 // search, index. Every slice handed out of a table is shared by all callers
@@ -11,10 +16,13 @@ package ring
 // successorIndex returns — so vnodes whose tokens collide keep separate rows
 // (the later ones unreachable) and every lookup is sets[successorIndex(tok)].
 type placement struct {
-	strategy Strategy
-	sets     [][]NodeID // sets[i] = strategy.Replicas(r, r.tokens[i].tok)
+	sets [][]NodeID // sets[i] = strategy.Replicas(r, r.tokens[i].tok)
+
 	// byOrigin[o] is sets with every row stably sorted by Distance from
-	// topology node o; rows already in proximity order alias sets.
+	// topology node o; rows already in proximity order alias sets. A view
+	// is built when its node first asks (a live member only ever is one
+	// origin), under mu; holders keep the finished slice and read it freely.
+	mu       sync.Mutex
 	byOrigin map[NodeID][][]NodeID
 }
 
@@ -31,55 +39,28 @@ func tabled(s Strategy) bool {
 
 // placementFor returns the table for the built-in strategy s, building it on
 // first use. Safe for concurrent use: a live member's mailbox goroutine and
-// its admin goroutines may race to the first lookup.
+// its admin goroutines may race to the first lookup, in which case both build
+// the same table and the first one stored is the one everybody uses.
 func (r *Ring) placementFor(s Strategy) *placement {
-	if p := findPlacement(r.tables.Load(), s); p != nil {
-		return p
-	}
-	r.buildMu.Lock()
-	defer r.buildMu.Unlock()
-	old := r.tables.Load()
-	if p := findPlacement(old, s); p != nil {
-		return p
+	if p, ok := r.tables.Load(s); ok {
+		return p.(*placement)
 	}
 	p := &placement{
-		strategy: s,
 		sets:     make([][]NodeID, len(r.tokens)),
-		byOrigin: make(map[NodeID][][]NodeID, len(r.topo.order)),
+		byOrigin: make(map[NodeID][][]NodeID),
 	}
 	for i, e := range r.tokens {
-		p.sets[i] = s.Replicas(r, e.tok)
+		// No spare capacity: an append to a shared row must copy it, not
+		// write into room a second caller could claim as well.
+		p.sets[i] = slices.Clip(s.Replicas(r, e.tok))
 	}
-	for _, origin := range r.topo.order {
-		view := make([][]NodeID, len(p.sets))
-		for i, set := range p.sets {
-			view[i] = r.topo.sortedByProximity(origin, set)
-		}
-		p.byOrigin[origin] = view
-	}
-	var tables []*placement
-	if old != nil {
-		tables = append(tables, *old...)
-	}
-	tables = append(tables, p)
-	r.tables.Store(&tables)
-	return p
-}
-
-func findPlacement(tables *[]*placement, s Strategy) *placement {
-	if tables == nil {
-		return nil
-	}
-	for _, p := range *tables {
-		if p.strategy == s {
-			return p
-		}
-	}
-	return nil
+	actual, _ := r.tables.LoadOrStore(s, p)
+	return actual.(*placement)
 }
 
 // sortedByProximity returns nodes in SortByProximity order from origin:
 // nodes itself when it already is in that order, a sorted copy otherwise.
+// Either way the argument is left as it was.
 func (t *Topology) sortedByProximity(origin NodeID, nodes []NodeID) []NodeID {
 	inOrder := true
 	for i := 1; i < len(nodes); i++ {
@@ -91,7 +72,8 @@ func (t *Topology) sortedByProximity(origin NodeID, nodes []NodeID) []NodeID {
 	if inOrder {
 		return nodes
 	}
-	sorted := append([]NodeID(nil), nodes...)
+	sorted := make([]NodeID, len(nodes)) // exactly sized, like the table's own rows
+	copy(sorted, nodes)
 	t.SortByProximity(origin, sorted)
 	return sorted
 }
@@ -125,19 +107,39 @@ type ProximityView struct {
 // lookups touch no lock and no map.
 func (r *Ring) ProximityView(s Strategy, origin NodeID) *ProximityView {
 	v := &ProximityView{ring: r, strategy: s, origin: origin}
-	if tabled(s) && len(r.tokens) > 0 {
-		v.sets = r.placementFor(s).byOrigin[origin]
+	if _, member := r.topo.Info(origin); member && tabled(s) && len(r.tokens) > 0 {
+		v.sets = r.placementFor(s).viewFrom(r.topo, origin)
 	}
 	return v
 }
 
-// ReplicasForKey returns key's replica set, closest to the view's origin
-// first. The result is shared and read-only, as for Ring.Replicas.
-func (v *ProximityView) ReplicasForKey(key []byte) []NodeID {
-	tok := HashKey(key)
+// viewFrom returns the table's rows sorted by proximity to origin, sorting
+// them the first time origin asks.
+func (p *placement) viewFrom(topo *Topology, origin NodeID) [][]NodeID {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	view, ok := p.byOrigin[origin]
+	if !ok {
+		view = make([][]NodeID, len(p.sets))
+		for i, set := range p.sets {
+			view[i] = topo.sortedByProximity(origin, set)
+		}
+		p.byOrigin[origin] = view
+	}
+	return view
+}
+
+// Replicas returns tok's replica set, closest to the view's origin first.
+// The result is shared and read-only, as for Ring.Replicas.
+func (v *ProximityView) Replicas(tok Token) []NodeID {
 	if v.sets != nil {
 		return v.sets[v.ring.successorIndex(tok)]
 	}
 	reps := v.ring.Replicas(v.strategy, tok)
 	return v.ring.topo.sortedByProximity(v.origin, reps)
+}
+
+// ReplicasForKey is Replicas of the key's token.
+func (v *ProximityView) ReplicasForKey(key []byte) []NodeID {
+	return v.Replicas(HashKey(key))
 }

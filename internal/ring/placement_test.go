@@ -50,8 +50,9 @@ func probeTokens(r *Ring, rng *rand.Rand) []Token {
 	return toks
 }
 
-// checkAgainstWalk holds the table, and the sorted view of it from a few
-// members and from a stranger, to what the strategy's own walk answers.
+// checkAgainstWalk holds the table, and the sorted view of it from a stranger
+// (sorted per call) and from a few members (tabled), to what the strategy's
+// own walk answers.
 func checkAgainstWalk(t *testing.T, r *Ring, s Strategy, rng *rand.Rand) {
 	t.Helper()
 	origins := []NodeID{"not-a-member"}
@@ -76,25 +77,19 @@ func checkAgainstWalk(t *testing.T, r *Ring, s Strategy, rng *rand.Rand) {
 			t.Fatalf("%s%+v token %d: table %v, walk %v", s.Name(), s, tok, got, want)
 		}
 		for i, o := range origins {
-			if views[i].sets == nil {
-				continue // a stranger's view is sorted per call; checked by key below
-			}
-			if got, want := views[i].sets[r.successorIndex(tok)], sortedFrom(o, want); !slices.Equal(got, want) {
+			if got, want := views[i].Replicas(tok), sortedFrom(o, want); !slices.Equal(got, want) {
 				t.Fatalf("%s%+v token %d from %s: view %v, sorted walk %v", s.Name(), s, tok, o, got, want)
 			}
 		}
 	}
-	for i := 0; i < 32; i++ {
-		key := []byte(fmt.Sprintf("key-%d", rng.Int63()))
-		want := s.Replicas(r, HashKey(key))
-		if got := ReplicasForKey(r, s, key); !slices.Equal(got, want) {
-			t.Fatalf("ReplicasForKey(%q) = %v, walk %v", key, got, want)
-		}
-		for j, o := range origins {
-			if got, want := views[j].ReplicasForKey(key), sortedFrom(o, want); !slices.Equal(got, want) {
-				t.Fatalf("view from %s for %q = %v, sorted walk %v", o, key, got, want)
-			}
-		}
+	// The keyed entry points are the token ones behind HashKey.
+	key := []byte(fmt.Sprintf("key-%d", rng.Int63()))
+	want := s.Replicas(r, HashKey(key))
+	if got := ReplicasForKey(r, s, key); !slices.Equal(got, want) {
+		t.Fatalf("ReplicasForKey(%q) = %v, walk %v", key, got, want)
+	}
+	if got, want := views[0].ReplicasForKey(key), sortedFrom(origins[0], want); !slices.Equal(got, want) {
+		t.Fatalf("view from %s for %q = %v, sorted walk %v", origins[0], key, got, want)
 	}
 }
 
@@ -196,9 +191,10 @@ func TestCustomStrategyIsWalkedPerCall(t *testing.T) {
 			t.Fatalf("custom strategy view: got %v, want %v", got, want)
 		}
 	}
-	if r.tables.Load() != nil {
+	r.tables.Range(func(any, any) bool {
 		t.Fatal("custom strategy reached the table cache")
-	}
+		return false
+	})
 }
 
 // A live member builds the table from whichever goroutine asks first — the
@@ -228,7 +224,9 @@ func TestPlacementTableConcurrentFirstUse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := len(*r.tables.Load()); n != len(strategies) {
-		t.Fatalf("%d tables for %d strategies", n, len(strategies))
+	tables := 0
+	r.tables.Range(func(any, any) bool { tables++; return true })
+	if tables != len(strategies) {
+		t.Fatalf("%d tables for %d strategies", tables, len(strategies))
 	}
 }

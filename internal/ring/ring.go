@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // NodeID identifies a storage node. IDs are stable strings such as
@@ -136,11 +135,9 @@ type Ring struct {
 	topo   *Topology
 	tokens []tokenEntry
 
-	// Placement tables built so far, one per built-in strategy value (see
-	// placement.go). Lookups load the list without locking; buildMu only
-	// serialises the rare build that replaces it.
-	buildMu sync.Mutex
-	tables  atomic.Pointer[[]*placement]
+	// tables holds the placement tables built so far (see placement.go):
+	// built-in Strategy value -> *placement.
+	tables sync.Map
 }
 
 type tokenEntry struct {

@@ -258,25 +258,3 @@ func TestEmptyRingWalk(t *testing.T) {
 		t.Fatalf("empty ring returned replicas %v", reps)
 	}
 }
-
-func BenchmarkReplicasForKey(b *testing.B) {
-	var nodes []NodeInfo
-	for i := 0; i < 20; i++ {
-		nodes = append(nodes, NodeInfo{ID: NodeID(fmt.Sprintf("n%d", i)), DC: "dc1", Rack: fmt.Sprintf("r%d", i%4)})
-	}
-	topo, err := NewTopology(nodes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, err := Build(topo, 32)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := NetworkTopologyStrategy{RF: 5}
-	key := []byte("benchmark-key")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ReplicasForKey(r, s, key)
-	}
-}

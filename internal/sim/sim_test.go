@@ -226,42 +226,6 @@ func BenchmarkSimEventThroughput(b *testing.B) {
 	s.RunUntilIdle(uint64(b.N) + 10)
 }
 
-// BenchmarkSimTimerChurn is the simulator's real diet: a few hundred
-// messages in flight, and every one that lands arms a 5 s timeout, sends the
-// next message and cancels the timeout armed one hop earlier. Almost no
-// timeout ever fires, so the queue must stay the size of the live set; a
-// scheduler that parks cancelled timers until their instant would carry five
-// virtual seconds of corpses here.
-func BenchmarkSimTimerChurn(b *testing.B) {
-	const chains = 300
-	s := New(1)
-	rng := s.NewStream()
-	n, maxPending := 0, 0
-	for c := 0; c < chains; c++ {
-		cancel := func() {}
-		var hop func()
-		hop = func() {
-			cancel()
-			cancel = s.After(5*time.Second, func() { b.Error("a cancelled timeout fired") })
-			if p := s.Pending(); p > maxPending {
-				maxPending = p
-			}
-			if n++; n < b.N {
-				s.Schedule(time.Duration(100+rng.Intn(900))*time.Microsecond, hop)
-			}
-		}
-		s.Schedule(time.Duration(rng.Intn(1000))*time.Microsecond, hop)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n < b.N && s.Step() {
-	}
-	b.StopTimer()
-	if maxPending > 2*chains {
-		b.Fatalf("queue reached %d events for %d chains of one message and one timeout each", maxPending, chains)
-	}
-}
-
 func TestEveryVariableIntervals(t *testing.T) {
 	s := New(1)
 	gaps := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond}

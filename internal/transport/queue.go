@@ -42,7 +42,7 @@ func NewServiceQueue(rt sim.Runtime, h Handler, svc ServiceTimer) *ServiceQueue 
 // ping, which the kernel answers without waiting behind the storage
 // process's request backlog.
 func (q *ServiceQueue) Deliver(from ring.NodeID, m wire.Message) {
-	d := newDelivery()
+	d := newDelivery(nil)
 	d.from, d.m = from, m
 	q.enqueue(d)
 }
@@ -52,9 +52,7 @@ func (q *ServiceQueue) Deliver(from ring.NodeID, m wire.Message) {
 func (q *ServiceQueue) enqueue(d *delivery) {
 	switch d.m.(type) {
 	case wire.Ping, wire.Pong:
-		from, m := d.from, d.m
-		d.release()
-		q.h.Deliver(from, m)
+		d.deliverTo(q.h)
 		return
 	}
 	now := q.rt.Now()
@@ -80,9 +78,7 @@ func (q *ServiceQueue) enqueue(d *delivery) {
 func (q *ServiceQueue) serve(d *delivery) {
 	q.depth--
 	q.served++
-	from, m := d.from, d.m
-	d.release()
-	q.h.Deliver(from, m)
+	d.deliverTo(q.h)
 }
 
 // QueueStats is a snapshot of queue behaviour.

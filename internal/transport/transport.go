@@ -49,6 +49,7 @@ type Bus struct {
 	// flight keeps a pointer it can re-check at delivery without a second
 	// map lookup.
 	endpoints map[ring.NodeID]*busEndpoint
+	free      []*delivery // records between messages
 	dropped   atomic.Uint64
 	delivered atomic.Uint64
 }
@@ -107,15 +108,21 @@ func (b *Bus) Send(from, to ring.NodeID, m wire.Message) {
 		return
 	}
 	h, schedule := ep.h, ep.schedule
+	var d *delivery
+	if n := len(b.free); n > 0 {
+		d, b.free = b.free[n-1], b.free[:n-1]
+	} else {
+		d = newDelivery(b)
+	}
 	b.mu.Unlock()
 	delay, up := b.net.Delay(from, to, wire.Size(m))
 	if !up {
 		b.dropped.Add(1)
+		d.release()
 		return
 	}
 	b.delivered.Add(1)
-	d := newDelivery()
-	d.bus, d.ep, d.h, d.from, d.m = b, ep, h, from, m
+	d.ep, d.h, d.from, d.m = ep, h, from, m
 	schedule(delay, d.fire)
 }
 
@@ -135,9 +142,7 @@ func (b *Bus) arrive(d *delivery) {
 		q.enqueue(d) // the same record carries the message through the queue
 		return
 	}
-	h, from, m := d.h, d.from, d.m
-	d.release()
-	h.Deliver(from, m)
+	d.deliverTo(d.h)
 }
 
 // Stats reports delivered and dropped message counts.
@@ -148,37 +153,45 @@ func (b *Bus) Stats() (delivered, dropped uint64) {
 // delivery is one simulated message on its way to a handler: first across
 // the Bus's network-delay hop, then — when the endpoint is a ServiceQueue —
 // through the queue's service-time hop. The two hops stay two scheduled
-// events, but they share this one record, and records are recycled, so a
-// message in steady state costs no allocation in the fabric.
+// events, but they share this one record, and a bus recycles its records, so
+// a message in steady state costs no allocation in the fabric.
 type delivery struct {
-	bus  *Bus
+	bus  *Bus // owner of the record; nil for one a ServiceQueue made itself
 	ep   *busEndpoint
 	h    Handler // the endpoint's handler when the message was sent
 	q    *ServiceQueue
 	from ring.NodeID
 	m    wire.Message
-	// fire is d.run bound once, when the record is first made, so that
-	// scheduling a recycled record allocates no closure.
+	// fire is d.run bound once, when the record is made, so that scheduling
+	// a recycled record allocates no closure.
 	fire func()
 }
 
-var deliveryPool sync.Pool
-
-func newDelivery() *delivery {
-	if d, ok := deliveryPool.Get().(*delivery); ok {
-		return d
-	}
-	d := new(delivery)
+func newDelivery(owner *Bus) *delivery {
+	d := &delivery{bus: owner}
 	d.fire = d.run
 	return d
 }
 
-// release recycles the record; the caller has copied out what it still
-// needs.
+// deliverTo ends the record's journey: it is recycled first (the handler may
+// well send, and reuse it) and its message handed to h.
+func (d *delivery) deliverTo(h Handler) {
+	from, m := d.from, d.m
+	d.release()
+	h.Deliver(from, m)
+}
+
+// release returns the record to its bus; the caller has copied out what it
+// still needs.
 func (d *delivery) release() {
-	fire := d.fire
-	*d = delivery{fire: fire}
-	deliveryPool.Put(d)
+	b := d.bus
+	if b == nil {
+		return
+	}
+	*d = delivery{bus: b, fire: d.fire}
+	b.mu.Lock()
+	b.free = append(b.free, d)
+	b.mu.Unlock()
 }
 
 // run is the record's scheduled callback, for whichever hop it is on.

@@ -191,3 +191,39 @@ func TestClientLatencyForExternalEndpoints(t *testing.T) {
 		t.Fatalf("client latency = %v, want >= %v", got, profile.ClientLatency)
 	}
 }
+
+type counter struct{ n int }
+
+func (c *counter) Deliver(ring.NodeID, wire.Message) { c.n++ }
+
+// On the simulator a message crosses the Bus and a ServiceQueue as two events
+// and, once records and events are warm, no allocation: what is left per
+// message is whatever the sender spent boxing it.
+func TestSimulatedDeliveryDoesNotAllocate(t *testing.T) {
+	s := sim.New(1)
+	net := simnet.New(testTopo(t), simnet.UniformProfile(time.Millisecond), s.NewStream())
+	bus := NewBus(net)
+	sink := &counter{}
+	q := NewServiceQueue(s, sink, func(wire.Message) time.Duration { return 50 * time.Microsecond })
+	bus.Register("b", s, q)
+	var m wire.Message = wire.MutationAck{ID: 7}
+	send := func() {
+		for i := 0; i < 8; i++ {
+			bus.Send("a", "b", m)
+		}
+		if err := s.RunUntilIdle(100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send() // warm the record pool and the event free list
+	events := s.Events()
+	if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
+		t.Fatalf("%.1f allocations per 8 messages, want 0", allocs)
+	}
+	if got := s.Events() - events; got != 201*8*2 {
+		t.Fatalf("%d events for %d messages: the two hops must stay two events", got, 201*8)
+	}
+	if sink.n != 202*8 || q.Stats().Served != 202*8 {
+		t.Fatalf("delivered %d, served %d, want %d", sink.n, q.Stats().Served, 202*8)
+	}
+}
