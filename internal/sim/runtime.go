@@ -13,6 +13,7 @@ package sim
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -40,6 +41,16 @@ type RealRuntime struct {
 	inbox  chan func()
 	done   chan struct{}
 	closed bool
+
+	// The overflow behind PostSelf: callbacks that found the inbox full.
+	// spilled is set while any are waiting, so the loop checks for them with
+	// one atomic load per callback. ahead counts the inbox callbacks that
+	// must still run before the overflow may: what the inbox held when the
+	// first of them spilled, which includes every earlier PostSelf.
+	spillMu  sync.Mutex
+	overflow []func()
+	ahead    int
+	spilled  atomic.Bool
 }
 
 // NewRealRuntime starts the mailbox goroutine and returns the runtime.
@@ -54,19 +65,72 @@ func NewRealRuntime() *RealRuntime {
 
 func (r *RealRuntime) loop() {
 	for {
+		if r.spilled.Load() {
+			// PostSelf has callbacks in the overflow: never block while
+			// they wait.
+			select {
+			case fn := <-r.inbox:
+				fn()
+				r.runSpilled(false)
+			case <-r.done:
+				r.flush()
+				return
+			default:
+				r.runSpilled(true)
+			}
+			continue
+		}
 		select {
 		case fn := <-r.inbox:
 			fn()
 		case <-r.done:
-			// Drain anything already queued so Stop has flush semantics.
-			for {
-				select {
-				case fn := <-r.inbox:
-					fn()
-				default:
-					return
-				}
+			r.flush()
+			return
+		}
+	}
+}
+
+// flush runs anything already queued so Stop has flush semantics.
+func (r *RealRuntime) flush() {
+	for {
+		select {
+		case fn := <-r.inbox:
+			fn()
+		default:
+			if !r.spilled.Load() {
+				return
 			}
+			r.runSpilled(true)
+		}
+	}
+}
+
+// runSpilled runs the overflow, in the order it was posted and including
+// anything it spills in turn, once the inbox callbacks that were ahead of it
+// have run: the caller has just run one, or found the inbox empty.
+func (r *RealRuntime) runSpilled(inboxEmpty bool) {
+	for {
+		r.spillMu.Lock()
+		if inboxEmpty {
+			r.ahead = 0
+		}
+		if r.ahead > 0 {
+			r.ahead--
+			if r.ahead > 0 {
+				r.spillMu.Unlock()
+				return
+			}
+		}
+		batch := r.overflow
+		r.overflow = nil
+		if len(batch) == 0 {
+			r.spilled.Store(false)
+			r.spillMu.Unlock()
+			return
+		}
+		r.spillMu.Unlock()
+		for _, fn := range batch {
+			fn()
 		}
 	}
 }
@@ -92,6 +156,41 @@ func (r *RealRuntime) Post(fn func()) {
 	select {
 	case r.inbox <- fn:
 	case <-r.done:
+	}
+}
+
+// PostSelf is Post for a callback that is itself running on this runtime's
+// mailbox (a node sending a message to itself): it never blocks. Post from
+// the mailbox goroutine would wait on a full inbox that only that goroutine
+// drains. PostSelf takes an inbox slot while there is one and nothing has
+// spilled, which is exactly Post; otherwise the callback joins an unbounded
+// overflow that the loop runs once the callbacks posted before the first
+// spill have run, so PostSelf calls are delivered in the order they were
+// made. It offers no backpressure, so anything that is not already on the
+// mailbox should use Post.
+func (r *RealRuntime) PostSelf(fn func()) {
+	if !r.spilled.Load() {
+		select {
+		case r.inbox <- fn:
+			return
+		default:
+		}
+	}
+	r.spillMu.Lock()
+	first := !r.spilled.Load()
+	if first {
+		r.ahead = len(r.inbox)
+		r.spilled.Store(true)
+	}
+	r.overflow = append(r.overflow, fn)
+	r.spillMu.Unlock()
+	if first {
+		// The loop checks spilled before each receive; if it is already
+		// blocked in one (the inbox emptied under us), wake it.
+		select {
+		case r.inbox <- func() {}:
+		default:
+		}
 	}
 }
 

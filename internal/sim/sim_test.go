@@ -2,6 +2,7 @@ package sim
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -266,5 +267,67 @@ func TestEveryStopFromCallback(t *testing.T) {
 	s.RunFor(time.Second)
 	if count != 3 {
 		t.Fatalf("callback ran %d times after self-stop, want 3", count)
+	}
+}
+
+// TestRealRuntimePostSelfPastFullInbox: a callback posting to its own
+// runtime must never block, however full the inbox. Peers fill the inbox
+// (and more block behind it) while a callback is held; the callback then
+// self-posts 5000 times. Post would wait forever on the first — only the
+// posting goroutine drains the inbox — so nothing would be delivered;
+// PostSelf delivers all of them, in order, and the peers' posts too.
+func TestRealRuntimePostSelfPastFullInbox(t *testing.T) {
+	rt := NewRealRuntime()
+	defer rt.Stop()
+	const selfPosts, blockedPeers = 5000, 8
+	held, resume := make(chan struct{}), make(chan struct{})
+	got := make(chan int, selfPosts)
+	rt.Post(func() {
+		close(held)
+		<-resume
+		for i := 0; i < selfPosts; i++ {
+			i := i
+			rt.PostSelf(func() { got <- i })
+		}
+	})
+	<-held
+	var fromPeers atomic.Int64
+	for i := 0; i < cap(rt.inbox); i++ {
+		rt.Post(func() { fromPeers.Add(1) })
+	}
+	var peers sync.WaitGroup
+	for i := 0; i < blockedPeers; i++ {
+		peers.Add(1)
+		go func() {
+			defer peers.Done()
+			rt.Post(func() { fromPeers.Add(1) }) // blocks: the inbox is full
+		}()
+	}
+	close(resume)
+	for want := 0; want < selfPosts; want++ {
+		select {
+		case i := <-got:
+			if i != want {
+				t.Fatalf("self-post %d delivered where %d was due", i, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("delivered %d of %d self-posts", want, selfPosts)
+		}
+	}
+	peers.Wait()
+	done := make(chan struct{})
+	rt.Post(func() { close(done) })
+	<-done
+	if n := fromPeers.Load(); n != int64(cap(rt.inbox)+blockedPeers) {
+		t.Fatalf("%d peer posts ran, want %d", n, cap(rt.inbox)+blockedPeers)
+	}
+	// With nothing spilled the door is the inbox again, in order with Post.
+	order := make(chan string, 2)
+	rt.Post(func() {
+		rt.PostSelf(func() { order <- "self" })
+		rt.Post(func() { order <- "post" })
+	})
+	if a, b := <-order, <-order; a != "self" || b != "post" {
+		t.Fatalf("PostSelf then Post ran as %s, %s", a, b)
 	}
 }

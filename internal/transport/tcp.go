@@ -89,10 +89,13 @@ type TCPStats struct {
 // messages to the handler's runtime. Outbound sends go through a per-peer
 // stream pool that batches writes and redials dead connections.
 type TCPNode struct {
-	id   ring.NodeID
-	rt   sim.Runtime
-	ln   net.Listener
-	logf func(string, ...any)
+	id ring.NodeID
+	rt sim.Runtime
+	// postSelf schedules a loopback delivery: the runtime's never-blocking
+	// door when it has one (sim.RealRuntime.PostSelf), else rt.Post.
+	postSelf func(func())
+	ln       net.Listener
+	logf     func(string, ...any)
 
 	streamsPerPeer int
 	noBatch        bool
@@ -164,6 +167,10 @@ func NewTCPNode(cfg TCPConfig, rt sim.Runtime, h Handler) (*TCPNode, error) {
 		backoffMax:     cfg.DialBackoffMax,
 		peers:          make(map[ring.NodeID]string, len(cfg.Peers)),
 		groups:         make(map[ring.NodeID]*peerGroup),
+	}
+	n.postSelf = rt.Post
+	if sp, ok := rt.(interface{ PostSelf(func()) }); ok {
+		n.postSelf = sp.PostSelf
 	}
 	if n.logf == nil {
 		n.logf = log.Printf
@@ -378,8 +385,10 @@ func (n *TCPNode) Send(from, to ring.NodeID, m wire.Message) {
 		// is a replica of the key, gossip bookkeeping) skips the codec and
 		// the kernel entirely and delivers like the in-memory fabrics do —
 		// the message is caller-owned, the ownership contract those fabrics
-		// already impose on handlers, so no promotion is needed.
-		n.rt.Post(func() {
+		// already impose on handlers, so no promotion is needed. The sender
+		// is the mailbox goroutine itself, which must not block on its own
+		// full inbox: hence postSelf, not rt.Post.
+		n.postSelf(func() {
 			if h := n.currentHandler(); h != nil {
 				h.Deliver(from, m)
 			}

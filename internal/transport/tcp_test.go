@@ -154,3 +154,49 @@ func TestTCPCloseStopsAccept(t *testing.T) {
 	}
 	n2.Close()
 }
+
+// selfSender answers the first message it receives by sending burst
+// messages to its own node, and records the order in which they come back.
+type selfSender struct {
+	node  *TCPNode
+	burst int
+	got   chan uint64
+}
+
+func (s *selfSender) Deliver(from ring.NodeID, m wire.Message) {
+	p := m.(wire.Ping)
+	if p.ID == 0 {
+		for i := 1; i <= s.burst; i++ {
+			s.node.Send("a", "a", wire.Ping{ID: uint64(i)})
+		}
+		return
+	}
+	s.got <- p.ID
+}
+
+// TestTCPSelfSendBurstDoesNotBlockTheMailbox: the loopback fast path runs on
+// the node's own mailbox goroutine, so a burst of self-sends larger than the
+// mailbox must not wait for room in it — nobody else drains it.
+func TestTCPSelfSendBurstDoesNotBlockTheMailbox(t *testing.T) {
+	rt := sim.NewRealRuntime()
+	defer rt.Stop()
+	const burst = 5000
+	h := &selfSender{burst: burst, got: make(chan uint64, burst)}
+	n, err := NewTCPNode(TCPConfig{ID: "a"}, rt, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	h.node = n
+	n.Send("a", "a", wire.Ping{ID: 0})
+	for want := uint64(1); want <= burst; want++ {
+		select {
+		case id := <-h.got:
+			if id != want {
+				t.Fatalf("self-send %d delivered where %d was due", id, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("delivered %d of %d self-sends", want-1, burst)
+		}
+	}
+}
