@@ -15,6 +15,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"time"
 
 	"harmony/internal/obs"
@@ -242,6 +243,14 @@ type writeOp struct {
 	start time.Time
 }
 
+// pendingAck is a MutationAck owed to a coordinator once the engine reports
+// ticket durable.
+type pendingAck struct {
+	ticket uint64
+	to     ring.NodeID
+	id     uint64
+}
+
 // Node is one storage server.
 type Node struct {
 	cfg    Config
@@ -261,6 +270,11 @@ type Node struct {
 	hintStop          func()
 	lastTS            int64
 	antiEntropy       *repair.Manager // nil unless cfg.Repair.Enabled
+	// acks holds, in arrival order, the mutation acks waiting for the fsync
+	// round that covers their ticket; always empty unless the engine is
+	// durable with group commit.
+	acks    []pendingAck
+	stopped atomic.Bool // Stop has begun: drainAcks sends nothing more
 
 	// Live grouping state, initialized from Config and atomically replaced
 	// by applyGroupUpdate. Only touched on the node's runtime.
@@ -328,6 +342,11 @@ func New(cfg Config, rt sim.Runtime, send transport.Sender) *Node {
 		}
 	}
 	n.engine = storage.NewEngine(engOpts)
+	// One post per fsync round, from the syncer goroutine; an engine that
+	// issues no tickets never calls it.
+	n.engine.NotifySynced(func(watermark uint64) {
+		rt.Post(func() { n.drainAcks(watermark) })
+	})
 	if cfg.Repair.Enabled {
 		n.antiEntropy = repair.NewManager(repair.Config{
 			Self:     cfg.ID,
@@ -395,8 +414,10 @@ func (n *Node) Start() {
 
 // Stop cancels background maintenance and closes the storage engine —
 // a final fsync round plus data-dir lock release for persistent engines,
-// a no-op for the in-memory default.
+// a no-op for the in-memory default. Acks still queued for a fsync round
+// are dropped, not sent: their coordinators time out, as for a crash.
 func (n *Node) Stop() {
+	n.stopped.Store(true)
 	if n.hintStop != nil {
 		n.hintStop()
 		n.hintStop = nil
@@ -911,13 +932,41 @@ func (n *Node) coordinateWrite(client ring.NodeID, req wire.WriteRequest) {
 	}
 }
 
+// applyMutation applies a replicated write and acknowledges it once it is
+// durable. The engine says how long that takes: ticket 0 (an in-memory
+// engine, periodic fsync, a duplicate of a version already on disk) is
+// acknowledged here and now; any other ticket queues the ack until the
+// fsync round covering it reports in (drainAcks), so the mailbox serves the
+// next message — a read of another key, the next append of the same round —
+// instead of sleeping through the fsync. The version is visible to reads
+// from this point on, before it is durable; only the writer waits.
 func (n *Node) applyMutation(from ring.NodeID, mut wire.Mutation) {
-	_, err := n.engine.Apply(mut.Key, mut.Value)
+	_, ticket, err := n.engine.ApplyTicket(mut.Key, mut.Value)
 	n.counters.replicaOps.Add(1)
 	if err != nil {
-		return // malformed mutation: no ack, coordinator times out
+		return // malformed mutation or failed disk: no ack, coordinator times out
 	}
-	n.send.Send(n.cfg.ID, from, wire.MutationAck{ID: mut.ID})
+	if ticket == 0 && len(n.acks) == 0 {
+		n.send.Send(n.cfg.ID, from, wire.MutationAck{ID: mut.ID})
+		return
+	}
+	// Acks leave in arrival order, so one that need not wait still queues
+	// behind those that do; the round they wait for releases it with them.
+	n.acks = append(n.acks, pendingAck{ticket: ticket, to: from, id: mut.ID})
+}
+
+// drainAcks sends the queued acknowledgements whose tickets the engine has
+// fsynced. The syncer posts it once per round, however many mutations the
+// round covered.
+func (n *Node) drainAcks(watermark uint64) {
+	if n.stopped.Load() {
+		return
+	}
+	i := 0
+	for ; i < len(n.acks) && n.acks[i].ticket <= watermark; i++ {
+		n.send.Send(n.cfg.ID, n.acks[i].to, wire.MutationAck{ID: n.acks[i].id})
+	}
+	n.acks = append(n.acks[:0], n.acks[i:]...)
 }
 
 func (n *Node) onMutationAck(from ring.NodeID, ack wire.MutationAck) {
@@ -959,8 +1008,11 @@ func (n *Node) writeTimeout(id uint64) {
 	}
 }
 
+// applyRepair applies a read-repair row. Nobody waits for an
+// acknowledgement, so nothing waits for the fsync either: the row is
+// visible at once and durable by the next round.
 func (n *Node) applyRepair(r wire.Repair) {
-	_, _ = n.engine.Apply(r.Key, r.Value)
+	_, _, _ = n.engine.ApplyTicket(r.Key, r.Value)
 	n.counters.replicaOps.Add(1)
 }
 

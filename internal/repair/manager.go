@@ -473,7 +473,10 @@ func (m *Manager) onRangeSync(from ring.NodeID, msg wire.RangeSync) {
 
 // applyEntries applies streamed rows through the normal storage path and
 // returns the keys whose local copy actually changed (the incoming version
-// won last-writer-wins).
+// won last-writer-wins). A stream is not acknowledged row by row, so a
+// durable engine is not waited on either (ApplyTicket, not Apply): the rows
+// are visible at once and on disk by the next fsync round, and a later
+// session re-heals whatever a crash in between loses.
 func (m *Manager) applyEntries(entries []wire.SyncEntry) map[string]bool {
 	if len(entries) == 0 {
 		return nil
@@ -481,7 +484,7 @@ func (m *Manager) applyEntries(entries []wire.SyncEntry) map[string]bool {
 	won := make(map[string]bool, len(entries))
 	now := m.rt.Now()
 	for _, e := range entries {
-		applied, err := m.cfg.Engine.Apply(e.Key, e.Value)
+		applied, _, err := m.cfg.Engine.ApplyTicket(e.Key, e.Value)
 		if err != nil || !applied {
 			continue // older than local, or identical: nothing healed
 		}

@@ -18,15 +18,21 @@
 // scan for the tail — and truncates the log at the first torn or corrupt
 // record, exactly the half-written tail a mid-write crash leaves.
 //
-// Durability is group-commit: appends land in the OS page cache under the
-// shard lock and a single engine-wide syncer goroutine amortizes one fsync
-// per batch over every append that arrived while the previous fsync ran.
-// With FsyncInterval <= 0 Apply blocks until the fsync covering its record
-// completes (acked on the batch boundary); with a positive interval fsync
-// runs on a timer and Apply returns as soon as the record is in the page
-// cache. An fsync failure poisons the engine — the error is sticky and
-// every later Apply returns it — because a failed fsync leaves the page
-// cache state unknowable (retrying would ack unsynced data).
+// Durability is group-commit: an append lands in the OS page cache under the
+// shard lock, is visible to reads from then on, and takes a ticket; a single
+// engine-wide syncer goroutine runs fsync rounds, each covering every ticket
+// issued before it began, so the appends that arrive while one round flushes
+// share the next. With FsyncInterval <= 0 a write is acknowledged only by
+// the round that covers its ticket — ApplyTicket returns the ticket and the
+// NotifySynced callback reports each round's watermark; Apply is ApplyTicket
+// plus a wait for that round. With a positive interval fsync runs on a timer,
+// no tickets are issued and a write is acknowledged from the page cache. An
+// fsync failure poisons the engine — the error is sticky and every later
+// apply returns it — because a failed fsync leaves the page cache state
+// unknowable (retrying would ack unsynced data).
+//
+// A new data dir has one shard, hence one append log (defaultPersistShards):
+// a round is then one fsync, whatever the number of appends it covers.
 package storage
 
 import (
@@ -76,8 +82,11 @@ type PersistOptions struct {
 	// the lock.
 	Dir *DataDir
 	// FsyncInterval selects the durability mode: <= 0 means group commit
-	// (Apply blocks until the fsync covering its record returns), > 0 means
-	// a background fsync every interval with Apply acking from page cache.
+	// (every append takes a ticket, and the fsync round covering the ticket
+	// acknowledges it: Apply blocks until then, ApplyTicket returns at once
+	// and the round reports in through NotifySynced), > 0 means a background
+	// fsync every interval with writes acknowledged from the page cache
+	// (ticket 0).
 	FsyncInterval time.Duration
 	// SegmentBytes rotates a shard's active segment past this size;
 	// <= 0 means 64 MiB.
@@ -836,6 +845,27 @@ func (d *diskShard) compact() error {
 	return nil
 }
 
+// fsyncHook, when set, replaces the fsync of group-commit rounds; see
+// SetFsyncForTest.
+var fsyncHook atomic.Pointer[func(*os.File) error]
+
+// fsyncFile is the seam through which fsync rounds reach the disk.
+func fsyncFile(f *os.File) error {
+	if h := fsyncHook.Load(); h != nil {
+		return (*h)(f)
+	}
+	return f.Sync()
+}
+
+// SetFsyncForTest replaces the fsync that every engine's rounds call, so a
+// test can stall or fail a round, and returns a function that restores the
+// real one. The seam is package-wide: tests using it must not run in
+// parallel.
+func SetFsyncForTest(fn func(*os.File) error) (restore func()) {
+	fsyncHook.Store(&fn)
+	return func() { fsyncHook.Store(nil) }
+}
+
 // persistState is the engine-wide durability coordinator: the fsync batcher
 // plus the data-dir lifetime.
 type persistState struct {
@@ -843,6 +873,11 @@ type persistState struct {
 	interval    time.Duration
 	groupCommit bool
 	failed      atomic.Bool // fast-path flag for the sticky error
+
+	// round serializes fsync rounds (the syncer, Sync, Close): a round that
+	// found nothing dirty must not advance the watermark over a record whose
+	// fsync is still running in another round.
+	round sync.Mutex
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -852,6 +887,7 @@ type persistState struct {
 	fsyncOps uint64 // tickets (appends) covered by completed rounds
 	err      error  // sticky first fsync failure
 	closed   bool
+	notify   func(watermark uint64) // see Engine.NotifySynced
 
 	stop     chan struct{}
 	done     chan struct{}
@@ -871,27 +907,52 @@ func newPersistState(dir *DataDir, interval time.Duration) *persistState {
 	return p
 }
 
-// mark issues a group-commit ticket for an append and wakes the syncer.
-func (p *persistState) mark() uint64 {
+// stickyErr is the first fsync failure, or nil.
+func (p *persistState) stickyErr() error {
+	if !p.failed.Load() {
+		return nil
+	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.err
+}
+
+// mark issues a group-commit ticket for an append and wakes the syncer. In
+// the periodic mode there is nothing to wait for and the ticket is 0. A
+// poisoned engine issues no ticket: the record will never be acknowledged.
+func (p *persistState) mark() (uint64, error) {
+	if !p.groupCommit {
+		return 0, p.stickyErr()
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.err != nil {
+		return 0, p.err
+	}
 	p.seq++
-	t := p.seq
 	p.cond.Broadcast()
-	p.mu.Unlock()
-	return t
+	return p.seq, nil
+}
+
+// pending is the ticket a rejected mutation waits on: the newest one issued
+// if any append is still waiting for its round, else 0.
+func (p *persistState) pending() (uint64, error) {
+	if !p.groupCommit {
+		return 0, p.stickyErr()
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.err != nil || p.seq == p.synced {
+		return 0, p.err
+	}
+	return p.seq, nil
 }
 
 // wait blocks until the fsync round covering ticket t completes (group
 // commit), or just surfaces the sticky error (ticket 0, periodic mode).
 func (p *persistState) wait(t uint64) error {
 	if t == 0 {
-		if !p.failed.Load() {
-			return nil
-		}
-		p.mu.Lock()
-		err := p.err
-		p.mu.Unlock()
-		return err
+		return p.stickyErr()
 	}
 	p.mu.Lock()
 	for p.synced < t && p.err == nil && !p.closed {
@@ -905,8 +966,11 @@ func (p *persistState) wait(t uint64) error {
 	return err
 }
 
-// syncRound fsyncs every dirty shard's active segment and advances the
-// group-commit watermark past every ticket issued before the round began.
+// syncRound fsyncs every dirty shard's active segment, advances the
+// group-commit watermark past every ticket issued before the round began,
+// releases the goroutines blocked in wait and — once per round, whatever
+// the number of tickets it covered — tells the NotifySynced callback the
+// new watermark. With one log per member that is one fsync per round.
 //
 // Correctness of the watermark: a ticket is issued only after its record's
 // WriteAt returned and its shard's dirty flag was set, so every ticket
@@ -916,6 +980,8 @@ func (p *persistState) wait(t uint64) error {
 // outside the shard lock — appends continue while the batch flushes, which
 // is where group commit's amortization comes from.
 func (p *persistState) syncRound(e *Engine) error {
+	p.round.Lock()
+	defer p.round.Unlock()
 	p.mu.Lock()
 	target := p.seq
 	p.mu.Unlock()
@@ -931,7 +997,9 @@ func (p *persistState) syncRound(e *Engine) error {
 		f := d.segs[len(d.segs)-1].f
 		s.mu.Unlock()
 		roundSyncs++
-		if err := f.Sync(); err != nil && firstErr == nil {
+		// A file closed under us was sealed (fsynced by rotate) and then
+		// compacted away between the unlock and here: already durable.
+		if err := fsyncFile(f); err != nil && !errors.Is(err, os.ErrClosed) && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -941,13 +1009,19 @@ func (p *persistState) syncRound(e *Engine) error {
 		p.failed.Store(true)
 	}
 	p.fsyncs += roundSyncs
-	if target > p.synced {
+	advanced := target > p.synced && p.err == nil
+	if advanced {
 		p.fsyncOps += target - p.synced
 		p.synced = target
 	}
 	err := p.err
+	fn := p.notify
 	p.cond.Broadcast()
 	p.mu.Unlock()
+	if advanced && fn != nil {
+		// Still inside the round lock, so watermarks are reported in order.
+		fn(target)
+	}
 	return err
 }
 
@@ -958,7 +1032,7 @@ func (p *persistState) runGroup(e *Engine) {
 	defer close(p.done)
 	for {
 		p.mu.Lock()
-		for p.seq == p.synced && !p.closed {
+		for (p.seq == p.synced || p.err != nil) && !p.closed {
 			p.cond.Wait()
 		}
 		closed := p.closed
@@ -989,6 +1063,9 @@ func (p *persistState) runPeriodic(e *Engine) {
 // segment file, and releases the data dir.
 func (p *persistState) close(e *Engine) error {
 	p.closeAll.Do(func() {
+		p.mu.Lock()
+		p.notify = nil // a closing engine acknowledges nothing more
+		p.mu.Unlock()
 		p.syncRound(e)
 		p.mu.Lock()
 		p.closed = true

@@ -108,8 +108,10 @@ type Options struct {
 	Resolver versioning.Resolver
 	// OnApply, when non-nil, observes every mutation that actually changed
 	// the engine (last-writer-wins accepted it), after the shard's lock is
-	// released. The callback runs on the applying goroutine and must not
-	// call back into the engine's write path.
+	// released. The callback runs on the applying goroutine, once, as soon
+	// as the version is visible — on a durable engine that is before the
+	// fsync round covering it, not after: a hook sees a version a crash may
+	// still lose. It must not call back into the engine's write path.
 	OnApply func(key []byte, v wire.Value)
 	// OnReplace is OnApply with the displaced version: old is the newest
 	// value the engine held for key before this mutation (hadOld false for
@@ -124,9 +126,9 @@ type Options struct {
 	// instead of in-memory tables: writes are durable per the fsync mode,
 	// and a reopened engine recovers its pre-crash state. Persistent
 	// engines route keys with a stable hash and pin the shard count in the
-	// data dir's MANIFEST, so Shards is only advisory on first open and
-	// ignored on reopen. Use Open to get construction errors instead of
-	// panics.
+	// data dir's MANIFEST, so Shards is only advisory on first open (unset,
+	// a new dir gets one shard: one append log) and ignored on reopen. Use
+	// Open to get construction errors instead of panics.
 	Persist *PersistOptions
 }
 
@@ -176,9 +178,6 @@ func Open(opts Options) (*Engine, error) {
 	n := opts.Shards
 	if n <= 0 {
 		if opts.Persist != nil {
-			// Persistent shards cost file descriptors and fsync fan-out, and
-			// the stripe count is pinned forever in the MANIFEST: default
-			// lower than the in-memory engine's GOMAXPROCS multiple.
 			n = defaultPersistShards
 		} else {
 			n = defaultShards()
@@ -251,9 +250,14 @@ func Open(opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// defaultPersistShards is the power-of-two stripe count for persistent
-// engines when Options.Shards is unset.
-const defaultPersistShards = 16
+// defaultPersistShards is the stripe count — the number of append logs —
+// for a new persistent data dir when Options.Shards is unset: one. A fsync
+// round fsyncs each dirty log in turn, and one fsync costs the same whether
+// it covers one record or sixteen, so k appends spread over k logs pay k
+// fsyncs where one log pays one; and a member's engine calls all arrive on
+// its mailbox goroutine, so there is no lock contention for stripes to
+// relieve. An existing data dir keeps the count its MANIFEST pins.
+const defaultPersistShards = 1
 
 // shardOf routes a key to its stripe. Persistent engines use a fixed hash
 // (FNV-1a): routing must be identical across process restarts or a
@@ -283,18 +287,45 @@ func fnv64a(b []byte) uint64 {
 // against what is already held: causal (vector-clock) order when both
 // versions carry clocks, the configured Resolver for concurrent siblings
 // and clock-less values (last-writer-wins by default). It reports whether
-// the value was applied.
+// the value was applied, and returns once the outcome is as durable as the
+// engine's mode makes it: Apply is ApplyTicket followed by WaitDurable.
+func (e *Engine) Apply(key []byte, v wire.Value) (bool, error) {
+	applied, ticket, err := e.ApplyTicket(key, v)
+	if err != nil {
+		return false, err
+	}
+	if err := e.WaitDurable(ticket); err != nil {
+		// The record is applied in memory but its durability is unknown —
+		// the engine is poisoned (sticky error) and must be closed.
+		return false, err
+	}
+	return applied, nil
+}
+
+// ApplyTicket is Apply without the durability wait: it arbitrates, appends,
+// makes the version visible to reads, runs the hooks and returns a ticket
+// for the fsync round that will cover the outcome. Ticket 0 means there is
+// nothing to wait for — an in-memory engine, the periodic fsync mode, or a
+// rejected mutation whose winner is already on disk — and the caller may
+// acknowledge at once. A non-zero ticket is durable once WaitDurable(ticket)
+// returns nil or the NotifySynced callback reports a watermark at or above
+// it; tickets are issued in increasing order.
+//
+// A mutation rejected in favour of a version whose fsync is still pending (a
+// replayed write arriving behind the original) gets the newest issued
+// ticket, not 0: acknowledging it tells the writer "this or something newer
+// is on disk", which is only true after the winner's round.
 //
 // The hot path is allocation-free for keys already resident in the
 // memtable: the stored value is updated in place under the shard lock, so a
 // steady-state overwrite workload performs no per-operation allocation.
-func (e *Engine) Apply(key []byte, v wire.Value) (bool, error) {
+func (e *Engine) ApplyTicket(key []byte, v wire.Value) (applied bool, ticket uint64, err error) {
 	if len(key) == 0 {
-		return false, fmt.Errorf("storage: empty key")
+		return false, 0, fmt.Errorf("storage: empty key")
 	}
 	if e.log != nil {
 		if err := e.log.Append(key, v); err != nil {
-			return false, fmt.Errorf("storage: commit log: %w", err)
+			return false, 0, fmt.Errorf("storage: commit log: %w", err)
 		}
 	}
 	s := e.shardOf(key)
@@ -314,7 +345,7 @@ func (e *Engine) Apply(key []byte, v wire.Value) (bool, error) {
 		}
 		if !take {
 			s.mu.Unlock()
-			return false, nil
+			return false, 0, nil
 		}
 		s.memBytes += len(v.Data) - len(p.Data)
 		*p = v
@@ -327,7 +358,7 @@ func (e *Engine) Apply(key []byte, v wire.Value) (bool, error) {
 			}
 			if !take {
 				s.mu.Unlock()
-				return false, nil
+				return false, 0, nil
 			}
 		}
 		k := string(key)
@@ -340,22 +371,52 @@ func (e *Engine) Apply(key []byte, v wire.Value) (bool, error) {
 		e.flushShard(s)
 	}
 	s.mu.Unlock()
+	e.runHooks(key, old, hadOld, v)
+	return true, 0, nil
+}
+
+// runHooks tells the observers about an accepted mutation; the caller has
+// released the shard lock.
+func (e *Engine) runHooks(key []byte, old wire.Value, hadOld bool, v wire.Value) {
 	if e.onReplace != nil {
 		e.onReplace(key, old, hadOld, v)
 	}
 	if e.onApply != nil {
 		e.onApply(key, v)
 	}
-	return true, nil
 }
 
-// applyDisk is the persistent Apply path: version arbitration against the
-// keydir's metadata (the stored Data is pread only when the comparison can
-// actually reach a byte-level tie-break or a hook observes the old row),
-// one appended record, and a durability wait on the group-commit boundary.
-// Steady-state overwrites allocate nothing: the record encodes into the
-// shard scratch and the keydir entry is updated in place.
-func (e *Engine) applyDisk(s *shard, key []byte, v wire.Value) (bool, error) {
+// WaitDurable blocks until the fsync round covering ticket has completed and
+// returns the engine's sticky fsync error, if any. Ticket 0 never blocks.
+func (e *Engine) WaitDurable(ticket uint64) error {
+	if e.persist == nil {
+		return nil
+	}
+	return e.persist.wait(ticket)
+}
+
+// NotifySynced registers fn to be called after every fsync round that
+// advanced the watermark — once per round, in watermark order, on the
+// goroutine that ran the round (the syncer's, or an explicit Sync's). Every
+// ticket at or below the reported value is on disk. A failed round does not
+// call it (a poisoned engine acknowledges nothing more) and neither does
+// the final round of Close. fn may block: the applying goroutine never
+// waits on the syncer. It is a no-op for engines that issue no tickets.
+func (e *Engine) NotifySynced(fn func(watermark uint64)) {
+	if p := e.persist; p != nil {
+		p.mu.Lock()
+		p.notify = fn
+		p.mu.Unlock()
+	}
+}
+
+// applyDisk is the persistent ApplyTicket path: version arbitration against
+// the keydir's metadata (the stored Data is pread only when the comparison
+// can actually reach a byte-level tie-break or a hook observes the old row),
+// one appended record, and a group-commit ticket. Steady-state overwrites
+// allocate nothing: the record encodes into the shard scratch and the keydir
+// entry is updated in place.
+func (e *Engine) applyDisk(s *shard, key []byte, v wire.Value) (bool, uint64, error) {
 	var old wire.Value
 	var hadOld bool
 	s.mu.Lock()
@@ -369,7 +430,7 @@ func (e *Engine) applyDisk(s *shard, key []byte, v wire.Value) (bool, error) {
 			full, err := d.readValue(ent)
 			if err != nil {
 				s.mu.Unlock()
-				return false, err
+				return false, 0, err
 			}
 			old = full
 		}
@@ -378,31 +439,23 @@ func (e *Engine) applyDisk(s *shard, key []byte, v wire.Value) (bool, error) {
 			s.siblings++
 		}
 		if !take {
+			// Under the shard lock, so the winner's ticket is already issued.
+			ticket, err := e.persist.pending()
 			s.mu.Unlock()
-			return false, nil
+			return false, ticket, err
 		}
 	}
 	if err := d.append(key, v, ent); err != nil {
 		s.mu.Unlock()
-		return false, err
+		return false, 0, err
 	}
-	var ticket uint64
-	if e.persist.groupCommit {
-		ticket = e.persist.mark()
-	}
+	ticket, err := e.persist.mark()
 	s.mu.Unlock()
-	if err := e.persist.wait(ticket); err != nil {
-		// The record is applied in memory but its durability is unknown —
-		// the engine is poisoned (sticky error) and must be closed.
-		return false, err
+	if err != nil {
+		return false, 0, err
 	}
-	if e.onReplace != nil {
-		e.onReplace(key, old, hadOld, v)
-	}
-	if e.onApply != nil {
-		e.onApply(key, v)
-	}
-	return true, nil
+	e.runHooks(key, old, hadOld, v)
+	return true, ticket, nil
 }
 
 // needOldData reports whether version arbitration (or a hook) can observe
