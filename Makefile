@@ -22,11 +22,16 @@ repair-test:
 	$(GO) test -race -timeout 15m ./internal/repair/
 	$(GO) test -race -timeout 15m -run 'Repair|Hint|Churn' ./internal/cluster/ ./internal/bench/
 
-# Focused durability verification: the bitcask engine (crash-recovery
-# property tests, group-commit batching, data-dir locking/manifest, scan
-# scratch reuse) under the race detector.
+# Focused durability verification under the race detector: the bitcask
+# engine (crash-recovery property tests with and without stalled fsync
+# rounds, group-commit batching, the ticket/watermark contract, data-dir
+# locking/manifest, scan scratch reuse), then the node's side of the same
+# contract (acks after their round and in order, reads served during a
+# round, Stop with acks queued) and the runtime's never-blocking self-post
+# the ack drain leans on.
 storage-test:
-	$(GO) test -race -timeout 15m -run 'Persist|DataDir|Scan|Engine' ./internal/storage/
+	$(GO) test -race -timeout 15m -run 'Persist|DataDir|Scan|Engine|Durable' ./internal/storage/
+	$(GO) test -race -timeout 15m -run 'Durable|PostSelf|SelfSend' ./internal/cluster/ ./internal/sim/ ./internal/transport/
 
 # Live observability smoke: boot a real server with -admin-addr and curl
 # /metrics, /status, /trace, /debug/vars and a 1s CPU profile, failing on
@@ -75,12 +80,17 @@ bench-smoke: bench-micro
 # and runs its self-tests (< 1 s, no cluster); benchmark-smoke builds it the
 # way the driver does and runs five seconds of the simulated workload, whose
 # exit code covers every correctness check the run makes (error_frac, key
-# mismatches, stale fraction under the tolerance).
+# mismatches, stale fraction under the tolerance), then five seconds of the
+# durable live workload (three real server processes on -data-dir), whose
+# exit code is the SIGKILL crash check — every sampled key at least its last
+# acknowledged version from each member alone — plus error_frac and the
+# quorum checker.
 benchmark-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 benchmark-smoke:
 	bash benchmark/run.sh --workload sim-ycsb-a --seed 1 --seconds 5 --trace 1
+	bash benchmark/run.sh --workload live-write-durable --seed 1 --seconds 5 --trace 0
 
 # Chaos smoke: the network-partition experiment on both backends, each run
 # self-checking its contract (majority availability >= 80% of pre-cut,

@@ -33,6 +33,9 @@ type Result struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	OpsPerSec   float64 `json:"ops_per_sec"`
+	// AppendsPerRound is set by the durable-write benchmarks that report how
+	// many appends shared one fsync round.
+	AppendsPerRound float64 `json:"appends_per_round,omitempty"`
 }
 
 // File is the JSON document bench-micro reads and writes.
@@ -56,6 +59,9 @@ var suite = []struct {
 	{"engine/scan", micro.EngineScan},
 	{"persist/apply-8g", micro.PersistApply},
 	{"persist/apply-8g-observed", micro.PersistApplyObserved},
+	{"storage/persist-apply-pipelined/1-log", micro.PersistApplyPipelined(1)},
+	{"storage/persist-apply-pipelined/4-log", micro.PersistApplyPipelined(4)},
+	{"storage/persist-apply-pipelined/16-log", micro.PersistApplyPipelined(16)},
 	{"persist/get-8g", micro.PersistGet},
 	{"persist/recover", micro.PersistRecover},
 	{"wire/encode", micro.WireEncode},
@@ -117,16 +123,21 @@ func main() {
 			ns = wall
 		}
 		res := Result{
-			Name:        b.name,
-			Iterations:  r.N,
-			NsPerOp:     ns,
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			OpsPerSec:   1e9 / ns,
+			Name:            b.name,
+			Iterations:      r.N,
+			NsPerOp:         ns,
+			AllocsPerOp:     r.AllocsPerOp(),
+			BytesPerOp:      r.AllocedBytesPerOp(),
+			OpsPerSec:       1e9 / ns,
+			AppendsPerRound: r.Extra["appends/round"],
 		}
 		out.Results = append(out.Results, res)
-		fmt.Printf("%-28s %12.1f ns/op %10d B/op %8d allocs/op %14.0f ops/s\n",
+		fmt.Printf("%-28s %12.1f ns/op %10d B/op %8d allocs/op %14.0f ops/s",
 			res.Name, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp, res.OpsPerSec)
+		if res.AppendsPerRound > 0 {
+			fmt.Printf(" %8.2f appends/round", res.AppendsPerRound)
+		}
+		fmt.Println()
 	}
 	if len(out.Results) == 0 {
 		fatalf("no benchmarks matched %q", *pattern)

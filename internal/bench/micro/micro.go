@@ -15,6 +15,7 @@ package micro
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -181,6 +182,66 @@ func PersistApply(b *testing.B) {
 	fan(b, func(w, i int) {
 		e.Apply(ks[(i*goroutines+w)%len(ks)], wire.Value{Data: payload, Timestamp: int64(len(ks) + i + 1)})
 	})
+}
+
+// pipelineDepth is how many ticketed appends PersistApplyPipelined keeps in
+// flight: the mailbox of a busy member, which appends the next mutation
+// while the previous ones wait for their fsync round.
+const pipelineDepth = 16
+
+// PersistApplyPipelined measures the asynchronous durable write path the way
+// a member's mailbox drives it: ONE goroutine that appends with ApplyTicket
+// and keeps pipelineDepth appends in flight, waiting for the oldest ticket
+// before issuing the next. Every append is durable before the benchmark
+// moves past it, so ns/op is the amortized cost of a durable 1 KiB write and
+// appends/round is how many of them share one fsync round. logs is the
+// number of append logs in the data dir: a round fsyncs each dirty log in
+// turn, so with uniform keys the same round costs up to logs fsyncs.
+func PersistApplyPipelined(logs int) func(*testing.B) {
+	return func(b *testing.B) {
+		e, err := storage.Open(storage.Options{
+			Shards:  logs,
+			Persist: &storage.PersistOptions{Path: b.TempDir()},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer e.Close()
+		ks := keys(4096)
+		payload := make([]byte, 1024)
+		for i, k := range ks {
+			if _, _, err := e.ApplyTicket(k, wire.Value{Data: payload, Timestamp: int64(i + 1)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := e.Sync(); err != nil {
+			b.Fatal(err)
+		}
+		var rounds atomic.Uint64
+		e.NotifySynced(func(uint64) { rounds.Add(1) })
+		var inflight [pipelineDepth]uint64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			slot := &inflight[i%pipelineDepth]
+			if err := e.WaitDurable(*slot); err != nil {
+				b.Fatal(err)
+			}
+			_, *slot, err = e.ApplyTicket(ks[i%len(ks)], wire.Value{Data: payload, Timestamp: int64(len(ks) + i + 1)})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, t := range inflight {
+			if err := e.WaitDurable(t); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if r := rounds.Load(); r > 0 {
+			b.ReportMetric(float64(b.N)/float64(r), "appends/round")
+		}
+	}
 }
 
 // PersistApplyObserved is PersistApply with per-level histogram recording on

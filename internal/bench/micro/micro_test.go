@@ -1,6 +1,7 @@
 package micro
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -12,13 +13,18 @@ import (
 // Standard harness entry points so `go test -bench` (and bench-smoke) runs
 // the same bodies cmd/bench-micro snapshots into out/micro.json.
 
-func BenchmarkEngineApply(b *testing.B)             { EngineApply(b) }
-func BenchmarkEngineApplyObserved(b *testing.B)     { EngineApplyObserved(b) }
-func BenchmarkEngineGet(b *testing.B)               { EngineGet(b) }
-func BenchmarkEngineGetObserved(b *testing.B)       { EngineGetObserved(b) }
-func BenchmarkEngineScan(b *testing.B)              { EngineScan(b) }
-func BenchmarkPersistApply(b *testing.B)            { PersistApply(b) }
-func BenchmarkPersistApplyObserved(b *testing.B)    { PersistApplyObserved(b) }
+func BenchmarkEngineApply(b *testing.B)          { EngineApply(b) }
+func BenchmarkEngineApplyObserved(b *testing.B)  { EngineApplyObserved(b) }
+func BenchmarkEngineGet(b *testing.B)            { EngineGet(b) }
+func BenchmarkEngineGetObserved(b *testing.B)    { EngineGetObserved(b) }
+func BenchmarkEngineScan(b *testing.B)           { EngineScan(b) }
+func BenchmarkPersistApply(b *testing.B)         { PersistApply(b) }
+func BenchmarkPersistApplyObserved(b *testing.B) { PersistApplyObserved(b) }
+func BenchmarkPersistApplyPipelined(b *testing.B) {
+	for _, logs := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("%d-log", logs), PersistApplyPipelined(logs))
+	}
+}
 func BenchmarkPersistGet(b *testing.B)              { PersistGet(b) }
 func BenchmarkPersistRecover(b *testing.B)          { PersistRecover(b) }
 func BenchmarkWireEncode(b *testing.B)              { WireEncode(b) }
