@@ -22,16 +22,18 @@ repair-test:
 	$(GO) test -race -timeout 15m ./internal/repair/
 	$(GO) test -race -timeout 15m -run 'Repair|Hint|Churn' ./internal/cluster/ ./internal/bench/
 
-# Focused durability verification under the race detector: the bitcask
-# engine (crash-recovery property tests with and without stalled fsync
-# rounds, group-commit batching, the ticket/watermark contract, data-dir
-# locking/manifest, scan scratch reuse), then the node's side of the same
-# contract (acks after their round and in order, reads served during a
-# round, Stop with acks queued) and the runtime's never-blocking self-post
-# the ack drain leans on.
+# Focused durability verification under the race detector: the whole
+# storage package (crash-recovery property tests with and without stalled
+# fsync rounds, group-commit batching, the ticket/watermark contract,
+# data-dir locking/manifest, the in-memory engine against its reference
+# model), then the node's side of the same contract (acks after their
+# round and in order, reads served during a round, Stop with acks queued),
+# recovery from a data dir followed by repair, a TCP cluster reopened from
+# its members' data dirs, and the runtime's never-blocking self-post the
+# ack drain leans on.
 storage-test:
-	$(GO) test -race -timeout 15m -run 'Persist|DataDir|Scan|Engine|Durable' ./internal/storage/
-	$(GO) test -race -timeout 15m -run 'Durable|PostSelf|SelfSend' ./internal/cluster/ ./internal/sim/ ./internal/transport/
+	$(GO) test -race -timeout 15m ./internal/storage/
+	$(GO) test -race -timeout 15m -run 'Durable|CommitLog|PostSelf|SelfSend' ./internal/cluster/ ./internal/integration/ ./internal/sim/ ./internal/transport/
 
 # Live observability smoke: boot a real server with -admin-addr and curl
 # /metrics, /status, /trace, /debug/vars and a 1s CPU profile, failing on

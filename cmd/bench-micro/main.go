@@ -71,7 +71,6 @@ var suite = []struct {
 	{"transport/serial-rpc", micro.TransportSerialRPC},
 	{"transport/pipelined-rpc", micro.TransportPipelinedRPC},
 	{"transport/batched-tput", micro.TransportBatchedThroughput},
-	{"transport/unbatched-tput", micro.TransportUnbatchedThroughput},
 	{"merkle/write-path", micro.MerkleWritePath},
 	{"merkle/invalidate-rebuild", micro.MerkleInvalidateRebuild},
 	{"ring/replicas-for-key", micro.RingReplicasForKey},

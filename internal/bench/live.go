@@ -57,9 +57,8 @@ type LiveClusterConfig struct {
 	HotKeys int64
 	// HintQueueLimit caps coordinator hint queues (0 = unlimited).
 	HintQueueLimit int
-	// Streams / NoBatch configure each member's transport.
+	// Streams configures each member's transport.
 	Streams int
-	NoBatch bool
 	// DataDir, when set, gives every member a persistent bitcask engine
 	// rooted at DataDir/<id>; a member Restart()ed after a kill recovers
 	// its pre-crash rows from disk instead of returning empty.
@@ -161,9 +160,6 @@ func StartLiveCluster(cfg LiveClusterConfig) (*LiveCluster, error) {
 			"-vnodes", fmt.Sprint(cfg.Vnodes),
 			"-gossip-interval", cfg.GossipInterval.String(),
 			"-streams", fmt.Sprint(max(cfg.Streams, 1)),
-		}
-		if cfg.NoBatch {
-			args = append(args, "-no-batch")
 		}
 		if cfg.Repair {
 			args = append(args, "-repair", "-repair-interval", cfg.RepairInterval.String())

@@ -34,7 +34,6 @@ func BenchmarkWireSize(b *testing.B)                { WireSize(b) }
 func BenchmarkTransportSerialRPC(b *testing.B)      { TransportSerialRPC(b) }
 func BenchmarkTransportPipelinedRPC(b *testing.B)   { TransportPipelinedRPC(b) }
 func BenchmarkTransportBatched(b *testing.B)        { TransportBatchedThroughput(b) }
-func BenchmarkTransportUnbatched(b *testing.B)      { TransportUnbatchedThroughput(b) }
 func BenchmarkMerkleWritePath(b *testing.B)         { MerkleWritePath(b) }
 func BenchmarkMerkleInvalidateRebuild(b *testing.B) { MerkleInvalidateRebuild(b) }
 func BenchmarkRingReplicasForKey(b *testing.B)      { RingReplicasForKey(b) }

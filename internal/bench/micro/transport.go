@@ -14,19 +14,19 @@ import (
 // accepted connections, the same path harmony-client and the live bench
 // use. Handlers are installed after construction (SetHandler) because the
 // server's echo handler needs the server node to reply through.
-func transportPair(b *testing.B, streams int, noBatch bool) (cli, srv *transport.TCPNode) {
+func transportPair(b *testing.B, streams int) (cli, srv *transport.TCPNode) {
 	b.Helper()
 	rtC, rtS := sim.NewRealRuntime(), sim.NewRealRuntime()
 	noop := transport.HandlerFunc(func(ring.NodeID, wire.Message) {})
 	silent := func(string, ...any) {}
 	srv, err := transport.NewTCPNode(transport.TCPConfig{
-		ID: "micro-srv", Listen: "127.0.0.1:0", Streams: streams, NoBatch: noBatch, Logf: silent,
+		ID: "micro-srv", Listen: "127.0.0.1:0", Streams: streams, Logf: silent,
 	}, rtS, noop)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cli, err = transport.NewTCPNode(transport.TCPConfig{
-		ID: "micro-cli", Streams: streams, NoBatch: noBatch, Logf: silent,
+		ID: "micro-cli", Streams: streams, Logf: silent,
 	}, rtC, noop)
 	if err != nil {
 		srv.Close()
@@ -52,7 +52,7 @@ func echoPings(srv *transport.TCPNode) {
 // iteration over a single TCP stream — the request/response latency floor
 // every coordinator hop pays when nothing is pipelined.
 func TransportSerialRPC(b *testing.B) {
-	cli, srv := transportPair(b, 1, false)
+	cli, srv := transportPair(b, 1)
 	echoPings(srv)
 	done := make(chan uint64, 1)
 	cli.SetHandler(transport.HandlerFunc(func(_ ring.NodeID, m wire.Message) {
@@ -73,7 +73,7 @@ func TransportSerialRPC(b *testing.B) {
 // pipelining buys over TransportSerialRPC.
 func TransportPipelinedRPC(b *testing.B) {
 	const window = 64
-	cli, srv := transportPair(b, 4, false)
+	cli, srv := transportPair(b, 4)
 	echoPings(srv)
 	recv := make(chan struct{}, window)
 	cli.SetHandler(transport.HandlerFunc(func(ring.NodeID, wire.Message) {
@@ -95,13 +95,13 @@ func TransportPipelinedRPC(b *testing.B) {
 	}
 }
 
-// transportThroughput drives acked ~128-byte mutations through a bounded
-// in-flight window — the replica write fan-out shape — with coalescing on
-// or off. The window (well under MaxPending) keeps the backlog cap out of
-// play so the two variants differ only in conn.Write granularity.
-func transportThroughput(b *testing.B, noBatch bool) {
+// TransportBatchedThroughput drives acked ~128-byte mutations through a
+// bounded in-flight window — the replica write fan-out shape — over one
+// coalescing stream. The window (well under MaxPending) keeps the backlog
+// cap out of play.
+func TransportBatchedThroughput(b *testing.B) {
 	const window = 512
-	cli, srv := transportPair(b, 1, noBatch)
+	cli, srv := transportPair(b, 1)
 	srv.SetHandler(transport.HandlerFunc(func(from ring.NodeID, m wire.Message) {
 		srv.Send("micro-srv", from, wire.MutationAck{ID: m.(wire.Mutation).ID})
 	}))
@@ -131,11 +131,3 @@ func transportThroughput(b *testing.B, noBatch bool) {
 		<-recv
 	}
 }
-
-// TransportBatchedThroughput measures acked mutation throughput with write
-// coalescing on (production configuration).
-func TransportBatchedThroughput(b *testing.B) { transportThroughput(b, false) }
-
-// TransportUnbatchedThroughput is the frame-per-write baseline the
-// coalescing path is tracked against.
-func TransportUnbatchedThroughput(b *testing.B) { transportThroughput(b, true) }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -165,17 +164,13 @@ func TestHintReplayRacesNodeRecovery(t *testing.T) {
 }
 
 // TestCommitLogReplayThenRepairSession chains the two recovery mechanisms:
-// a replica rebuilds its engine from the commit log (crash recovery), then
-// an anti-entropy session reconciles what the log predates — exactly the
-// restart-then-repair sequence a production node goes through.
+// a persistent replica is closed and reopened (the crash), rebuilding its
+// engine by replaying its data dir's log, then an anti-entropy session
+// reconciles what the log predates — exactly the restart-then-repair
+// sequence a production node goes through.
 func TestCommitLogReplayThenRepairSession(t *testing.T) {
 	dir := t.TempDir()
-	logPath := filepath.Join(dir, "node-a.commitlog")
-	cl, err := storage.OpenFileCommitLog(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ea := storage.NewEngine(storage.Options{CommitLog: cl})
+	ea := storage.NewEngine(storage.Options{Persist: &storage.PersistOptions{Path: dir}})
 	for i := 0; i < 200; i++ {
 		key := []byte(fmt.Sprintf("cl%04d", i))
 		if _, err := ea.Apply(key, wire.Value{Data: []byte("logged"), Timestamp: int64(i + 1)}); err != nil {
@@ -185,17 +180,18 @@ func TestCommitLogReplayThenRepairSession(t *testing.T) {
 	if _, err := ea.Apply([]byte("cl0005"), wire.Value{Tombstone: true, Timestamp: 10_000}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Close(); err != nil {
+	if err := ea.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Crash: a fresh engine replays the log.
-	rebuilt := storage.NewEngine(storage.Options{})
-	if err := storage.Replay(logPath, func(key []byte, v wire.Value) error {
-		_, err := rebuilt.Apply(key, v)
-		return err
-	}); err != nil {
+	// Crash: a fresh engine recovers from the data dir.
+	rebuilt, err := storage.Open(storage.Options{Persist: &storage.PersistOptions{Path: dir}})
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer rebuilt.Close()
+	if got := rebuilt.Recovered(); got != 200 {
+		t.Fatalf("recovered %d rows, want 200", got)
 	}
 
 	// The peer moved on while this node was dead: newer versions plus keys
@@ -250,7 +246,7 @@ func TestCommitLogReplayThenRepairSession(t *testing.T) {
 		return out
 	}
 	if got, want := dumpOf(rebuilt), dumpOf(eb); got != want {
-		t.Fatalf("engines differ after commit-log replay + repair:\nA:\n%s\nB:\n%s", got, want)
+		t.Fatalf("engines differ after log replay + repair:\nA:\n%s\nB:\n%s", got, want)
 	}
 	if ma.Stats().RowsHealed == 0 {
 		t.Fatal("repair session healed nothing on the log-rebuilt replica")

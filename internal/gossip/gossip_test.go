@@ -9,6 +9,7 @@ import (
 	"harmony/internal/sim"
 	"harmony/internal/simnet"
 	"harmony/internal/transport"
+	"harmony/internal/wire"
 )
 
 // gossipCluster wires n gossipers over a simulated LAN.
@@ -176,13 +177,53 @@ func TestArrivalWindowStats(t *testing.T) {
 		t.Fatalf("mean interval = %v, want ~1s", m)
 	}
 	// After 10 missing heartbeats, phi should be well above the threshold.
-	phi := w.phi(t0.Add(60 * time.Second))
+	phi := w.phi(t0.Add(60*time.Second), time.Second)
 	if phi < 4 {
 		t.Fatalf("phi after 10s silence = %v, want > 4", phi)
 	}
 	// Immediately after a heartbeat, phi is ~0.
-	if p := w.phi(t0.Add(50*time.Second + time.Millisecond)); p > 0.1 {
+	if p := w.phi(t0.Add(50*time.Second+time.Millisecond), time.Second); p > 0.1 {
 		t.Fatalf("phi right after heartbeat = %v", p)
+	}
+}
+
+// heartbeat delivers one version of peer "p" to g.
+func heartbeat(g *Gossiper, version uint64) {
+	g.Deliver("p", wire.GossipSyn{From: "p", Digests: []wire.GossipEntry{{Node: "p", Generation: 1, Version: version}}})
+}
+
+// TestBootBurstDoesNotConvict: a peer's first ten versions arrive 100 µs
+// apart (the start-up burst), then heartbeats come once per round. A mean
+// fitted to the burst alone would convict the peer at the first normal
+// round; the interval floor keeps it alive.
+func TestBootBurstDoesNotConvict(t *testing.T) {
+	s := sim.New(19)
+	g := New(Config{ID: "self", Peers: []ring.NodeID{"self", "p"}, Interval: time.Second}, s, transport.NewLoopback())
+	for v := uint64(1); v <= 10; v++ {
+		heartbeat(g, v)
+		s.RunFor(100 * time.Microsecond)
+	}
+	for v := uint64(11); v <= 12; v++ {
+		s.RunFor(time.Second)
+		if !g.Alive("p") {
+			t.Fatalf("healthy peer convicted one round after the boot burst (phi=%v)", g.Phi("p"))
+		}
+		heartbeat(g, v)
+	}
+}
+
+// TestBootBurstThenSilenceConvicts: the floor must not hide a peer that
+// dies right after the burst — twenty silent rounds still convict it.
+func TestBootBurstThenSilenceConvicts(t *testing.T) {
+	s := sim.New(20)
+	g := New(Config{ID: "self", Peers: []ring.NodeID{"self", "p"}, Interval: time.Second}, s, transport.NewLoopback())
+	for v := uint64(1); v <= 10; v++ {
+		heartbeat(g, v)
+		s.RunFor(100 * time.Microsecond)
+	}
+	s.RunFor(20 * time.Second)
+	if g.Alive("p") {
+		t.Fatalf("peer silent for twenty rounds still alive (phi=%v)", g.Phi("p"))
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package integration exercises the full production assembly — storage
-// nodes with gossip, hinted handoff and commit logs, connected over real
+// nodes with gossip, hinted handoff and data dirs, connected over real
 // TCP, driven by the client library and monitored by Harmony — the same
 // wiring cmd/harmony-server uses, in process.
 package integration
@@ -50,21 +50,18 @@ type tcpNode struct {
 	tcp  *transport.TCPNode
 	node *cluster.Node
 	g    *gossip.Gossiper
-	clog *storage.FileCommitLog
 }
 
 func (n *tcpNode) stop() {
 	n.g.Stop()
-	n.node.Stop()
+	n.node.Stop() // closes the engine, releasing its data dir
 	_ = n.tcp.Close()
-	if n.clog != nil {
-		_ = n.clog.Close()
-	}
 	n.rt.Stop()
 }
 
-// tcpCluster assembles size nodes over loopback TCP with RF=3.
-func tcpCluster(t *testing.T, size int, commitDir string) ([]*tcpNode, []ring.NodeID, map[ring.NodeID]string) {
+// tcpCluster assembles size nodes over loopback TCP with RF=3. A non-empty
+// dataRoot gives each member a persistent engine in dataRoot/<id>.
+func tcpCluster(t *testing.T, size int, dataRoot string) ([]*tcpNode, []ring.NodeID, map[ring.NodeID]string) {
 	t.Helper()
 	var infos []ring.NodeInfo
 	var ids []ring.NodeID
@@ -106,13 +103,8 @@ func tcpCluster(t *testing.T, size int, commitDir string) ([]*tcpNode, []ring.No
 			n.tcp.AddPeer(id, addr)
 		}
 		var engine storage.Options
-		if commitDir != "" {
-			clog, err := storage.OpenFileCommitLog(filepath.Join(commitDir, string(n.id)+".log"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			n.clog = clog
-			engine.CommitLog = clog
+		if dataRoot != "" {
+			engine.Persist = &storage.PersistOptions{Path: filepath.Join(dataRoot, string(n.id))}
 		}
 		n.g = gossip.New(gossip.Config{
 			ID:       n.id,
@@ -208,6 +200,9 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	}
 }
 
+// TestTCPClusterCommitLogRecovery writes at ALL to members on data dirs,
+// stops them, then reopens each member's engine from its dir: replaying the
+// append log (the node's commit log) must recover the value on 3/3.
 func TestTCPClusterCommitLogRecovery(t *testing.T) {
 	dir := t.TempDir()
 	nodes, ids, addrs := tcpCluster(t, 3, dir)
@@ -223,21 +218,21 @@ func TestTCPClusterCommitLogRecovery(t *testing.T) {
 	})
 	closeClient()
 	for _, n := range nodes {
-		n.stop() // closes commit logs
+		n.stop()
 	}
 
-	// Replay each node's log into a fresh engine and verify the value.
+	// Reopen each member's engine from its data dir and verify the value.
 	recovered := 0
 	for _, id := range ids {
-		e := storage.NewEngine(storage.Options{})
-		if err := storage.Replay(filepath.Join(dir, string(id)+".log"), func(key []byte, v wire.Value) error {
-			_, err := e.Apply(key, v)
-			return err
-		}); err != nil {
-			t.Fatalf("replay %s: %v", id, err)
+		e, err := storage.Open(storage.Options{Persist: &storage.PersistOptions{Path: filepath.Join(dir, string(id))}})
+		if err != nil {
+			t.Fatalf("reopen %s: %v", id, err)
 		}
 		if v, ok := e.Get([]byte("durable")); ok && string(v.Data) == "survives-restart" {
 			recovered++
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if recovered != 3 {

@@ -142,7 +142,7 @@ func TestIncrementalMultiRangeRouting(t *testing.T) {
 // incremental path and requires digest identity with a fresh rebuild —
 // the commutative-sum argument (fold out the displaced version, fold in the
 // new one) checked over arbitrary interleavings of overwrites, deletes,
-// resurrections, flushes, and compactions.
+// and resurrections.
 func TestIncrementalMatchesRebuildProperty(t *testing.T) {
 	full := []wire.TokenRange{{Start: 0, End: 0}}
 	if err := quick.Check(func(seed int64, opsRaw uint8) bool {
@@ -156,17 +156,10 @@ func TestIncrementalMatchesRebuildProperty(t *testing.T) {
 		}
 		c.Trees(full) // build once, then maintain incrementally
 		for i := 0; i < ops; i++ {
-			switch rng.Intn(10) {
-			case 8:
-				e.Flush()
-			case 9:
-				e.Compact()
-			default:
-				// Random timestamps: some mutations lose LWW and must not
-				// perturb the tree.
-				v := wire.Value{Data: []byte(fmt.Sprintf("v%d", i)), Timestamp: int64(rng.Intn(ops)) + 1, Tombstone: rng.Intn(6) == 0}
-				e.Apply([]byte(fmt.Sprintf("k%02d", rng.Intn(40))), v)
-			}
+			// Random timestamps: some mutations lose LWW and must not
+			// perturb the tree.
+			v := wire.Value{Data: []byte(fmt.Sprintf("v%d", i)), Timestamp: int64(rng.Intn(ops)) + 1, Tombstone: rng.Intn(6) == 0}
+			e.Apply([]byte(fmt.Sprintf("k%02d", rng.Intn(40))), v)
 		}
 		got := c.Trees(full)
 		if _, scans := c.Builds(); scans != 1 {

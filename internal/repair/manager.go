@@ -422,8 +422,8 @@ func (m *Manager) entriesForLeaves(leaves []wire.LeafRef, leafCount int) [][]wir
 // responder): apply the initiator's rows and answer with ours for the same
 // leaves. Reply=false (we initiated): apply the responder's rows and close
 // the session on Done. Application always goes through the normal storage
-// path, so last-writer-wins reconciliation, commit logging and tree
-// invalidation all happen exactly as for a foreground write.
+// path, so version arbitration, the durable append (on a persistent engine)
+// and tree maintenance all happen exactly as for a foreground write.
 func (m *Manager) onRangeSync(from ring.NodeID, msg wire.RangeSync) {
 	applied := m.applyEntries(msg.Entries)
 	if msg.Reply {

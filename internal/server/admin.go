@@ -189,7 +189,6 @@ func (s *Server) storageCollector(base []obs.Label) obs.Collector {
 		g("harmony_storage_disk_segments", "Data files on disk across shards.", float64(st.DiskSegments))
 		g("harmony_storage_disk_bytes", "Total log bytes on disk.", float64(st.DiskBytes))
 		g("harmony_storage_disk_dead_bytes", "Disk bytes owned by overwritten records.", float64(st.DiskDeadBytes))
-		g("harmony_storage_memtable_bytes", "Resident memtable bytes.", float64(st.MemtableBytes))
 		c("harmony_storage_writes_total", "Engine apply operations.", st.Writes)
 		c("harmony_storage_reads_total", "Engine read operations.", st.Reads)
 		c("harmony_storage_compactions_total", "Segment compactions completed.", st.Compactions)

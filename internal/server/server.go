@@ -1,6 +1,6 @@
 // Package server assembles one storage node of the replicated key-value
 // store over the TCP transport: ring, gossip, cluster node, optional
-// anti-entropy repair and commit-log durability, all on a real runtime. It
+// anti-entropy repair and data-dir durability, all on a real runtime. It
 // is the embeddable core of cmd/harmony-server — and of harmony-bench's
 // live backend, whose child processes run exactly this code path, so the
 // live experiments measure the same binary logic a production node runs.
@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -26,7 +25,6 @@ import (
 	"harmony/internal/sim"
 	"harmony/internal/storage"
 	"harmony/internal/transport"
-	"harmony/internal/wire"
 	"harmony/internal/ycsb"
 )
 
@@ -99,9 +97,6 @@ type Config struct {
 	ReadRepairChance float64
 	HintedHandoff    bool
 	HintQueueLimit   int
-	// CommitLog, when non-empty, enables write durability and replays the
-	// log on startup. Superseded by DataDir; setting both is an error.
-	CommitLog string
 	// DataDir, when non-empty, backs the storage engine with the
 	// bitcask-style persistent backend under this directory: writes are
 	// durable, and a restarted node recovers its pre-crash rows from hint
@@ -117,8 +112,6 @@ type Config struct {
 	GossipInterval time.Duration
 	// Streams is the TCP transport's per-peer connection pool size.
 	Streams int
-	// NoBatch disables the transport's write coalescing (benchmarks).
-	NoBatch bool
 	// Repair enables anti-entropy Merkle repair; RepairInterval tunes its
 	// scheduler cadence. Gossip's down->up transitions trigger priority
 	// sessions with recovered peers.
@@ -160,7 +153,6 @@ type Server struct {
 	memberIDs []ring.NodeID
 	gossiper  *gossip.Gossiper
 	node      *cluster.Node
-	commitLog io.Closer
 	dataDir   *storage.DataDir // owned by the engine once the node exists
 	logger    *obs.Logger
 	opHist    *obs.OpLevelHist
@@ -225,19 +217,6 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	var engineOpts storage.Options
-	if cfg.CommitLog != "" && cfg.DataDir != "" {
-		s.rt.Stop()
-		return nil, fmt.Errorf("server: -commitlog and -data-dir are mutually exclusive (the data dir subsumes the commit log)")
-	}
-	if cfg.CommitLog != "" {
-		cl, err := storage.OpenFileCommitLog(cfg.CommitLog)
-		if err != nil {
-			s.rt.Stop()
-			return nil, fmt.Errorf("server: commit log: %w", err)
-		}
-		s.commitLog = cl
-		engineOpts.CommitLog = cl
-	}
 	if cfg.DataDir != "" {
 		// Pre-flight the fallible checks so a locked or version-mismatched
 		// data dir is a startup refusal, not an engine panic. The engine
@@ -262,7 +241,6 @@ func New(cfg Config) (*Server, error) {
 		Listen:  cfg.Listen,
 		Peers:   peers,
 		Streams: cfg.Streams,
-		NoBatch: cfg.NoBatch,
 		Logf:    logf,
 	}, s.rt, nil)
 	if err != nil {
@@ -330,22 +308,6 @@ func New(cfg Config) (*Server, error) {
 		// Recovery already ran inside cluster.New → storage.Open: the keydir
 		// was rebuilt from hint files + tail replay before this line.
 		logf("recovered %d rows from %s", s.node.Engine().Recovered(), cfg.DataDir)
-	}
-
-	// Replay the durability log into the engine before serving traffic.
-	if cfg.CommitLog != "" {
-		replayed := 0
-		if err := storage.Replay(cfg.CommitLog, func(key []byte, v wire.Value) error {
-			_, err := s.node.Engine().Apply(key, v)
-			replayed++
-			return err
-		}); err != nil {
-			s.closePartial()
-			return nil, fmt.Errorf("server: replay: %w", err)
-		}
-		if replayed > 0 {
-			logf("replayed %d commit-log records", replayed)
-		}
 	}
 
 	tcp.SetHandler(gossip.Mux{Gossip: s.gossiper, Rest: s.node})
@@ -425,7 +387,7 @@ func (s *Server) Trace() *obs.Trace { return s.trace }
 // Logger exposes the node's leveled logger.
 func (s *Server) Logger() *obs.Logger { return s.logger }
 
-// Close stops serving: admin, gossip, node, transport, runtime, commit log.
+// Close stops serving: admin, gossip, node, transport, runtime, data dir.
 func (s *Server) Close() {
 	if s.admin != nil {
 		_ = s.admin.Close()
@@ -445,9 +407,6 @@ func (s *Server) closePartial() {
 		_ = s.tcp.Close()
 	}
 	s.rt.Stop()
-	if s.commitLog != nil {
-		_ = s.commitLog.Close()
-	}
 	// The persistent engine owns the data dir once the node exists (Close
 	// is idempotent); before that, release the pre-flight lock directly.
 	if s.node != nil {
@@ -472,12 +431,10 @@ func Main(args []string) int {
 		readRepair  = fs.Float64("read-repair-chance", 0.1, "probability a read fans out for repair")
 		hints       = fs.Bool("hinted-handoff", true, "queue hints for down replicas")
 		hintLimit   = fs.Int("hint-queue-limit", 0, "cap queued hints (0 = unlimited; overflow drops mutations)")
-		commitLog   = fs.String("commitlog", "", "path to a commit log file (legacy durability); empty disables")
 		dataDir     = fs.String("data-dir", "", "persistent storage directory (bitcask engine; recovers on restart); empty keeps storage in memory")
 		fsyncEvery  = fs.Duration("fsync-interval", 0, "background fsync cadence for -data-dir; 0 = group commit (writes ack on fsync batch boundaries)")
 		gossipEvery = fs.Duration("gossip-interval", time.Second, "gossip round interval")
 		streams     = fs.Int("streams", 1, "TCP connections pooled per peer")
-		noBatch     = fs.Bool("no-batch", false, "disable transport write coalescing (benchmarks)")
 		repairOn    = fs.Bool("repair", false, "enable anti-entropy Merkle repair")
 		repairEvery = fs.Duration("repair-interval", time.Second, "anti-entropy scheduler cadence")
 		hotKeys     = fs.Int64("hot-keys", 0, "two-group telemetry split: YCSB key index < hot-keys is group 0")
@@ -512,12 +469,10 @@ func Main(args []string) int {
 		ReadRepairChance: *readRepair,
 		HintedHandoff:    *hints,
 		HintQueueLimit:   *hintLimit,
-		CommitLog:        *commitLog,
 		DataDir:          *dataDir,
 		FsyncInterval:    *fsyncEvery,
 		GossipInterval:   *gossipEvery,
 		Streams:          *streams,
-		NoBatch:          *noBatch,
 		Repair:           *repairOn,
 		RepairInterval:   *repairEvery,
 		HotKeys:          *hotKeys,

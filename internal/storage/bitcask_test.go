@@ -560,7 +560,6 @@ func TestScanReentrancy(t *testing.T) {
 		k := fmt.Sprintf("k%03d", i)
 		e.Apply([]byte(k), wire.Value{Data: []byte(k), Timestamp: int64(i + 1)})
 	}
-	e.Flush() // push rows into tables so collect merges multiple sources
 	for i := 0; i < 32; i++ {
 		k := fmt.Sprintf("k%03d", i)
 		e.Apply([]byte(k), wire.Value{Data: []byte(k), Timestamp: int64(100 + i)})

@@ -23,32 +23,21 @@ func dumpVersions(e *Engine) string {
 }
 
 // TestShardedScanVersionsMatchesSingleLock drives identical random
-// histories (writes, tombstones, flushes, compactions) into an 8-shard
+// histories (writes, tombstones) into an 8-shard
 // engine and a single-shard (single-lock) engine and requires
 // byte-identical ScanVersions output, arbitrary bounds included. This is
 // the ordering contract anti-entropy Merkle trees are built on.
 func TestShardedScanVersionsMatchesSingleLock(t *testing.T) {
 	if err := quick.Check(func(seed int64, opsRaw uint8, loRaw, hiRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		sharded := NewEngine(Options{Shards: 8, MaxFlushedTables: 3, FlushThresholdBytes: 256})
-		single := NewEngine(Options{Shards: 1, MaxFlushedTables: 3, FlushThresholdBytes: 256})
+		sharded := NewEngine(Options{Shards: 8})
+		single := NewEngine(Options{Shards: 1})
 		ops := int(opsRaw)%150 + 10
-		ts := int64(0)
-		for i := 0; i < ops; i++ {
-			switch rng.Intn(12) {
-			case 9:
-				sharded.Flush()
-				single.Flush()
-			case 10:
-				sharded.Compact()
-				single.Compact()
-			default:
-				ts++
-				k := []byte(fmt.Sprintf("k%02d", rng.Intn(30)))
-				v := wire.Value{Data: []byte(fmt.Sprintf("v%d", ts)), Timestamp: ts, Tombstone: rng.Intn(8) == 0}
-				sharded.Apply(k, v)
-				single.Apply(k, v)
-			}
+		for ts := int64(1); ts <= int64(ops); ts++ {
+			k := []byte(fmt.Sprintf("k%02d", rng.Intn(30)))
+			v := wire.Value{Data: []byte(fmt.Sprintf("v%d", ts)), Timestamp: ts, Tombstone: rng.Intn(8) == 0}
+			sharded.Apply(k, v)
+			single.Apply(k, v)
 		}
 		var start, end []byte
 		if loRaw%4 != 0 {
@@ -83,7 +72,7 @@ func TestShardedScanVersionsMatchesSingleLock(t *testing.T) {
 // TestShardedLookupAcrossShards pins routing: every key written is readable
 // back with the newest version regardless of which shard it hashed to.
 func TestShardedLookupAcrossShards(t *testing.T) {
-	e := NewEngine(Options{Shards: 16, FlushThresholdBytes: 512})
+	e := NewEngine(Options{Shards: 16})
 	const n = 500
 	for i := 0; i < n; i++ {
 		k := []byte(fmt.Sprintf("key-%04d", i))
@@ -115,10 +104,10 @@ func TestShardedLookupAcrossShards(t *testing.T) {
 }
 
 // TestShardedConcurrentOps hammers an 8-shard engine from 8 goroutines
-// mixing Apply/Get/Scan/Flush/Compact/Stats; run under -race this is the
+// mixing Apply/Get/Scan/Stats; run under -race this is the
 // striped-locking safety net.
 func TestShardedConcurrentOps(t *testing.T) {
-	e := NewEngine(Options{Shards: 8, FlushThresholdBytes: 1 << 10, MaxFlushedTables: 2})
+	e := NewEngine(Options{Shards: 8})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -128,10 +117,6 @@ func TestShardedConcurrentOps(t *testing.T) {
 			for i := 0; i < 3000; i++ {
 				k := []byte(fmt.Sprintf("k%03d", r.Intn(300)))
 				switch r.Intn(10) {
-				case 0:
-					e.Flush()
-				case 1:
-					e.Compact()
 				case 2:
 					e.Stats()
 				case 3:
@@ -160,7 +145,7 @@ func TestShardedConcurrentOps(t *testing.T) {
 }
 
 // TestShardedOnReplaceHook verifies the displaced-version hook: old carries
-// the newest prior version (memtable or flushed), hadOld is false only for
+// the newest prior version, hadOld is false only for
 // first writes, and rejected mutations never fire it.
 func TestShardedOnReplaceHook(t *testing.T) {
 	type ev struct {
@@ -174,9 +159,8 @@ func TestShardedOnReplaceHook(t *testing.T) {
 		got = append(got, ev{string(key), old.Timestamp, hadOld, v.Timestamp})
 	}})
 	e.Apply([]byte("a"), wire.Value{Data: []byte("1"), Timestamp: 10})
-	e.Flush() // move it to a flushed table: old must still be found
 	e.Apply([]byte("a"), wire.Value{Data: []byte("2"), Timestamp: 20})
-	e.Apply([]byte("a"), wire.Value{Data: []byte("3"), Timestamp: 30}) // in-place memtable replace
+	e.Apply([]byte("a"), wire.Value{Data: []byte("3"), Timestamp: 30}) // in-place replace
 	e.Apply([]byte("a"), wire.Value{Data: []byte("x"), Timestamp: 5})  // rejected: no hook
 	want := []ev{{"a", 0, false, 10}, {"a", 10, true, 20}, {"a", 20, true, 30}}
 	if len(got) != len(want) {
@@ -186,39 +170,5 @@ func TestShardedOnReplaceHook(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("hook event %d = %+v, want %+v", i, got[i], want[i])
 		}
-	}
-}
-
-// TestCompactMergesSortedTables pins the satellite: compaction k-way merges
-// the tables' sorted key runs (newest version wins) instead of rebuilding
-// from a map, and the merged table's keys stay sorted.
-func TestCompactMergesSortedTables(t *testing.T) {
-	e := NewEngine(Options{Shards: 1})
-	for round := 0; round < 4; round++ {
-		for i := 0; i < 50; i++ {
-			if (i+round)%2 == 0 { // overlapping and disjoint keys per table
-				e.Apply([]byte(fmt.Sprintf("k%03d", i)), wire.Value{Data: []byte(fmt.Sprintf("r%d", round)), Timestamp: int64(round*100 + i + 1)})
-			}
-		}
-		e.Flush()
-	}
-	e.Compact()
-	st := e.Stats()
-	if st.FlushedTables != 1 || st.Compactions != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	prev := ""
-	e.Scan(nil, nil, func(key []byte, v wire.Value) bool {
-		if string(key) <= prev {
-			t.Fatalf("scan out of order: %q after %q", key, prev)
-		}
-		prev = string(key)
-		return true
-	})
-	// Newest round wins for every key present in multiple tables: k010 was
-	// written in rounds 0 and 2, so the round-2 version must survive.
-	v, ok := e.Get([]byte("k010"))
-	if !ok || string(v.Data) != "r2" {
-		t.Fatalf("k010 = %q ok=%v, want r2 (newest table)", v.Data, ok)
 	}
 }

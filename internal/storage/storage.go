@@ -1,26 +1,19 @@
-// Package storage implements a node-local storage engine with the write
-// path the paper describes for Cassandra (§II-B): a mutation is appended to
-// a commit log and applied to an in-memory table before it is acknowledged;
-// memtables are periodically frozen and flushed to immutable tables that
-// reads merge with last-writer-wins timestamp reconciliation.
+// Package storage implements a node-local storage engine: the newest
+// version of every key a replica holds, arbitrated on write by
+// versioning.Decide (causal order when both versions carry vector clocks,
+// the configured Resolver for concurrent siblings and clock-less values).
 //
-// The engine is deliberately log-structured like Cassandra's, but flushed
-// tables live in memory by default (the simulator runs thousands of node
-// instances). For the real TCP deployment Options.Persist slots a
-// bitcask-style durable backend behind the same sharded interface: each
-// shard keeps an append-only log of CRC-framed records plus an in-memory
-// key→offset index, with group-commit fsync batching and crash recovery
-// from hint files + tail replay (see bitcask.go). The legacy file-backed
-// commit log remains for callers that only want a replayable journal.
+// By default — and in the simulator, which runs thousands of node instances
+// — the engine is a lock-striped in-memory map. For the real TCP deployment
+// Options.Persist backs every shard with a bitcask-style durable log
+// instead: an append-only log of CRC-framed records (the node's commit log)
+// plus an in-memory key→offset index, with group-commit fsync batching and
+// crash recovery from hint files + tail replay (see bitcask.go).
 //
-// The engine is lock-striped: keys hash onto N independent shards, each
-// with its own mutex, memtable, and flushed tables, so concurrent
-// operations on different shards never contend and a flush or compaction
-// freezes one shard instead of stopping the world. Within a shard the
-// engine maintains the invariant that the memtable always holds the newest
-// visible version of a key and later tables shadow earlier ones, so a
-// lookup probes the memtable and then tables newest-first, stopping at the
-// first hit.
+// Keys hash onto N independent shards, each with its own mutex, so
+// concurrent operations on different shards never contend. The backend
+// split is one nil check per entry point: a shard either holds its versions
+// in a map or has a disk log.
 package storage
 
 import (
@@ -29,18 +22,17 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"harmony/internal/versioning"
 	"harmony/internal/wire"
 )
 
-// maxShards bounds the stripe count (shard state is ~page-sized once maps
-// warm up, and past the core count more stripes only dilute memtables).
+// maxShards bounds the stripe count (past a few stripes per core more
+// stripes no longer cut contention; each only adds a map for scans to visit).
 const maxShards = 128
 
-// shard is one lock stripe: an independent memtable plus flushed tables.
+// shard is one lock stripe: an independent map of each key's newest version.
 // The lock is a plain mutex, not an RWMutex: with operations spread over
 // the stripes, intra-shard reader concurrency buys little, while the
 // RWMutex write path costs roughly twice the atomic read-modify-writes per
@@ -48,25 +40,15 @@ const maxShards = 128
 // mu. The struct is padded to its own cache lines so one shard's hot mutex
 // never false-shares with a neighbor's.
 type shard struct {
-	mu       sync.Mutex
-	memtable map[string]*wire.Value
-	memBytes int
-	tables   []*table
-	disk     *diskShard // non-nil iff the engine was opened with Options.Persist
+	mu   sync.Mutex
+	vals map[string]*wire.Value // nil iff disk is set
+	disk *diskShard             // non-nil iff the engine was opened with Options.Persist
 
-	reads     uint64
-	writes    uint64
-	flushes   uint64
-	compacted uint64
-	siblings  uint64 // concurrent versions settled by the resolver
+	reads    uint64
+	writes   uint64
+	siblings uint64 // concurrent versions settled by the resolver
 
-	_ [32]byte // pad to 128 bytes
-}
-
-// table is an immutable flushed memtable with sorted keys for scans.
-type table struct {
-	keys []string
-	vals map[string]*wire.Value
+	_ [80]byte // pad to 128 bytes
 }
 
 // Engine is a single replica's storage. It is safe for concurrent use.
@@ -74,9 +56,6 @@ type Engine struct {
 	shards    []shard
 	mask      uint64 // len(shards)-1; shard selection is hash&mask
 	seed      maphash.Seed
-	flushAt   int // per-shard freeze threshold in bytes
-	maxTables int // per-shard compaction trigger
-	log       CommitLog
 	resolver  versioning.Resolver
 	onApply   func(key []byte, v wire.Value)
 	onReplace func(key []byte, old wire.Value, hadOld bool, v wire.Value)
@@ -91,16 +70,6 @@ type Options struct {
 	// GOMAXPROCS (see defaultShards). One shard reproduces the classic
 	// single-lock engine exactly.
 	Shards int
-	// FlushThresholdBytes freezes a memtable after this much data across
-	// the whole engine (each shard freezes at its 1/Shards slice);
-	// <=0 means 4 MiB.
-	FlushThresholdBytes int
-	// MaxFlushedTables triggers a per-shard compaction when a shard's
-	// flushed-table count exceeds it; <=0 means 4.
-	MaxFlushedTables int
-	// CommitLog, when non-nil, receives every mutation before it is applied
-	// (durability hook). Nil disables logging.
-	CommitLog CommitLog
 	// Resolver arbitrates concurrent (sibling) versions detected by
 	// vector-clock comparison; nil means versioning.LWW, which reproduces
 	// the engine's historical last-writer-wins behavior exactly. Resolvers
@@ -123,18 +92,13 @@ type Options struct {
 	OnReplace func(key []byte, old wire.Value, hadOld bool, v wire.Value)
 	// Persist, when non-nil, backs every shard with a bitcask-style
 	// append-only log under Persist.Path (or the pre-acquired Persist.Dir)
-	// instead of in-memory tables: writes are durable per the fsync mode,
+	// instead of in-memory maps: writes are durable per the fsync mode,
 	// and a reopened engine recovers its pre-crash state. Persistent
 	// engines route keys with a stable hash and pin the shard count in the
 	// data dir's MANIFEST, so Shards is only advisory on first open (unset,
 	// a new dir gets one shard: one append log) and ignored on reopen. Use
 	// Open to get construction errors instead of panics.
 	Persist *PersistOptions
-}
-
-// CommitLog receives mutations before they are applied.
-type CommitLog interface {
-	Append(key []byte, v wire.Value) error
 }
 
 // defaultShards picks the power of two at or above four times GOMAXPROCS:
@@ -169,12 +133,6 @@ func NewEngine(opts Options) *Engine {
 // CRC-verified replay of the log tail, truncating the torn record a
 // mid-write crash leaves. The in-memory engine (Persist nil) cannot fail.
 func Open(opts Options) (*Engine, error) {
-	if opts.FlushThresholdBytes <= 0 {
-		opts.FlushThresholdBytes = 4 << 20
-	}
-	if opts.MaxFlushedTables <= 0 {
-		opts.MaxFlushedTables = 4
-	}
 	n := opts.Shards
 	if n <= 0 {
 		if opts.Persist != nil {
@@ -210,16 +168,13 @@ func Open(opts Options) (*Engine, error) {
 		shards:    make([]shard, p),
 		mask:      uint64(p - 1),
 		seed:      maphash.MakeSeed(),
-		flushAt:   max(1, opts.FlushThresholdBytes/p),
-		maxTables: opts.MaxFlushedTables,
-		log:       opts.CommitLog,
 		resolver:  opts.Resolver,
 		onApply:   opts.OnApply,
 		onReplace: opts.OnReplace,
 	}
 	if opts.Persist == nil {
 		for i := range e.shards {
-			e.shards[i].memtable = make(map[string]*wire.Value)
+			e.shards[i].vals = make(map[string]*wire.Value)
 		}
 		return e, nil
 	}
@@ -316,17 +271,12 @@ func (e *Engine) Apply(key []byte, v wire.Value) (bool, error) {
 // ticket, not 0: acknowledging it tells the writer "this or something newer
 // is on disk", which is only true after the winner's round.
 //
-// The hot path is allocation-free for keys already resident in the
-// memtable: the stored value is updated in place under the shard lock, so a
-// steady-state overwrite workload performs no per-operation allocation.
+// The hot path is allocation-free for keys the engine already holds: the
+// stored value is updated in place under the shard lock, so a steady-state
+// overwrite workload performs no per-operation allocation.
 func (e *Engine) ApplyTicket(key []byte, v wire.Value) (applied bool, ticket uint64, err error) {
 	if len(key) == 0 {
 		return false, 0, fmt.Errorf("storage: empty key")
-	}
-	if e.log != nil {
-		if err := e.log.Append(key, v); err != nil {
-			return false, 0, fmt.Errorf("storage: commit log: %w", err)
-		}
 	}
 	s := e.shardOf(key)
 	if s.disk != nil {
@@ -336,8 +286,7 @@ func (e *Engine) ApplyTicket(key []byte, v wire.Value) (applied bool, ticket uin
 	var hadOld bool
 	s.mu.Lock()
 	s.writes++
-	if p, ok := s.memtable[string(key)]; ok {
-		// Invariant: a memtable entry is the newest visible version.
+	if p, ok := s.vals[string(key)]; ok {
 		old, hadOld = *p, true
 		take, conc := versioning.Decide(v, old, e.resolver)
 		if conc {
@@ -347,28 +296,11 @@ func (e *Engine) ApplyTicket(key []byte, v wire.Value) (applied bool, ticket uin
 			s.mu.Unlock()
 			return false, 0, nil
 		}
-		s.memBytes += len(v.Data) - len(p.Data)
 		*p = v
 	} else {
-		if tp := s.tableLookup(key); tp != nil {
-			old, hadOld = *tp, true
-			take, conc := versioning.Decide(v, old, e.resolver)
-			if conc {
-				s.siblings++
-			}
-			if !take {
-				s.mu.Unlock()
-				return false, 0, nil
-			}
-		}
-		k := string(key)
 		vp := new(wire.Value)
 		*vp = v
-		s.memtable[k] = vp
-		s.memBytes += len(v.Data) + len(k)
-	}
-	if s.memBytes >= e.flushAt {
-		e.flushShard(s)
+		s.vals[string(key)] = vp
 	}
 	s.mu.Unlock()
 	e.runHooks(key, old, hadOld, v)
@@ -475,21 +407,9 @@ func (e *Engine) needOldData(incoming, old wire.Value) bool {
 	return incoming.Timestamp == old.Timestamp && len(incoming.Clock) > 0 && len(old.Clock) > 0
 }
 
-// tableLookup returns the newest flushed version of key in s, newest table
-// first (later tables shadow earlier ones), or nil. Caller holds s.mu.
-func (s *shard) tableLookup(key []byte) *wire.Value {
-	for i := len(s.tables) - 1; i >= 0; i-- {
-		if p, ok := s.tables[i].vals[string(key)]; ok {
-			return p
-		}
-	}
-	return nil
-}
-
-// Get returns the newest value for key across the memtable and all flushed
-// tables. ok is false when the key was never written (a tombstoned key
-// returns ok=true with Value.Tombstone set, so replication can propagate
-// deletes).
+// Get returns the newest value for key. ok is false when the key was never
+// written (a tombstoned key returns ok=true with Value.Tombstone set, so
+// replication can propagate deletes).
 func (e *Engine) Get(key []byte) (wire.Value, bool) {
 	s := e.shardOf(key)
 	s.mu.Lock()
@@ -510,118 +430,13 @@ func (e *Engine) Get(key []byte) (wire.Value, bool) {
 		}
 		return v, true
 	}
-	if p, ok := s.memtable[string(key)]; ok {
-		v := *p
-		s.mu.Unlock()
-		return v, true
-	}
-	if p := s.tableLookup(key); p != nil {
-		v := *p
-		s.mu.Unlock()
-		return v, true
+	p, ok := s.vals[string(key)]
+	var v wire.Value
+	if ok {
+		v = *p
 	}
 	s.mu.Unlock()
-	return wire.Value{}, false
-}
-
-// Flush freezes every shard's current memtable into an immutable table.
-// Each shard freezes independently — concurrent operations on other shards
-// proceed while one shard flushes.
-func (e *Engine) Flush() {
-	for i := range e.shards {
-		s := &e.shards[i]
-		s.mu.Lock()
-		e.flushShard(s)
-		s.mu.Unlock()
-	}
-}
-
-// flushShard freezes s's memtable. Caller holds s.mu. Persistent shards
-// have no memtable to freeze — every accepted write is already in the log.
-func (e *Engine) flushShard(s *shard) {
-	if s.disk != nil || len(s.memtable) == 0 {
-		return
-	}
-	t := &table{vals: s.memtable, keys: make([]string, 0, len(s.memtable))}
-	for k := range t.vals {
-		t.keys = append(t.keys, k)
-	}
-	slices.Sort(t.keys)
-	s.tables = append(s.tables, t)
-	s.memtable = make(map[string]*wire.Value)
-	s.memBytes = 0
-	s.flushes++
-	if len(s.tables) > e.maxTables {
-		e.compactShard(s)
-	}
-}
-
-// Compact merges each shard's flushed tables into one, dropping shadowed
-// versions. Shards compact independently.
-func (e *Engine) Compact() {
-	for i := range e.shards {
-		s := &e.shards[i]
-		s.mu.Lock()
-		e.compactShard(s)
-		s.mu.Unlock()
-	}
-}
-
-// compactShard merges s's tables by k-way merging their already-sorted key
-// slices — no intermediate map rebuild, no re-sort — reusing the stored
-// value boxes. Later tables shadow earlier ones, so the newest version of a
-// key is taken from the highest-indexed table holding it. Caller holds s.mu.
-//
-// Tombstones are retained across compactions: peer replicas may still need
-// them for read repair, and the simulator's working sets are small enough
-// that GC-grace bookkeeping would add machinery without adding fidelity to
-// the experiments.
-func (e *Engine) compactShard(s *shard) {
-	if s.disk != nil {
-		// Persistent shards compact their sealed segments instead: rewrite
-		// live records into one merged segment, reclaim the dead bytes.
-		_ = s.disk.compact()
-		return
-	}
-	if len(s.tables) <= 1 {
-		return
-	}
-	total := 0
-	for _, t := range s.tables {
-		total += len(t.keys)
-	}
-	merged := &table{keys: make([]string, 0, total), vals: make(map[string]*wire.Value, total)}
-	idx := make([]int, len(s.tables))
-	for {
-		// Smallest current key across tables (table counts are tiny, a
-		// linear min beats a heap).
-		best := -1
-		var bestK string
-		for i, t := range s.tables {
-			if idx[i] < len(t.keys) && (best == -1 || t.keys[idx[i]] < bestK) {
-				best, bestK = i, t.keys[idx[i]]
-			}
-		}
-		if best == -1 {
-			break
-		}
-		// The newest version lives in the highest-indexed table holding the
-		// key; advance every table past it.
-		var vp *wire.Value
-		for i := len(s.tables) - 1; i >= 0; i-- {
-			t := s.tables[i]
-			if idx[i] < len(t.keys) && t.keys[idx[i]] == bestK {
-				if vp == nil {
-					vp = t.vals[bestK]
-				}
-				idx[i]++
-			}
-		}
-		merged.keys = append(merged.keys, bestK)
-		merged.vals[bestK] = vp
-	}
-	s.tables = []*table{merged}
-	s.compacted++
+	return v, ok
 }
 
 // kv is one scan result row.
@@ -632,15 +447,14 @@ type kv struct {
 
 // Scan invokes fn over every live key/value in [start, end) in key order
 // (nil bounds mean unbounded); fn returning false stops the scan.
-// Tombstoned entries are skipped.
+// Tombstoned entries are skipped. Tombstones are never dropped from the
+// engine: peer replicas may still need them for read repair.
 //
-// Each shard contributes one sorted, deduplicated slice (its flushed tables
-// already keep sorted keys; only the memtable snapshot is sorted per scan),
-// and the shard slices k-way merge into the result. Shards are snapshotted
-// one at a time under their read locks, so a scan is consistent per shard
-// but not a point-in-time snapshot across shards — concurrent writers to
-// other shards may or may not be observed, exactly like a range read over a
-// striped store.
+// Each shard contributes one sorted run, and the runs merge into the
+// result. Shards are snapshotted one at a time under their locks, so a scan
+// is consistent per shard but not a point-in-time snapshot across shards —
+// concurrent writers to other shards may or may not be observed, exactly
+// like a range read over a striped store.
 func (e *Engine) Scan(start, end []byte, fn func(key []byte, v wire.Value) bool) {
 	e.scan(start, end, false, fn)
 }
@@ -652,17 +466,16 @@ func (e *Engine) ScanVersions(start, end []byte, fn func(key []byte, v wire.Valu
 	e.scan(start, end, true, fn)
 }
 
-// scanScratch is the pooled working set of one scan: per-shard run buffers
-// plus the merge heap and in-shard merge cursors. Runs and cursors are
+// scanScratch is the pooled working set of one scan: per-shard run buffers,
+// the merge heap and cursors, and the key snapshot a shard sorts. All are
 // reused across scans so a steady scan workload allocates only what rows
-// force the run buffers to grow.
+// force the buffers to grow.
 type scanScratch struct {
 	runs [][]kv // per-shard collected rows, indexed by shard
 	part []int  // indices into runs of the non-empty runs this scan
 	heap []int
 	idx  []int
-	srcs [][]string // in-shard merge sources (memtable snapshot + tables)
-	keys []string   // sorted memtable / keydir key snapshot
+	keys []string // one shard's sorted in-range key snapshot
 }
 
 func (e *Engine) scan(start, end []byte, tombstones bool, fn func(key []byte, v wire.Value) bool) {
@@ -682,8 +495,6 @@ func (e *Engine) scan(start, end []byte, tombstones bool, fn func(key []byte, v 
 		}
 		clear(sc.keys)
 		sc.keys = sc.keys[:0]
-		clear(sc.srcs)
-		sc.srcs = sc.srcs[:0]
 		e.scanPool.Put(sc)
 	}()
 	parts := sc.part[:0]
@@ -694,11 +505,10 @@ func (e *Engine) scan(start, end []byte, tombstones bool, fn func(key []byte, v 
 		}
 	}
 	sc.part = parts
-	// Merge the per-shard sorted runs via a min-heap of run heads: unlike
-	// the in-shard merge (whose source count is bounded by maxTables+1),
-	// the run count here grows with the stripe count, so a linear min would
-	// cost O(shards) per output row. Keys never repeat across shards, so
-	// this is a pure merge with no cross-part dedup; each part is non-empty.
+	// Merge the per-shard sorted runs via a min-heap of run heads: the run
+	// count grows with the stripe count, so a linear min would cost
+	// O(shards) per output row. Keys never repeat across shards, so this is
+	// a pure merge with no dedup; each part is non-empty.
 	heap := append(sc.heap[:0], parts...) // heap of run indices, keyed by head key
 	idx := sc.idx[:0]                     // per-run cursor, indexed by shard
 	for range sc.runs {
@@ -746,125 +556,57 @@ func siftDown(h []int, i int, less func(a, b int) bool) {
 }
 
 // collect appends the shard's live (or all-version) rows in [start, end) to
-// dst in key order: a k-way merge over the flushed tables' sorted key
-// slices plus one sorted snapshot of the memtable keys, resolved to the
-// newest version under the shard's read lock. Persistent shards snapshot
-// and sort the keydir instead, preading each row. The scratch's srcs/keys
-// buffers are borrowed for the duration of the call (the engine runs shard
+// dst in key order: a sorted snapshot of the in-range keys, each resolved
+// under the shard lock by map lookup in memory or by pread on disk.
+// Persistent rows whose records fail their CRC are skipped (and counted) so
+// one bad sector cannot wedge anti-entropy for the whole range. The
+// scratch's key buffer is borrowed for the call (the engine runs shard
 // collects sequentially within a scan).
 func (s *shard) collect(dst []kv, start, end []byte, tombstones bool, sc *scanScratch) []kv {
+	startKey, endKey := string(start), string(end)
+	inRange := func(k string) bool {
+		return (start == nil || k >= startKey) && (end == nil || k < endKey)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if d := s.disk; d != nil {
-		return d.collect(dst, start, end, tombstones, sc)
-	}
-	srcs := sc.srcs[:0]
-	if len(s.memtable) > 0 {
-		mk := sc.keys[:0]
-		for k := range s.memtable {
-			mk = append(mk, k)
-		}
-		slices.Sort(mk)
-		sc.keys = mk
-		srcs = append(srcs, mk)
-	}
-	for _, t := range s.tables {
-		srcs = append(srcs, t.keys)
-	}
-	sc.srcs = srcs
-	idx := sc.idx[:0]
-	for range srcs {
-		idx = append(idx, 0)
-	}
-	sc.idx = idx
-	if start != nil {
-		for i, src := range srcs {
-			idx[i], _ = slices.BinarySearch(src, string(start))
-		}
-	}
-	endKey := string(end)
-	out := dst
-	for {
-		best := -1
-		var bestK string
-		for i, src := range srcs {
-			if idx[i] < len(src) && (best == -1 || src[idx[i]] < bestK) {
-				best, bestK = i, src[idx[i]]
-			}
-		}
-		if best == -1 {
-			break
-		}
-		if end != nil && bestK >= endKey {
-			break // merge order: every remaining key is out of bounds too
-		}
-		// Advance every source past this key (cross-source dedup).
-		for i, src := range srcs {
-			for idx[i] < len(src) && src[idx[i]] == bestK {
-				idx[i]++
-			}
-		}
-		var vp *wire.Value
-		if p, ok := s.memtable[bestK]; ok {
-			vp = p // memtable always holds the newest visible version
-		} else {
-			vp = s.tableLookup([]byte(bestK))
-		}
-		if vp != nil && (tombstones || !vp.Tombstone) {
-			out = append(out, kv{bestK, *vp})
-		}
-	}
-	return out
-}
-
-// collect is the persistent shard's scan contribution: a sorted snapshot of
-// the keydir's in-range keys, each row pread and decoded. Caller holds the
-// shard lock. Rows whose records fail their CRC are skipped (and counted)
-// so one bad sector cannot wedge anti-entropy for the whole range.
-func (d *diskShard) collect(dst []kv, start, end []byte, tombstones bool, sc *scanScratch) []kv {
-	startKey, endKey := string(start), string(end)
 	keys := sc.keys[:0]
-	for k, e := range d.keydir {
-		if !tombstones && e.tomb {
-			continue
+	if d := s.disk; d != nil {
+		for k, ent := range d.keydir {
+			if (tombstones || !ent.tomb) && inRange(k) {
+				keys = append(keys, k)
+			}
 		}
-		if start != nil && k < startKey {
-			continue
+	} else {
+		for k, p := range s.vals {
+			if (tombstones || !p.Tombstone) && inRange(k) {
+				keys = append(keys, k)
+			}
 		}
-		if end != nil && k >= endKey {
-			continue
-		}
-		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	sc.keys = keys
-	out := dst
 	for _, k := range keys {
-		v, err := d.readValue(d.keydir[k])
-		if err != nil {
-			continue
+		if s.disk == nil {
+			dst = append(dst, kv{k, *s.vals[k]})
+		} else if v, err := s.disk.readValue(s.disk.keydir[k]); err == nil {
+			dst = append(dst, kv{k, v})
 		}
-		out = append(out, kv{k, v})
 	}
-	return out
+	return dst
 }
 
-// Stats is a snapshot of engine counters. Sums aggregate across shards;
-// FlushedTables is the total table count over all shards.
+// Stats is a snapshot of engine counters, summed across shards.
 type Stats struct {
-	Writes      uint64
-	Reads       uint64
-	Flushes     uint64
+	Writes uint64
+	Reads  uint64
+	// Compactions counts persistent segment compactions.
 	Compactions uint64
 	// Siblings counts applies where the incoming and held versions were
 	// causally concurrent and the resolver had to arbitrate — the store's
 	// conflict-rate gauge.
-	Siblings      uint64
-	MemtableKeys  int
-	MemtableBytes int
-	FlushedTables int
-	LiveKeys      int
-	Shards        int
+	Siblings uint64
+	LiveKeys int
+	Shards   int
 	// Persistent-backend gauges; zero for the in-memory engine.
 	DiskSegments  int    // data files across shards (incl. active)
 	DiskBytes     int64  // total log bytes on disk
@@ -881,7 +623,8 @@ type Stats struct {
 
 // Stats returns a snapshot of the engine's counters, aggregated over
 // shards. Each shard is snapshotted consistently under its lock; the
-// aggregate is not a cross-shard point-in-time snapshot.
+// aggregate is not a cross-shard point-in-time snapshot. It allocates
+// nothing: /metrics calls it on every scrape.
 func (e *Engine) Stats() Stats {
 	st := Stats{Shards: len(e.shards)}
 	for i := range e.shards {
@@ -889,9 +632,8 @@ func (e *Engine) Stats() Stats {
 		s.mu.Lock()
 		st.Writes += s.writes
 		st.Reads += s.reads
-		st.Flushes += s.flushes
-		st.Compactions += s.compacted
 		st.Siblings += s.siblings
+		st.LiveKeys += len(s.vals)
 		if d := s.disk; d != nil {
 			st.Compactions += d.compacted
 			st.LiveKeys += len(d.keydir)
@@ -903,22 +645,7 @@ func (e *Engine) Stats() Stats {
 			st.RecoveredRows += d.recovered
 			st.ReadErrors += d.readErrs
 			st.KeydirBytes += d.keydirBytes
-			s.mu.Unlock()
-			continue
 		}
-		st.MemtableKeys += len(s.memtable)
-		st.MemtableBytes += s.memBytes
-		st.FlushedTables += len(s.tables)
-		live := make(map[string]struct{}, len(s.memtable))
-		for k := range s.memtable {
-			live[k] = struct{}{}
-		}
-		for _, t := range s.tables {
-			for _, k := range t.keys {
-				live[k] = struct{}{}
-			}
-		}
-		st.LiveKeys += len(live)
 		s.mu.Unlock()
 	}
 	if p := e.persist; p != nil {

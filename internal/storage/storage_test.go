@@ -3,12 +3,14 @@ package storage
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
+	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"harmony/internal/versioning"
 	"harmony/internal/wire"
 )
 
@@ -72,82 +74,27 @@ func TestTombstone(t *testing.T) {
 	}
 }
 
-func TestFlushAndReadAcrossTables(t *testing.T) {
-	// Shards:1 keeps the exact flush/table counts host-independent (with
-	// auto-striping the keys spread over GOMAXPROCS-dependent shards).
-	e := NewEngine(Options{Shards: 1})
-	e.Apply([]byte("a"), val("a1", 1))
-	e.Flush()
-	e.Apply([]byte("b"), val("b1", 2))
-	e.Flush()
-	e.Apply([]byte("a"), val("a2", 3)) // newer version in memtable
-	for _, tc := range []struct{ k, want string }{{"a", "a2"}, {"b", "b1"}} {
-		got, ok := e.Get([]byte(tc.k))
-		if !ok || string(got.Data) != tc.want {
-			t.Fatalf("Get(%s) = %q ok=%v, want %q", tc.k, got.Data, ok, tc.want)
-		}
-	}
-	st := e.Stats()
-	if st.FlushedTables != 2 || st.Flushes != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
+// TestOldVersionInFlushedTableLoses: an older remote version arriving after
+// a restart (a replayed hint, a repair stream) must lose against the newer
+// version the persistent engine recovered from its log.
 func TestOldVersionInFlushedTableLoses(t *testing.T) {
-	e := NewEngine(Options{})
-	e.Apply([]byte("k"), val("new", 100))
-	e.Flush()
-	// An older remote version arriving later (e.g. via repair) must lose
-	// even though the newer one lives in a flushed table.
-	applied, _ := e.Apply([]byte("k"), val("old", 50))
-	if applied {
-		t.Fatal("older version applied over flushed newer version")
+	dir := t.TempDir()
+	e := mustOpen(t, persistOpts(dir, 1, 64<<20))
+	if _, err := e.Apply([]byte("k"), val("new", 100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e = mustOpen(t, persistOpts(dir, 1, 64<<20))
+	defer e.Close()
+	applied, err := e.Apply([]byte("k"), val("old", 50))
+	if err != nil || applied {
+		t.Fatalf("older version over recovered newer one: applied=%v err=%v", applied, err)
 	}
 	got, _ := e.Get([]byte("k"))
 	if string(got.Data) != "new" {
 		t.Fatalf("got %q", got.Data)
-	}
-}
-
-func TestAutoFlushAndCompaction(t *testing.T) {
-	e := NewEngine(Options{Shards: 1, FlushThresholdBytes: 64, MaxFlushedTables: 2})
-	for i := 0; i < 100; i++ {
-		e.Apply([]byte(fmt.Sprintf("key-%03d", i)), val("0123456789abcdef", int64(i+1)))
-	}
-	st := e.Stats()
-	if st.Flushes == 0 {
-		t.Fatal("no automatic flushes at tiny threshold")
-	}
-	if st.Compactions == 0 {
-		t.Fatal("no compactions with MaxFlushedTables=2")
-	}
-	if st.FlushedTables > 3 {
-		t.Fatalf("tables grew unboundedly: %+v", st)
-	}
-	// All data still readable post-compaction.
-	for i := 0; i < 100; i++ {
-		k := fmt.Sprintf("key-%03d", i)
-		if _, ok := e.Get([]byte(k)); !ok {
-			t.Fatalf("key %s lost after compaction", k)
-		}
-	}
-}
-
-func TestCompactKeepsNewest(t *testing.T) {
-	e := NewEngine(Options{Shards: 1})
-	e.Apply([]byte("k"), val("v1", 1))
-	e.Flush()
-	e.Apply([]byte("k"), val("v2", 2))
-	e.Flush()
-	e.Apply([]byte("k"), val("v3", 3))
-	e.Flush()
-	e.Compact()
-	got, ok := e.Get([]byte("k"))
-	if !ok || string(got.Data) != "v3" {
-		t.Fatalf("after compact got %q ok=%v", got.Data, ok)
-	}
-	if st := e.Stats(); st.FlushedTables != 1 {
-		t.Fatalf("tables = %d, want 1", st.FlushedTables)
 	}
 }
 
@@ -157,7 +104,6 @@ func TestScan(t *testing.T) {
 		e.Apply([]byte(fmt.Sprintf("k%d", i)), val(fmt.Sprintf("v%d", i), int64(i+1)))
 	}
 	e.Apply([]byte("k3"), wire.Value{Timestamp: 100, Tombstone: true})
-	e.Flush()
 	e.Apply([]byte("k5"), val("v5-new", 200))
 
 	var keys []string
@@ -179,28 +125,19 @@ func TestScan(t *testing.T) {
 	}
 }
 
-// TestScanMergeMatchesModel pits the k-way merge scan against a naive
-// model over random write/flush/tombstone histories, including versions of
-// the same key shadowed across multiple flushed tables and arbitrary
-// bounds.
+// TestScanMergeMatchesModel pits the sharded scan against a naive model
+// over random write/tombstone histories and arbitrary bounds.
 func TestScanMergeMatchesModel(t *testing.T) {
 	if err := quick.Check(func(seed int64, opsRaw uint8, loRaw, hiRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		e := NewEngine(Options{MaxFlushedTables: 3})
+		e := NewEngine(Options{})
 		model := map[string]wire.Value{}
 		ops := int(opsRaw)%120 + 10
-		ts := int64(0)
-		for i := 0; i < ops; i++ {
-			switch rng.Intn(10) {
-			case 9:
-				e.Flush()
-			default:
-				ts++
-				k := fmt.Sprintf("k%02d", rng.Intn(25))
-				v := wire.Value{Data: []byte(fmt.Sprintf("v%d", ts)), Timestamp: ts, Tombstone: rng.Intn(8) == 0}
-				e.Apply([]byte(k), v)
-				model[k] = v
-			}
+		for ts := int64(1); ts <= int64(ops); ts++ {
+			k := fmt.Sprintf("k%02d", rng.Intn(25))
+			v := wire.Value{Data: []byte(fmt.Sprintf("v%d", ts)), Timestamp: ts, Tombstone: rng.Intn(8) == 0}
+			e.Apply([]byte(k), v)
+			model[k] = v
 		}
 		var start, end []byte
 		if loRaw%4 != 0 {
@@ -265,7 +202,7 @@ func TestScanEarlyStop(t *testing.T) {
 }
 
 func TestConcurrentReadWrite(t *testing.T) {
-	e := NewEngine(Options{FlushThresholdBytes: 1 << 10})
+	e := NewEngine(Options{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -290,7 +227,7 @@ func TestLWWProperty(t *testing.T) {
 	if err := quick.Check(func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		count := int(n%20) + 1
-		e := NewEngine(Options{FlushThresholdBytes: 32}) // force frequent flushes
+		e := NewEngine(Options{})
 		maxTS := int64(-1)
 		for i := 0; i < count; i++ {
 			ts := int64(r.Intn(1000)) + 1
@@ -306,62 +243,140 @@ func TestLWWProperty(t *testing.T) {
 	}
 }
 
-func TestFileCommitLogReplay(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "commit.log")
-	log, err := OpenFileCommitLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(Options{CommitLog: log})
-	for i := 0; i < 50; i++ {
-		if _, err := e.Apply([]byte(fmt.Sprintf("k%d", i%10)), val(fmt.Sprintf("v%d", i), int64(i+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Recover into a fresh engine.
-	e2 := NewEngine(Options{})
-	if err := Replay(path, func(k []byte, v wire.Value) error {
-		_, err := e2.Apply(k, v)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		k := []byte(fmt.Sprintf("k%d", i))
-		want, ok1 := e.Get(k)
-		got, ok2 := e2.Get(k)
-		if ok1 != ok2 || string(want.Data) != string(got.Data) || want.Timestamp != got.Timestamp {
-			t.Fatalf("replayed %s = %+v, want %+v", k, got, want)
-		}
-	}
-}
-
-func TestReplayMissingFile(t *testing.T) {
-	if err := Replay(filepath.Join(t.TempDir(), "nope.log"), func([]byte, wire.Value) error {
-		t.Fatal("callback on missing file")
-		return nil
-	}); err != nil {
-		t.Fatalf("missing file should be a clean no-op: %v", err)
-	}
-}
-
 func TestStatsLiveKeys(t *testing.T) {
 	e := NewEngine(Options{})
 	e.Apply([]byte("a"), val("1", 1))
 	e.Apply([]byte("b"), val("2", 2))
-	e.Flush()
-	e.Apply([]byte("a"), val("3", 3)) // same key again in memtable
+	e.Apply([]byte("a"), val("3", 3)) // same key again
 	st := e.Stats()
 	if st.LiveKeys != 2 {
 		t.Fatalf("live keys = %d, want 2", st.LiveKeys)
 	}
 	if st.Writes != 3 {
 		t.Fatalf("writes = %d, want 3", st.Writes)
+	}
+}
+
+// modelValue draws from a small version space so histories hit every
+// arbitration case: clock-less LWW, causal descent, concurrent clocks at
+// the same timestamp (siblings settled by the resolver) and tombstones.
+func modelValue(rng *rand.Rand) wire.Value {
+	v := wire.Value{Data: []byte{byte('a' + rng.Intn(4))}, Timestamp: int64(1 + rng.Intn(8))}
+	if rng.Intn(6) == 0 {
+		v.Data, v.Tombstone = nil, true
+	}
+	if rng.Intn(2) == 0 {
+		for n := range 3 {
+			if rng.Intn(2) == 0 {
+				v.Clock = append(v.Clock, wire.ClockEntry{Node: fmt.Sprintf("n%d", n), Counter: uint64(1 + rng.Intn(3))})
+			}
+		}
+	}
+	return v
+}
+
+// TestMemoryEngineMatchesReference pits the in-memory engine against a plain
+// map that applies versioning.Decide itself, over random histories: Get of
+// every key, ScanVersions over random bounds, LiveKeys and Siblings, and the
+// sequence of OnReplace calls (accepted mutations only, each with the
+// version it displaced).
+func TestMemoryEngineMatchesReference(t *testing.T) {
+	type replace struct {
+		key    string
+		old    wire.Value
+		hadOld bool
+		v      wire.Value
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var got, want []replace
+		e := NewEngine(Options{Shards: 1 << rng.Intn(4), OnReplace: func(key []byte, old wire.Value, hadOld bool, v wire.Value) {
+			got = append(got, replace{string(key), old, hadOld, v})
+		}})
+		ref := map[string]wire.Value{}
+		var siblings uint64
+		for range 150 {
+			k := fmt.Sprintf("k%02d", rng.Intn(16))
+			v := modelValue(rng)
+			old, hadOld := ref[k]
+			take := true
+			if hadOld {
+				var conc bool
+				take, conc = versioning.Decide(v, old, nil)
+				if conc {
+					siblings++
+				}
+			}
+			if take {
+				ref[k] = v
+				want = append(want, replace{k, old, hadOld, v})
+			}
+			if applied, err := e.Apply([]byte(k), v); err != nil || applied != take {
+				t.Fatalf("seed %d: Apply(%s, %+v) = %v, %v; reference took=%v", seed, k, v, applied, err, take)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: OnReplace calls\n got %+v\nwant %+v", seed, got, want)
+		}
+		for i := range 16 {
+			k := fmt.Sprintf("k%02d", i)
+			g, gok := e.Get([]byte(k))
+			w, wok := ref[k]
+			if gok != wok || !reflect.DeepEqual(g, w) {
+				t.Fatalf("seed %d: Get(%s) = %+v,%v; reference %+v,%v", seed, k, g, gok, w, wok)
+			}
+		}
+		for range 4 {
+			var start, end []byte
+			if rng.Intn(3) != 0 {
+				start = []byte(fmt.Sprintf("k%02d", rng.Intn(17)))
+			}
+			if rng.Intn(3) != 0 {
+				end = []byte(fmt.Sprintf("k%02d", rng.Intn(17)))
+			}
+			var wantKeys, gotKeys []string
+			for k := range ref {
+				if (start == nil || k >= string(start)) && (end == nil || k < string(end)) {
+					wantKeys = append(wantKeys, k)
+				}
+			}
+			sort.Strings(wantKeys)
+			e.ScanVersions(start, end, func(key []byte, v wire.Value) bool {
+				gotKeys = append(gotKeys, string(key))
+				if !reflect.DeepEqual(v, ref[string(key)]) {
+					t.Fatalf("seed %d: ScanVersions row %s = %+v, reference %+v", seed, key, v, ref[string(key)])
+				}
+				return true
+			})
+			if !slices.Equal(gotKeys, wantKeys) {
+				t.Fatalf("seed %d: ScanVersions[%q,%q) keys %v, reference %v", seed, start, end, gotKeys, wantKeys)
+			}
+		}
+		if st := e.Stats(); st.LiveKeys != len(ref) || st.Siblings != siblings {
+			t.Fatalf("seed %d: LiveKeys %d Siblings %d, reference %d and %d", seed, st.LiveKeys, st.Siblings, len(ref), siblings)
+		}
+	}
+}
+
+// TestMemoryEngineZeroAllocs pins the in-memory steady state: an accepted
+// overwrite updates the stored box in place, and Stats — called on every
+// /metrics scrape — builds nothing.
+func TestMemoryEngineZeroAllocs(t *testing.T) {
+	e := NewEngine(Options{})
+	for i := range 256 {
+		e.Apply([]byte(fmt.Sprintf("k%03d", i)), val("payload", 1))
+	}
+	key, v := []byte("k007"), val("payload", 1)
+	if a := testing.AllocsPerRun(200, func() {
+		v.Timestamp++
+		if applied, _ := e.Apply(key, v); !applied {
+			t.Fatal("overwrite rejected")
+		}
+	}); a != 0 {
+		t.Errorf("accepted overwrite allocates %.1f/op, want 0", a)
+	}
+	if a := testing.AllocsPerRun(200, func() { e.Stats() }); a != 0 {
+		t.Errorf("Stats allocates %.1f/op, want 0", a)
 	}
 }
 

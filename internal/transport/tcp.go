@@ -57,10 +57,6 @@ type TCPConfig struct {
 	// tolerates reordering — the simulated fabric delivers with random
 	// delays — but single-stream peers keep strict order).
 	Streams int
-	// NoBatch disables write coalescing: every frame is written to the
-	// kernel individually, the pre-batching behavior. Benchmarks use it to
-	// measure what coalescing buys; production configs leave it false.
-	NoBatch bool
 	// MaxPending caps one stream's unflushed bytes; enqueues past the cap
 	// drop the frame (counted, like packet loss under overload). Zero
 	// means 4 MiB.
@@ -98,7 +94,6 @@ type TCPNode struct {
 	logf     func(string, ...any)
 
 	streamsPerPeer int
-	noBatch        bool
 	maxPending     int
 	dialTimeout    time.Duration
 	backoffMin     time.Duration
@@ -160,7 +155,6 @@ func NewTCPNode(cfg TCPConfig, rt sim.Runtime, h Handler) (*TCPNode, error) {
 		logf:           cfg.Logf,
 		handler:        h,
 		streamsPerPeer: cfg.Streams,
-		noBatch:        cfg.NoBatch,
 		maxPending:     cfg.MaxPending,
 		dialTimeout:    cfg.DialTimeout,
 		backoffMin:     cfg.DialBackoff,
@@ -353,9 +347,7 @@ func (n *TCPNode) newStream(peer ring.NodeID, c net.Conn) *stream {
 		wake: make(chan struct{}, 1),
 		done: make(chan struct{}),
 	}
-	if !n.noBatch {
-		go st.flushLoop()
-	}
+	go st.flushLoop()
 	return st
 }
 
@@ -590,32 +582,12 @@ func (n *TCPNode) Close() error {
 	return nil
 }
 
-// enqueue hands one encoded frame to the stream. In batching mode it
-// appends to the pending buffer (copying out of the caller's pooled
-// scratch) and rings the flusher; in NoBatch mode it writes the frame
-// directly, the pre-coalescing behavior. Frames beyond the backlog cap are
-// dropped like packets lost to a full queue — the error return is reserved
-// for a dead stream, which tells the caller to drop it and redial.
+// enqueue hands one encoded frame to the stream: it appends to the pending
+// buffer (copying out of the caller's pooled scratch) and rings the
+// flusher. Frames beyond the backlog cap are dropped like packets lost to a
+// full queue — the error return is reserved for a dead stream, which tells
+// the caller to drop it and redial.
 func (st *stream) enqueue(frame []byte) error {
-	if st.n.noBatch {
-		st.mu.Lock()
-		if st.err != nil {
-			err := st.err
-			st.mu.Unlock()
-			return err
-		}
-		_, err := st.c.Write(frame)
-		if err != nil {
-			st.err = err
-		}
-		st.mu.Unlock()
-		if err == nil {
-			st.n.framesSent.Add(1)
-			st.n.batches.Add(1)
-			st.n.bytesSent.Add(uint64(len(frame)))
-		}
-		return err
-	}
 	st.mu.Lock()
 	if st.err != nil {
 		err := st.err

@@ -234,38 +234,3 @@ func TestPromoteCopiesEscapingFields(t *testing.T) {
 		t.Fatal("StatsResponse.KeySamples keys must be promoted")
 	}
 }
-
-// TestTCPNoBatchWritesFramePerSyscall pins the benchmark baseline: with
-// NoBatch every frame is its own write, so the batch counter tracks the
-// frame counter exactly.
-func TestTCPNoBatchWritesFramePerSyscall(t *testing.T) {
-	rtA, rtB := sim.NewRealRuntime(), sim.NewRealRuntime()
-	defer rtA.Stop()
-	defer rtB.Stop()
-	sinkB := newSyncCapture()
-	b, err := NewTCPNode(TCPConfig{ID: "b", Listen: "127.0.0.1:0"}, rtB, sinkB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	a, err := NewTCPNode(TCPConfig{
-		ID:      "a",
-		Peers:   map[ring.NodeID]string{"b": b.Addr().String()},
-		NoBatch: true,
-	}, rtA, newSyncCapture())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-
-	const count = 100
-	for i := 0; i < count; i++ {
-		a.Send("a", "b", wire.Ping{ID: uint64(i)})
-	}
-	sinkB.wait(t, count)
-	s := a.Stats()
-	if s.FramesSent != count || s.Batches != count {
-		t.Fatalf("NoBatch: sent %d frames in %d writes, want %d in %d",
-			s.FramesSent, s.Batches, count, count)
-	}
-}

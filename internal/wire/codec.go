@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"slices"
@@ -342,8 +341,8 @@ func (r *buffer) rValue() (Value, error) {
 // The frame is written directly into dst — the body size is computed up
 // front (bodySize), the length prefix appended, and every field encoded in
 // place — so encoding performs no intermediate copy and allocates only when
-// dst lacks capacity. Hot paths that reuse a buffer (wire.Writer, the pooled
-// frame path) therefore encode allocation-free.
+// dst lacks capacity. Hot paths that reuse a buffer (the pooled frame path)
+// therefore encode allocation-free.
 func Encode(dst []byte, m Message) ([]byte, error) {
 	size, err := bodySize(m)
 	if err != nil {
@@ -987,9 +986,8 @@ func Decode(b []byte) (Message, int, error) {
 // beyond the handling of one message (a coordinator stashing a read key in a
 // pending-op table, the storage engine keeping a mutation's value) must copy
 // those fields explicitly. The in-memory fabrics pass message structs
-// without encoding, so this only matters to byte-stream transports; the
-// stock wire.Reader keeps using Decode because its receive buffer is reused
-// across frames.
+// without encoding, so this only matters to byte-stream transports, which
+// must give each frame its own buffer (see FrameReader).
 func DecodeShared(b []byte) (Message, int, error) {
 	return decode(b, true)
 }
@@ -1020,69 +1018,6 @@ func decode(b []byte, share bool) (Message, int, error) {
 		return nil, 0, err
 	}
 	return m, sz + int(n), nil
-}
-
-// Writer frames messages onto an io.Writer.
-type Writer struct {
-	w   io.Writer
-	buf []byte
-}
-
-// NewWriter returns a framing writer.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
-
-// Write encodes and writes one message.
-func (fw *Writer) Write(m Message) error {
-	fw.buf = fw.buf[:0]
-	b, err := Encode(fw.buf, m)
-	if err != nil {
-		return err
-	}
-	fw.buf = b
-	_, err = fw.w.Write(b)
-	return err
-}
-
-// Reader parses framed messages from an io.Reader.
-type Reader struct {
-	r    io.Reader
-	buf  []byte
-	have int
-}
-
-// NewReader returns a framing reader.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{r: r, buf: make([]byte, 0, 4096)}
-}
-
-// Read returns the next complete message, blocking on the underlying reader
-// as needed.
-func (fr *Reader) Read() (Message, error) {
-	for {
-		if fr.have > 0 {
-			m, n, err := Decode(fr.buf[:fr.have])
-			if err == nil {
-				copy(fr.buf, fr.buf[n:fr.have])
-				fr.have -= n
-				return m, nil
-			}
-			if !errors.Is(err, ErrTruncated) {
-				return nil, err
-			}
-		}
-		if fr.have == len(fr.buf) {
-			next := make([]byte, max(len(fr.buf)*2, 4096))
-			copy(next, fr.buf[:fr.have])
-			fr.buf = next
-		} else {
-			fr.buf = fr.buf[:cap(fr.buf)]
-		}
-		n, err := fr.r.Read(fr.buf[fr.have:])
-		if n == 0 && err != nil {
-			return nil, err
-		}
-		fr.have += n
-	}
 }
 
 // Size returns the encoded size of m in bytes; the simulator uses it to

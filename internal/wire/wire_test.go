@@ -240,28 +240,11 @@ func TestRoundTripPropertyGroupUpdate(t *testing.T) {
 	}
 }
 
+// TestStreamReaderWriter streams every sample message type, framed by
+// Encode, through FrameReader and its shared decode.
 func TestStreamReaderWriter(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
 	msgs := allSampleMessages()
-	for _, m := range msgs {
-		if err := w.Write(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := NewReader(&buf)
-	for i, want := range msgs {
-		got, err := r.Read()
-		if err != nil {
-			t.Fatalf("msg %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("msg %d mismatch: %#v vs %#v", i, got, want)
-		}
-	}
-	if _, err := r.Read(); !errors.Is(err, io.EOF) {
-		t.Fatalf("expected EOF, got %v", err)
-	}
+	readStream(t, NewFrameReader(bytes.NewReader(encodeAll(t, msgs))), msgs)
 }
 
 // chunkReader returns data in tiny chunks to exercise reassembly.
@@ -287,23 +270,25 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 }
 
 func TestStreamReaderFragmented(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
 	msgs := allSampleMessages()
-	for _, m := range msgs {
-		if err := w.Write(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := NewReader(&chunkReader{data: buf.Bytes(), r: rand.New(rand.NewSource(3))})
-	for i, want := range msgs {
-		got, err := r.Read()
+	readStream(t, NewFrameReader(&chunkReader{data: encodeAll(t, msgs), r: rand.New(rand.NewSource(3))}), msgs)
+}
+
+// readStream reads want from fr, then expects a clean EOF.
+func readStream(t *testing.T, fr *FrameReader, want []Message) {
+	t.Helper()
+	for i, w := range want {
+		got, f, err := fr.Next()
 		if err != nil {
 			t.Fatalf("msg %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("msg %d mismatch under fragmentation", i)
+		if !reflect.DeepEqual(got, w) {
+			t.Fatalf("msg %d mismatch: %#v vs %#v", i, got, w)
 		}
+		f.Release()
+	}
+	if _, _, err := fr.Next(); !errors.Is(err, io.EOF) {
+		t.Fatalf("expected EOF, got %v", err)
 	}
 }
 
