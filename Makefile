@@ -94,8 +94,10 @@ benchmark-smoke:
 	bash benchmark/run.sh --workload sim-ycsb-a --seed 1 --seconds 5 --trace 1
 	bash benchmark/run.sh --workload live-write-durable --seed 1 --seconds 5 --trace 0
 
-# Chaos smoke: the network-partition experiment on both backends, each run
-# self-checking its contract (majority availability >= 80% of pre-cut,
+# Chaos smoke: the fault plane's own tests under the race detector (the dense
+# link table against its reference model over random update histories, the
+# bus and the live injector on top of it), then the network-partition
+# experiment on both backends, each run self-checking its contract (majority availability >= 80% of pre-cut,
 # minority CL=ONE still served while quorum work there refuses fail-fast
 # inside the op deadline, post-heal re-convergence of every staleness
 # group). The sim variant runs the 6-node RF=5 cluster under virtual time;
@@ -106,6 +108,7 @@ benchmark-smoke:
 # inspectable artifact.
 chaos-smoke:
 	@mkdir -p out
+	$(GO) test -race ./internal/faults/ ./internal/transport/
 	$(GO) run ./cmd/harmony-bench -experiment partition -quiet -json out/partition-sim.json
 	$(GO) run ./cmd/harmony-bench -backend live -experiment partition -procs 3 -live-outage 5s -live-postwatch 6s -live-keys 1500 -json out/partition.json
 

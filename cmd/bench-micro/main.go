@@ -74,6 +74,7 @@ var suite = []struct {
 	{"merkle/write-path", micro.MerkleWritePath},
 	{"merkle/invalidate-rebuild", micro.MerkleInvalidateRebuild},
 	{"ring/replicas-for-key", micro.RingReplicasForKey},
+	{"simnet/fabric-send", micro.FabricSend},
 	{"sim/timer-churn", micro.SimTimerChurn},
 	{"cluster/ops", micro.ClusterOps},
 }

@@ -19,6 +19,7 @@ import (
 
 	"harmony/internal/cluster"
 	"harmony/internal/core"
+	"harmony/internal/faults"
 	"harmony/internal/ring"
 	"harmony/internal/sim"
 	"harmony/internal/simnet"
@@ -84,22 +85,24 @@ func main() {
 	healthyXn := ctl.Last().Xn
 
 	// Phase 2: the WAN degrades — +60ms on every cross-DC link.
+	var slow faults.Update
 	ids := c.NodeIDs()
 	for _, a := range ids {
 		ia, _ := c.Topo.Info(a)
 		for _, b := range ids {
 			ib, _ := c.Topo.Info(b)
-			if ia.DC != ib.DC && a < b {
-				c.Net.Degrade(a, b, 60*time.Millisecond)
+			if ia.DC != ib.DC {
+				slow.Set = append(slow.Set, faults.RuleUpdate{From: string(a), To: string(b), Rule: faults.Rule{Delay: 60 * time.Millisecond}})
 			}
 		}
 	}
+	c.Faults.Apply(slow)
 	s.RunFor(5 * time.Second)
 	report("degraded WAN (+60ms):")
 	degradedXn := ctl.Last().Xn
 
 	// Phase 3: recovery.
-	c.Net.ClearDegradations()
+	c.Faults.Apply(faults.Update{Clear: true})
 	s.RunFor(5 * time.Second)
 	report("recovered:")
 	recoveredXn := ctl.Last().Xn

@@ -7,6 +7,7 @@ import (
 
 	"harmony/internal/cluster"
 	"harmony/internal/core"
+	"harmony/internal/faults"
 	"harmony/internal/repair"
 	"harmony/internal/sim"
 	"harmony/internal/ycsb"
@@ -352,14 +353,14 @@ func runChurn(spec ChurnSpec, opts Options, withRepair bool) (churnRun, error) {
 	hotR.ResetMeasurement()
 	coldR.ResetMeasurement()
 	s.RunFor(spec.Baseline)
-	c.SetDown(victim)
+	c.Faults.Apply(faults.Update{Down: []string{string(victim)}})
 	s.RunFor(spec.Outage)
 	if spec.DropHintsAtRecovery {
 		for _, n := range c.Nodes {
 			n.DropHints()
 		}
 	}
-	c.SetUp(victim)
+	c.Faults.Apply(faults.Update{Up: []string{string(victim)}})
 	recoveredAt := s.Now()
 	s.RunFor(spec.PostWatch)
 	windowStop()

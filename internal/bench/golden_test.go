@@ -12,6 +12,7 @@ import (
 	"harmony/internal/client"
 	"harmony/internal/cluster"
 	"harmony/internal/core"
+	"harmony/internal/faults"
 	"harmony/internal/ring"
 	"harmony/internal/sim"
 	"harmony/internal/wire"
@@ -148,9 +149,11 @@ func goldenDigest(t *testing.T, seed int64, faulted bool) uint64 {
 		s.Post(next)
 	}
 	if faulted {
-		victim := coords[3]
-		s.After(500*time.Millisecond, func() { c.SetDown(victim) })
-		s.After(900*time.Millisecond, func() { c.SetUp(victim) })
+		victim := []string{string(coords[3])}
+		c.Faults.Run(faults.Plan{
+			{After: 500 * time.Millisecond, Update: faults.Update{Down: victim}},
+			{After: 900 * time.Millisecond, Update: faults.Update{Up: victim}},
+		})
 	}
 	for g.done < goldenOps {
 		if !s.Step() {

@@ -2,7 +2,7 @@
 // storage engine Apply/Get/Scan (both the in-memory default and the
 // persistent bitcask engine, including crash recovery), wire codec
 // Encode/Decode/Size, Merkle write-path maintenance, the simulator substrate
-// (placement lookup, scheduler under timer churn), and end-to-end
+// (placement lookup, the network fabric, scheduler under timer churn), and end-to-end
 // simulated-cluster throughput.
 //
 // The same benchmark bodies run two ways: as ordinary `go test -bench`
@@ -20,11 +20,14 @@ import (
 	"time"
 
 	"harmony/internal/bench"
+	"harmony/internal/faults"
 	"harmony/internal/obs"
 	"harmony/internal/repair"
 	"harmony/internal/ring"
 	"harmony/internal/sim"
+	"harmony/internal/simnet"
 	"harmony/internal/storage"
+	"harmony/internal/transport"
 	"harmony/internal/wire"
 	"harmony/internal/ycsb"
 )
@@ -462,6 +465,61 @@ func RingReplicasForKey(b *testing.B) {
 		}
 	}
 }
+
+// FabricSend measures the simulated network's per-message cost on the
+// 20-node Grid'5000 topology: one Bus.Send over a fixed mix of node, client
+// and colocated-monitor pairs (the fault plane's link lookup, the latency
+// class and the jitter draw) plus the delivery event it schedules.
+func FabricSend(b *testing.B) {
+	var infos []ring.NodeInfo
+	for r := 1; r <= 4; r++ {
+		for i := 1; i <= 5; i++ {
+			infos = append(infos, ring.NodeInfo{ID: ring.NodeID(fmt.Sprintf("dc1-r%d-n%d", r, i)), DC: "dc1", Rack: fmt.Sprintf("r%d", r)})
+		}
+	}
+	topo, err := ring.NewTopology(infos)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := sim.New(1)
+	net := simnet.New(topo, simnet.Grid5000Profile(), s.NewStream())
+	bus := transport.NewBus(net, faults.New(s, 1, topo.Nodes()))
+	sink := new(delivered)
+	nodes := topo.Nodes()
+	ends := append([]ring.NodeID{"monitor"}, nodes...)
+	net.Colocate("monitor", nodes[0])
+	for c := 0; c < 40; c++ {
+		ends = append(ends, ring.NodeID(fmt.Sprintf("client-%d", c)))
+	}
+	for _, id := range ends {
+		bus.Register(id, s, sink)
+	}
+	rng := s.NewStream()
+	var pairs [1024][2]ring.NodeID
+	for i := range pairs {
+		pairs[i] = [2]ring.NodeID{ends[rng.Intn(len(ends))], nodes[rng.Intn(len(nodes))]}
+		if i%2 == 1 {
+			pairs[i][0], pairs[i][1] = pairs[i][1], pairs[i][0]
+		}
+	}
+	var m wire.Message = wire.MutationAck{ID: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i&1023]
+		bus.Send(p[0], p[1], m)
+		if i&63 == 63 {
+			if err := s.RunUntilIdle(1 << 10); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// delivered counts the messages a fabric hands it.
+type delivered int
+
+func (d *delivered) Deliver(ring.NodeID, wire.Message) { *d++ }
 
 // SimTimerChurn is the scheduler's real diet: a few hundred messages in
 // flight, and every one that lands arms a 5 s timeout, sends the next message

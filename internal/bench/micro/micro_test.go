@@ -37,6 +37,7 @@ func BenchmarkTransportBatched(b *testing.B)        { TransportBatchedThroughput
 func BenchmarkMerkleWritePath(b *testing.B)         { MerkleWritePath(b) }
 func BenchmarkMerkleInvalidateRebuild(b *testing.B) { MerkleInvalidateRebuild(b) }
 func BenchmarkRingReplicasForKey(b *testing.B)      { RingReplicasForKey(b) }
+func BenchmarkFabricSend(b *testing.B)              { FabricSend(b) }
 func BenchmarkSimTimerChurn(b *testing.B)           { SimTimerChurn(b) }
 func BenchmarkClusterOps(b *testing.B)              { ClusterOps(b) }
 

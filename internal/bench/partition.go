@@ -18,8 +18,8 @@ import (
 )
 
 // The partition experiment is the availability half of the failure story:
-// the cluster is split into a majority and a minority side by the fault
-// injector (the network cut) plus a partition view (the failure detectors
+// the cluster is split into a majority and a minority side by a fault-plane
+// partition (the network cut) plus a conviction (the failure detectors
 // converging on it), load keeps arriving on the majority, and explicit-level
 // probes interrogate the minority. The pins are the CAP ledger a quorum
 // system owes its operators: the majority keeps serving at quorum with
@@ -318,12 +318,8 @@ func Partition(spec PartitionSpec, opts Options) (PartitionResult, error) {
 	}
 	majority := ids[:len(ids)-spec.MinorityNodes]
 	minority := ids[len(ids)-spec.MinorityNodes:]
-	memberStrs := make([]string, len(ids))
 	majStrs := make([]string, len(majority))
 	minStrs := make([]string, len(minority))
-	for i, id := range ids {
-		memberStrs[i] = string(id)
-	}
 	for i, id := range majority {
 		majStrs[i] = string(id)
 	}
@@ -443,27 +439,29 @@ func Partition(spec PartitionSpec, opts Options) (PartitionResult, error) {
 	baseOps, baseErrs := runnerDeltas(hotR, coldR)
 	baselineTput := goodput(baseOps, baseErrs, spec.Baseline)
 
-	// The cut: the injector severs member<->member delivery immediately;
-	// the partition view (each side convicting the other) lands only after
-	// the detection delay, as a real gossip detector's would.
+	// The cut severs member<->member delivery immediately (the monitor,
+	// colocated on the majority, is cut off from the minority too); the
+	// conviction (each side's detectors giving up on the other) lands only
+	// after the detection delay, as a real gossip detector's would.
 	hotR.ResetMeasurement()
 	coldR.ResetMeasurement()
 	prb.cur = &probeCut
-	c.Faults.Apply(faults.Update{Partition: &faults.PartitionSpec{A: majStrs, B: minStrs}}, memberStrs)
+	sides := &faults.PartitionSpec{A: majStrs, B: minStrs}
+	c.Faults.Apply(faults.Update{Partition: sides})
 	opts.progress("partition %s: cut %v | %v", spec.Scenario.Name, majStrs, minStrs)
 	s.RunFor(spec.DetectionDelay)
-	c.SetPartitionView(majority, minority)
+	c.Faults.Apply(faults.Update{Convict: sides})
 	s.RunFor(spec.Cut - spec.DetectionDelay)
 	cutOps, cutErrs := runnerDeltas(hotR, coldR)
 	cutTput := goodput(cutOps, cutErrs, spec.Cut)
 
 	// Heal: delivery restores immediately, detectors re-converge after the
 	// delay, and the cross-cut recovery trigger starts anti-entropy.
-	c.Faults.Heal()
+	c.Faults.Apply(faults.Update{Heal: true})
 	healedAt := s.Now()
 	prb.cur = &discard
 	s.RunFor(spec.DetectionDelay)
-	c.ClearPartitionView()
+	c.Faults.Apply(faults.Update{Acquit: true})
 	opts.progress("partition %s: healed, watching re-convergence", spec.Scenario.Name)
 	s.RunFor(spec.PostWatch - spec.DetectionDelay)
 

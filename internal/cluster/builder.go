@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"harmony/internal/dist"
@@ -43,7 +42,7 @@ type Spec struct {
 	HintQueueLimit int
 	// Repair enables background anti-entropy on every node: Merkle-tree
 	// sessions between replica peers, run periodically and on recovery
-	// triggers (Cluster.SetUp). See internal/repair.
+	// triggers (a fault-plane Up or Acquit). See internal/repair.
 	Repair repair.Options
 	// ReadTimeout/WriteTimeout propagate to every node.
 	ReadTimeout, WriteTimeout time.Duration
@@ -194,183 +193,16 @@ type Cluster struct {
 	Nodes    []*Node
 	byID     map[ring.NodeID]*Node
 
-	// Faults is the cluster's fault-injection plane: every node's outbound
-	// sends pass through it on their way to the bus, so experiments can
-	// impair or partition node-to-node traffic with the same Updates the
-	// live admin endpoint accepts. Unarmed it is a single atomic load per
-	// send.
-	Faults *faults.Injector
-	// faultsRT is the injector's delay runtime; stopped with the cluster
-	// when it is a dedicated mailbox runtime (BuildReal).
+	// Faults is the cluster's fault plane: every message on the bus — node,
+	// client and monitor alike — crosses its link table, and every node's
+	// failure detector reads its convictions. Cuts, slow links, crashes
+	// (Update.Down/Up) and converged partition views (Convict/Acquit) are
+	// Updates, the same documents a live member's admin endpoint accepts;
+	// Faults.Run replays a timed faults.Plan.
+	Faults *faults.Plane
+	// faultsRT runs plan steps; stopped with the cluster when it is a
+	// dedicated mailbox runtime (BuildReal).
 	faultsRT sim.Runtime
-
-	// Injected liveness (SetDown/SetUp). Every node's failure detector
-	// consults it, so coordinators hint writes for down nodes and skip them
-	// on reads — the same view a converged gossip detector would give.
-	downMu sync.Mutex
-	down   map[ring.NodeID]bool
-	// side, when non-empty, is an injected partition view: nodes on
-	// different sides consider each other down (see SetPartitionView).
-	side map[ring.NodeID]int
-}
-
-// Alive reports whether a node is currently injected as up, ignoring any
-// partition view (use AliveFor for the per-observer answer).
-func (c *Cluster) Alive(id ring.NodeID) bool {
-	c.downMu.Lock()
-	defer c.downMu.Unlock()
-	return !c.down[id]
-}
-
-// AliveFor reports whether peer is up from observer's point of view: down
-// nodes are down for everyone, and under an installed partition view nodes
-// on the far side of the cut are down too. It is the Config.Alive the
-// builder wires into every node (each closing over its own identity).
-func (c *Cluster) AliveFor(observer, peer ring.NodeID) bool {
-	c.downMu.Lock()
-	defer c.downMu.Unlock()
-	if c.down[peer] {
-		return false
-	}
-	if len(c.side) == 0 {
-		return true
-	}
-	so, sp := c.side[observer], c.side[peer]
-	return so == 0 || sp == 0 || so == sp
-}
-
-// AliveCountFor reports how many cluster members (including itself, when
-// up) the observer currently believes are alive under the injected
-// liveness and partition view — the sim stand-in for a gossip detector's
-// alive count, wired into each node's Config.AliveCount.
-func (c *Cluster) AliveCountFor(observer ring.NodeID) int {
-	n := 0
-	for _, id := range c.Topo.Nodes() {
-		if c.AliveFor(observer, id) {
-			n++
-		}
-	}
-	return n
-}
-
-// SetPartitionView installs a converged failure-detector view of a network
-// split: every node in a convicts every node in b as DOWN and vice versa —
-// the state a gossip detector reaches once a real partition persists past
-// its conviction window. It changes only what nodes *believe*; pair it with
-// a faults.Injector partition, which changes what the network *delivers*.
-// Nodes in neither slice keep full mutual visibility.
-func (c *Cluster) SetPartitionView(a, b []ring.NodeID) {
-	c.downMu.Lock()
-	defer c.downMu.Unlock()
-	c.side = make(map[ring.NodeID]int, len(a)+len(b))
-	for _, id := range a {
-		c.side[id] = 1
-	}
-	for _, id := range b {
-		c.side[id] = 2
-	}
-}
-
-// ClearPartitionView restores full mutual liveness (detector re-convergence
-// after a heal) and fires the recovery trigger across the former cut: every
-// node schedules a priority anti-entropy session with each peer that was on
-// the other side, mirroring what SetUp does for a single recovered node (and
-// what gossip.Config.OnRecover does live). Queued hints for far-side
-// replicas start replaying as soon as the view clears.
-func (c *Cluster) ClearPartitionView() {
-	c.downMu.Lock()
-	side := c.side
-	c.side = nil
-	c.downMu.Unlock()
-	for _, n := range c.Nodes {
-		s, ok := side[n.ID()]
-		if !ok || n.RepairManager() == nil {
-			continue
-		}
-		for peer, sp := range side {
-			if sp != 0 && sp != s {
-				n.RepairManager().PeerRecovered(peer)
-			}
-		}
-	}
-}
-
-// SetDown injects a node failure: the network isolates the node (in-flight
-// and future messages to and from it drop) and every peer's failure
-// detector convicts it immediately. The node's engine keeps its data — this
-// models a crashed or partitioned process, and on SetUp the replica returns
-// holding whatever it had, arbitrarily stale.
-func (c *Cluster) SetDown(id ring.NodeID) {
-	c.downMu.Lock()
-	c.down[id] = true
-	c.downMu.Unlock()
-	c.Net.Isolate(id, c.NodeIDs())
-}
-
-// SetUp heals an injected failure and fires the recovery trigger: every
-// peer's anti-entropy manager schedules a priority repair session with the
-// recovered node (the simulated stand-in for the gossip down→up callback,
-// gossip.Config.OnRecover, which serves the same role in live deployments).
-func (c *Cluster) SetUp(id ring.NodeID) {
-	c.downMu.Lock()
-	delete(c.down, id)
-	c.downMu.Unlock()
-	c.Net.Rejoin(id, c.NodeIDs())
-	for _, n := range c.Nodes {
-		if n.ID() != id && n.RepairManager() != nil {
-			n.RepairManager().PeerRecovered(id)
-		}
-	}
-}
-
-// FaultKind enumerates the scheduled failure injections.
-type FaultKind int
-
-// Fault kinds.
-const (
-	// FaultDown takes the node down (SetDown).
-	FaultDown FaultKind = iota
-	// FaultUp brings the node back (SetUp), triggering recovery repair.
-	FaultUp
-	// FaultDropHints discards the node's queued hints (empty Node means
-	// every node) — the coordinator-crash injection that makes hinted
-	// handoff alone insufficient.
-	FaultDropHints
-)
-
-// Fault is one scheduled failure-injection event.
-type Fault struct {
-	At   time.Duration // offset from ScheduleFaults
-	Node ring.NodeID
-	Kind FaultKind
-}
-
-// ScheduleFaults arms a failure schedule on the runtime driving the
-// cluster. The returned stop cancels events that have not fired yet.
-func (c *Cluster) ScheduleFaults(rt sim.Runtime, faults []Fault) (stop func()) {
-	cancels := make([]func(), 0, len(faults))
-	for _, f := range faults {
-		f := f
-		cancels = append(cancels, rt.After(f.At, func() {
-			switch f.Kind {
-			case FaultDown:
-				c.SetDown(f.Node)
-			case FaultUp:
-				c.SetUp(f.Node)
-			case FaultDropHints:
-				for _, n := range c.Nodes {
-					if f.Node == "" || n.ID() == f.Node {
-						n.DropHints()
-					}
-				}
-			}
-		}))
-	}
-	return func() {
-		for _, cancel := range cancels {
-			cancel()
-		}
-	}
 }
 
 // BuildSim assembles the cluster on a discrete-event simulator. All nodes
@@ -424,19 +256,30 @@ func build(spec Spec, rtFor func(ring.NodeID) sim.Runtime, s *sim.Sim) (*Cluster
 		strat = ring.SimpleStrategy{RF: spec.RF}
 	}
 	net := simnet.New(topo, spec.Profile, s.NewStream())
-	bus := transport.NewBus(net)
-	injRT := rtFor("faults-injector")
+	ids := make([]ring.NodeID, len(infos))
+	for i, info := range infos {
+		ids[i] = info.ID
+	}
+	faultsRT := rtFor("faults")
+	plane := faults.New(faultsRT, s.NewStream().Int63(), ids)
+	bus := transport.NewBus(net, plane)
 	c := &Cluster{
 		Topo:     topo,
 		Ring:     rng,
 		Strategy: strat,
 		Net:      net,
 		Bus:      bus,
-		Faults:   faults.New(injRT, s.NewStream().Int63(), bus),
-		faultsRT: injRT,
+		Faults:   plane,
+		faultsRT: faultsRT,
 		byID:     make(map[ring.NodeID]*Node),
-		down:     make(map[ring.NodeID]bool),
 	}
+	// A recovered peer gets a priority anti-entropy session from every node
+	// that convicted it: the simulated gossip.Config.OnRecover.
+	plane.OnRecover(func(observer, peer ring.NodeID) {
+		if n := c.byID[observer]; n != nil && n.RepairManager() != nil {
+			n.RepairManager().PeerRecovered(peer)
+		}
+	})
 	svc := spec.Service
 	if svc.isZero() {
 		svc = DefaultServiceProfile()
@@ -460,10 +303,10 @@ func build(spec Spec, rtFor func(ring.NodeID) sim.Runtime, s *sim.Sim) (*Cluster
 			KeySampleLimit:   spec.KeySampleLimit,
 			KeyStatsDecay:    spec.KeyStatsDecay,
 			MaxInFlight:      spec.MaxInFlight,
-			Alive:            func(peer ring.NodeID) bool { return c.AliveFor(self, peer) },
-			AliveCount:       func() int { return c.AliveCountFor(self) },
+			Alive:            func(peer ring.NodeID) bool { return plane.Alive(self, peer) },
+			AliveCount:       func() int { return plane.AliveCount(self) },
 			Rand:             s.NewStream(),
-		}, rt, c.Faults)
+		}, rt, bus)
 		var h transport.Handler = n
 		if !svc.Disabled {
 			h = transport.NewServiceQueue(rt, n, svc.Timer(s.NewStream()))

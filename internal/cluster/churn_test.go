@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"harmony/internal/client"
+	"harmony/internal/faults"
 	"harmony/internal/repair"
 	"harmony/internal/ring"
 	"harmony/internal/sim"
@@ -85,9 +86,7 @@ func TestMassChurnRFMinusOneReplicas(t *testing.T) {
 	}
 
 	// Crash all victims in the same instant.
-	for _, v := range victims {
-		c.SetDown(v)
-	}
+	c.Faults.Apply(faults.Update{Down: names(victims...)})
 
 	if res := read(wire.Quorum); !errors.Is(res.Err, client.ErrUnavailable) {
 		t.Fatalf("quorum read with %d/%d replicas down: err = %v, want ErrUnavailable", len(victims), spec.RF, res.Err)
@@ -107,9 +106,7 @@ func TestMassChurnRFMinusOneReplicas(t *testing.T) {
 	}
 
 	// Recovery: the survivor's anti-entropy streams v2 to every victim.
-	for _, v := range victims {
-		c.SetUp(v)
-	}
+	c.Faults.Apply(faults.Update{Up: names(victims...)})
 	s.RunFor(10 * time.Second)
 
 	if res := write("v3", wire.All); res.Err != nil {
@@ -163,9 +160,7 @@ func TestMassChurnQuorumFailsFast(t *testing.T) {
 	}
 	c.Bus.Register("cl", s, drv)
 
-	for _, v := range reps[1:] {
-		c.SetDown(v)
-	}
+	c.Faults.Apply(faults.Update{Down: names(reps[1:]...)})
 	start := s.Now()
 	var res client.ReadResult
 	var took time.Duration

@@ -9,6 +9,7 @@ import (
 
 	"harmony/internal/client"
 	"harmony/internal/dist"
+	"harmony/internal/faults"
 	"harmony/internal/ring"
 	"harmony/internal/sim"
 	"harmony/internal/simnet"
@@ -141,11 +142,7 @@ func delayPropagation(t *testing.T, h *testHarness, key string, extra time.Durat
 	}
 	writer = reps[0]
 	reader = reps[1]
-	for _, other := range h.c.NodeIDs() {
-		if other != writer {
-			h.c.Net.Degrade(writer, other, extra)
-		}
-	}
+	h.c.Faults.Apply(slowLinks(h.c, writer, extra))
 	return writer, reader
 }
 
@@ -198,7 +195,7 @@ func TestEventualReadMayBeStaleThenConverges(t *testing.T) {
 		t.Fatalf("racing ONE read = %q (err %v), want the stale value old", res.Value, res.Err)
 	}
 	// Convergence: once the delayed mutations land, ONE reads see "new".
-	h.c.Net.ClearDegradations()
+	h.c.Faults.Apply(faults.Update{Clear: true})
 	h.s.RunFor(2 * time.Second)
 	after := h.read(t, "k", wire.One)
 	if string(after.Value) != "new" {
@@ -217,10 +214,10 @@ func TestReadRepairConvergesReplicas(t *testing.T) {
 	// partitioned replica still holds v1 while the rest hold v2.
 	reps := ring.ReplicasForKey(h.c.Ring, h.c.Strategy, []byte("rr"))
 	victim := reps[len(reps)-1]
-	h.c.Net.Isolate(victim, h.c.NodeIDs())
+	h.c.Faults.Apply(isolate(victim))
 	h.write(t, "rr", "v2")
 	h.s.RunFor(time.Second)
-	h.c.Net.Rejoin(victim, h.c.NodeIDs())
+	h.c.Faults.Apply(faults.Update{Heal: true})
 	if v, _ := h.c.Node(victim).Engine().Get([]byte("rr")); string(v.Data) != "v1" {
 		t.Fatalf("victim should still hold v1, has %q", v.Data)
 	}
@@ -297,7 +294,7 @@ func TestShadowStalenessCounters(t *testing.T) {
 	}
 	// Let the delayed replica responses arrive so the shadow comparison
 	// completes at the coordinator.
-	h.c.Net.ClearDegradations()
+	h.c.Faults.Apply(faults.Update{Clear: true})
 	h.s.RunFor(3 * time.Second)
 	m := h.c.AggregateMetrics()
 	if m.ShadowSamples == 0 {
@@ -389,9 +386,7 @@ func TestPartitionCausesTimeoutThenHeals(t *testing.T) {
 	reps := ring.ReplicasForKey(h.c.Ring, h.c.Strategy, []byte("pk"))
 	// Cut every replica off from the chosen coordinator except itself.
 	coord := reps[0]
-	for _, r := range reps[1:] {
-		h.c.Net.Partition(coord, r)
-	}
+	h.c.Faults.Apply(faults.Update{Partition: &faults.PartitionSpec{A: names(coord), B: names(reps[1:]...)}})
 	var res client.ReadResult
 	done := false
 	// Use the partitioned coordinator directly.
@@ -409,9 +404,7 @@ func TestPartitionCausesTimeoutThenHeals(t *testing.T) {
 		t.Fatal("ALL read across a partition succeeded")
 	}
 	// Heal and retry: must succeed.
-	for _, r := range reps[1:] {
-		h.c.Net.Heal(coord, r)
-	}
+	h.c.Faults.Apply(faults.Update{Heal: true})
 	done = false
 	drv2.ReadAt([]byte("pk"), wire.All, func(r client.ReadResult) { res = r; done = true })
 	h.s.RunFor(5 * time.Second)
@@ -542,11 +535,7 @@ func TestBlockingReadRepairTimesOutWithDeadReplica(t *testing.T) {
 	// repair mutations travel the same links, partitioning now makes the
 	// ALL read itself time out — which is the same guarantee: no answer
 	// with unrepaired replicas.
-	for _, other := range h.c.NodeIDs() {
-		if other != reps[1] {
-			h.c.Net.Partition(reps[1], other)
-		}
-	}
+	h.c.Faults.Apply(isolate(reps[1]))
 	done := false
 	var res client.ReadResult
 	h.drv.ReadAt(key, wire.All, func(r client.ReadResult) { res = r; done = true })
@@ -792,4 +781,32 @@ func TestServiceProfileCustomJitter(t *testing.T) {
 	if len(seen) < 10 {
 		t.Fatalf("default jitter produced only %d distinct service times", len(seen))
 	}
+}
+
+// names converts node IDs to fault-plane endpoint names.
+func names(ids ...ring.NodeID) []string {
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = string(id)
+	}
+	return out
+}
+
+// isolate cuts id off from every other node, without convicting it.
+func isolate(id ring.NodeID) faults.Update {
+	return faults.Update{Partition: &faults.PartitionSpec{A: names(id), B: []string{faults.Wildcard}}}
+}
+
+// slowLinks adds extra one-way delay to every link between a and the other
+// nodes, in both directions.
+func slowLinks(c *Cluster, a ring.NodeID, extra time.Duration) faults.Update {
+	var u faults.Update
+	for _, o := range names(c.NodeIDs()...) {
+		if o != string(a) {
+			u.Set = append(u.Set,
+				faults.RuleUpdate{From: string(a), To: o, Rule: faults.Rule{Delay: extra}},
+				faults.RuleUpdate{From: o, To: string(a), Rule: faults.Rule{Delay: extra}})
+		}
+	}
+	return u
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"harmony/internal/client"
+	"harmony/internal/faults"
 	"harmony/internal/ring"
 	"harmony/internal/sim"
 	"harmony/internal/wire"
@@ -83,7 +84,7 @@ func TestWriteTimeoutWhenQuorumUnreachable(t *testing.T) {
 	reps := ring.ReplicasForKey(h.c.Ring, h.c.Strategy, []byte("wt"))
 	// Cut three of five replicas off from everything.
 	for _, victim := range reps[2:] {
-		h.c.Net.Isolate(victim, h.c.NodeIDs())
+		h.c.Faults.Apply(isolate(victim))
 	}
 	// Write through a coordinator that is itself reachable (the harness
 	// driver round-robins over all nodes, including the isolated ones).
@@ -184,10 +185,10 @@ func TestBlockingRepairAtAllDelaysResponse(t *testing.T) {
 	// Diverge one replica via partition.
 	reps := ring.ReplicasForKey(h.c.Ring, h.c.Strategy, []byte("br"))
 	victim := reps[len(reps)-1]
-	h.c.Net.Isolate(victim, h.c.NodeIDs())
+	h.c.Faults.Apply(isolate(victim))
 	h.write(t, "br", "v2")
 	h.s.RunFor(time.Second)
-	h.c.Net.Rejoin(victim, h.c.NodeIDs())
+	h.c.Faults.Apply(faults.Update{Heal: true})
 
 	var res client.ReadResult
 	done := false

@@ -13,7 +13,7 @@ import (
 )
 
 // TestTsHintReplayCollapses drives the full idempotent-retry loop through
-// the fault injector: the first coordinator's ack to the client is dropped,
+// the fault plane: the first coordinator's ack to the client is dropped,
 // the client retries the write — same TsHint, next coordinator — and the
 // replayed mutation LWW-collapses into the already-applied one. The client
 // sees success and a strong read returns exactly the stamped version.
@@ -39,7 +39,7 @@ func TestTsHintReplayCollapses(t *testing.T) {
 
 	// Drop the first coordinator's responses to the client: the write
 	// applies but its ack is lost, forcing a replay.
-	c.Faults.SetRule(string(reps[0]), "cl", faults.Rule{Drop: 1})
+	c.Faults.Apply(faults.Update{Set: []faults.RuleUpdate{{From: string(reps[0]), To: "cl", Rule: faults.Rule{Drop: 1}}}})
 
 	var res client.WriteResult
 	done := false
@@ -51,11 +51,11 @@ func TestTsHintReplayCollapses(t *testing.T) {
 	if drv.Retries() != 1 {
 		t.Fatalf("retries = %d, want 1", drv.Retries())
 	}
-	if st := c.Faults.Stats(); st.Dropped == 0 {
-		t.Fatalf("injector dropped nothing: %+v", st)
+	if st := c.Faults.Snapshot().Stats; st.Dropped == 0 {
+		t.Fatalf("plane dropped nothing: %+v", st)
 	}
 
-	c.Faults.Clear()
+	c.Faults.Apply(faults.Update{Clear: true})
 	var got client.ReadResult
 	done = false
 	drv.ReadAt([]byte("idem"), wire.All, func(r client.ReadResult) { got = r; done = true })
@@ -138,9 +138,7 @@ func TestDeadlineClampsCoordinatorTimeout(t *testing.T) {
 	coord := reps[0]
 	// Cut the coordinator off from every other replica: a QUORUM read can
 	// only end by timing out.
-	c.Faults.Apply(faults.Update{Partition: &faults.PartitionSpec{
-		A: []string{string(coord)}, B: []string{faults.Wildcard},
-	}}, memberIDs(c))
+	c.Faults.Apply(isolate(coord))
 
 	drv, err := client.New(client.Options{
 		ID: "cl", Coordinators: []ring.NodeID{coord}, Timeout: 50 * time.Millisecond,
@@ -163,12 +161,4 @@ func TestDeadlineClampsCoordinatorTimeout(t *testing.T) {
 	if m := c.AggregateMetrics(); m.ReadTimeouts == 0 {
 		t.Fatalf("coordinator still holds the expired op: %+v", m)
 	}
-}
-
-func memberIDs(c *Cluster) []string {
-	out := make([]string, 0, len(c.Nodes))
-	for _, n := range c.Nodes {
-		out = append(out, string(n.cfg.ID))
-	}
-	return out
 }

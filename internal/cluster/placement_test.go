@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"harmony/internal/client"
+	"harmony/internal/faults"
 	"harmony/internal/ring"
 	"harmony/internal/sim"
 	"harmony/internal/wire"
@@ -80,17 +81,13 @@ func TestFaultedRunLeavesSharedPlacementIntact(t *testing.T) {
 	for i := 0; i < 48; i++ {
 		switch i {
 		case 6:
-			for _, other := range c.NodeIDs() {
-				if other != slow {
-					c.Net.Degrade(slow, other, 250*time.Millisecond)
-				}
-			}
+			c.Faults.Apply(slowLinks(c, slow, 250*time.Millisecond))
 		case 16:
-			c.SetDown(victim)
+			c.Faults.Apply(faults.Update{Down: names(victim)})
 		case 32:
-			c.SetUp(victim)
+			c.Faults.Apply(faults.Update{Up: names(victim)})
 		case 40:
-			c.Net.ClearDegradations()
+			c.Faults.Apply(faults.Update{Clear: true})
 		}
 		key := keys[i%len(keys)]
 		val := []byte(fmt.Sprintf("v%d", i))

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"harmony/internal/client"
+	"harmony/internal/faults"
 	"harmony/internal/repair"
 	"harmony/internal/ring"
 	"harmony/internal/sim"
@@ -77,7 +78,7 @@ func TestHintQueueOverflowDropsThenRepairCatches(t *testing.T) {
 	}
 	s.RunFor(time.Second) // background replication settles
 
-	c.SetDown(victim)
+	c.Faults.Apply(faults.Update{Down: names(victim)})
 	for _, k := range keys {
 		syncWrite(t, s, drv, k, "v2")
 	}
@@ -90,7 +91,7 @@ func TestHintQueueOverflowDropsThenRepairCatches(t *testing.T) {
 	for _, n := range c.Nodes {
 		n.DropHints()
 	}
-	c.SetUp(victim)
+	c.Faults.Apply(faults.Update{Up: names(victim)})
 	s.RunFor(5 * time.Second)
 
 	stale := 0
@@ -144,13 +145,13 @@ func TestHintReplayRacesNodeRecovery(t *testing.T) {
 	}
 	c.Bus.Register("cl", s, drv)
 
-	c.SetDown(victim)
+	c.Faults.Apply(faults.Update{Down: names(victim)})
 	syncWrite(t, s, drv, string(key), "hinted-v1")
 	if c.Node(coord).PendingHints() == 0 {
 		t.Fatal("no hint queued while the victim was down")
 	}
 	// The victim returns, and a fresh write lands BEFORE the replay tick.
-	c.SetUp(victim)
+	c.Faults.Apply(faults.Update{Up: names(victim)})
 	syncWrite(t, s, drv, string(key), "fresh-v2")
 	// Let the replay interval (10s default) fire with the stale hint.
 	s.RunFor(30 * time.Second)
@@ -253,9 +254,10 @@ func TestCommitLogReplayThenRepairSession(t *testing.T) {
 	}
 }
 
-// TestScheduleFaultsDrivesLiveness scripts a down/up/drop-hints timeline
-// and verifies the injected liveness view and hint queues follow it.
-func TestScheduleFaultsDrivesLiveness(t *testing.T) {
+// TestFaultPlanDrivesLiveness scripts a down/up timeline as a fault plan,
+// with the coordinator losing its hints in between, and verifies the
+// injected liveness view and hint queues follow it.
+func TestFaultPlanDrivesLiveness(t *testing.T) {
 	spec := repairSpec()
 	spec.Repair.Enabled = false
 	s := sim.New(45)
@@ -284,29 +286,33 @@ func TestScheduleFaultsDrivesLiveness(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Bus.Register("cl", s, drv)
-	stop := c.ScheduleFaults(s, []Fault{
-		{At: time.Second, Node: victim, Kind: FaultDown},
-		{At: 3 * time.Second, Node: "", Kind: FaultDropHints},
-		{At: 3*time.Second + time.Millisecond, Node: victim, Kind: FaultUp},
+	stop := c.Faults.Run(faults.Plan{
+		{After: time.Second, Update: faults.Update{Down: names(victim)}},
+		{After: 3*time.Second + time.Millisecond, Update: faults.Update{Up: names(victim)}},
 	})
 	defer stop()
-	if !c.Alive(victim) {
-		t.Fatal("victim dead before the schedule started")
+	s.After(3*time.Second, func() {
+		for _, n := range c.Nodes {
+			n.DropHints()
+		}
+	})
+	if !c.Faults.Alive(coord, victim) {
+		t.Fatal("victim dead before the plan started")
 	}
 	s.RunFor(1500 * time.Millisecond)
-	if c.Alive(victim) {
-		t.Fatal("FaultDown did not take the victim down")
+	if c.Faults.Alive(coord, victim) {
+		t.Fatal("Down did not take the victim down")
 	}
 	syncWrite(t, s, drv, key, "v") // hinted for the down victim
 	if c.Node(coord).PendingHints() == 0 {
 		t.Fatal("no hint queued during the injected outage")
 	}
 	s.RunFor(time.Second)
-	if !c.Alive(victim) {
-		t.Fatal("FaultUp did not bring the victim back")
+	if !c.Faults.Alive(coord, victim) {
+		t.Fatal("Up did not bring the victim back")
 	}
 	if c.Node(coord).PendingHints() != 0 {
-		t.Fatal("FaultDropHints left hints queued")
+		t.Fatal("DropHints left hints queued")
 	}
 	if c.AggregateMetrics().HintsDropped == 0 {
 		t.Fatal("dropped hints not accounted")

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"harmony/internal/client"
+	"harmony/internal/faults"
 	"harmony/internal/ring"
 	"harmony/internal/sim"
 	"harmony/internal/wire"
@@ -88,17 +89,13 @@ func TestSessionNeverRegressesWhereOneDoes(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		switch i {
 		case 12:
-			for _, other := range c.NodeIDs() {
-				if other != slow {
-					c.Net.Degrade(slow, other, 250*time.Millisecond)
-				}
-			}
+			c.Faults.Apply(slowLinks(c, slow, 250*time.Millisecond))
 		case 36:
-			c.SetDown(victim)
+			c.Faults.Apply(faults.Update{Down: names(victim)})
 		case 60:
-			c.SetUp(victim)
+			c.Faults.Apply(faults.Update{Up: names(victim)})
 		case 84:
-			c.Net.ClearDegradations()
+			c.Faults.Apply(faults.Update{Clear: true})
 		}
 
 		key := keys[i%len(keys)]

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"harmony/internal/cluster"
+	"harmony/internal/faults"
 	"harmony/internal/ring"
 	"harmony/internal/sim"
 	"harmony/internal/wire"
@@ -120,7 +121,12 @@ func TestMonitorSurvivesDeadNodes(t *testing.T) {
 	// Kill a quarter of the cluster.
 	ids := c.NodeIDs()
 	for _, id := range ids[:5] {
-		c.Net.Isolate(id, append(ids, "harmony-monitor"))
+		// A dead node: cut off from every member and from the monitor.
+		cut := faults.PartitionSpec{A: []string{string(id)}, B: []string{"harmony-monitor"}}
+		for _, other := range ids {
+			cut.B = append(cut.B, string(other))
+		}
+		c.Faults.Apply(faults.Update{Partition: &cut})
 	}
 	mon.Start()
 	s.RunFor(5 * time.Second)
@@ -146,12 +152,20 @@ func TestMonitorAggregatesAliveMembersAsMax(t *testing.T) {
 	// minority sees 2. The observation takes the MAX across reports — the
 	// best-connected member's view — so the minority's collapsed count
 	// must not drag it below the majority component's size.
-	c.SetPartitionView(ids[:n-2], ids[n-2:])
+	view := faults.PartitionSpec{}
+	for i, id := range ids {
+		if i < n-2 {
+			view.A = append(view.A, string(id))
+		} else {
+			view.B = append(view.B, string(id))
+		}
+	}
+	c.Faults.Apply(faults.Update{Convict: &view})
 	s.RunFor(3 * time.Second)
 	if last.AliveMembers != n-2 {
 		t.Fatalf("partitioned: alive=%d, want majority view %d", last.AliveMembers, n-2)
 	}
-	c.ClearPartitionView()
+	c.Faults.Apply(faults.Update{Acquit: true})
 	s.RunFor(3 * time.Second)
 	if last.AliveMembers != n {
 		t.Fatalf("healed: alive=%d, want %d", last.AliveMembers, n)

@@ -3,6 +3,7 @@ package faults
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -11,7 +12,6 @@ import (
 
 	"harmony/internal/ring"
 	"harmony/internal/sim"
-	"harmony/internal/transport"
 	"harmony/internal/wire"
 )
 
@@ -27,7 +27,7 @@ func newRecorder(rt sim.Runtime) *recorder {
 	return &recorder{rt: rt, got: map[ring.NodeID][]wire.Message{}, when: map[ring.NodeID][]time.Time{}}
 }
 
-func (r *recorder) sender() transport.Sender {
+func (r *recorder) sender() Sender {
 	return sendFunc(func(from, to ring.NodeID, m wire.Message) {
 		r.mu.Lock()
 		r.got[to] = append(r.got[to], m)
@@ -48,17 +48,27 @@ func (f sendFunc) Send(from, to ring.NodeID, m wire.Message) { f(from, to, m) }
 
 func ping(id uint64) wire.Message { return wire.Ping{ID: id} }
 
+// wrapped wraps rec's sender in a fresh plane over members.
+func wrapped(rt sim.Runtime, rec *recorder, members ...ring.NodeID) (*Plane, Sender) {
+	p := New(rt, 7, members)
+	return p, p.Wrap(rec.sender())
+}
+
+func rule(from, to string, r Rule) Update {
+	return Update{Set: []RuleUpdate{{From: from, To: to, Rule: r}}}
+}
+
 func TestUnarmedPassThrough(t *testing.T) {
 	s := sim.New(1)
 	rec := newRecorder(s)
-	in := New(s, 7, rec.sender())
+	p, in := wrapped(s, rec)
 	for i := 0; i < 100; i++ {
 		in.Send("a", "b", ping(uint64(i)))
 	}
 	if rec.count("b") != 100 {
 		t.Fatalf("delivered %d of 100 with no rules", rec.count("b"))
 	}
-	if st := in.Stats(); st != (Stats{}) {
+	if st := p.Snapshot().Stats; st != (Stats{}) {
 		t.Fatalf("counters moved with no rules: %+v", st)
 	}
 }
@@ -66,8 +76,8 @@ func TestUnarmedPassThrough(t *testing.T) {
 func TestDropRuleIsDirected(t *testing.T) {
 	s := sim.New(2)
 	rec := newRecorder(s)
-	in := New(s, 7, rec.sender())
-	in.SetRule("a", "b", Rule{Drop: 1})
+	p, in := wrapped(s, rec)
+	p.Apply(rule("a", "b", Rule{Drop: 1}))
 	for i := 0; i < 50; i++ {
 		in.Send("a", "b", ping(uint64(i)))
 		in.Send("b", "a", ping(uint64(i)))
@@ -78,11 +88,11 @@ func TestDropRuleIsDirected(t *testing.T) {
 	if rec.count("a") != 50 {
 		t.Fatalf("reverse direction impaired: %d of 50", rec.count("a"))
 	}
-	if st := in.Stats(); st.Dropped != 50 {
+	if st := p.Snapshot().Stats; st.Dropped != 50 {
 		t.Fatalf("dropped = %d, want 50", st.Dropped)
 	}
 	// Removing the rule (zero Rule) restores pass-through.
-	in.SetRule("a", "b", Rule{})
+	p.Apply(rule("a", "b", Rule{}))
 	in.Send("a", "b", ping(99))
 	if rec.count("b") != 1 {
 		t.Fatal("rule removal did not restore delivery")
@@ -92,8 +102,8 @@ func TestDropRuleIsDirected(t *testing.T) {
 func TestDelayDefersDelivery(t *testing.T) {
 	s := sim.New(3)
 	rec := newRecorder(s)
-	in := New(s, 7, rec.sender())
-	in.SetRule("a", "b", Rule{Delay: 40 * time.Millisecond})
+	p, in := wrapped(s, rec)
+	p.Apply(rule("a", "b", Rule{Delay: 40 * time.Millisecond}))
 	start := s.Now()
 	in.Send("a", "b", ping(1))
 	if rec.count("b") != 0 {
@@ -111,8 +121,8 @@ func TestDelayDefersDelivery(t *testing.T) {
 func TestDuplicateDeliversTwice(t *testing.T) {
 	s := sim.New(4)
 	rec := newRecorder(s)
-	in := New(s, 7, rec.sender())
-	in.SetRule("a", "b", Rule{Duplicate: 1})
+	p, in := wrapped(s, rec)
+	p.Apply(rule("a", "b", Rule{Duplicate: 1}))
 	for i := 0; i < 20; i++ {
 		in.Send("a", "b", ping(uint64(i)))
 	}
@@ -120,7 +130,7 @@ func TestDuplicateDeliversTwice(t *testing.T) {
 	if rec.count("b") != 40 {
 		t.Fatalf("delivered %d frames, want 40 (every frame duplicated)", rec.count("b"))
 	}
-	if st := in.Stats(); st.Duplicated != 20 {
+	if st := p.Snapshot().Stats; st.Duplicated != 20 {
 		t.Fatalf("duplicated = %d, want 20", st.Duplicated)
 	}
 }
@@ -128,10 +138,10 @@ func TestDuplicateDeliversTwice(t *testing.T) {
 func TestReorderOvertakes(t *testing.T) {
 	s := sim.New(5)
 	rec := newRecorder(s)
-	in := New(s, 7, rec.sender())
+	p, in := wrapped(s, rec)
 	// Reorder every frame with a latency scale, so consecutive sends at
 	// the same instant land shuffled.
-	in.SetRule("a", "b", Rule{Delay: time.Millisecond, Jitter: 10 * time.Millisecond, Reorder: 0.5})
+	p.Apply(rule("a", "b", Rule{Delay: time.Millisecond, Jitter: 10 * time.Millisecond, Reorder: 0.5}))
 	for i := 0; i < 64; i++ {
 		in.Send("a", "b", ping(uint64(i)))
 	}
@@ -154,9 +164,9 @@ func TestReorderOvertakes(t *testing.T) {
 func TestWildcardPrecedence(t *testing.T) {
 	s := sim.New(6)
 	rec := newRecorder(s)
-	in := New(s, 7, rec.sender())
-	in.SetRule(Wildcard, Wildcard, Rule{Drop: 1})
-	in.SetRule("a", "b", Rule{Delay: time.Millisecond}) // exact beats wildcard
+	p, in := wrapped(s, rec)
+	p.Apply(rule(Wildcard, Wildcard, Rule{Drop: 1}))
+	p.Apply(rule("a", "b", Rule{Delay: time.Millisecond})) // exact beats wildcard
 	in.Send("a", "b", ping(1))
 	in.Send("a", "c", ping(2)) // falls to *->*: dropped
 	s.RunUntilIdle(100)
@@ -168,25 +178,25 @@ func TestWildcardPrecedence(t *testing.T) {
 func TestSymmetricAndAsymmetricPartition(t *testing.T) {
 	s := sim.New(7)
 	rec := newRecorder(s)
-	in := New(s, 7, rec.sender())
-	in.Partition(PartitionSpec{A: []string{"n1", "n2"}, B: []string{"n3"}}, nil)
+	p, in := wrapped(s, rec)
+	p.Apply(Update{Partition: &PartitionSpec{A: []string{"n1", "n2"}, B: []string{"n3"}}})
 	in.Send("n1", "n3", ping(1))
 	in.Send("n3", "n2", ping(2))
 	in.Send("n1", "n2", ping(3)) // same side: unaffected
 	if rec.count("n3") != 0 || rec.count("n2") != 1 {
 		t.Fatalf("symmetric cut leaked: n3=%d n2=%d", rec.count("n3"), rec.count("n2"))
 	}
-	if st := in.Stats(); st.Cut != 2 {
+	if st := p.Snapshot().Stats; st.Cut != 2 {
 		t.Fatalf("cut = %d, want 2", st.Cut)
 	}
-	in.Heal()
+	p.Apply(Update{Heal: true})
 	in.Send("n1", "n3", ping(4))
 	if rec.count("n3") != 1 {
 		t.Fatal("heal did not restore delivery")
 	}
 
 	// Asymmetric: n1->n3 blocked, n3->n1 flows.
-	in.Partition(PartitionSpec{A: []string{"n1"}, B: []string{"n3"}, Asymmetric: true}, nil)
+	p.Apply(Update{Partition: &PartitionSpec{A: []string{"n1"}, B: []string{"n3"}, Asymmetric: true}})
 	in.Send("n1", "n3", ping(5))
 	in.Send("n3", "n1", ping(6))
 	if rec.count("n3") != 1 {
@@ -200,9 +210,8 @@ func TestSymmetricAndAsymmetricPartition(t *testing.T) {
 func TestWildcardPartitionSide(t *testing.T) {
 	s := sim.New(8)
 	rec := newRecorder(s)
-	in := New(s, 7, rec.sender())
-	members := []string{"n1", "n2", "n3", "n4"}
-	in.Partition(PartitionSpec{A: []string{"n4"}, B: []string{Wildcard}}, members)
+	p, in := wrapped(s, rec, "n1", "n2", "n3", "n4")
+	p.Apply(Update{Partition: &PartitionSpec{A: []string{"n4"}, B: []string{Wildcard}}})
 	in.Send("n4", "n1", ping(1))
 	in.Send("n2", "n4", ping(2))
 	in.Send("n1", "n2", ping(3))
@@ -217,43 +226,35 @@ func TestWildcardPartitionSide(t *testing.T) {
 func TestApplyUpdateAndSnapshot(t *testing.T) {
 	s := sim.New(9)
 	rec := newRecorder(s)
-	in := New(s, 7, rec.sender())
-	err := in.Apply(Update{
+	p, _ := wrapped(s, rec)
+	p.Apply(Update{
 		Set:       []RuleUpdate{{From: "a", To: "b", Rule: Rule{Drop: 0.5}}},
 		Partition: &PartitionSpec{A: []string{"x"}, B: []string{"y"}},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := in.Snapshot()
+		Down:      []string{"z"},
+	})
+	st := p.Snapshot()
 	if len(st.Rules) != 1 || st.Rules[0].From != "a" || st.Rules[0].Drop != 0.5 {
 		t.Fatalf("snapshot rules = %+v", st.Rules)
 	}
-	if len(st.Partitions) != 1 {
-		t.Fatalf("snapshot partitions = %+v", st.Partitions)
+	if len(st.Partitions) != 1 || len(st.Down) != 1 || st.Down[0] != "z" {
+		t.Fatalf("snapshot partitions = %+v, down = %v", st.Partitions, st.Down)
 	}
-	if err := in.Apply(Update{Clear: true}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if st := in.Snapshot(); len(st.Rules) != 0 || len(st.Partitions) != 0 {
+	p.Apply(Update{Clear: true})
+	if st := p.Snapshot(); len(st.Rules) != 0 || len(st.Partitions) != 0 {
 		t.Fatal("clear left state behind")
 	}
 }
 
+// TestScenarioSchedulesSteps runs a scripted scenario — a plan carried by
+// an update — on virtual time, and cancels the rest of a plan mid-way.
 func TestScenarioSchedulesSteps(t *testing.T) {
-	Register(Scenario{
-		Name: "test-cut-then-heal",
-		Steps: []Step{
-			{After: 0, Update: Update{Partition: &PartitionSpec{A: []string{"a"}, B: []string{"b"}}}},
-			{After: 100 * time.Millisecond, Update: Update{Heal: true}},
-		},
-	})
 	s := sim.New(10)
 	rec := newRecorder(s)
-	in := New(s, 7, rec.sender())
-	if err := in.Apply(Update{Scenario: "test-cut-then-heal"}, nil); err != nil {
-		t.Fatal(err)
-	}
+	p, in := wrapped(s, rec, "a", "b")
+	p.Apply(Update{Plan: Plan{
+		{After: 0, Update: Update{Partition: &PartitionSpec{A: []string{"a"}, B: []string{"b"}}}},
+		{After: 100 * time.Millisecond, Update: Update{Heal: true}},
+	}})
 	s.RunFor(10 * time.Millisecond)
 	in.Send("a", "b", ping(1))
 	if rec.count("b") != 0 {
@@ -264,19 +265,24 @@ func TestScenarioSchedulesSteps(t *testing.T) {
 	if rec.count("b") != 1 {
 		t.Fatal("scenario heal not applied")
 	}
-	if _, ok := Lookup("flaky-network"); !ok {
-		t.Fatal("builtin scenario missing")
-	}
-	if err := in.Apply(Update{Scenario: "no-such"}, nil); err == nil {
-		t.Fatal("unknown scenario accepted")
+
+	stop := p.Run(Plan{
+		{After: 0, Update: Update{Down: []string{"b"}}},
+		{After: 100 * time.Millisecond, Update: Update{Up: []string{"b"}}},
+	})
+	s.RunFor(10 * time.Millisecond)
+	stop()
+	s.RunFor(200 * time.Millisecond)
+	if p.Alive("a", "b") {
+		t.Fatal("cancelled step still fired")
 	}
 }
 
 func TestHTTPHandlerRoundTrip(t *testing.T) {
 	s := sim.New(11)
 	rec := newRecorder(s)
-	in := New(s, 7, rec.sender())
-	h := Handler{Inj: in, Membership: []string{"n1", "n2", "n3"}}
+	p, in := wrapped(s, rec, "n1", "n2", "n3")
+	h := p
 
 	body, _ := json.Marshal(Update{Partition: &PartitionSpec{A: []string{"n1"}, B: []string{Wildcard}}})
 	w := httptest.NewRecorder()
@@ -323,7 +329,7 @@ func TestConcurrentSendsUnderMutation(t *testing.T) {
 	rt := sim.NewRealRuntime()
 	defer rt.Stop()
 	rec := newRecorder(rt)
-	in := New(rt, 7, rec.sender())
+	p, in := wrapped(rt, rec, "a", "b", "c")
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
@@ -336,16 +342,22 @@ func TestConcurrentSendsUnderMutation(t *testing.T) {
 					return
 				default:
 				}
+				// Senders also meet new endpoints, which grow the table.
+				in.Send(ring.NodeID("a"), ring.NodeID(fmt.Sprintf("e%d-%d", g, i%64)), ping(uint64(i)))
 				in.Send(ring.NodeID("a"), ring.NodeID("b"), ping(uint64(i)))
+				_ = p.Alive("a", "b")
+				_ = p.AliveCount("a")
 			}
 		}(g)
 	}
 	for i := 0; i < 200; i++ {
-		in.SetRule("a", "b", Rule{Drop: 0.1, Delay: time.Microsecond})
-		in.Partition(PartitionSpec{A: []string{"a"}, B: []string{"c"}}, nil)
-		in.Heal()
-		in.Clear()
-		_ = in.Snapshot()
+		p.Apply(Update{Convict: &PartitionSpec{A: []string{"a"}, B: []string{Wildcard}}, Acquit: i%2 == 0})
+		p.Apply(rule("a", "b", Rule{Drop: 0.1, Delay: time.Microsecond}))
+		p.Apply(Update{Partition: &PartitionSpec{A: []string{"a"}, B: []string{"c"}}})
+		p.Apply(Update{Heal: true})
+		p.Apply(Update{Down: []string{"b"}, Up: []string{"b"}})
+		p.Apply(Update{Clear: true})
+		_ = p.Snapshot()
 	}
 	close(stop)
 	wg.Wait()

@@ -5,35 +5,24 @@ import (
 	"net/http"
 )
 
-// Handler serves the fault plane over the admin endpoint: GET returns the
-// injector's State, POST applies an Update document. Membership supplies
-// the endpoint ids used to resolve Wildcard partition sides (typically the
-// server's static peer list plus itself); nil disables wildcards.
-type Handler struct {
-	Inj        *Injector
-	Membership []string
-}
-
-// ServeHTTP implements http.Handler.
-func (h Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+// ServeHTTP serves the plane over the admin endpoint: GET returns its
+// State, POST applies an Update document.
+func (p *Plane) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(h.Inj.Snapshot())
+		_ = enc.Encode(p.Snapshot())
 	case http.MethodPost:
 		var u Update
 		if err := json.NewDecoder(r.Body).Decode(&u); err != nil {
 			http.Error(w, "faults: bad update: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		if err := h.Inj.Apply(u, h.Membership); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
+		p.Apply(u)
 		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(h.Inj.Snapshot())
+		_ = json.NewEncoder(w).Encode(p.Snapshot())
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}

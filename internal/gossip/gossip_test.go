@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"harmony/internal/faults"
 	"harmony/internal/ring"
 	"harmony/internal/sim"
 	"harmony/internal/simnet"
@@ -13,7 +14,7 @@ import (
 )
 
 // gossipCluster wires n gossipers over a simulated LAN.
-func gossipCluster(t *testing.T, s *sim.Sim, n int) (*transport.Bus, *simnet.Net, []*Gossiper, []ring.NodeID) {
+func gossipCluster(t *testing.T, s *sim.Sim, n int) (*transport.Bus, *faults.Plane, []*Gossiper, []ring.NodeID) {
 	t.Helper()
 	var infos []ring.NodeInfo
 	var ids []ring.NodeID
@@ -27,7 +28,8 @@ func gossipCluster(t *testing.T, s *sim.Sim, n int) (*transport.Bus, *simnet.Net
 		t.Fatal(err)
 	}
 	net := simnet.New(topo, simnet.UniformProfile(500*time.Microsecond), s.NewStream())
-	bus := transport.NewBus(net)
+	plane := faults.New(s, 1, ids)
+	bus := transport.NewBus(net, plane)
 	var gs []*Gossiper
 	for i, id := range ids {
 		g := New(Config{ID: id, Peers: ids, Interval: time.Second, Seed: int64(i)}, s, bus)
@@ -35,7 +37,7 @@ func gossipCluster(t *testing.T, s *sim.Sim, n int) (*transport.Bus, *simnet.Net
 		g.Start()
 		gs = append(gs, g)
 	}
-	return bus, net, gs, ids
+	return bus, plane, gs, ids
 }
 
 func TestGossipConvergesMembership(t *testing.T) {
@@ -64,10 +66,10 @@ func TestGossipAllAliveUnderNormalOperation(t *testing.T) {
 
 func TestGossipDetectsDeadNode(t *testing.T) {
 	s := sim.New(13)
-	_, net, gs, ids := gossipCluster(t, s, 8)
+	_, plane, gs, ids := gossipCluster(t, s, 8)
 	s.RunFor(20 * time.Second) // warm up arrival windows
 	victim := ids[3]
-	net.Isolate(victim, ids)
+	plane.Apply(faults.Update{Partition: &faults.PartitionSpec{A: []string{string(victim)}, B: []string{faults.Wildcard}}})
 	s.RunFor(60 * time.Second)
 	convicted := 0
 	for i, g := range gs {
@@ -99,15 +101,15 @@ func TestGossipDetectsDeadNode(t *testing.T) {
 
 func TestGossipRecoversAfterHeal(t *testing.T) {
 	s := sim.New(14)
-	_, net, gs, ids := gossipCluster(t, s, 6)
+	_, plane, gs, ids := gossipCluster(t, s, 6)
 	s.RunFor(20 * time.Second)
 	victim := ids[0]
-	net.Isolate(victim, ids)
+	plane.Apply(faults.Update{Partition: &faults.PartitionSpec{A: []string{string(victim)}, B: []string{faults.Wildcard}}})
 	s.RunFor(60 * time.Second)
 	if gs[1].Alive(victim) {
 		t.Fatal("victim not convicted while isolated")
 	}
-	net.Rejoin(victim, ids)
+	plane.Apply(faults.Update{Heal: true})
 	s.RunFor(30 * time.Second)
 	if !gs[1].Alive(victim) {
 		t.Fatalf("victim not resurrected after heal (phi=%v)", gs[1].Phi(victim))
@@ -117,11 +119,13 @@ func TestGossipRecoversAfterHeal(t *testing.T) {
 func TestGossipTransitiveSpread(t *testing.T) {
 	// A node that can only talk to one peer still learns the full view.
 	s := sim.New(15)
-	_, net, gs, ids := gossipCluster(t, s, 10)
+	_, plane, gs, ids := gossipCluster(t, s, 10)
 	// Cut node 0 off from everyone except node 1.
+	var rest []string
 	for _, id := range ids[2:] {
-		net.Partition(ids[0], id)
+		rest = append(rest, string(id))
 	}
+	plane.Apply(faults.Update{Partition: &faults.PartitionSpec{A: []string{string(ids[0])}, B: rest}})
 	s.RunFor(30 * time.Second)
 	if got := len(gs[0].Members()); got != len(ids) {
 		t.Fatalf("partially-connected node sees %d members, want %d", got, len(ids))
@@ -130,11 +134,11 @@ func TestGossipTransitiveSpread(t *testing.T) {
 
 func TestPhiGrowsWithSilence(t *testing.T) {
 	s := sim.New(16)
-	_, net, gs, ids := gossipCluster(t, s, 4)
+	_, plane, gs, ids := gossipCluster(t, s, 4)
 	s.RunFor(20 * time.Second)
 	victim := ids[2]
 	phiBefore := gs[0].Phi(victim)
-	net.Isolate(victim, ids)
+	plane.Apply(faults.Update{Partition: &faults.PartitionSpec{A: []string{string(victim)}, B: []string{faults.Wildcard}}})
 	s.RunFor(10 * time.Second)
 	phi10 := gs[0].Phi(victim)
 	s.RunFor(20 * time.Second)
@@ -244,7 +248,8 @@ func TestOnRecoverFiresOncePerTransition(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := simnet.New(topo, simnet.UniformProfile(500*time.Microsecond), s.NewStream())
-	bus := transport.NewBus(net)
+	plane := faults.New(s, 1, ids)
+	bus := transport.NewBus(net, plane)
 	recovered := map[ring.NodeID]int{}
 	var gs []*Gossiper
 	for i, id := range ids {
@@ -262,12 +267,12 @@ func TestOnRecoverFiresOncePerTransition(t *testing.T) {
 		t.Fatalf("OnRecover fired with no failures: %v", recovered)
 	}
 	victim := ids[0]
-	net.Isolate(victim, ids)
+	plane.Apply(faults.Update{Partition: &faults.PartitionSpec{A: []string{string(victim)}, B: []string{faults.Wildcard}}})
 	s.RunFor(60 * time.Second)
 	if gs[1].Alive(victim) {
 		t.Fatal("victim not convicted while isolated")
 	}
-	net.Rejoin(victim, ids)
+	plane.Apply(faults.Update{Heal: true})
 	s.RunFor(30 * time.Second)
 	if got := recovered[victim]; got != 1 {
 		t.Fatalf("OnRecover fired %d times for the recovered victim, want 1", got)

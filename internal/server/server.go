@@ -148,8 +148,7 @@ type Server struct {
 	cfg       Config
 	rt        *sim.RealRuntime
 	tcp       *transport.TCPNode
-	faults    *faults.Injector
-	members   []string
+	faults    *faults.Plane
 	memberIDs []ring.NodeID
 	gossiper  *gossip.Gossiper
 	node      *cluster.Node
@@ -250,17 +249,15 @@ func New(cfg Config) (*Server, error) {
 	s.tcp = tcp
 
 	// Every outbound frame — gossip and cluster alike — leaves through the
-	// fault injector, so a POST /faults partition severs this node exactly
-	// the way the simulated injector severs a sim node (gossip included:
-	// peers across the cut go DOWN, hints queue, fail-fast kicks in).
-	// Unarmed it costs one atomic load per send.
+	// member's fault plane, so a POST /faults partition severs this node's
+	// side of each link the way the cluster's plane severs a sim node
+	// (gossip included: peers across the cut go DOWN, hints queue,
+	// fail-fast kicks in). Unarmed it costs one atomic load per send.
 	h := fnv.New64a()
 	h.Write([]byte(cfg.ID))
-	s.faults = faults.New(s.rt, int64(h.Sum64()), tcp)
-	for _, m := range cfg.Members {
-		s.members = append(s.members, string(m.ID))
-		s.memberIDs = append(s.memberIDs, m.ID)
-	}
+	s.memberIDs = peerIDs
+	s.faults = faults.New(s.rt, int64(h.Sum64()), peerIDs)
+	out := s.faults.Wrap(tcp)
 
 	s.gossiper = gossip.New(gossip.Config{
 		ID:       cfg.ID,
@@ -268,7 +265,7 @@ func New(cfg Config) (*Server, error) {
 		Interval: cfg.GossipInterval,
 		// A recovered peer immediately gets a priority repair session: the
 		// down->up transition is the live-cluster analogue of the simulated
-		// SetUp hook.
+		// plane's OnRecover.
 		OnRecover: func(peer ring.NodeID) {
 			if s.node == nil {
 				return
@@ -277,7 +274,7 @@ func New(cfg Config) (*Server, error) {
 				m.PeerRecovered(peer)
 			}
 		},
-	}, s.rt, s.faults)
+	}, s.rt, out)
 
 	ccfg := cluster.Config{
 		ID:               cfg.ID,
@@ -302,7 +299,7 @@ func New(cfg Config) (*Server, error) {
 		ccfg.Groups = 2
 		ccfg.GroupFn = HotColdGroupFn(cfg.HotKeys)
 	}
-	s.node = cluster.New(ccfg, s.rt, s.faults)
+	s.node = cluster.New(ccfg, s.rt, out)
 
 	if cfg.DataDir != "" {
 		// Recovery already ran inside cluster.New → storage.Open: the keydir
@@ -319,7 +316,7 @@ func New(cfg Config) (*Server, error) {
 			Registry: s.buildRegistry(),
 			Trace:    s.trace,
 			Status:   func() any { return s.status() },
-			Faults:   faults.Handler{Inj: s.faults, Membership: s.members},
+			Faults:   s.faults,
 		})
 		if err != nil {
 			s.Close()
@@ -368,9 +365,9 @@ func (s *Server) Node() *cluster.Node { return s.node }
 // Transport exposes the TCP endpoint (stats).
 func (s *Server) Transport() *transport.TCPNode { return s.tcp }
 
-// Faults exposes the node's fault-injection plane (tests, embedders); the
-// admin endpoint drives the same injector via POST /faults.
-func (s *Server) Faults() *faults.Injector { return s.faults }
+// Faults exposes the node's fault plane (tests, embedders); the admin
+// endpoint drives the same plane via POST /faults.
+func (s *Server) Faults() *faults.Plane { return s.faults }
 
 // AdminAddr is the admin endpoint's bound address ("" when disabled) —
 // useful with Config.AdminAddr ":0".

@@ -1,9 +1,10 @@
 // Package simnet models the network connecting storage nodes and clients:
 // per-pair base latency derived from the cluster topology, stochastic jitter,
-// bandwidth-proportional serialization delay, and fault injection (partitions
-// and degraded links). It backs the discrete-event transport used by every
-// experiment, and it is where the two testbed profiles from the paper's
-// evaluation live: a Grid'5000-like LAN and an EC2-like virtualized WAN.
+// and bandwidth-proportional serialization delay. Faults (cuts, slow links)
+// belong to the fault plane, internal/faults. It backs the discrete-event
+// transport used by every experiment, and it is where the two testbed
+// profiles from the paper's evaluation live: a Grid'5000-like LAN and an
+// EC2-like virtualized WAN.
 package simnet
 
 import (
@@ -165,26 +166,18 @@ func UniformProfile(oneWay time.Duration) Profile {
 	}
 }
 
-// Net computes message delays and applies fault injection. It is safe for
-// use from a single simulation goroutine; the real-time transport guards it
-// with its own lock.
+// Net prices messages: a latency class per pair of hosts, from the cluster
+// topology, and one delay draw per message. Cuts, slow links and every other
+// fault live in the fabric's fault plane (internal/faults), which stores each
+// link's class next to its fault state; Net keeps the profile, the
+// colocation of external endpoints, and the jitter draw.
 type Net struct {
-	mu        sync.Mutex
-	topo      *ring.Topology
-	profile   Profile
-	rng       *rand.Rand
-	cut       map[linkKey]bool          // partitioned links
-	degraded  map[linkKey]time.Duration // extra latency per link
+	topo    *ring.Topology
+	profile Profile
+	rng     *rand.Rand
+
+	mu        sync.Mutex // guards colocated; Delay's caller serializes the rng
 	colocated map[ring.NodeID]ring.NodeID
-}
-
-type linkKey struct{ a, b string }
-
-func normKey(a, b string) linkKey {
-	if a > b {
-		a, b = b, a
-	}
-	return linkKey{a, b}
 }
 
 // New creates a network over topo with the given profile. rng drives jitter
@@ -197,107 +190,62 @@ func New(topo *ring.Topology, profile Profile, rng *rand.Rand) *Net {
 		topo:      topo,
 		profile:   profile,
 		rng:       rng,
-		cut:       make(map[linkKey]bool),
-		degraded:  make(map[linkKey]time.Duration),
 		colocated: make(map[ring.NodeID]ring.NodeID),
 	}
 }
 
 // Colocate places an external endpoint (a monitor or an embedded client) on
-// the same host as a cluster node for latency purposes: its traffic pays
-// the host's link latencies instead of the external ClientLatency. The
-// paper's monitoring module runs inside the cluster, so its pings observe
-// inter-replica latency.
+// the same host as a cluster node: it shares the host's links, paying their
+// latencies instead of the external ClientLatency, and every fault on them.
+// The paper's monitoring module runs inside the cluster, so its pings
+// observe inter-replica latency. Colocate before the endpoint registers on
+// the bus.
 func (n *Net) Colocate(id, host ring.NodeID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.colocated[id] = host
 }
 
-func (n *Net) resolveLocked(id ring.NodeID) (ring.NodeID, bool) {
-	if host, ok := n.colocated[id]; ok {
-		id = host
-	}
-	_, in := n.topo.Info(id)
-	return id, in
-}
-
-// Profile returns the active profile.
-func (n *Net) Profile() Profile { return n.profile }
-
-// Delay computes the one-way delivery delay for a message of size bytes from
-// a to b, or ok=false if the link is partitioned. IDs not present in the
-// topology (external clients) use the profile's ClientLatency.
-func (n *Net) Delay(a, b ring.NodeID, bytes int) (time.Duration, bool) {
+// Host is the endpoint whose links id uses: its colocation host, or itself.
+func (n *Net) Host(id ring.NodeID) ring.NodeID {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	// Colocated endpoints share their host's links: partitions and
-	// degradations applied to the host apply to them too.
-	ra, aIn := n.resolveLocked(a)
-	rb, bIn := n.resolveLocked(b)
-	k := normKey(string(ra), string(rb))
-	if n.cut[k] {
-		return 0, false
+	if host, ok := n.colocated[id]; ok {
+		return host
 	}
-	var base time.Duration
+	return id
+}
+
+// clientClass is the latency class of a link with an end outside the
+// topology (an external client); the classes below it index Profile.Base.
+const clientClass = uint8(len(Profile{}.Base))
+
+// Class is the latency class of the a→b link between two hosts: their
+// ring.Topology.Distance when both are cluster nodes, the client class
+// otherwise.
+func (n *Net) Class(a, b ring.NodeID) uint8 {
+	_, aIn := n.topo.Info(a)
+	_, bIn := n.topo.Info(b)
 	if aIn && bIn {
-		base = n.profile.Base[n.topo.Distance(ra, rb)]
-	} else {
-		base = n.profile.ClientLatency
+		return uint8(n.topo.Distance(a, b))
+	}
+	return clientClass
+}
+
+// Delay draws the one-way delivery delay of a message of size bytes on a
+// link of the given class. It is not safe for concurrent use: the bus calls
+// it under its own lock.
+func (n *Net) Delay(class uint8, bytes int) time.Duration {
+	base := n.profile.ClientLatency
+	if class < clientClass {
+		base = n.profile.Base[class]
 	}
 	d := time.Duration(float64(base) * n.profile.Jitter.Sample(n.rng))
 	if n.profile.BandwidthBytesPerSec > 0 && bytes > 0 {
 		d += time.Duration(float64(bytes) / n.profile.BandwidthBytesPerSec * float64(time.Second))
 	}
-	d += n.degraded[k]
 	if d < 0 {
 		d = 0
 	}
-	return d, true
-}
-
-// Partition cuts the link between a and b bidirectionally.
-func (n *Net) Partition(a, b ring.NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.cut[normKey(string(a), string(b))] = true
-}
-
-// Heal restores the link between a and b.
-func (n *Net) Heal(a, b ring.NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.cut, normKey(string(a), string(b)))
-}
-
-// Isolate cuts every link touching id (node failure as seen by the network).
-func (n *Net) Isolate(id ring.NodeID, peers []ring.NodeID) {
-	for _, p := range peers {
-		if p != id {
-			n.Partition(id, p)
-		}
-	}
-}
-
-// Rejoin heals every link touching id.
-func (n *Net) Rejoin(id ring.NodeID, peers []ring.NodeID) {
-	for _, p := range peers {
-		if p != id {
-			n.Heal(id, p)
-		}
-	}
-}
-
-// Degrade adds extra one-way latency on the a<->b link (slow link injection).
-func (n *Net) Degrade(a, b ring.NodeID, extra time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.degraded[normKey(string(a), string(b))] = extra
-}
-
-// ClearDegradations removes all injected slowness.
-func (n *Net) ClearDegradations() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.degraded = make(map[linkKey]time.Duration)
+	return d
 }

@@ -47,9 +47,8 @@ func TestDelayByProximity(t *testing.T) {
 		{"a", "client-x", 5 * time.Millisecond},
 	}
 	for _, c := range cases {
-		got, up := n.Delay(c.a, c.b, 0)
-		if !up || got != c.want {
-			t.Errorf("Delay(%s,%s) = %v up=%v, want %v", c.a, c.b, got, up, c.want)
+		if got := n.Delay(n.Class(c.a, c.b), 0); got != c.want {
+			t.Errorf("Delay(Class(%s,%s)) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
 }
@@ -58,56 +57,9 @@ func TestBandwidthTerm(t *testing.T) {
 	p := UniformProfile(time.Millisecond)
 	p.BandwidthBytesPerSec = 1e6 // 1 MB/s
 	n := newNet(t, p)
-	got, up := n.Delay("a", "b", 1000) // 1 KB at 1 MB/s = 1ms extra
-	if !up || got != 2*time.Millisecond {
-		t.Fatalf("delay = %v up=%v, want 2ms", got, up)
-	}
-}
-
-func TestPartitionHealIsolateRejoin(t *testing.T) {
-	n := newNet(t, UniformProfile(time.Millisecond))
-	n.Partition("a", "b")
-	if _, up := n.Delay("a", "b", 0); up {
-		t.Fatal("partitioned link up")
-	}
-	if _, up := n.Delay("b", "a", 0); up {
-		t.Fatal("partition must be bidirectional")
-	}
-	if _, up := n.Delay("a", "c", 0); !up {
-		t.Fatal("unrelated link cut")
-	}
-	n.Heal("a", "b")
-	if _, up := n.Delay("a", "b", 0); !up {
-		t.Fatal("healed link down")
-	}
-
-	all := []ring.NodeID{"a", "b", "c", "d"}
-	n.Isolate("c", all)
-	for _, peer := range []ring.NodeID{"a", "b", "d"} {
-		if _, up := n.Delay("c", peer, 0); up {
-			t.Fatalf("isolated node reaches %s", peer)
-		}
-	}
-	n.Rejoin("c", all)
-	for _, peer := range []ring.NodeID{"a", "b", "d"} {
-		if _, up := n.Delay("c", peer, 0); !up {
-			t.Fatalf("rejoined node cannot reach %s", peer)
-		}
-	}
-}
-
-func TestDegradeAndClear(t *testing.T) {
-	n := newNet(t, UniformProfile(time.Millisecond))
-	n.Degrade("a", "b", 7*time.Millisecond)
-	if got, _ := n.Delay("a", "b", 0); got != 8*time.Millisecond {
-		t.Fatalf("degraded = %v, want 8ms", got)
-	}
-	if got, _ := n.Delay("b", "a", 0); got != 8*time.Millisecond {
-		t.Fatalf("degradation must be bidirectional, got %v", got)
-	}
-	n.ClearDegradations()
-	if got, _ := n.Delay("a", "b", 0); got != time.Millisecond {
-		t.Fatalf("after clear = %v, want 1ms", got)
+	got := n.Delay(n.Class("a", "b"), 1000) // 1 KB at 1 MB/s = 1ms extra
+	if got != 2*time.Millisecond {
+		t.Fatalf("delay = %v, want 2ms", got)
 	}
 }
 
@@ -119,14 +71,17 @@ func TestColocate(t *testing.T) {
 	}
 	n := newNet(t, p)
 	// Before colocation the monitor pays client latency.
-	if got, _ := n.Delay("monitor", "b", 0); got != 9*time.Millisecond {
+	if got := n.Delay(n.Class(n.Host("monitor"), "b"), 0); got != 9*time.Millisecond {
 		t.Fatalf("external delay = %v", got)
 	}
 	n.Colocate("monitor", "a")
-	if got, _ := n.Delay("monitor", "b", 0); got != 10*time.Microsecond {
+	if h := n.Host("monitor"); h != "a" {
+		t.Fatalf("monitor's host = %s, want a", h)
+	}
+	if got := n.Delay(n.Class(n.Host("monitor"), "b"), 0); got != 10*time.Microsecond {
 		t.Fatalf("colocated same-rack delay = %v, want 10µs", got)
 	}
-	if got, _ := n.Delay("monitor", "d", 0); got != 1000*time.Microsecond {
+	if got := n.Delay(n.Class(n.Host("monitor"), "d"), 0); got != 1000*time.Microsecond {
 		t.Fatalf("colocated cross-DC delay = %v, want 1ms", got)
 	}
 }
@@ -136,8 +91,7 @@ func TestJitterVariesDelay(t *testing.T) {
 	n := newNet(t, p)
 	seen := map[time.Duration]bool{}
 	for i := 0; i < 50; i++ {
-		d, _ := n.Delay("a", "c", 0)
-		seen[d] = true
+		seen[n.Delay(n.Class("a", "c"), 0)] = true
 	}
 	if len(seen) < 10 {
 		t.Fatalf("jitter produced only %d distinct delays", len(seen))
@@ -248,10 +202,7 @@ func TestStressProfilesProduceDelays(t *testing.T) {
 		n := newNet(t, p)
 		seen := map[time.Duration]bool{}
 		for i := 0; i < 200; i++ {
-			d, up := n.Delay("a", "d", 256) // cross-DC with a payload
-			if !up {
-				t.Fatalf("%s: link down without partition", p.Name)
-			}
+			d := n.Delay(n.Class("a", "d"), 256) // cross-DC with a payload
 			if d <= 0 {
 				t.Fatalf("%s: non-positive delay %v", p.Name, d)
 			}
@@ -267,7 +218,7 @@ func TestNegativeDelayClamped(t *testing.T) {
 	p := UniformProfile(time.Millisecond)
 	p.Jitter = dist.Constant{V: -5} // hostile sampler
 	n := newNet(t, p)
-	if got, up := n.Delay("a", "b", 0); !up || got < 0 {
+	if got := n.Delay(n.Class("a", "b"), 0); got < 0 {
 		t.Fatalf("negative delay leaked: %v", got)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -256,6 +257,13 @@ func TestDurableCloseAcknowledgesNothing(t *testing.T) {
 	}
 	closed := make(chan error, 1)
 	go func() { closed <- e.Close() }()
+	// Release round 1 only once Close has withdrawn the callback: otherwise
+	// the syncer may run an ordinary round for "b" first, which may report.
+	for withdrawn := false; !withdrawn; runtime.Gosched() {
+		e.persist.mu.Lock()
+		withdrawn = e.persist.notify == nil
+		e.persist.mu.Unlock()
+	}
 	g.setHold(false)
 	if err := <-closed; err != nil {
 		t.Fatalf("Close: %v", err)

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"harmony/internal/faults"
 	"harmony/internal/ring"
 	"harmony/internal/sim"
 	"harmony/internal/simnet"
@@ -37,17 +38,19 @@ type Sender interface {
 }
 
 // Bus is an in-memory message fabric: endpoints register a handler plus the
-// runtime on which their callbacks must execute; Send computes a delivery
-// delay from the simulated network and schedules Deliver on the target's
-// runtime. One Bus instance serves both the DES and the real-time mode —
-// the difference is which Runtime implementations are registered.
+// runtime on which their callbacks must execute; Send asks the fault plane
+// for the message's link, draws its delay from the simulated network and
+// schedules Deliver on the target's runtime. One Bus instance serves both
+// the DES and the real-time mode — the difference is which Runtime
+// implementations are registered.
 type Bus struct {
-	mu  sync.Mutex
-	net *simnet.Net
-	// endpoints holds one entry per ID ever registered. Unregister clears
-	// the entry's registered flag instead of deleting it, so a message in
-	// flight keeps a pointer it can re-check at delivery without a second
-	// map lookup.
+	mu    sync.Mutex // guards the endpoints, the free records and net's rng
+	net   *simnet.Net
+	plane *faults.Plane
+	// endpoints holds one entry per ID ever registered or sent from.
+	// Unregister clears the entry's registered flag instead of deleting it,
+	// so a message in flight keeps a pointer it can re-check at delivery
+	// without a second map lookup.
 	endpoints map[ring.NodeID]*busEndpoint
 	free      []*delivery // records between messages
 	dropped   atomic.Uint64
@@ -56,6 +59,7 @@ type Bus struct {
 
 type busEndpoint struct {
 	registered bool
+	link       int // dense index in the fault plane
 	h          Handler
 	schedule   func(time.Duration, func())
 }
@@ -70,9 +74,10 @@ func scheduler(rt sim.Runtime) func(time.Duration, func()) {
 	return func(d time.Duration, fn func()) { rt.After(d, fn) }
 }
 
-// NewBus creates a bus over the given simulated network.
-func NewBus(net *simnet.Net) *Bus {
-	return &Bus{net: net, endpoints: make(map[ring.NodeID]*busEndpoint)}
+// NewBus creates a bus over the given simulated network whose every message
+// crosses plane.
+func NewBus(net *simnet.Net, plane *faults.Plane) *Bus {
+	return &Bus{net: net, plane: plane, endpoints: make(map[ring.NodeID]*busEndpoint)}
 }
 
 // Register attaches an endpoint. Re-registering an ID replaces the previous
@@ -80,12 +85,19 @@ func NewBus(net *simnet.Net) *Bus {
 func (b *Bus) Register(id ring.NodeID, rt sim.Runtime, h Handler) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	ep := b.endpointLocked(id)
+	ep.registered, ep.h, ep.schedule = true, h, scheduler(rt)
+}
+
+// endpointLocked returns id's entry, giving it a link in the fault plane on
+// first sight (priced by the network, on its colocation host's links).
+func (b *Bus) endpointLocked(id ring.NodeID) *busEndpoint {
 	ep := b.endpoints[id]
 	if ep == nil {
-		ep = new(busEndpoint)
+		ep = &busEndpoint{link: b.plane.Add(id, b.net.Host(id), b.net.Class)}
 		b.endpoints[id] = ep
 	}
-	ep.registered, ep.h, ep.schedule = true, h, scheduler(rt)
+	return ep
 }
 
 // Unregister detaches an endpoint; in-flight messages to it are dropped.
@@ -97,8 +109,9 @@ func (b *Bus) Unregister(id ring.NodeID) {
 	}
 }
 
-// Send implements Sender. The message is delivered after the network delay,
-// or dropped when the link is partitioned or the target unknown.
+// Send implements Sender. The message is delivered after the network delay
+// plus whatever its link's fault rule injects, or dropped when the link is
+// cut, a rule drops it, or the target is unknown.
 func (b *Bus) Send(from, to ring.NodeID, m wire.Message) {
 	b.mu.Lock()
 	ep := b.endpoints[to]
@@ -107,23 +120,42 @@ func (b *Bus) Send(from, to ring.NodeID, m wire.Message) {
 		b.dropped.Add(1)
 		return
 	}
-	h, schedule := ep.h, ep.schedule
+	r := b.plane.Route(b.endpointLocked(from).link, ep.link)
+	if r.Blocked {
+		b.mu.Unlock()
+		b.dropped.Add(1)
+		return
+	}
+	size := wire.Size(m)
+	d := b.recordLocked(ep, from, m)
+	delay := b.net.Delay(r.Class, size) + r.Delay
+	var dup *delivery
+	var dupDelay time.Duration
+	if r.Copy {
+		dup = b.recordLocked(ep, from, m)
+		dupDelay = b.net.Delay(r.Class, size) + r.CopyDelay
+	}
+	schedule := ep.schedule
+	b.mu.Unlock()
+	b.delivered.Add(1)
+	schedule(delay, d.fire)
+	if dup != nil {
+		b.delivered.Add(1)
+		schedule(dupDelay, dup.fire)
+	}
+}
+
+// recordLocked takes a free delivery record and loads it with one message
+// bound for ep's current handler.
+func (b *Bus) recordLocked(ep *busEndpoint, from ring.NodeID, m wire.Message) *delivery {
 	var d *delivery
 	if n := len(b.free); n > 0 {
 		d, b.free = b.free[n-1], b.free[:n-1]
 	} else {
 		d = newDelivery(b)
 	}
-	b.mu.Unlock()
-	delay, up := b.net.Delay(from, to, wire.Size(m))
-	if !up {
-		b.dropped.Add(1)
-		d.release()
-		return
-	}
-	b.delivered.Add(1)
-	d.ep, d.h, d.from, d.m = ep, h, from, m
-	schedule(delay, d.fire)
+	d.ep, d.h, d.from, d.m = ep, ep.h, from, m
+	return d
 }
 
 // arrive ends a message's network hop on the target's runtime.
@@ -231,10 +263,4 @@ func (l *Loopback) Send(from, to ring.NodeID, m wire.Message) {
 	if h != nil {
 		h.Deliver(from, m)
 	}
-}
-
-// Latency measures round trips through a Sender-based fabric; a helper for
-// tests wanting to assert delay behaviour.
-func Latency(rt sim.Runtime, start time.Time) time.Duration {
-	return rt.Now().Sub(start)
 }

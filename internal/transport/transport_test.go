@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"harmony/internal/faults"
 	"harmony/internal/ring"
 	"harmony/internal/sim"
 	"harmony/internal/simnet"
@@ -38,8 +39,7 @@ func (c *capture) Deliver(from ring.NodeID, m wire.Message) {
 
 func TestBusDeliversWithDelay(t *testing.T) {
 	s := sim.New(1)
-	net := simnet.New(testTopo(t), simnet.UniformProfile(3*time.Millisecond), s.NewStream())
-	bus := NewBus(net)
+	bus, _ := newBus(t, s, simnet.UniformProfile(3*time.Millisecond))
 	sink := &capture{rt: s}
 	bus.Register("b", s, sink)
 	start := s.Now()
@@ -58,8 +58,7 @@ func TestBusDeliversWithDelay(t *testing.T) {
 
 func TestBusDropsToUnknown(t *testing.T) {
 	s := sim.New(1)
-	net := simnet.New(testTopo(t), simnet.UniformProfile(time.Millisecond), s.NewStream())
-	bus := NewBus(net)
+	bus, _ := newBus(t, s, simnet.UniformProfile(time.Millisecond))
 	bus.Send("a", "zzz", wire.Ping{ID: 1})
 	s.RunUntilIdle(10)
 	if d, dropped := bus.Stats(); d != 0 || dropped != 1 {
@@ -69,28 +68,50 @@ func TestBusDropsToUnknown(t *testing.T) {
 
 func TestBusDropsAcrossPartition(t *testing.T) {
 	s := sim.New(1)
-	net := simnet.New(testTopo(t), simnet.UniformProfile(time.Millisecond), s.NewStream())
-	bus := NewBus(net)
+	bus, plane := newBus(t, s, simnet.UniformProfile(time.Millisecond))
 	sink := &capture{rt: s}
 	bus.Register("b", s, sink)
-	net.Partition("a", "b")
+	plane.Apply(faults.Update{Partition: &faults.PartitionSpec{A: []string{"a"}, B: []string{"b"}}})
 	bus.Send("a", "b", wire.Ping{ID: 1})
 	s.RunUntilIdle(10)
 	if len(sink.msgs) != 0 {
 		t.Fatal("message crossed a partition")
 	}
-	net.Heal("a", "b")
+	plane.Apply(faults.Update{Heal: true})
 	bus.Send("a", "b", wire.Ping{ID: 2})
 	s.RunUntilIdle(10)
 	if len(sink.msgs) != 1 {
 		t.Fatal("message not delivered after heal")
 	}
+
+	// A crashed node is cut off from every member, both ways; an endpoint
+	// colocated on a member shares that member's links.
+	net := bus.net
+	net.Colocate("mon", "a")
+	mon := &capture{rt: s}
+	bus.Register("mon", s, mon)
+	cSink := &capture{rt: s}
+	bus.Register("c", s, cSink)
+	plane.Apply(faults.Update{Down: []string{"c"}})
+	bus.Send("mon", "c", wire.Ping{ID: 3})
+	bus.Send("c", "mon", wire.Ping{ID: 4})
+	bus.Send("c", "b", wire.Ping{ID: 5})
+	bus.Send("client", "c", wire.Ping{ID: 6}) // not a member: unaffected
+	s.RunUntilIdle(10)
+	if len(mon.msgs) != 0 || len(sink.msgs) != 1 || len(cSink.msgs) != 1 {
+		t.Fatalf("down node: mon got %d, b got %d, c got %d; want 0, 1, 1", len(mon.msgs), len(sink.msgs), len(cSink.msgs))
+	}
+	plane.Apply(faults.Update{Up: []string{"c"}})
+	bus.Send("mon", "c", wire.Ping{ID: 7})
+	s.RunUntilIdle(10)
+	if len(cSink.msgs) != 2 {
+		t.Fatal("restored node unreachable")
+	}
 }
 
 func TestBusUnregisterDropsInFlight(t *testing.T) {
 	s := sim.New(1)
-	net := simnet.New(testTopo(t), simnet.UniformProfile(5*time.Millisecond), s.NewStream())
-	bus := NewBus(net)
+	bus, _ := newBus(t, s, simnet.UniformProfile(5*time.Millisecond))
 	sink := &capture{rt: s}
 	bus.Register("b", s, sink)
 	bus.Send("a", "b", wire.Ping{ID: 1})
@@ -103,16 +124,26 @@ func TestBusUnregisterDropsInFlight(t *testing.T) {
 
 func TestBusDegradedLink(t *testing.T) {
 	s := sim.New(1)
-	net := simnet.New(testTopo(t), simnet.UniformProfile(time.Millisecond), s.NewStream())
-	bus := NewBus(net)
+	bus, plane := newBus(t, s, simnet.UniformProfile(time.Millisecond))
 	sink := &capture{rt: s}
 	bus.Register("b", s, sink)
-	net.Degrade("a", "b", 50*time.Millisecond)
+	plane.Apply(faults.Update{Set: []faults.RuleUpdate{{From: "a", To: "b", Rule: faults.Rule{Delay: 50 * time.Millisecond}}}})
 	start := s.Now()
 	bus.Send("a", "b", wire.Ping{ID: 1})
+	bus.Send("c", "b", wire.Ping{ID: 2})
 	s.RunUntilIdle(10)
-	if got := sink.times[0].Sub(start); got != 51*time.Millisecond {
-		t.Fatalf("degraded delay = %v, want 51ms", got)
+	if got := sink.times[0].Sub(start); got != time.Millisecond {
+		t.Fatalf("unrelated link delay = %v, want 1ms", got)
+	}
+	if got := sink.times[1].Sub(start); got != 51*time.Millisecond {
+		t.Fatalf("slow link delay = %v, want 51ms", got)
+	}
+	plane.Apply(faults.Update{Clear: true})
+	start = s.Now()
+	bus.Send("a", "b", wire.Ping{ID: 3})
+	s.RunUntilIdle(10)
+	if got := sink.times[2].Sub(start); got != time.Millisecond {
+		t.Fatalf("after clear = %v, want 1ms", got)
 	}
 }
 
@@ -176,8 +207,7 @@ func TestClientLatencyForExternalEndpoints(t *testing.T) {
 	s := sim.New(1)
 	profile := simnet.Grid5000Profile()
 	profile.Jitter = nil // deterministic
-	net := simnet.New(testTopo(t), profile, s.NewStream())
-	bus := NewBus(net)
+	bus, _ := newBus(t, s, profile)
 	sink := &capture{rt: s}
 	bus.Register("a", s, sink)
 	start := s.Now()
@@ -201,8 +231,7 @@ func (c *counter) Deliver(ring.NodeID, wire.Message) { c.n++ }
 // message is whatever the sender spent boxing it.
 func TestSimulatedDeliveryDoesNotAllocate(t *testing.T) {
 	s := sim.New(1)
-	net := simnet.New(testTopo(t), simnet.UniformProfile(time.Millisecond), s.NewStream())
-	bus := NewBus(net)
+	bus, _ := newBus(t, s, simnet.UniformProfile(time.Millisecond))
 	sink := &counter{}
 	q := NewServiceQueue(s, sink, func(wire.Message) time.Duration { return 50 * time.Microsecond })
 	bus.Register("b", s, q)
@@ -226,4 +255,13 @@ func TestSimulatedDeliveryDoesNotAllocate(t *testing.T) {
 	if sink.n != 202*8 || q.Stats().Served != 202*8 {
 		t.Fatalf("delivered %d, served %d, want %d", sink.n, q.Stats().Served, 202*8)
 	}
+}
+
+// newBus builds a bus over testTopo with a fault plane whose members are the
+// topology's nodes.
+func newBus(t *testing.T, s *sim.Sim, p simnet.Profile) (*Bus, *faults.Plane) {
+	t.Helper()
+	topo := testTopo(t)
+	plane := faults.New(s, 1, topo.Nodes())
+	return NewBus(simnet.New(topo, p, s.NewStream()), plane), plane
 }
