@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"harmony/internal/dist"
+	"harmony/internal/faults"
 	"harmony/internal/ring"
+	"harmony/internal/sim"
 )
 
 func testTopo(t *testing.T) *ring.Topology {
@@ -60,6 +62,73 @@ func TestBandwidthTerm(t *testing.T) {
 	got := n.Delay(n.Class("a", "b"), 1000) // 1 KB at 1 MB/s = 1ms extra
 	if got != 2*time.Millisecond {
 		t.Fatalf("delay = %v, want 2ms", got)
+	}
+}
+
+// linkDelay prices one frame from a to b the way the simulated bus does: the
+// fault plane judges the link, the network draws its latency on the class
+// the plane holds for it. up is false when the plane blocks the frame.
+func linkDelay(n *Net, p *faults.Plane, a, b ring.NodeID) (d time.Duration, up bool) {
+	r := p.Route(p.Add(a, n.Host(a), n.Class), p.Add(b, n.Host(b), n.Class))
+	if r.Blocked {
+		return 0, false
+	}
+	return n.Delay(r.Class, 0) + r.Delay, true
+}
+
+func newPlane() *faults.Plane {
+	return faults.New(sim.New(1), 1, []ring.NodeID{"a", "b", "c", "d"})
+}
+
+func TestPartitionHealIsolateRejoin(t *testing.T) {
+	n := newNet(t, UniformProfile(time.Millisecond))
+	p := newPlane()
+	p.Apply(faults.Update{Partition: &faults.PartitionSpec{A: []string{"a"}, B: []string{"b"}}})
+	if _, up := linkDelay(n, p, "a", "b"); up {
+		t.Fatal("partitioned link up")
+	}
+	if _, up := linkDelay(n, p, "b", "a"); up {
+		t.Fatal("partition must be bidirectional")
+	}
+	if _, up := linkDelay(n, p, "a", "c"); !up {
+		t.Fatal("unrelated link cut")
+	}
+	p.Apply(faults.Update{Heal: true})
+	if d, up := linkDelay(n, p, "a", "b"); !up || d != time.Millisecond {
+		t.Fatalf("healed link = %v up=%v, want 1ms up", d, up)
+	}
+
+	p.Apply(faults.Update{Partition: &faults.PartitionSpec{A: []string{"c"}, B: []string{faults.Wildcard}}})
+	for _, peer := range []ring.NodeID{"a", "b", "d"} {
+		if _, up := linkDelay(n, p, "c", peer); up {
+			t.Fatalf("isolated node reaches %s", peer)
+		}
+	}
+	p.Apply(faults.Update{Heal: true})
+	for _, peer := range []ring.NodeID{"a", "b", "d"} {
+		if _, up := linkDelay(n, p, "c", peer); !up {
+			t.Fatalf("rejoined node cannot reach %s", peer)
+		}
+	}
+}
+
+func TestDegradeAndClear(t *testing.T) {
+	n := newNet(t, UniformProfile(time.Millisecond))
+	p := newPlane()
+	slow := faults.Rule{Delay: 7 * time.Millisecond}
+	p.Apply(faults.Update{Set: []faults.RuleUpdate{{From: "a", To: "b", Rule: slow}, {From: "b", To: "a", Rule: slow}}})
+	if got, _ := linkDelay(n, p, "a", "b"); got != 8*time.Millisecond {
+		t.Fatalf("degraded = %v, want 8ms", got)
+	}
+	if got, _ := linkDelay(n, p, "b", "a"); got != 8*time.Millisecond {
+		t.Fatalf("degradation must be bidirectional, got %v", got)
+	}
+	if got, _ := linkDelay(n, p, "a", "c"); got != time.Millisecond {
+		t.Fatalf("unrelated link = %v, want 1ms", got)
+	}
+	p.Apply(faults.Update{Clear: true})
+	if got, _ := linkDelay(n, p, "a", "b"); got != time.Millisecond {
+		t.Fatalf("after clear = %v, want 1ms", got)
 	}
 }
 
