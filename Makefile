@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race repair-test storage-test admin-smoke bench bench-micro bench-smoke benchmark-test benchmark-smoke chaos-smoke lint api-check api-baseline ci
+.PHONY: build test test-race fuzz-smoke repair-test storage-test admin-smoke bench bench-micro bench-smoke benchmark-test benchmark-smoke chaos-smoke lint api-check api-baseline ci
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,14 @@ test:
 
 test-race:
 	$(GO) test -race -timeout 30m ./...
+
+# Fuzz smoke: 20 s of coverage-guided fuzzing of the wire decoders
+# (FuzzDecode: Decode and DecodeShared never panic and agree, and every
+# frame they accept re-encodes to exactly Size bytes and to a fixed point).
+# The seed corpus, one frame per sample message, already runs in `make
+# test`; a failing input is saved under internal/wire/testdata/fuzz.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s ./internal/wire
 
 # Focused anti-entropy verification: the repair package (Merkle trees,
 # session protocol, scheduler) plus the cluster-level repair integration
@@ -129,4 +137,4 @@ api-check:
 api-baseline:
 	$(GO) run ./cmd/apicheck > api/exported.txt
 
-ci: lint build api-check test-race benchmark-test benchmark-smoke admin-smoke bench-smoke chaos-smoke
+ci: lint build api-check test-race fuzz-smoke benchmark-test benchmark-smoke admin-smoke bench-smoke chaos-smoke

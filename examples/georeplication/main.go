@@ -17,6 +17,7 @@ import (
 	"log"
 	"time"
 
+	"harmony/internal/client"
 	"harmony/internal/cluster"
 	"harmony/internal/core"
 	"harmony/internal/faults"
@@ -117,10 +118,8 @@ func main() {
 }
 
 // openLoad offers fixed-rate workload-A traffic whose reads use the level
-// Harmony currently advertises.
-func openLoad(s *sim.Sim, c *cluster.Cluster, levels interface {
-	ReadLevel() wire.ConsistencyLevel
-}, opsPerSec float64) (stop func()) {
+// Harmony currently advertises for their key.
+func openLoad(s *sim.Sim, c *cluster.Cluster, levels client.ConsistencyPolicy, opsPerSec float64) (stop func()) {
 	rng := s.NewStream()
 	chooser, err := ycsb.WorkloadA().NewChooser()
 	if err != nil {
@@ -135,8 +134,9 @@ func openLoad(s *sim.Sim, c *cluster.Cluster, levels interface {
 	stopR := s.Ticker(interval, func() {
 		id++
 		key := ycsb.Key(chooser.Next(rng))
+		level, _ := levels.LevelsFor(key)
 		c.Bus.Send("geo-load", coords[int(id)%len(coords)],
-			wire.ReadRequest{ID: id, Key: key, Level: levels.ReadLevel()})
+			wire.ReadRequest{ID: id, Key: key, Level: level})
 	})
 	stopW := s.Ticker(interval, func() {
 		id++

@@ -121,7 +121,7 @@ type ControllerConfig struct {
 	// controller (per-group state still exists for group 0 but mirrors
 	// the global decisions exactly).
 	Groups int
-	// GroupFn maps a key to its group for ReadLevelFor; it must match the
+	// GroupFn maps a key to its group for LevelsFor; it must match the
 	// cluster's Config.GroupFn. Nil assigns every key to group 0. It is
 	// consulted with the controller's lock held so a key is always judged
 	// by the epoch its group id belongs to; it must be cheap and must not
@@ -166,9 +166,9 @@ type ControllerConfig struct {
 // With ControllerConfig.Groups > 1 it is a multi-model controller: every
 // key group gets its own estimator model and decision stream derived from
 // the monitor's per-group arrival rates, so each read is served at the
-// level its key's group demands. The global decision stream (ReadLevel, Last,
-// History) is always computed from the cluster-wide rates, so a
-// single-group configuration behaves exactly like the classic controller.
+// level its key's group demands. The global decision stream (Last, History)
+// is always computed from the cluster-wide rates, so a single-group
+// configuration behaves exactly like the classic controller.
 type Controller struct {
 	cfg ControllerConfig
 
@@ -180,7 +180,7 @@ type Controller struct {
 	keep    int
 	// Mutable group structure, swapped atomically by Regroup: the grouping
 	// epoch, the key→group function, and the per-group tolerances always
-	// change together under mu, so ReadLevelFor never judges a key with a
+	// change together under mu, so LevelsFor never judges a key with a
 	// group id from one epoch against the group table of another.
 	epoch   uint64
 	groupFn func(key []byte) int
@@ -319,66 +319,14 @@ func (c *Controller) sessionOKLocked(g int) bool {
 	return g >= 0 && g < len(c.sess) && c.sess[g]
 }
 
-// ReadLevel reports the global stream's current read level.
-func (c *Controller) ReadLevel() wire.ConsistencyLevel {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.level
-}
-
-// ReadLevelFor serves the key's group's current read level. Out-of-range
-// GroupFn results clamp to group 0, matching the
-// cluster nodes' telemetry clamp so a miscategorized key is served by the
-// same group whose counters it feeds. The group function runs under the
-// controller's lock so the (group id, group table) pair is always from one
-// epoch, even while a Regroup races this read.
-func (c *Controller) ReadLevelFor(key []byte) wire.ConsistencyLevel {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	g := 0
-	if c.groupFn != nil {
-		g = c.groupFn(key)
-	}
-	if g < 0 || g >= len(c.groups) {
-		g = 0
-	}
-	return c.groups[g].level
-}
-
-// WriteLevel reports the level the global stream's writes should ship at
-// (ONE unless adaptive write levels moved them to QUORUM).
-func (c *Controller) WriteLevel() wire.ConsistencyLevel {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.last.WriteLevel == 0 {
-		return wire.One
-	}
-	return c.last.WriteLevel
-}
-
-// WriteLevelFor serves the key's group's current write level, resolved under
-// the same lock as the group table so key and level always belong to one
-// epoch (the ConsistencyPolicy contract).
-func (c *Controller) WriteLevelFor(key []byte) wire.ConsistencyLevel {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	g := 0
-	if c.groupFn != nil {
-		g = c.groupFn(key)
-	}
-	if g < 0 || g >= len(c.groups) {
-		g = 0
-	}
-	if l := c.groups[g].last.WriteLevel; l != 0 {
-		return l
-	}
-	return wire.One
-}
-
 // LevelsFor implements client.ConsistencyPolicy: the key's group supplies
 // both the read and the write level, resolved under one lock acquisition so
 // a key is never judged with one epoch's group id against another epoch's
 // group table, and read and write level always come from the same decision.
+// Out-of-range GroupFn results clamp to group 0, matching the cluster nodes'
+// telemetry clamp, so a miscategorized key is served by the group whose
+// counters it feeds. Before the group's first decision writes are served at
+// ONE.
 func (c *Controller) LevelsFor(key []byte) (read, write wire.ConsistencyLevel) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

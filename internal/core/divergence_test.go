@@ -127,12 +127,12 @@ func TestAdaptiveWriteLevelsTradeReadForWrite(t *testing.T) {
 	if d.WriteLevel != wire.Quorum {
 		t.Fatalf("adaptive: writes at %v, want QUORUM", d.WriteLevel)
 	}
-	if on.WriteLevel() != wire.Quorum {
-		t.Fatalf("WriteLevel() = %v, want QUORUM", on.WriteLevel())
+	if _, w := on.LevelsFor(nil); w != wire.Quorum {
+		t.Fatalf("LevelsFor write level = %v, want QUORUM", w)
 	}
 	// A benign regime keeps writes at ONE even with the feature on.
 	on.Observe(obsWith(0, nil))
-	if got := on.WriteLevel(); got != wire.One {
+	if _, got := on.LevelsFor(nil); got != wire.One {
 		t.Fatalf("benign regime writes at %v, want ONE", got)
 	}
 }
@@ -166,13 +166,13 @@ func TestWriteLevelForFollowsGroups(t *testing.T) {
 		},
 	}
 	ctl.Observe(obs)
-	if got := ctl.WriteLevelFor([]byte("hot")); got != wire.Quorum {
+	if _, got := ctl.LevelsFor([]byte("hot")); got != wire.Quorum {
 		t.Fatalf("hot group writes at %v, want QUORUM", got)
 	}
-	if got := ctl.WriteLevelFor([]byte("cold")); got != wire.One {
+	if _, got := ctl.LevelsFor([]byte("cold")); got != wire.One {
 		t.Fatalf("cold group writes at %v, want ONE", got)
 	}
-	if got := ctl.ReadLevelFor([]byte("hot")); got != wire.Quorum {
+	if got, _ := ctl.LevelsFor([]byte("hot")); got != wire.Quorum {
 		t.Fatalf("hot group reads at %v, want QUORUM (capped by quorum writes)", got)
 	}
 }

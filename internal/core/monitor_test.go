@@ -177,7 +177,7 @@ func TestControllerDecisionScheme(t *testing.T) {
 		Policy: Policy{Name: "Harmony-20%", ToleratedStaleRate: 0.2},
 		N:      5,
 	})
-	if got := ctl.ReadLevel(); got != wire.One {
+	if got, _ := ctl.LevelsFor(nil); got != wire.One {
 		t.Fatalf("default level = %v, want ONE", got)
 	}
 	// Low staleness regime: estimate below tolerance → stay at ONE.
@@ -261,8 +261,8 @@ func TestMonitorControllerEndToEnd(t *testing.T) {
 	if final.Level == wire.One {
 		t.Fatalf("controller never escalated under heavy updates: %+v", final)
 	}
-	if ctl.ReadLevel() != final.Level {
-		t.Fatal("ReadLevel out of sync with last decision")
+	if got, _ := ctl.LevelsFor(nil); got != final.Level {
+		t.Fatalf("served read level %v out of sync with last decision %v", got, final.Level)
 	}
 }
 
@@ -355,14 +355,14 @@ func TestControllerSingleGroupMatchesGlobal(t *testing.T) {
 			t.Fatalf("decision %d diverged:\n grouped %+v\n global  %+v", i, gh[i], bh[i])
 		}
 	}
-	if grouped.ReadLevel() != global.ReadLevel() {
-		t.Fatal("ReadLevel diverged")
+	if grouped.Last().Level != global.Last().Level {
+		t.Fatal("global level diverged")
 	}
-	// ReadLevelFor on the grouped controller must agree with its global
-	// level for every key: one group, one model.
+	// LevelsFor on the grouped controller must serve its global level for
+	// every key: one group, one model.
 	for _, key := range [][]byte{[]byte("hot"), []byte("cold"), nil} {
-		if grouped.ReadLevelFor(key) != grouped.ReadLevel() {
-			t.Fatalf("single-group ReadLevelFor(%q) != ReadLevel", key)
+		if got, _ := grouped.LevelsFor(key); got != grouped.Last().Level {
+			t.Fatalf("single-group LevelsFor(%q) read %v, global level %v", key, got, grouped.Last().Level)
 		}
 	}
 }
@@ -395,11 +395,11 @@ func TestControllerPerGroupDecisions(t *testing.T) {
 	if cold.Level != wire.One {
 		t.Fatalf("cold group escalated: %+v", cold)
 	}
-	if got := ctl.ReadLevelFor([]byte("h123")); got != hot.Level {
-		t.Fatalf("ReadLevelFor(hot) = %v, want %v", got, hot.Level)
+	if got, _ := ctl.LevelsFor([]byte("h123")); got != hot.Level {
+		t.Fatalf("LevelsFor(hot) read = %v, want %v", got, hot.Level)
 	}
-	if got := ctl.ReadLevelFor([]byte("c123")); got != wire.One {
-		t.Fatalf("ReadLevelFor(cold) = %v, want ONE", got)
+	if got, _ := ctl.LevelsFor([]byte("c123")); got != wire.One {
+		t.Fatalf("LevelsFor(cold) read = %v, want ONE", got)
 	}
 	// Per-group models carry the measured per-group rates, not the global.
 	if hot.Model.LambdaR != 500 || cold.Model.LambdaR != 100 {

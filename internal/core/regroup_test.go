@@ -34,11 +34,11 @@ func TestControllerRegroupMigratesModels(t *testing.T) {
 		GroupTolerances: []float64{0.02, 0.9},
 	})
 	ctl.Observe(contendedObs(time.Unix(1, 0), []GroupRates{contendedRates, quietRates}, 0))
-	hotLevel := ctl.ReadLevelFor([]byte("0"))
+	hotLevel, _ := ctl.LevelsFor([]byte("0"))
 	if hotLevel == wire.One {
 		t.Fatal("contended group did not escalate")
 	}
-	if got := ctl.ReadLevelFor([]byte("1")); got != wire.One {
+	if got, _ := ctl.LevelsFor([]byte("1")); got != wire.One {
 		t.Fatalf("quiet group at %v, want ONE", got)
 	}
 
@@ -54,14 +54,14 @@ func TestControllerRegroupMigratesModels(t *testing.T) {
 	if got := ctl.Epoch(); got != 1 {
 		t.Fatalf("epoch = %d, want 1", got)
 	}
-	if got := ctl.ReadLevelFor([]byte("a")); got != hotLevel {
+	if got, _ := ctl.LevelsFor([]byte("a")); got != hotLevel {
 		t.Fatalf("migrated hot group at %v, want inherited %v", got, hotLevel)
 	}
-	if got := ctl.ReadLevelFor([]byte("c")); got != wire.One {
+	if got, _ := ctl.LevelsFor([]byte("c")); got != wire.One {
 		t.Fatalf("migrated quiet group at %v, want ONE", got)
 	}
-	if got, want := ctl.ReadLevelFor([]byte("b")), ctl.ReadLevel(); got != want {
-		t.Fatalf("fresh group at %v, want the global stream's %v", got, want)
+	if got, _ := ctl.LevelsFor([]byte("b")); got != ctl.Last().Level {
+		t.Fatalf("fresh group at %v, want the global stream's %v", got, ctl.Last().Level)
 	}
 	// The migrated group keeps its parent's decision history.
 	if hist := ctl.GroupHistory(0); len(hist) != 1 {
@@ -177,11 +177,13 @@ func TestControllerStaticSingleGroupMatchesPR2(t *testing.T) {
 	for i, obs := range obsStream {
 		pr2.Observe(obs)
 		static.Observe(obs)
-		if a, b := pr2.ReadLevel(), static.ReadLevel(); a != b {
+		if a, b := pr2.Last().Level, static.Last().Level; a != b {
 			t.Fatalf("obs %d: global level diverged: %v vs %v", i, a, b)
 		}
-		if a, b := pr2.ReadLevelFor(key), static.ReadLevelFor(key); a != b {
-			t.Fatalf("obs %d: per-key level diverged: %v vs %v", i, a, b)
+		ar, aw := pr2.LevelsFor(key)
+		br, bw := static.LevelsFor(key)
+		if ar != br || aw != bw {
+			t.Fatalf("obs %d: per-key levels diverged: %v/%v vs %v/%v", i, ar, aw, br, bw)
 		}
 		if a, b := pr2.Last(), static.Last(); a != b {
 			t.Fatalf("obs %d: decisions diverged:\n%+v\n%+v", i, a, b)

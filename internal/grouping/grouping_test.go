@@ -284,7 +284,7 @@ func TestRegrouperMigratesControllerModels(t *testing.T) {
 			{ReadRate: 1, WriteInterval: 10},
 		},
 	})
-	hotLevel := ctl.ReadLevelFor([]byte("a-hot0"))
+	hotLevel, _ := ctl.LevelsFor([]byte("a-hot0"))
 	if hotLevel == wire.One {
 		t.Fatal("hot group did not escalate")
 	}
@@ -307,10 +307,10 @@ func TestRegrouperMigratesControllerModels(t *testing.T) {
 	if g := r.Current().GroupOf([]byte("a-newhot1")); g != 0 {
 		t.Fatalf("new hot key in group %d", g)
 	}
-	if got := ctl.ReadLevelFor([]byte("a-newhot1")); got != hotLevel {
+	if got, _ := ctl.LevelsFor([]byte("a-newhot1")); got != hotLevel {
 		t.Fatalf("migrated hot group at %v, want inherited %v", got, hotLevel)
 	}
-	if got := ctl.ReadLevelFor([]byte("a-cold0")); got != wire.One {
+	if got, _ := ctl.LevelsFor([]byte("a-cold0")); got != wire.One {
 		t.Fatalf("cold group at %v after migration", got)
 	}
 }

@@ -10,24 +10,42 @@ import (
 	"sync"
 )
 
-// Codec errors.
+// Codec errors. ErrMalformed reports a field that decoded completely but
+// holds a value its Go type cannot represent, such as a uint32 field
+// carrying 2^32.
 var (
 	ErrFrameTooLarge = errors.New("wire: frame exceeds maximum size")
 	ErrTruncated     = errors.New("wire: truncated payload")
 	ErrUnknownKind   = errors.New("wire: unknown message kind")
+	ErrMalformed     = errors.New("wire: malformed field")
 )
 
 // MaxFrame bounds a single encoded message; oversized frames indicate stream
 // corruption, not a legitimate payload.
 const MaxFrame = 16 << 20
 
-// buffer is a simple append-only writer / cursor reader used by the codec.
-// When share is set, rBytes returns subslices of the input instead of
-// copies (see DecodeShared).
-type buffer struct {
-	b     []byte
-	off   int
+// mode selects what a coder does with each field it is handed.
+type mode uint8
+
+const (
+	sizing  mode = iota // add the field's encoded length to n
+	writing             // append the field to b
+	reading             // parse the field from b at off into the message
+)
+
+// coder runs one message's field list — its code method, the only place the
+// message's layout is written down — in one of three modes, so sizing,
+// encoding and decoding cannot drift apart. When reading, byte fields are
+// copied out of b, or alias it when share is set (see DecodeShared). The
+// first read failure is kept in err and moves the cursor to the end, so
+// every later field fails too and decodes as its zero value.
+type coder struct {
+	mode  mode
 	share bool
+	n     int
+	off   int
+	b     []byte
+	err   error
 }
 
 // uvarintLen returns the encoded length of v as a uvarint.
@@ -35,314 +53,444 @@ func uvarintLen(v uint64) int {
 	return (bits.Len64(v|1) + 6) / 7
 }
 
-// varintLen returns the encoded length of v as a zig-zag varint.
-func varintLen(v int64) int {
-	return uvarintLen(uint64(v)<<1 ^ uint64(v>>63))
-}
-
-func bytesLen(p []byte) int { return uvarintLen(uint64(len(p))) + len(p) }
-func strLen(s string) int   { return uvarintLen(uint64(len(s))) + len(s) }
-
-func clockLen(c []ClockEntry) int {
-	n := uvarintLen(uint64(len(c)))
-	for _, e := range c {
-		n += strLen(e.Node) + uvarintLen(e.Counter)
+func (c *coder) fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
-	return n
+	c.off = len(c.b)
 }
 
-func valueLen(v Value) int {
-	return bytesLen(v.Data) + varintLen(v.Timestamp) + 1 + clockLen(v.Clock)
-}
+// Every primitive adds its encoded length to n in every mode (only sizing
+// reads it). uvarint, u8 and fixed64 leave writing and reading to an
+// out-of-line IO half, which keeps them small enough to inline into the
+// field lists: Size runs on every simulated send, and Encode sizes a
+// message before it writes it.
 
-func entriesLen(es []GossipEntry) int {
-	n := uvarintLen(uint64(len(es)))
-	for _, e := range es {
-		n += strLen(e.Node) + uvarintLen(e.Generation) + uvarintLen(e.Version)
+func (c *coder) uvarint(p *uint64) {
+	c.n += (bits.Len64(*p|1) + 6) / 7 // uvarintLen, spelled out to inline
+	if c.mode != sizing {
+		c.uvarintIO(p)
 	}
-	return n
+}
+
+func (c *coder) uvarintIO(p *uint64) {
+	if c.mode == writing {
+		c.b = binary.AppendUvarint(c.b, *p)
+		return
+	}
+	v, n := binary.Uvarint(c.b[c.off:])
+	if n <= 0 {
+		c.fail(ErrTruncated)
+		return
+	}
+	*p = v
+	c.off += n
+}
+
+// varint codes a signed integer as a zig-zag uvarint (binary.AppendVarint's
+// encoding).
+func (c *coder) varint(p *int64) {
+	u := uint64(*p)<<1 ^ uint64(*p>>63)
+	c.uvarint(&u)
+	*p = int64(u>>1) ^ -int64(u&1)
+}
+
+// u32 codes a uvarint that must fit in 32 bits; a larger value read from
+// the wire is rejected instead of truncated.
+func (c *coder) u32(p *uint32) {
+	v := uint64(*p)
+	c.uvarint(&v)
+	if v > math.MaxUint32 {
+		c.fail(ErrMalformed)
+		return
+	}
+	*p = uint32(v)
+}
+
+func (c *coder) u8(p *uint8) {
+	c.n++
+	if c.mode != sizing {
+		c.u8IO(p)
+	}
+}
+
+func (c *coder) u8IO(p *uint8) {
+	if c.mode == writing {
+		c.b = append(c.b, *p)
+		return
+	}
+	if c.off >= len(c.b) {
+		c.fail(ErrTruncated)
+		return
+	}
+	*p = c.b[c.off]
+	c.off++
+}
+
+func (c *coder) bool(p *bool) {
+	var v uint8
+	if *p {
+		v = 1
+	}
+	c.u8(&v)
+	*p = v != 0
+}
+
+// fixed64 codes a fixed 8-byte big-endian word. Ring tokens, Merkle hashes
+// and float bits are uniformly distributed, so a varint would only add
+// bytes.
+func (c *coder) fixed64(p *uint64) {
+	c.n += 8
+	if c.mode != sizing {
+		c.fixed64IO(p)
+	}
+}
+
+func (c *coder) fixed64IO(p *uint64) {
+	if c.mode == writing {
+		c.b = binary.BigEndian.AppendUint64(c.b, *p)
+		return
+	}
+	if len(c.b)-c.off < 8 {
+		c.fail(ErrTruncated)
+		return
+	}
+	*p = binary.BigEndian.Uint64(c.b[c.off:])
+	c.off += 8
+}
+
+func (c *coder) f64(p *float64) {
+	u := math.Float64bits(*p)
+	c.fixed64(&u)
+	*p = math.Float64frombits(u)
+}
+
+// bytes codes a length-prefixed byte string; an empty one reads as nil.
+func (c *coder) bytes(p *[]byte) {
+	c.n += uvarintLen(uint64(len(*p))) + len(*p)
+	if c.mode == writing {
+		c.b = binary.AppendUvarint(c.b, uint64(len(*p)))
+		c.b = append(c.b, *p...)
+	} else if c.mode == reading {
+		if v := c.view(); c.share {
+			*p = v
+		} else {
+			*p = slices.Clone(v)
+		}
+	}
+}
+
+func (c *coder) str(p *string) {
+	c.n += uvarintLen(uint64(len(*p))) + len(*p)
+	if c.mode == writing {
+		c.b = binary.AppendUvarint(c.b, uint64(len(*p)))
+		c.b = append(c.b, *p...)
+	} else if c.mode == reading {
+		*p = string(c.view())
+	}
+}
+
+// view reads a length-prefixed byte string as a subslice of b (nil when
+// empty or on failure).
+func (c *coder) view() []byte {
+	var n uint64
+	c.uvarint(&n)
+	if n > uint64(len(c.b)-c.off) {
+		c.fail(ErrTruncated)
+		return nil
+	}
+	if n == 0 {
+		return nil
+	}
+	v := c.b[c.off : c.off+int(n) : c.off+int(n)]
+	c.off += int(n)
+	return v
+}
+
+// list codes a list's length and, when reading, allocates the list (nil
+// when empty); the caller then codes each element in place with a plain
+// loop. Every element encodes to at least one byte, so a count beyond the
+// rest of the frame is truncation and never sizes an allocation.
+func list[T any](c *coder, p *[]T) {
+	n := uint64(len(*p))
+	c.uvarint(&n)
+	if c.mode != reading || n == 0 {
+		return
+	}
+	if n > uint64(len(c.b)-c.off) {
+		c.fail(ErrTruncated)
+		return
+	}
+	*p = make([]T, n)
+}
+
+// The field lists. Each message's layout is written here once; the order of
+// the calls is the order of the bytes on the wire.
+
+func (c *coder) clock(p *[]ClockEntry) {
+	list(c, p)
+	for i := range *p {
+		c.str(&(*p)[i].Node)
+		c.uvarint(&(*p)[i].Counter)
+	}
+}
+
+func (v *Value) code(c *coder) {
+	c.bytes(&v.Data)
+	c.varint(&v.Timestamp)
+	c.bool(&v.Tombstone)
+	c.clock(&v.Clock)
+}
+
+func (r *TokenRange) code(c *coder) {
+	c.fixed64(&r.Start)
+	c.fixed64(&r.End)
+}
+
+func (m *ReadRequest) code(c *coder) {
+	c.uvarint(&m.ID)
+	c.bytes(&m.Key)
+	c.u8((*uint8)(&m.Level))
+	c.bool(&m.Shadow)
+	c.clock(&m.Token)
+	c.uvarint(&m.DeadlineMs)
+}
+
+func (m *ReadResponse) code(c *coder) {
+	c.uvarint(&m.ID)
+	c.bool(&m.Found)
+	m.Value.code(c)
+	c.bool(&m.Stale)
+	c.u8((*uint8)(&m.Achieved))
+}
+
+func (m *WriteRequest) code(c *coder) {
+	c.uvarint(&m.ID)
+	c.bytes(&m.Key)
+	c.bytes(&m.Value)
+	c.bool(&m.Delete)
+	c.u8((*uint8)(&m.Level))
+	c.uvarint(&m.DeadlineMs)
+	c.varint(&m.TsHint)
+}
+
+func (m *WriteResponse) code(c *coder) {
+	c.uvarint(&m.ID)
+	c.bool(&m.OK)
+	c.varint(&m.Timestamp)
+	c.clock(&m.Clock)
+}
+
+func (m *ReplicaRead) code(c *coder) {
+	c.uvarint(&m.ID)
+	c.bytes(&m.Key)
+}
+
+func (m *ReplicaReadResp) code(c *coder) {
+	c.uvarint(&m.ID)
+	c.bool(&m.Found)
+	m.Value.code(c)
+}
+
+func (m *Mutation) code(c *coder) {
+	c.uvarint(&m.ID)
+	c.bytes(&m.Key)
+	m.Value.code(c)
+	c.bool(&m.Hint)
+}
+
+func (m *MutationAck) code(c *coder) { c.uvarint(&m.ID) }
+
+func (m *Repair) code(c *coder) {
+	c.bytes(&m.Key)
+	m.Value.code(c)
+}
+
+func (m *StatsRequest) code(c *coder) { c.uvarint(&m.ID) }
+
+func (m *StatsResponse) code(c *coder) {
+	for _, f := range [...]*uint64{&m.ID, &m.Reads, &m.Writes, &m.ReplicaOps, &m.BytesRead,
+		&m.BytesWrit, &m.RepairsSent, &m.HintsQueued, &m.RepairRows, &m.RepairAgeMs,
+		&m.RecoveredRows, &m.AliveMembers} {
+		c.uvarint(f)
+	}
+	list(c, &m.Groups)
+	for i := range m.Groups {
+		g := &m.Groups[i]
+		for _, f := range [...]*uint64{&g.Reads, &g.Writes, &g.BytesWritten, &g.RepairRows, &g.RepairAgeMs} {
+			c.uvarint(f)
+		}
+	}
+	c.uvarint(&m.Epoch)
+	list(c, &m.KeySamples)
+	for i := range m.KeySamples {
+		ks := &m.KeySamples[i]
+		c.bytes(&ks.Key)
+		c.f64(&ks.Reads)
+		c.f64(&ks.Writes)
+	}
+}
+
+func (m *Ping) code(c *coder) {
+	c.uvarint(&m.ID)
+	c.varint(&m.Sent)
+}
+
+func (m *Pong) code(c *coder) {
+	c.uvarint(&m.ID)
+	c.varint(&m.Sent)
+}
+
+func (e *GossipEntry) code(c *coder) {
+	c.str(&e.Node)
+	c.uvarint(&e.Generation)
+	c.uvarint(&e.Version)
+}
+
+func (m *GossipSyn) code(c *coder) {
+	c.str(&m.From)
+	list(c, &m.Digests)
+	for i := range m.Digests {
+		m.Digests[i].code(c)
+	}
+}
+
+func (m *GossipAck) code(c *coder) {
+	c.str(&m.From)
+	list(c, &m.Entries)
+	for i := range m.Entries {
+		m.Entries[i].code(c)
+	}
+}
+
+func (m *Error) code(c *coder) {
+	c.uvarint(&m.ID)
+	c.u8((*uint8)(&m.Code))
+	c.str(&m.Msg)
+}
+
+func (m *GroupUpdate) code(c *coder) {
+	c.uvarint(&m.Epoch)
+	list(c, &m.Tolerances)
+	for i := range m.Tolerances {
+		c.f64(&m.Tolerances[i])
+	}
+	c.u32(&m.Default)
+	list(c, &m.Entries)
+	for i := range m.Entries {
+		c.bytes(&m.Entries[i].Key)
+		c.u32(&m.Entries[i].Group)
+	}
+}
+
+func (m *TreeRequest) code(c *coder) {
+	c.uvarint(&m.ID)
+	list(c, &m.Ranges)
+	for i := range m.Ranges {
+		m.Ranges[i].code(c)
+	}
+}
+
+func (m *TreeResponse) code(c *coder) {
+	c.uvarint(&m.ID)
+	list(c, &m.Trees)
+	for i := range m.Trees {
+		t := &m.Trees[i]
+		t.Range.code(c)
+		c.fixed64(&t.Root)
+		list(c, &t.Leaves)
+		for j := range t.Leaves {
+			c.fixed64(&t.Leaves[j])
+		}
+	}
+}
+
+func (m *RangeSync) code(c *coder) {
+	c.uvarint(&m.ID)
+	c.u32(&m.LeafCount)
+	list(c, &m.Leaves)
+	for i := range m.Leaves {
+		m.Leaves[i].Range.code(c)
+		c.u32(&m.Leaves[i].Leaf)
+	}
+	list(c, &m.Entries)
+	for i := range m.Entries {
+		c.bytes(&m.Entries[i].Key)
+		m.Entries[i].Value.code(c)
+	}
+	c.bool(&m.Reply)
+	c.bool(&m.Done)
+}
+
+// payload runs m's field list in c's sizing or writing mode; it reports
+// false when m is not one of this package's messages. The cases are plain
+// calls on a local copy so neither the copy nor the coder escapes.
+func (c *coder) payload(m Message) bool {
+	switch v := m.(type) {
+	case ReadRequest:
+		v.code(c)
+	case ReadResponse:
+		v.code(c)
+	case WriteRequest:
+		v.code(c)
+	case WriteResponse:
+		v.code(c)
+	case ReplicaRead:
+		v.code(c)
+	case ReplicaReadResp:
+		v.code(c)
+	case Mutation:
+		v.code(c)
+	case MutationAck:
+		v.code(c)
+	case Repair:
+		v.code(c)
+	case StatsRequest:
+		v.code(c)
+	case StatsResponse:
+		v.code(c)
+	case Ping:
+		v.code(c)
+	case Pong:
+		v.code(c)
+	case GossipSyn:
+		v.code(c)
+	case GossipAck:
+		v.code(c)
+	case Error:
+		v.code(c)
+	case GroupUpdate:
+		v.code(c)
+	case TreeRequest:
+		v.code(c)
+	case TreeResponse:
+		v.code(c)
+	case RangeSync:
+		v.code(c)
+	default:
+		return false
+	}
+	return true
 }
 
 // bodySize returns the exact encoded length of m's frame body (kind byte +
-// payload) without encoding anything. It must mirror the Encode switch
-// field-for-field; TestBodySizeMatchesEncoding pins the two together.
+// payload) without encoding anything.
 func bodySize(m Message) (int, error) {
-	switch v := m.(type) {
-	case ReadRequest:
-		return 1 + uvarintLen(v.ID) + bytesLen(v.Key) + 2 + clockLen(v.Token) + uvarintLen(v.DeadlineMs), nil
-	case ReadResponse:
-		return 1 + uvarintLen(v.ID) + 1 + valueLen(v.Value) + 2, nil
-	case WriteRequest:
-		return 1 + uvarintLen(v.ID) + bytesLen(v.Key) + bytesLen(v.Value) + 2 +
-			uvarintLen(v.DeadlineMs) + varintLen(v.TsHint), nil
-	case WriteResponse:
-		return 1 + uvarintLen(v.ID) + 1 + varintLen(v.Timestamp) + clockLen(v.Clock), nil
-	case ReplicaRead:
-		return 1 + uvarintLen(v.ID) + bytesLen(v.Key), nil
-	case ReplicaReadResp:
-		return 1 + uvarintLen(v.ID) + 1 + valueLen(v.Value), nil
-	case Mutation:
-		return 1 + uvarintLen(v.ID) + bytesLen(v.Key) + valueLen(v.Value) + 1, nil
-	case MutationAck:
-		return 1 + uvarintLen(v.ID), nil
-	case Repair:
-		return 1 + bytesLen(v.Key) + valueLen(v.Value), nil
-	case StatsRequest:
-		return 1 + uvarintLen(v.ID), nil
-	case StatsResponse:
-		n := 1 + uvarintLen(v.ID) + uvarintLen(v.Reads) + uvarintLen(v.Writes) +
-			uvarintLen(v.ReplicaOps) + uvarintLen(v.BytesRead) + uvarintLen(v.BytesWrit) +
-			uvarintLen(v.RepairsSent) + uvarintLen(v.HintsQueued) +
-			uvarintLen(v.RepairRows) + uvarintLen(v.RepairAgeMs) +
-			uvarintLen(v.RecoveredRows) + uvarintLen(v.AliveMembers) +
-			uvarintLen(uint64(len(v.Groups)))
-		for _, g := range v.Groups {
-			n += uvarintLen(g.Reads) + uvarintLen(g.Writes) + uvarintLen(g.BytesWritten) +
-				uvarintLen(g.RepairRows) + uvarintLen(g.RepairAgeMs)
-		}
-		n += uvarintLen(v.Epoch) + uvarintLen(uint64(len(v.KeySamples)))
-		for _, ks := range v.KeySamples {
-			n += bytesLen(ks.Key) + 16
-		}
-		return n, nil
-	case Ping:
-		return 1 + uvarintLen(v.ID) + varintLen(v.Sent), nil
-	case Pong:
-		return 1 + uvarintLen(v.ID) + varintLen(v.Sent), nil
-	case GossipSyn:
-		return 1 + strLen(v.From) + entriesLen(v.Digests), nil
-	case GossipAck:
-		return 1 + strLen(v.From) + entriesLen(v.Entries), nil
-	case Error:
-		return 1 + uvarintLen(v.ID) + 1 + strLen(v.Msg), nil
-	case GroupUpdate:
-		n := 1 + uvarintLen(v.Epoch) + uvarintLen(uint64(len(v.Tolerances))) +
-			8*len(v.Tolerances) + uvarintLen(uint64(v.Default)) +
-			uvarintLen(uint64(len(v.Entries)))
-		for _, e := range v.Entries {
-			n += bytesLen(e.Key) + uvarintLen(uint64(e.Group))
-		}
-		return n, nil
-	case TreeRequest:
-		return 1 + uvarintLen(v.ID) + uvarintLen(uint64(len(v.Ranges))) + 16*len(v.Ranges), nil
-	case TreeResponse:
-		n := 1 + uvarintLen(v.ID) + uvarintLen(uint64(len(v.Trees)))
-		for _, t := range v.Trees {
-			n += 16 + 8 + uvarintLen(uint64(len(t.Leaves))) + 8*len(t.Leaves)
-		}
-		return n, nil
-	case RangeSync:
-		n := 1 + uvarintLen(v.ID) + uvarintLen(uint64(v.LeafCount)) +
-			uvarintLen(uint64(len(v.Leaves)))
-		for _, l := range v.Leaves {
-			n += 16 + uvarintLen(uint64(l.Leaf))
-		}
-		n += uvarintLen(uint64(len(v.Entries)))
-		for _, e := range v.Entries {
-			n += bytesLen(e.Key) + valueLen(e.Value)
-		}
-		return n + 2, nil
-	default:
+	c := coder{mode: sizing, n: 1} // n starts at the kind byte
+	if !c.payload(m) {
 		return 0, fmt.Errorf("%w: %T", ErrUnknownKind, m)
 	}
-}
-
-func (w *buffer) uvarint(v uint64) {
-	w.b = binary.AppendUvarint(w.b, v)
-}
-
-func (w *buffer) varint(v int64) {
-	w.b = binary.AppendVarint(w.b, v)
-}
-
-func (w *buffer) bytes(p []byte) {
-	w.uvarint(uint64(len(p)))
-	w.b = append(w.b, p...)
-}
-
-func (w *buffer) str(s string) { w.bytes([]byte(s)) }
-
-func (w *buffer) bool(v bool) {
-	if v {
-		w.b = append(w.b, 1)
-	} else {
-		w.b = append(w.b, 0)
-	}
-}
-
-func (w *buffer) byte(v byte) { w.b = append(w.b, v) }
-
-// f64 writes a float64 as fixed 8-byte big-endian IEEE-754 bits (float bits
-// are high-entropy, so varint encoding would not help).
-func (w *buffer) f64(v float64) {
-	w.b = binary.BigEndian.AppendUint64(w.b, math.Float64bits(v))
-}
-
-// u64 writes a fixed 8-byte big-endian word; ring tokens and Merkle hashes
-// are uniformly distributed, so varint encoding would only add bytes.
-func (w *buffer) u64(v uint64) {
-	w.b = binary.BigEndian.AppendUint64(w.b, v)
-}
-
-func (w *buffer) tokenRange(r TokenRange) {
-	w.u64(r.Start)
-	w.u64(r.End)
-}
-
-func (r *buffer) rUvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		return 0, ErrTruncated
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *buffer) rVarint() (int64, error) {
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		return 0, ErrTruncated
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *buffer) rBytes() ([]byte, error) {
-	n, err := r.rUvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(r.b)-r.off) {
-		return nil, ErrTruncated
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	if r.share {
-		out := r.b[r.off : r.off+int(n) : r.off+int(n)]
-		r.off += int(n)
-		return out, nil
-	}
-	out := make([]byte, n)
-	copy(out, r.b[r.off:r.off+int(n)])
-	r.off += int(n)
-	return out, nil
-}
-
-func (r *buffer) rStr() (string, error) {
-	b, err := r.rBytes()
-	return string(b), err
-}
-
-func (r *buffer) rBool() (bool, error) {
-	b, err := r.rByte()
-	return b != 0, err
-}
-
-func (r *buffer) rByte() (byte, error) {
-	if r.off >= len(r.b) {
-		return 0, ErrTruncated
-	}
-	b := r.b[r.off]
-	r.off++
-	return b, nil
-}
-
-func (r *buffer) rF64() (float64, error) {
-	if len(r.b)-r.off < 8 {
-		return 0, ErrTruncated
-	}
-	v := math.Float64frombits(binary.BigEndian.Uint64(r.b[r.off:]))
-	r.off += 8
-	return v, nil
-}
-
-func (r *buffer) rU64() (uint64, error) {
-	if len(r.b)-r.off < 8 {
-		return 0, ErrTruncated
-	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-func (r *buffer) rTokenRange() (TokenRange, error) {
-	var tr TokenRange
-	var err error
-	if tr.Start, err = r.rU64(); err != nil {
-		return tr, err
-	}
-	if tr.End, err = r.rU64(); err != nil {
-		return tr, err
-	}
-	return tr, nil
-}
-
-func (w *buffer) clock(c []ClockEntry) {
-	w.uvarint(uint64(len(c)))
-	for _, e := range c {
-		w.str(e.Node)
-		w.uvarint(e.Counter)
-	}
-}
-
-func (r *buffer) rClock() ([]ClockEntry, error) {
-	n, err := r.rUvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(r.b)) { // cheap sanity bound
-		return nil, ErrTruncated
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]ClockEntry, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var e ClockEntry
-		if e.Node, err = r.rStr(); err != nil {
-			return nil, err
-		}
-		if e.Counter, err = r.rUvarint(); err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
-
-func (w *buffer) value(v Value) {
-	w.bytes(v.Data)
-	w.varint(v.Timestamp)
-	w.bool(v.Tombstone)
-	w.clock(v.Clock)
-}
-
-func (r *buffer) rValue() (Value, error) {
-	var v Value
-	var err error
-	if v.Data, err = r.rBytes(); err != nil {
-		return v, err
-	}
-	if v.Timestamp, err = r.rVarint(); err != nil {
-		return v, err
-	}
-	if v.Tombstone, err = r.rBool(); err != nil {
-		return v, err
-	}
-	if v.Clock, err = r.rClock(); err != nil {
-		return v, err
-	}
-	return v, nil
+	return c.n, nil
 }
 
 // Encode serializes m into a self-delimiting frame appended to dst.
 //
 // The frame is written directly into dst — the body size is computed up
-// front (bodySize), the length prefix appended, and every field encoded in
-// place — so encoding performs no intermediate copy and allocates only when
-// dst lacks capacity. Hot paths that reuse a buffer (the pooled frame path)
-// therefore encode allocation-free.
+// front (a sizing pass over the same field list), the length prefix
+// appended, and every field encoded in place — so encoding performs no
+// intermediate copy and allocates only when dst lacks capacity. Hot paths
+// that reuse a buffer (the pooled frame path) therefore encode
+// allocation-free.
 func Encode(dst []byte, m Message) ([]byte, error) {
 	size, err := bodySize(m)
 	if err != nil {
@@ -353,619 +501,108 @@ func Encode(dst []byte, m Message) ([]byte, error) {
 	}
 	dst = slices.Grow(dst, uvarintLen(uint64(size))+size)
 	dst = binary.AppendUvarint(dst, uint64(size))
-	w := buffer{b: dst}
-	w.byte(byte(m.Kind()))
-	switch v := m.(type) {
-	case ReadRequest:
-		w.uvarint(v.ID)
-		w.bytes(v.Key)
-		w.byte(byte(v.Level))
-		w.bool(v.Shadow)
-		w.clock(v.Token)
-		w.uvarint(v.DeadlineMs)
-	case ReadResponse:
-		w.uvarint(v.ID)
-		w.bool(v.Found)
-		w.value(v.Value)
-		w.bool(v.Stale)
-		w.byte(byte(v.Achieved))
-	case WriteRequest:
-		w.uvarint(v.ID)
-		w.bytes(v.Key)
-		w.bytes(v.Value)
-		w.bool(v.Delete)
-		w.byte(byte(v.Level))
-		w.uvarint(v.DeadlineMs)
-		w.varint(v.TsHint)
-	case WriteResponse:
-		w.uvarint(v.ID)
-		w.bool(v.OK)
-		w.varint(v.Timestamp)
-		w.clock(v.Clock)
-	case ReplicaRead:
-		w.uvarint(v.ID)
-		w.bytes(v.Key)
-	case ReplicaReadResp:
-		w.uvarint(v.ID)
-		w.bool(v.Found)
-		w.value(v.Value)
-	case Mutation:
-		w.uvarint(v.ID)
-		w.bytes(v.Key)
-		w.value(v.Value)
-		w.bool(v.Hint)
-	case MutationAck:
-		w.uvarint(v.ID)
-	case Repair:
-		w.bytes(v.Key)
-		w.value(v.Value)
-	case StatsRequest:
-		w.uvarint(v.ID)
-	case StatsResponse:
-		w.uvarint(v.ID)
-		w.uvarint(v.Reads)
-		w.uvarint(v.Writes)
-		w.uvarint(v.ReplicaOps)
-		w.uvarint(v.BytesRead)
-		w.uvarint(v.BytesWrit)
-		w.uvarint(v.RepairsSent)
-		w.uvarint(v.HintsQueued)
-		w.uvarint(v.RepairRows)
-		w.uvarint(v.RepairAgeMs)
-		w.uvarint(v.RecoveredRows)
-		w.uvarint(v.AliveMembers)
-		w.uvarint(uint64(len(v.Groups)))
-		for _, g := range v.Groups {
-			w.uvarint(g.Reads)
-			w.uvarint(g.Writes)
-			w.uvarint(g.BytesWritten)
-			w.uvarint(g.RepairRows)
-			w.uvarint(g.RepairAgeMs)
-		}
-		w.uvarint(v.Epoch)
-		w.uvarint(uint64(len(v.KeySamples)))
-		for _, ks := range v.KeySamples {
-			w.bytes(ks.Key)
-			w.f64(ks.Reads)
-			w.f64(ks.Writes)
-		}
-	case Ping:
-		w.uvarint(v.ID)
-		w.varint(v.Sent)
-	case Pong:
-		w.uvarint(v.ID)
-		w.varint(v.Sent)
-	case GossipSyn:
-		w.str(v.From)
-		w.uvarint(uint64(len(v.Digests)))
-		for _, d := range v.Digests {
-			w.str(d.Node)
-			w.uvarint(d.Generation)
-			w.uvarint(d.Version)
-		}
-	case GossipAck:
-		w.str(v.From)
-		w.uvarint(uint64(len(v.Entries)))
-		for _, d := range v.Entries {
-			w.str(d.Node)
-			w.uvarint(d.Generation)
-			w.uvarint(d.Version)
-		}
-	case Error:
-		w.uvarint(v.ID)
-		w.byte(byte(v.Code))
-		w.str(v.Msg)
-	case GroupUpdate:
-		w.uvarint(v.Epoch)
-		w.uvarint(uint64(len(v.Tolerances)))
-		for _, tol := range v.Tolerances {
-			w.f64(tol)
-		}
-		w.uvarint(uint64(v.Default))
-		w.uvarint(uint64(len(v.Entries)))
-		for _, e := range v.Entries {
-			w.bytes(e.Key)
-			w.uvarint(uint64(e.Group))
-		}
-	case TreeRequest:
-		w.uvarint(v.ID)
-		w.uvarint(uint64(len(v.Ranges)))
-		for _, rg := range v.Ranges {
-			w.tokenRange(rg)
-		}
-	case TreeResponse:
-		w.uvarint(v.ID)
-		w.uvarint(uint64(len(v.Trees)))
-		for _, t := range v.Trees {
-			w.tokenRange(t.Range)
-			w.u64(t.Root)
-			w.uvarint(uint64(len(t.Leaves)))
-			for _, l := range t.Leaves {
-				w.u64(l)
-			}
-		}
-	case RangeSync:
-		w.uvarint(v.ID)
-		w.uvarint(uint64(v.LeafCount))
-		w.uvarint(uint64(len(v.Leaves)))
-		for _, l := range v.Leaves {
-			w.tokenRange(l.Range)
-			w.uvarint(uint64(l.Leaf))
-		}
-		w.uvarint(uint64(len(v.Entries)))
-		for _, e := range v.Entries {
-			w.bytes(e.Key)
-			w.value(e.Value)
-		}
-		w.bool(v.Reply)
-		w.bool(v.Done)
-	default:
-		return dst, fmt.Errorf("%w: %T", ErrUnknownKind, m)
-	}
-	return w.b, nil
+	c := coder{mode: writing, b: append(dst, byte(m.Kind()))}
+	c.payload(m)
+	return c.b, nil
 }
 
-func decodeEntries(r *buffer) ([]GossipEntry, error) {
-	n, err := r.rUvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(r.b)) { // cheap sanity bound
-		return nil, ErrTruncated
-	}
-	out := make([]GossipEntry, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var e GossipEntry
-		if e.Node, err = r.rStr(); err != nil {
-			return nil, err
-		}
-		if e.Generation, err = r.rUvarint(); err != nil {
-			return nil, err
-		}
-		if e.Version, err = r.rUvarint(); err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
-
-// decodeBody decodes one frame body (kind byte + payload). share propagates
-// to rBytes: byte-slice fields alias body instead of being copied.
+// decodeBody decodes one frame body (kind byte + payload). share makes
+// byte-slice fields alias body instead of copying it. Each case decodes
+// into a local value before boxing it, which keeps the boxing the only
+// allocation a shared decode makes.
 func decodeBody(body []byte, share bool) (Message, error) {
-	r := &buffer{b: body, share: share}
-	kb, err := r.rByte()
-	if err != nil {
-		return nil, err
-	}
-	kind := Kind(kb)
-	switch kind {
+	c := coder{mode: reading, b: body, share: share}
+	var kind uint8
+	c.u8(&kind)
+	var m Message
+	switch Kind(kind) {
 	case KindReadRequest:
-		var m ReadRequest
-		if m.ID, err = r.rUvarint(); err != nil {
-			return nil, err
-		}
-		if m.Key, err = r.rBytes(); err != nil {
-			return nil, err
-		}
-		lb, err := r.rByte()
-		if err != nil {
-			return nil, err
-		}
-		m.Level = ConsistencyLevel(lb)
-		if m.Shadow, err = r.rBool(); err != nil {
-			return nil, err
-		}
-		if m.Token, err = r.rClock(); err != nil {
-			return nil, err
-		}
-		if m.DeadlineMs, err = r.rUvarint(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v ReadRequest
+		v.code(&c)
+		m = v
 	case KindReadResponse:
-		var m ReadResponse
-		if m.ID, err = r.rUvarint(); err != nil {
-			return nil, err
-		}
-		if m.Found, err = r.rBool(); err != nil {
-			return nil, err
-		}
-		if m.Value, err = r.rValue(); err != nil {
-			return nil, err
-		}
-		if m.Stale, err = r.rBool(); err != nil {
-			return nil, err
-		}
-		ab, err := r.rByte()
-		if err != nil {
-			return nil, err
-		}
-		m.Achieved = ConsistencyLevel(ab)
-		return m, nil
+		var v ReadResponse
+		v.code(&c)
+		m = v
 	case KindWriteRequest:
-		var m WriteRequest
-		if m.ID, err = r.rUvarint(); err != nil {
-			return nil, err
-		}
-		if m.Key, err = r.rBytes(); err != nil {
-			return nil, err
-		}
-		if m.Value, err = r.rBytes(); err != nil {
-			return nil, err
-		}
-		if m.Delete, err = r.rBool(); err != nil {
-			return nil, err
-		}
-		lb, err := r.rByte()
-		if err != nil {
-			return nil, err
-		}
-		m.Level = ConsistencyLevel(lb)
-		if m.DeadlineMs, err = r.rUvarint(); err != nil {
-			return nil, err
-		}
-		if m.TsHint, err = r.rVarint(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v WriteRequest
+		v.code(&c)
+		m = v
 	case KindWriteResponse:
-		var m WriteResponse
-		if m.ID, err = r.rUvarint(); err != nil {
-			return nil, err
-		}
-		if m.OK, err = r.rBool(); err != nil {
-			return nil, err
-		}
-		if m.Timestamp, err = r.rVarint(); err != nil {
-			return nil, err
-		}
-		if m.Clock, err = r.rClock(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v WriteResponse
+		v.code(&c)
+		m = v
 	case KindReplicaRead:
-		var m ReplicaRead
-		if m.ID, err = r.rUvarint(); err != nil {
-			return nil, err
-		}
-		if m.Key, err = r.rBytes(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v ReplicaRead
+		v.code(&c)
+		m = v
 	case KindReplicaReadResp:
-		var m ReplicaReadResp
-		if m.ID, err = r.rUvarint(); err != nil {
-			return nil, err
-		}
-		if m.Found, err = r.rBool(); err != nil {
-			return nil, err
-		}
-		if m.Value, err = r.rValue(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v ReplicaReadResp
+		v.code(&c)
+		m = v
 	case KindMutation:
-		var m Mutation
-		if m.ID, err = r.rUvarint(); err != nil {
-			return nil, err
-		}
-		if m.Key, err = r.rBytes(); err != nil {
-			return nil, err
-		}
-		if m.Value, err = r.rValue(); err != nil {
-			return nil, err
-		}
-		if m.Hint, err = r.rBool(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v Mutation
+		v.code(&c)
+		m = v
 	case KindMutationAck:
-		var m MutationAck
-		if m.ID, err = r.rUvarint(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v MutationAck
+		v.code(&c)
+		m = v
 	case KindRepair:
-		var m Repair
-		if m.Key, err = r.rBytes(); err != nil {
-			return nil, err
-		}
-		if m.Value, err = r.rValue(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v Repair
+		v.code(&c)
+		m = v
 	case KindStatsRequest:
-		var m StatsRequest
-		if m.ID, err = r.rUvarint(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v StatsRequest
+		v.code(&c)
+		m = v
 	case KindStatsResponse:
-		var m StatsResponse
-		if m.ID, err = r.rUvarint(); err != nil {
-			return nil, err
-		}
-		fields := []*uint64{&m.Reads, &m.Writes, &m.ReplicaOps, &m.BytesRead, &m.BytesWrit, &m.RepairsSent, &m.HintsQueued, &m.RepairRows, &m.RepairAgeMs, &m.RecoveredRows, &m.AliveMembers}
-		for _, f := range fields {
-			if *f, err = r.rUvarint(); err != nil {
-				return nil, err
-			}
-		}
-		ng, err := r.rUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if ng > uint64(len(r.b)) { // cheap sanity bound
-			return nil, ErrTruncated
-		}
-		if ng > 0 {
-			m.Groups = make([]GroupCounters, 0, ng)
-			for i := uint64(0); i < ng; i++ {
-				var g GroupCounters
-				gf := []*uint64{&g.Reads, &g.Writes, &g.BytesWritten, &g.RepairRows, &g.RepairAgeMs}
-				for _, f := range gf {
-					if *f, err = r.rUvarint(); err != nil {
-						return nil, err
-					}
-				}
-				m.Groups = append(m.Groups, g)
-			}
-		}
-		if m.Epoch, err = r.rUvarint(); err != nil {
-			return nil, err
-		}
-		nk, err := r.rUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nk > uint64(len(r.b)) { // cheap sanity bound
-			return nil, ErrTruncated
-		}
-		if nk > 0 {
-			m.KeySamples = make([]KeySample, 0, nk)
-			for i := uint64(0); i < nk; i++ {
-				var ks KeySample
-				if ks.Key, err = r.rBytes(); err != nil {
-					return nil, err
-				}
-				if ks.Reads, err = r.rF64(); err != nil {
-					return nil, err
-				}
-				if ks.Writes, err = r.rF64(); err != nil {
-					return nil, err
-				}
-				m.KeySamples = append(m.KeySamples, ks)
-			}
-		}
-		return m, nil
+		var v StatsResponse
+		v.code(&c)
+		m = v
 	case KindPing:
-		var m Ping
-		if m.ID, err = r.rUvarint(); err != nil {
-			return nil, err
-		}
-		if m.Sent, err = r.rVarint(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v Ping
+		v.code(&c)
+		m = v
 	case KindPong:
-		var m Pong
-		if m.ID, err = r.rUvarint(); err != nil {
-			return nil, err
-		}
-		if m.Sent, err = r.rVarint(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v Pong
+		v.code(&c)
+		m = v
 	case KindGossipSyn:
-		var m GossipSyn
-		if m.From, err = r.rStr(); err != nil {
-			return nil, err
-		}
-		if m.Digests, err = decodeEntries(r); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v GossipSyn
+		v.code(&c)
+		m = v
 	case KindGossipAck:
-		var m GossipAck
-		if m.From, err = r.rStr(); err != nil {
-			return nil, err
-		}
-		if m.Entries, err = decodeEntries(r); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v GossipAck
+		v.code(&c)
+		m = v
 	case KindError:
-		var m Error
-		if m.ID, err = r.rUvarint(); err != nil {
-			return nil, err
-		}
-		cb, err := r.rByte()
-		if err != nil {
-			return nil, err
-		}
-		m.Code = ErrorCode(cb)
-		if m.Msg, err = r.rStr(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v Error
+		v.code(&c)
+		m = v
 	case KindGroupUpdate:
-		var m GroupUpdate
-		if m.Epoch, err = r.rUvarint(); err != nil {
-			return nil, err
-		}
-		nt, err := r.rUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nt > uint64(len(r.b)) { // cheap sanity bound
-			return nil, ErrTruncated
-		}
-		if nt > 0 {
-			m.Tolerances = make([]float64, 0, nt)
-			for i := uint64(0); i < nt; i++ {
-				tol, err := r.rF64()
-				if err != nil {
-					return nil, err
-				}
-				m.Tolerances = append(m.Tolerances, tol)
-			}
-		}
-		def, err := r.rUvarint()
-		if err != nil {
-			return nil, err
-		}
-		m.Default = uint32(def)
-		ne, err := r.rUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if ne > uint64(len(r.b)) { // cheap sanity bound
-			return nil, ErrTruncated
-		}
-		if ne > 0 {
-			m.Entries = make([]GroupAssign, 0, ne)
-			for i := uint64(0); i < ne; i++ {
-				var e GroupAssign
-				if e.Key, err = r.rBytes(); err != nil {
-					return nil, err
-				}
-				g, err := r.rUvarint()
-				if err != nil {
-					return nil, err
-				}
-				e.Group = uint32(g)
-				m.Entries = append(m.Entries, e)
-			}
-		}
-		return m, nil
+		var v GroupUpdate
+		v.code(&c)
+		m = v
 	case KindTreeRequest:
-		var m TreeRequest
-		if m.ID, err = r.rUvarint(); err != nil {
-			return nil, err
-		}
-		nr, err := r.rUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nr > uint64(len(r.b)) { // cheap sanity bound
-			return nil, ErrTruncated
-		}
-		if nr > 0 {
-			m.Ranges = make([]TokenRange, 0, nr)
-			for i := uint64(0); i < nr; i++ {
-				tr, err := r.rTokenRange()
-				if err != nil {
-					return nil, err
-				}
-				m.Ranges = append(m.Ranges, tr)
-			}
-		}
-		return m, nil
+		var v TreeRequest
+		v.code(&c)
+		m = v
 	case KindTreeResponse:
-		var m TreeResponse
-		if m.ID, err = r.rUvarint(); err != nil {
-			return nil, err
-		}
-		nt, err := r.rUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nt > uint64(len(r.b)) { // cheap sanity bound
-			return nil, ErrTruncated
-		}
-		if nt > 0 {
-			m.Trees = make([]RangeTree, 0, nt)
-			for i := uint64(0); i < nt; i++ {
-				var t RangeTree
-				if t.Range, err = r.rTokenRange(); err != nil {
-					return nil, err
-				}
-				if t.Root, err = r.rU64(); err != nil {
-					return nil, err
-				}
-				nl, err := r.rUvarint()
-				if err != nil {
-					return nil, err
-				}
-				if nl > uint64(len(r.b)) { // cheap sanity bound
-					return nil, ErrTruncated
-				}
-				if nl > 0 {
-					t.Leaves = make([]uint64, 0, nl)
-					for j := uint64(0); j < nl; j++ {
-						l, err := r.rU64()
-						if err != nil {
-							return nil, err
-						}
-						t.Leaves = append(t.Leaves, l)
-					}
-				}
-				m.Trees = append(m.Trees, t)
-			}
-		}
-		return m, nil
+		var v TreeResponse
+		v.code(&c)
+		m = v
 	case KindRangeSync:
-		var m RangeSync
-		if m.ID, err = r.rUvarint(); err != nil {
-			return nil, err
-		}
-		lc, err := r.rUvarint()
-		if err != nil {
-			return nil, err
-		}
-		m.LeafCount = uint32(lc)
-		nl, err := r.rUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nl > uint64(len(r.b)) { // cheap sanity bound
-			return nil, ErrTruncated
-		}
-		if nl > 0 {
-			m.Leaves = make([]LeafRef, 0, nl)
-			for i := uint64(0); i < nl; i++ {
-				var l LeafRef
-				if l.Range, err = r.rTokenRange(); err != nil {
-					return nil, err
-				}
-				leaf, err := r.rUvarint()
-				if err != nil {
-					return nil, err
-				}
-				l.Leaf = uint32(leaf)
-				m.Leaves = append(m.Leaves, l)
-			}
-		}
-		ne, err := r.rUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if ne > uint64(len(r.b)) { // cheap sanity bound
-			return nil, ErrTruncated
-		}
-		if ne > 0 {
-			m.Entries = make([]SyncEntry, 0, ne)
-			for i := uint64(0); i < ne; i++ {
-				var e SyncEntry
-				if e.Key, err = r.rBytes(); err != nil {
-					return nil, err
-				}
-				if e.Value, err = r.rValue(); err != nil {
-					return nil, err
-				}
-				m.Entries = append(m.Entries, e)
-			}
-		}
-		if m.Reply, err = r.rBool(); err != nil {
-			return nil, err
-		}
-		if m.Done, err = r.rBool(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v RangeSync
+		v.code(&c)
+		m = v
+	default:
+		c.fail(fmt.Errorf("%w: %d", ErrUnknownKind, kind))
 	}
-	return nil, fmt.Errorf("%w: %d", ErrUnknownKind, kb)
+	if c.err != nil {
+		return nil, c.err
+	}
+	return m, nil
 }
 
 // Decode parses one frame from b, returning the message and the number of

@@ -8,8 +8,25 @@
 //
 //	uvarint(totalLen) byte(kind) payload
 //
-// where payload fields use uvarint/varint primitives, length-prefixed byte
-// strings, and fixed 8-byte big-endian for timestamps.
+// where the payload is the message's fields in declaration order: integers,
+// timestamps and list lengths as uvarints (signed ones zig-zag encoded),
+// levels, codes and booleans as single bytes, byte strings and strings
+// length-prefixed, and fixed 8-byte big-endian words only for float64
+// weights, ring tokens and Merkle hashes. Each message's field list is
+// written once, in its code method in codec.go; Size, Encode, Decode and
+// DecodeShared all run that one list.
+//
+// Adding a message kind:
+//
+//   - append its Kind constant and its name in kindNames (kind values are
+//     part of the format, so never reuse or reorder one);
+//   - give the type a Kind method, at the end of this file;
+//   - give it a code method in codec.go listing its fields in wire order;
+//   - add one case to each of codec.go's two switches, coder.payload
+//     (sizing and encoding) and decodeBody;
+//   - if a handler keeps the message's bytes after its delivery returns,
+//     add the message to transport/promote.go, which copies those fields
+//     out of the shared receive buffer.
 package wire
 
 import (
@@ -43,7 +60,6 @@ const (
 	KindTreeRequest
 	KindTreeResponse
 	KindRangeSync
-	kindSentinel // keep last
 )
 
 var kindNames = [...]string{
