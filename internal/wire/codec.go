@@ -193,12 +193,12 @@ func (c *coder) str(p *string) {
 // view reads a length-prefixed byte string as a subslice of b (nil when
 // empty or on failure).
 func (c *coder) view() []byte {
-	var n uint64
-	c.uvarint(&n)
-	if n > uint64(len(c.b)-c.off) {
+	n, k := binary.Uvarint(c.b[c.off:])
+	if k <= 0 || n > uint64(len(c.b)-c.off-k) {
 		c.fail(ErrTruncated)
 		return nil
 	}
+	c.off += k
 	if n == 0 {
 		return nil
 	}
@@ -224,8 +224,7 @@ func list[T any](c *coder, p *[]T) {
 	*p = make([]T, n)
 }
 
-// The field lists. Each message's layout is written here once; the order of
-// the calls is the order of the bytes on the wire.
+// The field lists: the order of the calls is the order of the bytes.
 
 func (c *coder) clock(p *[]ClockEntry) {
 	list(c, p)
