@@ -173,7 +173,6 @@ type Controller struct {
 	cfg ControllerConfig
 
 	mu      sync.Mutex
-	level   wire.ConsistencyLevel
 	last    Decision
 	history []Decision
 	groups  []groupState
@@ -211,7 +210,6 @@ func NewController(cfg ControllerConfig) *Controller {
 	}
 	return &Controller{
 		cfg:     cfg,
-		level:   wire.One,
 		groups:  groups,
 		keep:    4096,
 		groupFn: cfg.GroupFn,
@@ -285,8 +283,12 @@ func (c *Controller) Regroup(epoch uint64, groupFn func(key []byte) int, toleran
 			}
 		} else {
 			// Fresh group: inherit the cluster-wide stream until its own
-			// first per-group observation arrives.
-			next[g] = groupState{level: c.level, last: c.last}
+			// first per-group observation arrives (ONE before any decision).
+			level := c.last.Level
+			if level == 0 {
+				level = wire.One
+			}
+			next[g] = groupState{level: level, last: c.last}
 		}
 	}
 	c.epoch = epoch
@@ -594,7 +596,6 @@ func (c *Controller) Observe(obs Observation) {
 		}
 	}
 
-	c.level = global.Level
 	c.last = global
 	c.history = appendCapped(c.history, global, c.keep)
 	for g := range c.groups {

@@ -63,8 +63,9 @@ func (c *coder) fail(err error) {
 // Every primitive adds its encoded length to n in every mode (only sizing
 // reads it). uvarint, u8 and fixed64 leave writing and reading to an
 // out-of-line IO half, which keeps them small enough to inline into the
-// field lists: Size runs on every simulated send, and Encode sizes a
-// message before it writes it.
+// field lists: Size runs on every simulated send. Only reading stores
+// through a field pointer, as one message may be sized or encoded by many
+// goroutines at once (a group update sent to every node).
 
 func (c *coder) uvarint(p *uint64) {
 	c.n += (bits.Len64(*p|1) + 6) / 7 // uvarintLen, spelled out to inline
@@ -91,20 +92,20 @@ func (c *coder) uvarintIO(p *uint64) {
 // encoding).
 func (c *coder) varint(p *int64) {
 	u := uint64(*p)<<1 ^ uint64(*p>>63)
-	c.uvarint(&u)
-	*p = int64(u>>1) ^ -int64(u&1)
+	if c.uvarint(&u); c.mode == reading {
+		*p = int64(u>>1) ^ -int64(u&1)
+	}
 }
 
 // u32 codes a uvarint that must fit in 32 bits; a larger value read from
 // the wire is rejected instead of truncated.
 func (c *coder) u32(p *uint32) {
 	v := uint64(*p)
-	c.uvarint(&v)
-	if v > math.MaxUint32 {
+	if c.uvarint(&v); c.mode == reading && v > math.MaxUint32 {
 		c.fail(ErrMalformed)
-		return
+	} else if c.mode == reading {
+		*p = uint32(v)
 	}
-	*p = uint32(v)
 }
 
 func (c *coder) u8(p *uint8) {
@@ -132,8 +133,9 @@ func (c *coder) bool(p *bool) {
 	if *p {
 		v = 1
 	}
-	c.u8(&v)
-	*p = v != 0
+	if c.u8(&v); c.mode == reading {
+		*p = v != 0
+	}
 }
 
 // fixed64 codes a fixed 8-byte big-endian word. Ring tokens, Merkle hashes
@@ -161,16 +163,16 @@ func (c *coder) fixed64IO(p *uint64) {
 
 func (c *coder) f64(p *float64) {
 	u := math.Float64bits(*p)
-	c.fixed64(&u)
-	*p = math.Float64frombits(u)
+	if c.fixed64(&u); c.mode == reading {
+		*p = math.Float64frombits(u)
+	}
 }
 
 // bytes codes a length-prefixed byte string; an empty one reads as nil.
 func (c *coder) bytes(p *[]byte) {
 	c.n += uvarintLen(uint64(len(*p))) + len(*p)
 	if c.mode == writing {
-		c.b = binary.AppendUvarint(c.b, uint64(len(*p)))
-		c.b = append(c.b, *p...)
+		c.b = append(binary.AppendUvarint(c.b, uint64(len(*p))), *p...)
 	} else if c.mode == reading {
 		if v := c.view(); c.share {
 			*p = v
@@ -183,8 +185,7 @@ func (c *coder) bytes(p *[]byte) {
 func (c *coder) str(p *string) {
 	c.n += uvarintLen(uint64(len(*p))) + len(*p)
 	if c.mode == writing {
-		c.b = binary.AppendUvarint(c.b, uint64(len(*p)))
-		c.b = append(c.b, *p...)
+		c.b = append(binary.AppendUvarint(c.b, uint64(len(*p))), *p...)
 	} else if c.mode == reading {
 		*p = string(c.view())
 	}
@@ -482,27 +483,28 @@ func bodySize(m Message) (int, error) {
 	return c.n, nil
 }
 
-// Encode serializes m into a self-delimiting frame appended to dst.
-//
-// The frame is written directly into dst — the body size is computed up
-// front (a sizing pass over the same field list), the length prefix
-// appended, and every field encoded in place — so encoding performs no
-// intermediate copy and allocates only when dst lacks capacity. Hot paths
-// that reuse a buffer (the pooled frame path) therefore encode
-// allocation-free.
+// prefixRoom is uvarintLen(MaxFrame), the longest length prefix.
+const prefixRoom = 4
+
+// Encode serializes m into a self-delimiting frame appended to dst, in one
+// pass: it leaves prefixRoom bytes for the length prefix, writes the kind
+// byte and every field after them, then writes the prefix and slides the
+// body down over the bytes it did not use. Encoding allocates only when dst
+// lacks capacity, so the pooled frame path encodes allocation-free.
 func Encode(dst []byte, m Message) ([]byte, error) {
-	size, err := bodySize(m)
-	if err != nil {
-		return dst, err
+	start := len(dst)
+	c := coder{mode: writing, b: append(dst, make([]byte, prefixRoom+1)...)}
+	if !c.payload(m) {
+		return dst, fmt.Errorf("%w: %T", ErrUnknownKind, m)
 	}
+	size := len(c.b) - start - prefixRoom
 	if size > MaxFrame {
 		return dst, ErrFrameTooLarge
 	}
-	dst = slices.Grow(dst, uvarintLen(uint64(size))+size)
-	dst = binary.AppendUvarint(dst, uint64(size))
-	c := coder{mode: writing, b: append(dst, byte(m.Kind()))}
-	c.payload(m)
-	return c.b, nil
+	c.b[start+prefixRoom] = byte(m.Kind())
+	k := binary.PutUvarint(c.b[start:], uint64(size))
+	n := copy(c.b[start+k:], c.b[start+prefixRoom:])
+	return c.b[:start+k+n], nil
 }
 
 // decodeBody decodes one frame body (kind byte + payload). share makes

@@ -3,7 +3,9 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -215,4 +217,81 @@ func TestFramePoolRoundTrip(t *testing.T) {
 		t.Fatalf("pooled reuse decoded %#v", got2)
 	}
 	PutFrame(bp2)
+}
+
+// TestEncodeSizeConcurrentReadOnly shares each sample message between
+// goroutines that Size and Encode it and one that reads its slice elements,
+// the way a group update fanned out to every node is sized per send while
+// receivers already apply it. Size and Encode must only read the message;
+// under -race any store into the caller's fields (tolerances, group ids,
+// leaf ids, sync-entry values, key-sample rates) is reported.
+func TestEncodeSizeConcurrentReadOnly(t *testing.T) {
+	for _, m := range allSampleMessages() {
+		want, err := Encode(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snapshot, _, err := Decode(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var buf []byte
+				var err error
+				for i := 0; i < 20; i++ {
+					if Size(m) != len(want) {
+						t.Errorf("%T: concurrent Size disagrees with Encode", m)
+						return
+					}
+					if buf, err = Encode(buf[:0], m); err != nil || !bytes.Equal(buf, want) {
+						t.Errorf("%T: concurrent Encode changed the frame", m)
+						return
+					}
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if !reflect.DeepEqual(m, snapshot) {
+					t.Errorf("%T: message changed while being encoded", m)
+					return
+				}
+			}
+		}()
+		wg.Wait()
+	}
+}
+
+// TestEncodeFrameSizeLimit covers the one-pass Encode at its bound: a body
+// of exactly MaxFrame bytes carries the longest prefix (prefixRoom bytes)
+// and round-trips, one byte more is rejected with dst returned unchanged.
+func TestEncodeFrameSizeLimit(t *testing.T) {
+	if uvarintLen(MaxFrame) != prefixRoom {
+		t.Fatalf("prefixRoom %d, want uvarintLen(MaxFrame) = %d", prefixRoom, uvarintLen(MaxFrame))
+	}
+	// A Mutation body is 7 fixed bytes plus the length-prefixed data.
+	data := bytes.Repeat([]byte{0xab}, MaxFrame-7-prefixRoom)
+	dst := []byte("prefix")
+	b, err := Encode(dst, Mutation{Value: Value{Data: data}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) != len(dst)+prefixRoom+MaxFrame || !bytes.Equal(b[:len(dst)], dst) {
+		t.Fatalf("frame is %d bytes, want %d after the untouched prefix", len(b), len(dst)+prefixRoom+MaxFrame)
+	}
+	got, n, err := Decode(b[len(dst):])
+	if err != nil || n != prefixRoom+MaxFrame || !bytes.Equal(got.(Mutation).Value.Data, data) {
+		t.Fatalf("decode of a MaxFrame body: n=%d err=%v", n, err)
+	}
+	data = append(data, 0xab)
+	b, err = Encode(dst, Mutation{Value: Value{Data: data}})
+	if !errors.Is(err, ErrFrameTooLarge) || string(b) != "prefix" {
+		t.Fatalf("oversized body: err=%v, dst %q", err, b)
+	}
 }
