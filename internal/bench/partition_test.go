@@ -117,14 +117,9 @@ func TestCountHolds(t *testing.T) {
 	}
 }
 
-// TestPartitionSim drives a scaled-down simulated partition end to end and
-// requires the full checker contract to hold: majority availability, honest
-// minority unavailability at quorum with CL=ONE still served, fail-fast
-// refusals, divergence holds, post-heal re-convergence.
-func TestPartitionSim(t *testing.T) {
-	if testing.Short() {
-		t.Skip("partition sim experiment is seconds of virtual time")
-	}
+// reducedPartitionSpec scales the default simulated partition down to a few
+// seconds of wall time.
+func reducedPartitionSpec() PartitionSpec {
 	spec := DefaultPartitionSpec()
 	spec.TotalKeys = 2000
 	spec.HotKeys = 200
@@ -133,7 +128,18 @@ func TestPartitionSim(t *testing.T) {
 	spec.Baseline = 1500 * time.Millisecond
 	spec.Cut = 4 * time.Second
 	spec.PostWatch = 8 * time.Second
-	res, err := Partition(spec, Options{Seed: 11})
+	return spec
+}
+
+// TestPartitionSim drives a scaled-down simulated partition end to end and
+// requires the full checker contract to hold: majority availability, honest
+// minority unavailability at quorum with CL=ONE still served, fail-fast
+// refusals, divergence holds, post-heal re-convergence.
+func TestPartitionSim(t *testing.T) {
+	if testing.Short() {
+		t.Skip("partition sim experiment is seconds of virtual time")
+	}
+	res, err := Partition(reducedPartitionSpec(), Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

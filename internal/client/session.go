@@ -1,7 +1,7 @@
 package client
 
 import (
-	"hash/maphash"
+	"hash/fnv"
 
 	"harmony/internal/versioning"
 	"harmony/internal/wire"
@@ -30,7 +30,6 @@ const sessionBuckets = 64
 // context; callbacks run there too.
 type Session struct {
 	d       *Driver
-	seed    maphash.Seed
 	buckets [sessionBuckets]versioning.Clock
 	// lastSeen is the per-key high-water timestamp of everything this
 	// session wrote or read, the ground truth Regressions is judged
@@ -44,14 +43,18 @@ type Session struct {
 // NewSession wraps a driver. Multiple sessions over one driver are
 // independent: each carries its own tokens and guarantees.
 func NewSession(d *Driver) *Session {
-	return &Session{d: d, seed: maphash.MakeSeed(), lastSeen: make(map[string]int64)}
+	return &Session{d: d, lastSeen: make(map[string]int64)}
 }
 
 // Driver exposes the wrapped low-level driver.
 func (s *Session) Driver() *Driver { return s.d }
 
+// bucket maps a key to its token bucket with a fixed hash (FNV-1a), so a
+// seeded run assigns every key the same bucket each time.
 func (s *Session) bucket(key []byte) *versioning.Clock {
-	return &s.buckets[maphash.Bytes(s.seed, key)%sessionBuckets]
+	h := fnv.New64a()
+	h.Write(key)
+	return &s.buckets[h.Sum64()%sessionBuckets]
 }
 
 // observe folds an operation's outcome into the session state: the version

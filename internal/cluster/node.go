@@ -15,6 +15,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -1034,12 +1035,19 @@ func (n *Node) queueHint(target ring.NodeID, mut wire.Mutation) {
 	n.counters.hintsQueued.Add(1)
 }
 
+// replayHints resends every queued hint whose target is alive again,
+// target by target in sorted order so a seeded run replays identically.
 func (n *Node) replayHints() {
-	for target, muts := range n.hints {
+	targets := make([]ring.NodeID, 0, len(n.hints))
+	for target := range n.hints {
+		targets = append(targets, target)
+	}
+	slices.Sort(targets)
+	for _, target := range targets {
 		if !n.cfg.Alive(target) {
 			continue
 		}
-		for _, mut := range muts {
+		for _, mut := range n.hints[target] {
 			n.send.Send(n.cfg.ID, target, mut)
 			n.counters.hintsReplayed.Add(1)
 		}

@@ -606,6 +606,11 @@ func (c *Controller) Observe(obs Observation) {
 	cb, gcb := c.cfg.OnDecision, c.cfg.OnGroupDecision
 	c.mu.Unlock()
 	for _, e := range events {
+		// Stamp with the observation's clock: virtual time on the
+		// simulator, so a seeded run writes the same trace every time.
+		if !obs.At.IsZero() {
+			e.AtMs = obs.At.UnixMilli()
+		}
 		c.cfg.Trace.Add(e)
 	}
 	if cb != nil {

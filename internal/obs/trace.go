@@ -43,8 +43,10 @@ type Event struct {
 	// Seq is the trace-assigned monotone sequence number; gaps after a
 	// wrap tell readers how many events they missed.
 	Seq uint64 `json:"seq"`
-	// AtMs is the event's wall-clock Unix milliseconds — comparable across
-	// the processes of a live cluster, which share a host clock.
+	// AtMs is the event's Unix milliseconds on the clock of the emitter's
+	// runtime: virtual time for controller events on the simulator, the
+	// host clock on a live cluster (comparable across its processes, which
+	// share that clock). Add stamps the host clock when it is left zero.
 	AtMs int64 `json:"at_ms"`
 	// Kind is one of the Event* constants (or an emitter extension).
 	Kind string `json:"kind"`
