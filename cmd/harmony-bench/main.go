@@ -27,9 +27,10 @@
 //
 // -backend live replaces the simulated cluster with a spawned cluster of
 // real server processes (re-executions of this binary dispatching into
-// internal/server) driven over real TCP; the hotcold and churn experiments
-// then measure the deployed stack — kernel sockets, kill -9 failure
-// injection, dual-read staleness probes — instead of the model.
+// internal/server) driven over real TCP; the hotcold, churn and partition
+// experiments then measure the deployed stack — kernel sockets, kill -9
+// failure injection, faults POSTed to each member's admin endpoint,
+// dual-read staleness probes — instead of the model.
 package main
 
 import (

@@ -3,14 +3,13 @@ package bench
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
-	"harmony/internal/cluster"
 	"harmony/internal/core"
-	"harmony/internal/faults"
 	"harmony/internal/repair"
+	"harmony/internal/ring"
 	"harmony/internal/sim"
-	"harmony/internal/ycsb"
 )
 
 // The churn experiment exercises the failure regime the anti-entropy
@@ -169,20 +168,30 @@ func (r ChurnResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== churn (%s, victim %s down %.0fms, %d hot / %d total keys) ==\n",
 		r.Scenario, r.Victim, r.OutageMs, r.HotKeys, r.TotalKeys)
-	for _, run := range []ChurnRun{r.Repair, r.HintsOnly} {
-		fmt.Fprintf(&b, "%-10s tput=%8.0f ops/s errors=%d hints=%d dropped=%d healed=%d (%d KiB streamed)\n",
-			run.Policy, run.ThroughputOps, run.Errors, run.HintsQueued, run.HintsDropped,
-			run.RowsHealed, run.RepairBytes/1024)
-		for _, g := range run.Groups {
-			rec := "NEVER"
-			if g.RecoveredWithinMs >= 0 {
-				rec = fmt.Sprintf("%.0fms", g.RecoveredWithinMs)
-			}
-			fmt.Fprintf(&b, "  %-5s tol=%.2f level=%-6s recovered=%-8s post-stale=%d/%d (%.3f) worst-window=%.3f tail=%.3f\n",
-				g.Name, g.Tolerance, g.FinalLevel, rec, g.PostStale, g.PostSamples, g.PostFraction, g.WorstWindow, g.TailFraction)
-		}
-	}
+	formatChurnRuns(&b, r.Repair, r.HintsOnly)
 	return b.String()
+}
+
+// formatChurnRuns renders each run's totals and its group rows.
+func formatChurnRuns(b *strings.Builder, runs ...ChurnRun) {
+	for _, run := range runs {
+		fmt.Fprintf(b, "%-10s tput=%8.0f ops/s errors=%d hints=%d dropped=%d healed=%d (%d KiB streamed) recovered=%d\n",
+			run.Policy, run.ThroughputOps, run.Errors, run.HintsQueued, run.HintsDropped,
+			run.RowsHealed, run.RepairBytes/1024, run.RowsRecovered)
+		formatChurnGroups(b, run.Groups)
+	}
+}
+
+// formatChurnGroups renders one row per group's recovery outcome.
+func formatChurnGroups(b *strings.Builder, groups []ChurnGroup) {
+	for _, g := range groups {
+		rec := "NEVER"
+		if g.RecoveredWithinMs >= 0 {
+			rec = fmt.Sprintf("%.0fms", g.RecoveredWithinMs)
+		}
+		fmt.Fprintf(b, "  %-5s tol=%.2f level=%-6s recovered=%-8s post-stale=%d/%d (%.3f) worst-window=%.3f tail=%.3f\n",
+			g.Name, g.Tolerance, g.FinalLevel, rec, g.PostStale, g.PostSamples, g.PostFraction, g.WorstWindow, g.TailFraction)
+	}
 }
 
 // Churn runs the failure schedule for both policies and compares them.
@@ -194,22 +203,22 @@ func Churn(spec ChurnSpec, opts Options) (ChurnResult, error) {
 	if spec.WindowLen <= 0 || spec.Outage <= 0 || spec.PostWatch < spec.WindowLen {
 		return ChurnResult{}, fmt.Errorf("bench: churn needs positive WindowLen/Outage and PostWatch >= WindowLen")
 	}
-	withRepair, err := runChurn(spec, opts, true)
+	withRepair, _, err := runSimChurn(spec, opts, "repair")
 	if err != nil {
 		return ChurnResult{}, fmt.Errorf("bench: churn repair: %w", err)
 	}
-	hintsOnly, err := runChurn(spec, opts, false)
+	hintsOnly, victim, err := runSimChurn(spec, opts, "hints-only")
 	if err != nil {
 		return ChurnResult{}, fmt.Errorf("bench: churn hints-only: %w", err)
 	}
 	res := ChurnResult{
 		Scenario:  spec.Scenario.Name,
-		Victim:    hintsOnly.victim,
+		Victim:    victim,
 		HotKeys:   spec.HotKeys,
 		TotalKeys: spec.TotalKeys,
 		OutageMs:  durMs(spec.Outage),
-		Repair:    withRepair.ChurnRun,
-		HintsOnly: hintsOnly.ChurnRun,
+		Repair:    withRepair,
+		HintsOnly: hintsOnly,
 	}
 	opts.progress("churn %s: repair post-stale %.3f/%.3f (hot/cold) vs hints-only %.3f/%.3f",
 		spec.Scenario.Name,
@@ -218,20 +227,13 @@ func Churn(spec ChurnSpec, opts Options) (ChurnResult, error) {
 	return res, nil
 }
 
-type churnRun struct {
-	ChurnRun
-	victim string
-}
-
-// runChurn measures one policy through the failure schedule.
-func runChurn(spec ChurnSpec, opts Options, withRepair bool) (churnRun, error) {
-	s := sim.New(opts.Seed)
-	cspec := spec.Scenario.Spec
-	cspec.Groups = 2
-	cspec.GroupFn = hotColdGroupFn(spec.HotKeys)
+// runSimChurn builds one arm's simulated cluster (anti-entropy on in the
+// "repair" arm) and runs the failure schedule on it.
+func runSimChurn(spec ChurnSpec, opts Options, arm string) (ChurnRun, string, error) {
+	cspec := hotColdClusterSpec(spec.Scenario, spec.HotKeys)
 	cspec.HintedHandoff = true
 	cspec.HintQueueLimit = spec.HintQueueLimit
-	if withRepair {
+	if arm == "repair" {
 		cspec.Repair = repair.Options{
 			Enabled:        true,
 			Interval:       spec.RepairInterval,
@@ -239,38 +241,25 @@ func runChurn(spec ChurnSpec, opts Options, withRepair bool) (churnRun, error) {
 			LeavesPerRange: spec.RepairLeaves,
 		}
 	}
-	c, err := cluster.BuildSim(s, cspec)
+	s, c, undo, err := buildSim(opts.Seed, spec.Scenario, cspec)
 	if err != nil {
-		return churnRun{}, err
+		return ChurnRun{}, "", err
 	}
-	if spec.Scenario.Prepare != nil {
-		if stop := spec.Scenario.Prepare(s, c); stop != nil {
-			defer stop()
-		}
-	}
-
+	defer undo()
 	tols := []float64{spec.HotTolerance, spec.ColdTolerance}
-	ctl := core.NewController(core.ControllerConfig{
-		Policy: core.Policy{
-			Name:               fmt.Sprintf("churn-%d%%", int(spec.HotTolerance*100+0.5)),
-			ToleratedStaleRate: spec.HotTolerance,
-		},
-		N:                    cspec.RF,
-		BandwidthBytesPerSec: cspec.Profile.BandwidthBytesPerSec,
-		Groups:               2,
-		GroupFn:              cspec.GroupFn,
-		GroupTolerances:      tols,
+	ctl := core.NewController(hotColdController(fmt.Sprintf("churn-%d%%", int(spec.HotTolerance*100+0.5)),
+		cspec.RF, cspec.Profile.BandwidthBytesPerSec, spec.HotKeys, tols, nil))
+	b, err := newSimBackend(s, c, ctl, spec.Scenario.MonitorInterval, cspec.RF, loadPools{
+		hotKeys: spec.HotKeys, totalKeys: spec.TotalKeys,
+		hot: spec.HotThreads, cold: spec.ColdThreads,
+		hotArrival: spec.HotArrival, coldArrival: spec.ColdArrival,
+		valueBytes: 1024, verifyEvery: 2, timeout: 750 * time.Millisecond,
+		seed: opts.Seed,
 	})
-	mon := core.NewMonitor(core.MonitorConfig{
-		ID:             "harmony-monitor",
-		Nodes:          c.NodeIDs(),
-		Interval:       spec.Scenario.MonitorInterval,
-		ReplicaSetSize: cspec.RF,
-		OnObservation:  ctl.Observe,
-	}, s, c.Bus)
-	c.Net.Colocate("harmony-monitor", c.NodeIDs()[0])
-	c.Bus.Register("harmony-monitor", s, mon)
-
+	if err != nil {
+		return ChurnRun{}, "", err
+	}
+	b.dropHints = spec.DropHintsAtRecovery
 	// The victim: with RF=5 over 6 nodes it replicates nearly every key. It
 	// stays in the client rotation — drivers eat timeouts while it is down
 	// (a short OpTimeout keeps threads cycling), and the moment it returns
@@ -278,137 +267,128 @@ func runChurn(spec ChurnSpec, opts Options, withRepair bool) (churnRun, error) {
 	// stale engine. That is exactly how a recovered replica's divergence
 	// reaches users in production.
 	victim := c.NodeIDs()[1]
+	run, err := runChurnSchedule(b, ctl, churnPlan{
+		arm: arm, victim: victim,
+		warmup:   max(8*spec.Scenario.MonitorInterval, 2*time.Second),
+		baseline: spec.Baseline, outage: spec.Outage, postWatch: spec.PostWatch,
+		windowLen: spec.WindowLen, recoverWindows: spec.RecoverWindows, tols: tols,
+	}, opts)
+	return run, string(victim), err
+}
 
-	hotWl := ycsb.Workload{
-		Name: "churn-hot", ReadProportion: 0.5, UpdateProportion: 0.5,
-		RecordCount: spec.HotKeys, ValueBytes: 1024,
-		RequestDistribution: ycsb.DistZipfian,
-	}
-	// Cold data is written rarely: a key dirtied during the outage stays
-	// divergent until read repair happens to sample it or anti-entropy
-	// streams it — foreground overwrites are too rare to self-heal, which
-	// is what makes repair the load-bearing mechanism here.
-	coldWl := ycsb.Workload{
-		Name: "churn-cold", ReadProportion: 0.95, UpdateProportion: 0.05,
-		RecordCount: spec.TotalKeys, ValueBytes: 1024,
-		RequestDistribution: ycsb.DistUniform,
-	}
-	newRunner := func(wl ycsb.Workload, threads int, arrival float64, prefix string, seedOff int64) (*ycsb.Runner, error) {
-		return ycsb.NewRunner(ycsb.RunConfig{
-			Workload:     wl,
-			Threads:      threads,
-			ShadowEvery:  2,
-			Seed:         opts.Seed + seedOff,
-			ClientPrefix: prefix,
-			Policy:       ctl,
-			ArrivalRate:  arrival,
-			OpTimeout:    750 * time.Millisecond,
-		}, s, c)
-	}
-	hotR, err := newRunner(hotWl, spec.HotThreads, spec.HotArrival, "hot", 101)
-	if err != nil {
-		return churnRun{}, err
-	}
-	coldR, err := newRunner(coldWl, spec.ColdThreads, spec.ColdArrival, "cold", 202)
-	if err != nil {
-		return churnRun{}, err
-	}
-	coldR.Load()
+// churnPlan is one arm of the failure schedule.
+type churnPlan struct {
+	arm                                 string // the run's Policy
+	victim                              ring.NodeID
+	warmup, baseline, outage, postWatch time.Duration
+	windowLen                           time.Duration
+	recoverWindows                      int
+	tols                                []float64
+}
 
-	mon.Start()
-	hotR.Start()
-	coldR.Start()
+// runChurnSchedule runs the failure schedule on b: warm up, watch a
+// baseline, crash the victim, keep it down for the outage, bring it back
+// and watch recovery. Staleness windows run from the start, the load is
+// measured from the end of the warm-up, and the group assembly dates every
+// window from the victim's return.
+func runChurnSchedule(b backend, ctl *core.Controller, p churnPlan, opts Options) (ChurnRun, error) {
+	b.start()
+	win := sampleWindows(b.runtime(), p.windowLen, b.verified)
+	b.wait(p.warmup)
+	b.resetLoad()
+	b.wait(p.baseline)
+	if err := b.crash(p.victim); err != nil {
+		return ChurnRun{}, err
+	}
+	opts.progress("churn %s: %s down", p.arm, p.victim)
+	b.wait(p.outage)
+	if err := b.restart(p.victim); err != nil {
+		return ChurnRun{}, err
+	}
+	recoveredAt := b.runtime().Now()
+	opts.progress("churn %s: %s back", p.arm, p.victim)
+	b.wait(p.postWatch)
+	windows := win.finish()
+	load := b.stop()
+	led := b.ledger()
+	return ChurnRun{
+		Policy:        p.arm,
+		Groups:        assembleGroups(windows, recoveredAt.Sub(win.start), p.windowLen, p.recoverWindows, p.tols, groupLevels(ctl)),
+		Windows:       windows,
+		Operations:    load.ops,
+		Errors:        load.errs,
+		ThroughputOps: load.tput,
+		HintsQueued:   led.hintsQueued,
+		HintsDropped:  led.hintsDropped,
+		RowsHealed:    led.rowsHealed,
+		RepairBytes:   led.repairBytes,
+		RowsRecovered: led.rowsRecovered,
+	}, nil
+}
 
-	// Staleness windows: per-group shadow-probe deltas on a fixed cadence.
-	var windows []ChurnWindow
-	tickerStart := s.Now()
-	last := c.AggregateMetrics()
-	windowStop := sim.Every(s, func() time.Duration { return spec.WindowLen }, func() {
-		cur := c.AggregateMetrics()
-		w := ChurnWindow{}
+// windowSampler cuts the verified-read counters into fixed staleness
+// windows: window i covers [start + i*len, start + (i+1)*len).
+type windowSampler struct {
+	start time.Time
+	stop  func()
+
+	mu      sync.Mutex
+	windows []ChurnWindow
+}
+
+// sampleWindows samples counts every windowLen on rt; each window holds the
+// per-group deltas since the previous sample.
+func sampleWindows(rt sim.Runtime, windowLen time.Duration, counts func() (samples, stale [2]uint64)) *windowSampler {
+	w := &windowSampler{start: rt.Now()}
+	lastSamples, lastStale := counts()
+	w.stop = sim.Every(rt, func() time.Duration { return windowLen }, func() {
+		samples, stale := counts()
+		var win ChurnWindow
 		for g := 0; g < 2; g++ {
-			var samples, stale uint64
-			if g < len(cur.GroupShadowSamples) && g < len(last.GroupShadowSamples) {
-				samples = cur.GroupShadowSamples[g] - last.GroupShadowSamples[g]
-				stale = cur.GroupShadowStale[g] - last.GroupShadowStale[g]
-			}
+			n, st := samples[g]-lastSamples[g], stale[g]-lastStale[g]
 			frac := 0.0
-			if samples > 0 {
-				frac = float64(stale) / float64(samples)
+			if n > 0 {
+				frac = float64(st) / float64(n)
 			}
-			w.Samples = append(w.Samples, samples)
-			w.Stale = append(w.Stale, stale)
-			w.Fraction = append(w.Fraction, frac)
+			win.Samples = append(win.Samples, n)
+			win.Stale = append(win.Stale, st)
+			win.Fraction = append(win.Fraction, frac)
 		}
-		last = cur
-		windows = append(windows, w)
+		lastSamples, lastStale = samples, stale
+		w.mu.Lock()
+		w.windows = append(w.windows, win)
+		w.mu.Unlock()
 	})
+	return w
+}
 
-	// Warm-up, then the schedule: baseline -> outage -> recovery -> watch.
-	warmup := 8 * spec.Scenario.MonitorInterval
-	if warmup < 2*time.Second {
-		warmup = 2 * time.Second
-	}
-	s.RunFor(warmup)
-	hotR.ResetMeasurement()
-	coldR.ResetMeasurement()
-	s.RunFor(spec.Baseline)
-	c.Faults.Apply(faults.Update{Down: []string{string(victim)}})
-	s.RunFor(spec.Outage)
-	if spec.DropHintsAtRecovery {
-		for _, n := range c.Nodes {
-			n.DropHints()
-		}
-	}
-	c.Faults.Apply(faults.Update{Up: []string{string(victim)}})
-	recoveredAt := s.Now()
-	s.RunFor(spec.PostWatch)
-	windowStop()
-	hotR.Stop()
-	coldR.Stop()
-	mon.Stop()
-	hotR.Drain()
-	coldR.Drain()
+// finish stops sampling and returns the windows taken.
+func (w *windowSampler) finish() []ChurnWindow {
+	w.stop()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.windows
+}
 
-	// Assemble the run: window i covers [tickerStart + i*WindowLen,
-	// tickerStart + (i+1)*WindowLen); offsets are relative to the victim's
-	// recovery instant, and the post-recovery horizon starts at the first
-	// window fully after it.
-	recoveryOffset := recoveredAt.Sub(tickerStart)
+// assembleGroups turns staleness windows into per-group recovery outcomes
+// and dates every window relative to the recovery instant (recoveryOffset
+// after the first window's start). The post-recovery horizon starts at the
+// first window fully after that instant.
+func assembleGroups(windows []ChurnWindow, recoveryOffset, windowLen time.Duration,
+	recoverWindows int, tols []float64, levels [2]string) []ChurnGroup {
 	postStart := len(windows)
 	for i := range windows {
-		start := time.Duration(i) * spec.WindowLen
+		start := time.Duration(i) * windowLen
 		windows[i].OffsetMs = durMs(start - recoveryOffset)
 		if start >= recoveryOffset && i < postStart {
 			postStart = i
 		}
 	}
-
-	run := churnRun{victim: string(victim)}
-	run.Policy = "hints-only"
-	if withRepair {
-		run.Policy = "repair"
-	}
-	run.Windows = windows
-	hotRep, coldRep := hotR.Report(), coldR.Report()
-	run.Operations = hotRep.Operations + coldRep.Operations
-	run.Errors = hotRep.Errors + coldRep.Errors
-	run.ThroughputOps = hotRep.ThroughputOps + coldRep.ThroughputOps
-	agg := c.AggregateMetrics()
-	run.HintsQueued = agg.HintsQueued
-	run.HintsDropped = agg.HintsDropped
-	run.RowsHealed = agg.RepairRows
-	for _, n := range c.Nodes {
-		if m := n.RepairManager(); m != nil {
-			run.RepairBytes += m.Stats().BytesStreamed
-		}
-	}
-
 	names := []string{"hot", "cold"}
 	tailStart := postStart + (len(windows)-postStart)*3/4
+	var out []ChurnGroup
 	for g := 0; g < 2; g++ {
-		cg := ChurnGroup{Name: names[g], Tolerance: tols[g], RecoveredWithinMs: -1,
-			FinalLevel: ctl.GroupLast(g).Level.String()}
+		cg := ChurnGroup{Name: names[g], Tolerance: tols[g], RecoveredWithinMs: -1, FinalLevel: levels[g]}
 		streak := 0
 		var tailStale, tailSamples uint64
 		for i := postStart; i < len(windows); i++ {
@@ -424,16 +404,12 @@ func runChurn(spec ChurnSpec, opts Options, withRepair bool) (churnRun, error) {
 			}
 			// Windows too thin to measure (a handful of probes) are neutral:
 			// they neither prove recovery nor void it.
-			within := w.Samples[g] < 10 || w.Fraction[g] <= tols[g]
-			if within {
+			if w.Samples[g] < 10 || w.Fraction[g] <= tols[g] {
 				streak++
-				if streak == spec.RecoverWindows && cg.RecoveredWithinMs < 0 {
+				if streak == recoverWindows && cg.RecoveredWithinMs < 0 {
 					// Recovery dates from the START of the stable streak.
-					first := i - spec.RecoverWindows + 1
-					cg.RecoveredWithinMs = durMs(time.Duration(first)*spec.WindowLen - recoveryOffset)
-					if cg.RecoveredWithinMs < 0 {
-						cg.RecoveredWithinMs = 0
-					}
+					first := i - recoverWindows + 1
+					cg.RecoveredWithinMs = max(durMs(time.Duration(first)*windowLen-recoveryOffset), 0)
 				}
 			} else {
 				streak = 0
@@ -446,7 +422,7 @@ func runChurn(spec ChurnSpec, opts Options, withRepair bool) (churnRun, error) {
 		if tailSamples > 0 {
 			cg.TailFraction = float64(tailStale) / float64(tailSamples)
 		}
-		run.Groups = append(run.Groups, cg)
+		out = append(out, cg)
 	}
-	return run, nil
+	return out
 }

@@ -1,7 +1,11 @@
 package bench
 
 import (
+	"sync"
 	"testing"
+	"time"
+
+	"harmony/internal/sim"
 )
 
 // TestChurnRepairBoundsPostRecoveryStaleness is the acceptance regression
@@ -70,4 +74,108 @@ func maxU64(a, b uint64) uint64 {
 		return a
 	}
 	return b
+}
+
+// TestAssembleGroups pins the window assembly's rules on hand-built
+// windows (100ms each, recovery 250ms after the first one starts, two
+// within-tolerance windows declare recovery).
+func TestAssembleGroups(t *testing.T) {
+	const windowLen = 100 * time.Millisecond
+	// win builds one window: the same samples and stale count for both groups.
+	win := func(samples, stale uint64) ChurnWindow {
+		frac := 0.0
+		if samples > 0 {
+			frac = float64(stale) / float64(samples)
+		}
+		return ChurnWindow{
+			Samples:  []uint64{samples, samples},
+			Stale:    []uint64{stale, stale},
+			Fraction: []float64{frac, frac},
+		}
+	}
+	assemble := func(ws ...ChurnWindow) ChurnGroup {
+		return assembleGroups(ws, 250*time.Millisecond, windowLen, 2, []float64{0.1, 0.1}, [2]string{"ONE", "ONE"})[0]
+	}
+	stale, clean, thin := win(20, 10), win(20, 0), win(9, 9)
+
+	// Windows 0-2 start before the recovery instant; the horizon begins at
+	// window 3 (+50ms). A stale window before it does not count.
+	g := assemble(stale, stale, stale, clean, clean)
+	if g.RecoveredWithinMs != 50 || g.PostSamples != 40 || g.PostStale != 0 {
+		t.Fatalf("recovery at the horizon's first window: %+v", g)
+	}
+	// Recovery dates from the start of the streak, not its end.
+	if g := assemble(stale, stale, stale, stale, clean, clean); g.RecoveredWithinMs != 150 {
+		t.Fatalf("streak from window 4: recovered %.0fms, want 150", g.RecoveredWithinMs)
+	}
+	// A thin window (under 10 samples) is neutral: it keeps the streak
+	// alive even when all of it is stale, though it still sets the worst.
+	if g := assemble(stale, stale, stale, clean, thin, stale, clean, thin); g.RecoveredWithinMs != 350 || g.WorstWindow != 1 {
+		t.Fatalf("thin windows: %+v, want recovery at 350ms and worst window 1", g)
+	}
+	// A later breach voids an earlier recovery call.
+	if g := assemble(stale, stale, stale, clean, clean, stale, clean); g.RecoveredWithinMs != -1 {
+		t.Fatalf("breach after recovery: recovered %.0fms, want -1", g.RecoveredWithinMs)
+	}
+	// Recovery is never dated before the recovery instant: with the
+	// instant on a window boundary, a streak from there recovers at 0.
+	ws := []ChurnWindow{stale, stale, clean, clean}
+	if g := assembleGroups(ws, 2*windowLen, windowLen, 2, []float64{0.1, 0.1}, [2]string{}); g[0].RecoveredWithinMs != 0 {
+		t.Fatalf("streak from the recovery instant: recovered %.0fms, want 0", g[0].RecoveredWithinMs)
+	}
+	// The tail is the last quarter of the post-recovery horizon: 8 windows
+	// after it, the last 2 of which are stale.
+	g = assemble(stale, stale, stale, clean, clean, clean, clean, clean, clean, stale, stale)
+	if g.TailFraction != 0.5 || g.PostFraction != 20.0/160 {
+		t.Fatalf("tail %.3f post %.3f, want 0.500 and 0.125", g.TailFraction, g.PostFraction)
+	}
+	// Offsets are relative to the recovery instant.
+	ws = []ChurnWindow{stale, clean, clean}
+	assembleGroups(ws, 250*time.Millisecond, windowLen, 2, []float64{0.1, 0.1}, [2]string{})
+	if ws[0].OffsetMs != -250 || ws[2].OffsetMs != -50 {
+		t.Fatalf("window offsets %.0f..%.0f, want -250..-50", ws[0].OffsetMs, ws[2].OffsetMs)
+	}
+}
+
+// TestWindowSamplerOnRealRuntime: on the live backend the sampler ticks on
+// a real-time runtime while the counters move under other goroutines and
+// the schedule reads the windows from its own. Each window is the delta
+// between two consistent reads of the counters, so none is torn and no
+// count lands in two windows.
+func TestWindowSamplerOnRealRuntime(t *testing.T) {
+	rt := sim.NewRealRuntime()
+	defer rt.Stop()
+	var mu sync.Mutex
+	var samples, stale [2]uint64
+	counts := func() ([2]uint64, [2]uint64) {
+		mu.Lock()
+		defer mu.Unlock()
+		return samples, stale
+	}
+	w := sampleWindows(rt, 2*time.Millisecond, counts)
+	deadline := time.Now().Add(40 * time.Millisecond)
+	for time.Now().Before(deadline) {
+		mu.Lock()
+		samples[0]++
+		samples[1] += 2
+		stale[1]++
+		mu.Unlock()
+		time.Sleep(100 * time.Microsecond)
+	}
+	windows := w.finish()
+	if len(windows) < 3 {
+		t.Fatalf("only %d windows in 40ms of 2ms windows", len(windows))
+	}
+	var got [2]uint64
+	for _, win := range windows {
+		got[0] += win.Samples[0]
+		got[1] += win.Samples[1]
+		if win.Stale[1]*2 != win.Samples[1] || win.Fraction[0] != 0 {
+			t.Fatalf("window %+v does not match the counters' ratio", win)
+		}
+	}
+	final, _ := counts()
+	if got[0] > final[0] || got[1] > final[1] {
+		t.Fatalf("windows hold %v samples, more than the %v counted", got, final)
+	}
 }

@@ -59,15 +59,9 @@ func fig4aSeries(wl ycsb.Workload, opts Options) (Series, error) {
 		AvgWriteBytes:        float64(wl.ValueBytes),
 		BandwidthBytesPerSec: sc.Spec.Profile.BandwidthBytesPerSec,
 	})
-	mon := core.NewMonitor(core.MonitorConfig{
-		ID:             "harmony-monitor",
-		Nodes:          c.NodeIDs(),
-		Interval:       sc.MonitorInterval,
-		ReplicaSetSize: sc.Spec.RF,
-		OnObservation:  ctl.Observe,
-	}, s, c.Bus)
-	c.Net.Colocate("harmony-monitor", c.NodeIDs()[0])
-	c.Bus.Register("harmony-monitor", s, mon)
+	mon := simMonitor(s, c, core.MonitorConfig{
+		Interval: sc.MonitorInterval, ReplicaSetSize: sc.Spec.RF, OnObservation: ctl.Observe,
+	})
 
 	runner, err := ycsb.NewRunner(ycsb.RunConfig{
 		Workload: wl,
@@ -208,15 +202,9 @@ func fig4bPoint(oneWay time.Duration, opsPerSec float64, seed int64) (float64, e
 		AvgWriteBytes:        float64(wl.ValueBytes),
 		BandwidthBytesPerSec: sc.Spec.Profile.BandwidthBytesPerSec,
 	})
-	mon := core.NewMonitor(core.MonitorConfig{
-		ID:             "harmony-monitor",
-		Nodes:          c.NodeIDs(),
-		Interval:       sc.MonitorInterval,
-		ReplicaSetSize: sc.Spec.RF,
-		OnObservation:  ctl.Observe,
-	}, s, c.Bus)
-	c.Net.Colocate("harmony-monitor", c.NodeIDs()[0])
-	c.Bus.Register("harmony-monitor", s, mon)
+	mon := simMonitor(s, c, core.MonitorConfig{
+		Interval: sc.MonitorInterval, ReplicaSetSize: sc.Spec.RF, OnObservation: ctl.Observe,
+	})
 	stop, err := startOpenLoad(s, c, wl, opsPerSec)
 	if err != nil {
 		return 0, err

@@ -5,9 +5,8 @@ import (
 	"strings"
 	"time"
 
-	"harmony/internal/cluster"
 	"harmony/internal/core"
-	"harmony/internal/sim"
+	"harmony/internal/obs"
 	"harmony/internal/wire"
 	"harmony/internal/ycsb"
 )
@@ -122,26 +121,31 @@ func (r HotColdResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== hotcold (%s, %d hot / %d total keys, %d ops) ==\n",
 		r.Scenario, r.HotKeys, r.TotalKeys, r.Ops)
-	for _, run := range []HotColdRun{r.PerGroup, r.Session, r.Global} {
-		fmt.Fprintf(&b, "%-10s tput=%8.0f ops/s readP99=%6.2fms errors=%d\n",
+	formatHotColdRuns(&b, r.PerGroup, r.Session, r.Global)
+	fmt.Fprintf(&b, "throughput gain per-group vs global: %+.0f%%\n", r.ThroughputGain*100)
+	fmt.Fprintf(&b, "throughput gain session   vs global: %+.0f%%\n", r.SessionGain*100)
+	return b.String()
+}
+
+// formatHotColdRuns renders each run's totals and its group rows.
+func formatHotColdRuns(b *strings.Builder, runs ...HotColdRun) {
+	for _, run := range runs {
+		fmt.Fprintf(b, "%-10s tput=%8.0f ops/s readP99=%6.2fms errors=%d\n",
 			run.Policy, run.ThroughputOps, run.ReadP99Ms, run.Errors)
 		for _, g := range run.Groups {
 			status := "within"
 			if !g.WithinTolerance {
 				status = "EXCEEDED"
 			}
-			fmt.Fprintf(&b, "  %-5s level=%-7s stale=%d/%d (%.3f vs tol %.2f, %s) reads=%d writes=%d\n",
+			fmt.Fprintf(b, "  %-5s level=%-7s stale=%d/%d (%.3f vs tol %.2f, %s) reads=%d writes=%d\n",
 				g.Name, g.FinalLevel, g.StaleReads, g.ShadowSamples,
 				g.StaleFraction, g.Tolerance, status, g.Reads, g.Writes)
 		}
 		if run.SessionReads > 0 || run.SessionRegressions > 0 {
-			fmt.Fprintf(&b, "  session reads=%d regressions=%d upgrades=%d\n",
+			fmt.Fprintf(b, "  session reads=%d regressions=%d upgrades=%d\n",
 				run.SessionReads, run.SessionRegressions, run.SessionUpgrades)
 		}
 	}
-	fmt.Fprintf(&b, "throughput gain per-group vs global: %+.0f%%\n", r.ThroughputGain*100)
-	fmt.Fprintf(&b, "throughput gain session   vs global: %+.0f%%\n", r.SessionGain*100)
-	return b.String()
 }
 
 // hotColdGroupFn tags keys below the hot threshold as group 0.
@@ -205,124 +209,69 @@ const (
 	hotColdSession
 )
 
-// runHotCold measures one arm of the experiment.
+// runHotCold measures one arm of the experiment: warm up, then run until
+// the pools complete the op budget.
 func runHotCold(spec HotColdSpec, opts Options, mode hotColdMode) (HotColdRun, error) {
-	s := sim.New(opts.Seed)
-	cspec := spec.Scenario.Spec
-	cspec.Groups = 2
-	cspec.GroupFn = hotColdGroupFn(spec.HotKeys)
-	c, err := cluster.BuildSim(s, cspec)
+	cspec := hotColdClusterSpec(spec.Scenario, spec.HotKeys)
+	s, c, undo, err := buildSim(opts.Seed, spec.Scenario, cspec)
 	if err != nil {
 		return HotColdRun{}, err
 	}
-	if spec.Scenario.Prepare != nil {
-		if stop := spec.Scenario.Prepare(s, c); stop != nil {
-			defer stop()
-		}
-	}
+	defer undo()
 
-	ccfg := core.ControllerConfig{
-		Policy: core.Policy{
-			Name: fmt.Sprintf("hotcold-%d%%", int(spec.HotTolerance*100+0.5)),
-			// A single-knob deployment must protect its most sensitive
-			// (hot) data on every read.
-			ToleratedStaleRate: spec.HotTolerance,
-		},
-		N:                    cspec.RF,
-		AvgWriteBytes:        1024,
-		BandwidthBytesPerSec: cspec.Profile.BandwidthBytesPerSec,
+	// A single-knob deployment must protect its most sensitive (hot) data
+	// on every read, so the global arm runs one model at the hot tolerance.
+	tols := []float64{spec.HotTolerance, spec.ColdTolerance}
+	models := tols
+	if mode == hotColdGlobal {
+		models = tols[:1]
 	}
-	if mode != hotColdGlobal {
-		ccfg.Groups = 2
-		ccfg.GroupFn = cspec.GroupFn
-		ccfg.GroupTolerances = []float64{spec.HotTolerance, spec.ColdTolerance}
-	}
+	ccfg := hotColdController(fmt.Sprintf("hotcold-%d%%", int(spec.HotTolerance*100+0.5)),
+		cspec.RF, cspec.Profile.BandwidthBytesPerSec, spec.HotKeys, models, nil)
+	ccfg.AvgWriteBytes = 1024
 	if mode == hotColdSession {
 		// The hot group's clients only need session guarantees, so any
 		// tighter-than-ONE demand on it is served by the SESSION tier.
 		ccfg.SessionGroups = []bool{true, false}
 	}
 	ctl := core.NewController(ccfg)
-	mon := core.NewMonitor(core.MonitorConfig{
-		ID:             "harmony-monitor",
-		Nodes:          c.NodeIDs(),
-		Interval:       spec.Scenario.MonitorInterval,
-		ReplicaSetSize: cspec.RF,
-		OnObservation:  ctl.Observe,
-	}, s, c.Bus)
-	c.Net.Colocate("harmony-monitor", c.NodeIDs()[0])
-	c.Bus.Register("harmony-monitor", s, mon)
-
-	hotWl := ycsb.Workload{
-		Name: "hotcold-hot", ReadProportion: 0.5, UpdateProportion: 0.5,
-		RecordCount: spec.HotKeys, ValueBytes: 1024,
-		RequestDistribution: ycsb.DistZipfian,
+	pools := loadPools{
+		hotKeys: spec.HotKeys, totalKeys: spec.TotalKeys,
+		hot: spec.HotThreads, cold: spec.ColdThreads,
+		valueBytes: 1024, verifyEvery: 4,
+		sessions: mode == hotColdSession, seed: opts.Seed,
 	}
-	coldWl := ycsb.Workload{
-		Name: "hotcold-cold", ReadProportion: 0.95, UpdateProportion: 0.05,
-		RecordCount: spec.TotalKeys, ValueBytes: 1024,
-		RequestDistribution: ycsb.DistUniform,
+	// An aggregate arrival rate splits between the pools in proportion to
+	// their thread counts.
+	if total := spec.HotThreads + spec.ColdThreads; spec.ArrivalRate > 0 && total > 0 {
+		pools.hotArrival = spec.ArrivalRate * float64(spec.HotThreads) / float64(total)
+		pools.coldArrival = spec.ArrivalRate * float64(spec.ColdThreads) / float64(total)
 	}
-	totalThreads := spec.HotThreads + spec.ColdThreads
-	newRunner := func(wl ycsb.Workload, threads int, prefix string, seedOff int64) (*ycsb.Runner, error) {
-		cfg := ycsb.RunConfig{
-			Workload:     wl,
-			Threads:      threads,
-			ShadowEvery:  4,
-			Seed:         opts.Seed + seedOff,
-			ClientPrefix: prefix,
-			// The controller is the policy in every arm: with one group its
-			// per-group stream coincides with the global one.
-			Policy:   ctl,
-			Sessions: mode == hotColdSession,
-		}
-		if spec.ArrivalRate > 0 && totalThreads > 0 {
-			cfg.ArrivalRate = spec.ArrivalRate * float64(threads) / float64(totalThreads)
-		}
-		return ycsb.NewRunner(cfg, s, c)
-	}
-	hotR, err := newRunner(hotWl, spec.HotThreads, "hot", 101)
+	// The controller is the policy in every arm: with one group its
+	// per-group stream coincides with the global one.
+	b, err := newSimBackend(s, c, ctl, spec.Scenario.MonitorInterval, cspec.RF, pools)
 	if err != nil {
 		return HotColdRun{}, err
 	}
-	coldR, err := newRunner(coldWl, spec.ColdThreads, "cold", 202)
-	if err != nil {
-		return HotColdRun{}, err
-	}
-	// Load the full keyspace once (the cold workload spans it; the hot
-	// range is its prefix).
-	coldR.Load()
-
-	mon.Start()
-	hotR.Start()
-	coldR.Start()
+	b.start()
 	// Warm up long enough for several monitor rounds so the controller
 	// reaches steady state before measurement.
-	warmup := 8 * spec.Scenario.MonitorInterval
-	if warmup < 2*time.Second {
-		warmup = 2 * time.Second
-	}
-	s.RunFor(warmup)
-	hotR.ResetMeasurement()
-	coldR.ResetMeasurement()
-	for hotR.Completed()+coldR.Completed() < opts.OpsPerPoint {
+	b.wait(max(8*spec.Scenario.MonitorInterval, 2*time.Second))
+	b.resetLoad()
+	for b.hot.Completed()+b.cold.Completed() < opts.OpsPerPoint {
 		if !s.Step() {
 			return HotColdRun{}, fmt.Errorf("simulation went idle with %d/%d measured ops",
-				hotR.Completed()+coldR.Completed(), opts.OpsPerPoint)
+				b.hot.Completed()+b.cold.Completed(), opts.OpsPerPoint)
 		}
 	}
-	hotR.Stop()
-	coldR.Stop()
-	mon.Stop()
-	hotR.Drain()
-	coldR.Drain()
+	load := b.stop()
 
-	hotRep, coldRep := hotR.Report(), coldR.Report()
+	hotRep, coldRep := b.hot.Report(), b.cold.Report()
 	run := HotColdRun{
 		Policy:        "global",
-		ThroughputOps: hotRep.ThroughputOps + coldRep.ThroughputOps,
-		Operations:    hotRep.Operations + coldRep.Operations,
-		Errors:        hotRep.Errors + coldRep.Errors,
+		ThroughputOps: load.tput,
+		Operations:    load.ops,
+		Errors:        load.errs,
 	}
 	switch mode {
 	case hotColdPerGroup:
@@ -335,46 +284,78 @@ func runHotCold(spec HotColdSpec, opts Options, mode hotColdMode) (HotColdRun, e
 		run.SessionUpgrades = hotRep.SessionUpgrades
 		run.SessionRegressions = hotRep.SessionRegressions + coldRep.SessionRegressions
 	}
-	// Read p99 over both pools: take the slower of the two histograms'
-	// p99s weighted toward the larger pool by reporting the max (the SLO
-	// view: every user population must meet its target).
-	p99 := hotRep.ReadLatency.P99()
-	if c := coldRep.ReadLatency.P99(); c > p99 {
-		p99 = c
-	}
-	run.ReadP99Ms = float64(p99) / 1e6
+	// Read p99 over both pools: the slower pool's p99 (the SLO view: every
+	// user population must meet its target).
+	run.ReadP99Ms = float64(max(hotRep.ReadLatency.P99(), coldRep.ReadLatency.P99())) / 1e6
 
 	// Per-group staleness over the shared measurement window: both
 	// runners re-baselined at the same instant, so either report carries
 	// the cluster-wide group deltas; use the hot runner's.
-	tols := []float64{spec.HotTolerance, spec.ColdTolerance}
-	names := []string{"hot", "cold"}
-	for g, gs := range hotRep.Groups {
-		if g >= len(names) {
-			break
-		}
-		hg := HotColdGroup{
-			Name:          names[g],
-			Tolerance:     tols[g],
-			Reads:         gs.Reads,
-			Writes:        gs.Writes,
-			ShadowSamples: gs.ShadowSamples,
-			StaleReads:    gs.StaleReads,
-			StaleFraction: gs.StaleFraction(),
-		}
-		hg.WithinTolerance = hg.StaleFraction <= hg.Tolerance
-		if mode == hotColdGlobal {
-			hg.FinalLevel = ctl.Last().Level.String()
-		} else {
-			hg.FinalLevel = ctl.GroupLast(g).Level.String()
-		}
+	var counts opCounts
+	for g, gs := range hotRep.Groups[:min(len(hotRep.Groups), 2)] {
+		counts.reads[g], counts.writes[g] = gs.Reads, gs.Writes
+		counts.samples[g], counts.stale[g] = gs.ShadowSamples, gs.StaleReads
+	}
+	run.Groups = hotColdGroups(tols, counts, groupLevels(ctl))
+	for g := range run.Groups {
 		if mode == hotColdSession && ctl.GroupLast(g).Level == wire.Session {
 			// A session-scoped group's requirement is the session contract:
 			// every session reads its own writes and never regresses.
-			hg.SessionServed = true
-			hg.WithinTolerance = run.SessionRegressions == 0
+			run.Groups[g].SessionServed = true
+			run.Groups[g].WithinTolerance = run.SessionRegressions == 0
 		}
-		run.Groups = append(run.Groups, hg)
 	}
 	return run, nil
+}
+
+// hotColdController configures the controller of a hot/cold experiment:
+// one model per tolerance, the first (hot) one doubling as the global
+// policy. One tolerance makes a single global model.
+func hotColdController(name string, n int, bandwidth float64, hotKeys int64, tols []float64, trace *obs.Trace) core.ControllerConfig {
+	cfg := core.ControllerConfig{
+		Policy:               core.Policy{Name: name, ToleratedStaleRate: tols[0]},
+		N:                    n,
+		BandwidthBytesPerSec: bandwidth,
+		Trace:                trace,
+	}
+	if len(tols) > 1 {
+		cfg.Groups = len(tols)
+		cfg.GroupFn = hotColdGroupFn(hotKeys)
+		cfg.GroupTolerances = tols
+	}
+	return cfg
+}
+
+// groupLevels returns the level each group was last commanded at: its own
+// model's, or the single global model's for both.
+func groupLevels(ctl *core.Controller) [2]string {
+	if ctl.Groups() < 2 {
+		l := ctl.Last().Level.String()
+		return [2]string{l, l}
+	}
+	return [2]string{ctl.GroupLast(0).Level.String(), ctl.GroupLast(1).Level.String()}
+}
+
+// hotColdGroups assembles an arm's per-group rows from each group's
+// operation counts over the measured interval.
+func hotColdGroups(tols []float64, c opCounts, levels [2]string) []HotColdGroup {
+	names := []string{"hot", "cold"}
+	out := make([]HotColdGroup, 2)
+	for g := range out {
+		hg := HotColdGroup{
+			Name:          names[g],
+			Tolerance:     tols[g],
+			Reads:         c.reads[g],
+			Writes:        c.writes[g],
+			ShadowSamples: c.samples[g],
+			StaleReads:    c.stale[g],
+			FinalLevel:    levels[g],
+		}
+		if hg.ShadowSamples > 0 {
+			hg.StaleFraction = float64(hg.StaleReads) / float64(hg.ShadowSamples)
+		}
+		hg.WithinTolerance = hg.StaleFraction <= hg.Tolerance
+		out[g] = hg
+	}
+	return out
 }

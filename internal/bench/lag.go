@@ -5,9 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"harmony/internal/cluster"
 	"harmony/internal/core"
-	"harmony/internal/sim"
 	"harmony/internal/ycsb"
 )
 
@@ -65,16 +63,11 @@ func AdaptationLag(sc Scenario, opts Options) (LagResult, error) {
 	if sc.RegimeChangeAt <= 0 {
 		return LagResult{}, fmt.Errorf("bench: scenario %q has no declared regime change", sc.Name)
 	}
-	s := sim.New(opts.Seed)
-	c, err := cluster.BuildSim(s, sc.Spec)
+	s, c, undo, err := buildSim(opts.Seed, sc, sc.Spec)
 	if err != nil {
 		return LagResult{}, err
 	}
-	if sc.Prepare != nil {
-		if stop := sc.Prepare(s, c); stop != nil {
-			defer stop()
-		}
-	}
+	defer undo()
 	// The tolerance sits between the healthy regime's stale-read estimate
 	// and the degraded regime's, so the drift demands a level change the
 	// meter can time (a tolerance far from both estimates would make the
@@ -95,15 +88,9 @@ func AdaptationLag(sc Scenario, opts Options) (LagResult, error) {
 			meter.OnDecision(d)
 		},
 	})
-	mon := core.NewMonitor(core.MonitorConfig{
-		ID:             "harmony-monitor",
-		Nodes:          c.NodeIDs(),
-		Interval:       sc.MonitorInterval,
-		ReplicaSetSize: sc.Spec.RF,
-		OnObservation:  ctl.Observe,
-	}, s, c.Bus)
-	c.Net.Colocate("harmony-monitor", c.NodeIDs()[0])
-	c.Bus.Register("harmony-monitor", s, mon)
+	mon := simMonitor(s, c, core.MonitorConfig{
+		Interval: sc.MonitorInterval, ReplicaSetSize: sc.Spec.RF, OnObservation: ctl.Observe,
+	})
 
 	wl := ycsb.WorkloadA()
 	wl.RecordCount = 20_000

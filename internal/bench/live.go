@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"harmony/internal/client"
-	"harmony/internal/core"
 	"harmony/internal/dist"
 	"harmony/internal/ring"
 	"harmony/internal/server"
@@ -325,41 +324,51 @@ func (lc *LiveCluster) Close() {
 	}
 }
 
-// liveTally accumulates client-side measurements across all workers. The
-// per-group split always uses the hotcold partition so both controller arms
-// report comparable group rows.
-type liveTally struct {
-	mu      sync.Mutex
-	ops     int64
-	errors  int64
-	reads   [2]uint64
-	writes  [2]uint64
-	samples [2]uint64 // VerifyRead probes per group
-	stale   [2]uint64
-	readLat stats.Histogram
+// opCounts are client-side operation counters, split by the hot/cold
+// groups.
+type opCounts struct {
+	ops, errors    int64
+	reads, writes  [2]uint64
+	samples, stale [2]uint64 // dual-read probes, and the stale ones among them
 }
 
-func clampGroup(g int) int {
-	if g < 0 || g > 1 {
-		return 1
+func (c opCounts) minus(o opCounts) opCounts {
+	c.ops -= o.ops
+	c.errors -= o.errors
+	for g := range c.reads {
+		c.reads[g] -= o.reads[g]
+		c.writes[g] -= o.writes[g]
+		c.samples[g] -= o.samples[g]
+		c.stale[g] -= o.stale[g]
 	}
-	return g
+	return c
+}
+
+// liveTally accumulates client-side measurements across all workers. The
+// per-group split always uses the hotcold partition so both controller arms
+// report comparable group rows. The counters only grow; reset marks where
+// a measured interval starts, so staleness windows and the scraper, which
+// take deltas of the running totals, never see them go backwards.
+type liveTally struct {
+	mu      sync.Mutex
+	total   opCounts
+	base    opCounts        // total at the last reset
+	readLat stats.Histogram // since the last reset
 }
 
 func (t *liveTally) read(g int, d time.Duration, err error, probe, stale bool) {
-	g = clampGroup(g)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.ops++
-	t.reads[g]++
+	t.total.ops++
+	t.total.reads[g]++
 	if err != nil {
-		t.errors++
+		t.total.errors++
 		return
 	}
 	if probe {
-		t.samples[g]++
+		t.total.samples[g]++
 		if stale {
-			t.stale[g]++
+			t.total.stale[g]++
 		}
 	} else {
 		t.readLat.Record(d)
@@ -367,183 +376,155 @@ func (t *liveTally) read(g int, d time.Duration, err error, probe, stale bool) {
 }
 
 func (t *liveTally) write(g int, err error) {
-	g = clampGroup(g)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.ops++
-	t.writes[g]++
+	t.total.ops++
+	t.total.writes[g]++
 	if err != nil {
-		t.errors++
+		t.total.errors++
 	}
 }
 
 func (t *liveTally) reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.ops, t.errors = 0, 0
-	t.reads, t.writes = [2]uint64{}, [2]uint64{}
-	t.samples, t.stale = [2]uint64{}, [2]uint64{}
+	t.base = t.total
 	t.readLat.Reset()
 }
 
+// liveTallySnap is the tally over the interval since the last reset.
 type liveTallySnap struct {
-	ops     int64
-	errors  int64
-	reads   [2]uint64
-	writes  [2]uint64
-	samples [2]uint64
-	stale   [2]uint64
+	opCounts
 	readP99 time.Duration
 }
 
 func (t *liveTally) snapshot() liveTallySnap {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return liveTallySnap{
-		ops: t.ops, errors: t.errors,
-		reads: t.reads, writes: t.writes,
-		samples: t.samples, stale: t.stale,
-		readP99: t.readLat.P99(),
-	}
+	return liveTallySnap{opCounts: t.total.minus(t.base), readP99: t.readLat.P99()}
 }
 
-// probes returns the cumulative per-group probe counters (window ticker).
-func (t *liveTally) probes() (samples, stale [2]uint64) {
+// totals returns the running totals, which reset does not touch.
+func (t *liveTally) totals() opCounts {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.samples, t.stale
+	return t.total
 }
 
-// liveWorkerConfig shapes one closed-loop client worker.
-type liveWorkerConfig struct {
-	id      string
-	peers   map[ring.NodeID]string
-	coords  []ring.NodeID
-	policy  client.ConsistencyPolicy
-	streams int
-	timeout time.Duration
-
-	readProp    float64
-	chooser     dist.KeyChooser
-	valueBytes  int
-	verifyEvery int
-	groupFn     func([]byte) int
-	seed        int64
-
-	// maxAttempts / hedge arm the hardened request path: attempt-scoped
-	// retries with coordinator failover, and hedged reads. Zero keeps the
-	// single-attempt client.
-	maxAttempts int
-	hedge       time.Duration
+// probes returns the cumulative per-group probe counters.
+func (t *liveTally) probes() (samples, stale [2]uint64) {
+	c := t.totals()
+	return c.samples, c.stale
 }
 
-// liveWorker is one closed-loop client: its own runtime (drivers are
-// single-threaded by contract), its own pooled TCP endpoint, one in-flight
-// operation at a time. Callbacks run on the runtime, so each completion
-// issues the next operation without leaving it.
+// liveWorker is one closed-loop client of a live pool: its own runtime
+// (drivers are single-threaded by contract), its own pooled TCP endpoint,
+// one in-flight operation at a time. Callbacks run on the runtime, so each
+// completion issues the next operation without leaving it.
 type liveWorker struct {
-	cfg   liveWorkerConfig
-	rt    *sim.RealRuntime
-	tcp   *transport.TCPNode
-	drv   *client.Driver
-	rng   *rand.Rand
-	tally *liveTally
-	value []byte
-	reads uint64
-	stop  atomic.Bool
-	idle  chan struct{}
+	p        loadPools
+	rt       *sim.RealRuntime
+	tcp      *transport.TCPNode
+	drv      *client.Driver
+	rng      *rand.Rand
+	tally    *liveTally
+	readProp float64
+	chooser  dist.KeyChooser
+	group    func([]byte) int
+	value    []byte
+	reads    uint64
+	stop     atomic.Bool
+	idle     chan struct{}
+	running  bool // set by start; halt waits for an in-flight op only then
 }
 
-func newLiveWorker(cfg liveWorkerConfig, tally *liveTally) (*liveWorker, error) {
+// addWorker opens one worker of the backend's pools: readProp of its
+// operations are reads, over keys drawn from chooser. It issues nothing
+// until start.
+func (b *liveBackend) addWorker(id string, p loadPools, coords []ring.NodeID, readProp float64, chooser dist.KeyChooser, seed int64) error {
 	w := &liveWorker{
-		cfg:   cfg,
-		rt:    sim.NewRealRuntime(),
-		rng:   rand.New(rand.NewSource(cfg.seed)),
-		tally: tally,
-		value: make([]byte, max(cfg.valueBytes, 1)),
-		idle:  make(chan struct{}),
+		p: p, rt: sim.NewRealRuntime(), rng: rand.New(rand.NewSource(seed)), tally: &b.tally,
+		readProp: readProp, chooser: chooser, group: hotColdGroupFn(p.hotKeys),
+		value: make([]byte, max(p.valueBytes, 1)), idle: make(chan struct{}),
 	}
 	for i := range w.value {
 		w.value[i] = byte('a' + i%26)
 	}
 	tcp, err := transport.NewTCPNode(transport.TCPConfig{
-		ID:    ring.NodeID(cfg.id),
-		Peers: cfg.peers, Streams: cfg.streams,
+		ID: ring.NodeID(id), Peers: b.lc.Peers(), Streams: liveStreams,
 		Logf: func(string, ...any) {}, // peer churn during outages is expected
 	}, w.rt, nil)
 	if err != nil {
 		w.rt.Stop()
-		return nil, err
+		return err
 	}
-	w.tcp = tcp
+	// The hardened request path: a replica that died (or got cut off)
+	// mid-conviction stalls one attempt, not the whole op — the retry fails
+	// over with fresh replica choices once the detector convicts the peer.
 	drv, err := client.New(client.Options{
-		ID:           ring.NodeID(cfg.id),
-		Coordinators: cfg.coords,
-		Policy:       cfg.policy,
-		Timeout:      cfg.timeout,
-		MaxAttempts:  cfg.maxAttempts,
-		Hedge:        cfg.hedge,
+		ID: ring.NodeID(id), Coordinators: coords, Policy: b.ctl,
+		Timeout: p.timeout, MaxAttempts: 2,
 	}, w.rt, tcp)
 	if err != nil {
 		tcp.Close()
 		w.rt.Stop()
-		return nil, err
+		return err
 	}
-	w.drv = drv
 	tcp.SetHandler(drv)
-	return w, nil
+	w.tcp, w.drv = tcp, drv
+	b.workers = append(b.workers, w)
+	return nil
 }
 
-func (w *liveWorker) start() { w.rt.Post(w.step) }
+func (w *liveWorker) start() {
+	w.running = true
+	w.rt.Post(w.step)
+}
 
 func (w *liveWorker) step() {
 	if w.stop.Load() {
 		close(w.idle)
 		return
 	}
-	key := ycsb.Key(w.cfg.chooser.Next(w.rng))
-	g := 0
-	if w.cfg.groupFn != nil {
-		g = w.cfg.groupFn(key)
+	key := ycsb.Key(w.chooser.Next(w.rng))
+	g := w.group(key)
+	if w.rng.Float64() >= w.readProp {
+		w.drv.Write(key, w.value, func(res client.WriteResult) {
+			w.tally.write(g, res.Err)
+			w.step()
+		})
+		return
 	}
-	if w.rng.Float64() < w.cfg.readProp {
-		w.reads++
-		start := time.Now()
-		if w.cfg.verifyEvery > 0 && w.reads%uint64(w.cfg.verifyEvery) == 0 {
-			// The dual-read staleness probe (§V-F literal), bounded by the
-			// real-time condition: the primary read was stale only if the
-			// strong read surfaces a version that is newer than what we got
-			// AND was stamped before the primary read was ISSUED — a write
-			// the reader was entitled to observe. Versions stamped while
-			// the probe is in flight are concurrent updates, not staleness
-			// (the naive dual read counts the hot keys' update rate).
-			// Timestamps are coordinator wall clocks; every process shares
-			// this host's clock, so they are comparable.
-			issuedAt := start.UnixNano()
-			w.drv.Read(key, func(primary client.ReadResult) {
-				if primary.Err != nil {
-					w.tally.read(g, 0, primary.Err, true, false)
-					w.step()
-					return
-				}
-				w.drv.ReadAtOnce(key, wire.All, func(strong client.ReadResult) {
-					stale := strong.Err == nil && strong.Found &&
-						strong.Ts > primary.Ts && strong.Ts <= issuedAt
-					w.tally.read(g, time.Since(start), nil, true, stale)
-					w.step()
-				})
-			})
-			return
-		}
+	w.reads++
+	start := time.Now()
+	if w.p.verifyEvery <= 0 || w.reads%uint64(w.p.verifyEvery) != 0 {
 		w.drv.Read(key, func(res client.ReadResult) {
 			w.tally.read(g, time.Since(start), res.Err, false, false)
 			w.step()
 		})
 		return
 	}
-	w.drv.Write(key, w.value, func(res client.WriteResult) {
-		w.tally.write(g, res.Err)
-		w.step()
+	// The dual-read staleness probe (§V-F literal), bounded by the
+	// real-time condition: the primary read was stale only if the strong
+	// read surfaces a version that is newer than what we got AND was
+	// stamped before the primary read was ISSUED — a write the reader was
+	// entitled to observe. Versions stamped while the probe is in flight
+	// are concurrent updates, not staleness (the naive dual read counts
+	// the hot keys' update rate). Timestamps are coordinator wall clocks;
+	// every process shares this host's clock, so they are comparable.
+	issuedAt := start.UnixNano()
+	w.drv.Read(key, func(primary client.ReadResult) {
+		if primary.Err != nil {
+			w.tally.read(g, 0, primary.Err, true, false)
+			w.step()
+			return
+		}
+		w.drv.ReadAtOnce(key, wire.All, func(strong client.ReadResult) {
+			stale := strong.Err == nil && strong.Found &&
+				strong.Ts > primary.Ts && strong.Ts <= issuedAt
+			w.tally.read(g, time.Since(start), nil, true, stale)
+			w.step()
+		})
 	})
 }
 
@@ -551,33 +532,34 @@ func (w *liveWorker) step() {
 // timeouts guarantee it does), then tears the endpoint down.
 func (w *liveWorker) halt() {
 	w.stop.Store(true)
-	select {
-	case <-w.idle:
-	case <-time.After(w.cfg.timeout + 3*time.Second):
+	if w.running {
+		select {
+		case <-w.idle:
+		case <-time.After(w.p.timeout + 3*time.Second):
+		}
 	}
 	w.tcp.Close()
 	w.rt.Stop()
 }
 
-// livePreload writes keys [0, total) through one pipelined loader endpoint,
+func haltAll(workers []*liveWorker) {
+	for _, w := range workers {
+		w.halt()
+	}
+}
+
+// preload writes keys [0, total) through a pipelined loader endpoint,
 // keeping a window of operations in flight. Transient startup errors are
 // retried: the cluster has just booted.
-func livePreload(peers map[ring.NodeID]string, coords []ring.NodeID, total int64, valueBytes int) error {
-	rt := sim.NewRealRuntime()
-	defer rt.Stop()
-	tcp, err := transport.NewTCPNode(transport.TCPConfig{
-		ID: "live-loader", Peers: peers, Streams: 4,
-	}, rt, nil)
+func (b *liveBackend) preload(total int64, valueBytes int) error {
+	tcp, err := b.endpoint("live-loader")
 	if err != nil {
 		return err
 	}
-	defer tcp.Close()
 	drv, err := client.New(client.Options{
-		ID:           "live-loader",
-		Coordinators: coords,
-		Policy:       client.Fixed{},
-		Timeout:      2 * time.Second,
-	}, rt, tcp)
+		ID: "live-loader", Coordinators: b.lc.IDs(),
+		Policy: client.Fixed{}, Timeout: 2 * time.Second,
+	}, b.rt, tcp)
 	if err != nil {
 		return err
 	}
@@ -588,6 +570,12 @@ func livePreload(peers map[ring.NodeID]string, coords []ring.NodeID, total int64
 		value[i] = byte('0' + i%10)
 	}
 	done := make(chan error, 1)
+	finish := func(err error) {
+		select {
+		case done <- err:
+		default:
+		}
+	}
 	const window = 64
 	var issued, completed int64 // touched only on the runtime
 	var issue func()
@@ -600,31 +588,23 @@ func livePreload(peers map[ring.NodeID]string, coords []ring.NodeID, total int64
 		var attempt func(tries int)
 		attempt = func(tries int) {
 			drv.Write(key, value, func(res client.WriteResult) {
-				if res.Err != nil && tries < 8 {
-					rt.After(125*time.Millisecond, func() { attempt(tries + 1) })
-					return
-				}
-				if res.Err != nil {
-					select {
-					case done <- fmt.Errorf("bench: preload %q: %w", key, res.Err):
-					default:
+				switch {
+				case res.Err != nil && tries < 8:
+					b.rt.After(125*time.Millisecond, func() { attempt(tries + 1) })
+				case res.Err != nil:
+					finish(fmt.Errorf("bench: preload %q: %w", key, res.Err))
+				default:
+					if completed++; completed == total {
+						finish(nil)
+					} else {
+						issue()
 					}
-					return
 				}
-				completed++
-				if completed == total {
-					select {
-					case done <- nil:
-					default:
-					}
-					return
-				}
-				issue()
 			})
 		}
 		attempt(0)
 	}
-	rt.Post(func() {
+	b.rt.Post(func() {
 		for i := 0; i < window; i++ {
 			issue()
 		}
@@ -635,79 +615,4 @@ func livePreload(peers map[ring.NodeID]string, coords []ring.NodeID, total int64
 	case <-time.After(2*time.Minute + time.Duration(total)*time.Millisecond):
 		return fmt.Errorf("bench: preload of %d keys timed out", total)
 	}
-}
-
-// liveMonitor runs a real core.Monitor over its own TCP endpoint, feeding a
-// controller and recording each member's latest raw stats.
-type liveMonitor struct {
-	rt  *sim.RealRuntime
-	tcp *transport.TCPNode
-	mon *core.Monitor
-
-	mu    sync.Mutex
-	stats map[ring.NodeID]wire.StatsResponse
-}
-
-func startLiveMonitor(lc *LiveCluster, ctl *core.Controller, interval time.Duration) (*liveMonitor, error) {
-	m := &liveMonitor{
-		rt:    sim.NewRealRuntime(),
-		stats: make(map[ring.NodeID]wire.StatsResponse),
-	}
-	tcp, err := transport.NewTCPNode(transport.TCPConfig{
-		ID: "harmony-monitor", Peers: lc.Peers(),
-		Logf: func(string, ...any) {},
-	}, m.rt, nil)
-	if err != nil {
-		m.rt.Stop()
-		return nil, err
-	}
-	m.tcp = tcp
-	m.mon = core.NewMonitor(core.MonitorConfig{
-		ID:             "harmony-monitor",
-		Nodes:          lc.IDs(),
-		Interval:       interval,
-		ReplicaSetSize: lc.RF(),
-		OnObservation:  ctl.Observe,
-		OnNodeStats: func(node ring.NodeID, s wire.StatsResponse) {
-			m.mu.Lock()
-			m.stats[node] = s
-			m.mu.Unlock()
-		},
-	}, m.rt, tcp)
-	tcp.SetHandler(m.mon)
-	m.mon.Start()
-	return m, nil
-}
-
-// maxAliveOf returns the largest failure-detector alive count any of the
-// given members reported in its latest stats, or 0 before any report. The
-// max is the view of the best-connected member, so waiting for it to drop
-// means every listed member has convicted at least one peer.
-func (m *liveMonitor) maxAliveOf(ids []ring.NodeID) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	best := 0
-	for _, id := range ids {
-		if s, ok := m.stats[id]; ok && int(s.AliveMembers) > best {
-			best = int(s.AliveMembers)
-		}
-	}
-	return best
-}
-
-// nodeStats sums a counter over every member's latest report.
-func (m *liveMonitor) nodeStats(f func(wire.StatsResponse) uint64) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var sum uint64
-	for _, s := range m.stats {
-		sum += f(s)
-	}
-	return sum
-}
-
-func (m *liveMonitor) close() {
-	m.mon.Stop()
-	m.tcp.Close()
-	m.rt.Stop()
 }

@@ -1,17 +1,17 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"strings"
 	"time"
 
 	"harmony/internal/client"
-	"harmony/internal/core"
-	"harmony/internal/dist"
-	"harmony/internal/obs"
-	"harmony/internal/ring"
-	"harmony/internal/wire"
+	"harmony/internal/faults"
 )
 
 // LiveHotColdSpec parameterizes the live hot/cold experiment — the same
@@ -31,8 +31,6 @@ type LiveHotColdSpec struct {
 	ValueBytes                  int
 	// VerifyEvery probes every k-th read with a dual read (§V-F literal).
 	VerifyEvery int
-	// ClientStreams / ServerStreams set transport pool sizes on each side.
-	ClientStreams, ServerStreams int
 	// ControllerBandwidth parameterizes Tp's transfer term. Loopback RTTs
 	// are microseconds, so the latency term alone would let the estimator
 	// serve everything at ONE; the bandwidth term stands in for the
@@ -59,8 +57,6 @@ func DefaultLiveHotColdSpec() LiveHotColdSpec {
 		ColdTolerance:       0.60,
 		ValueBytes:          3072,
 		VerifyEvery:         8,
-		ClientStreams:       2,
-		ServerStreams:       2,
 		ControllerBandwidth: 8 << 20,
 		MonitorInterval:     500 * time.Millisecond,
 		Warmup:              3 * time.Second,
@@ -90,19 +86,7 @@ func (r LiveHotColdResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== live hotcold (%d procs, rf=%d, %d hot / %d total keys, %.0fms measured) ==\n",
 		r.Procs, r.RF, r.HotKeys, r.TotalKeys, r.MeasureMs)
-	for _, run := range []HotColdRun{r.PerGroup, r.Global} {
-		fmt.Fprintf(&b, "%-10s tput=%8.0f ops/s readP99=%6.2fms errors=%d\n",
-			run.Policy, run.ThroughputOps, run.ReadP99Ms, run.Errors)
-		for _, g := range run.Groups {
-			status := "within"
-			if !g.WithinTolerance {
-				status = "EXCEEDED"
-			}
-			fmt.Fprintf(&b, "  %-5s level=%-7s stale=%d/%d (%.3f vs tol %.2f, %s) reads=%d writes=%d\n",
-				g.Name, g.FinalLevel, g.StaleReads, g.ShadowSamples,
-				g.StaleFraction, g.Tolerance, status, g.Reads, g.Writes)
-		}
-	}
+	formatHotColdRuns(&b, r.PerGroup, r.Global)
 	fmt.Fprintf(&b, "throughput gain per-group vs global: %+.0f%%\n", r.ThroughputGain*100)
 	return b.String()
 }
@@ -139,86 +123,6 @@ func LiveHotCold(spec LiveHotColdSpec, opts Options) (LiveHotColdResult, error) 
 	return res, nil
 }
 
-// liveController builds the controller for one arm: two models with split
-// tolerances (per-group), or one global model at the hot tolerance. Its
-// decisions land in trace, so the scraped series can account for every
-// level change the experiment commanded.
-func liveController(spec LiveHotColdSpec, perGroup bool, trace *obs.Trace) *core.Controller {
-	cfg := core.ControllerConfig{
-		Policy: core.Policy{
-			Name:               "live-hotcold",
-			ToleratedStaleRate: spec.HotTolerance,
-		},
-		N:                    spec.RF,
-		BandwidthBytesPerSec: spec.ControllerBandwidth,
-		Trace:                trace,
-	}
-	if perGroup {
-		cfg.Groups = 2
-		cfg.GroupFn = hotColdGroupFn(spec.HotKeys)
-		cfg.GroupTolerances = []float64{spec.HotTolerance, spec.ColdTolerance}
-	}
-	return core.NewController(cfg)
-}
-
-// liveWorkerPool builds and starts the hot and cold closed-loop pools.
-// coords restricts the workers' coordinator rotation (nil = every member);
-// the partition experiment pins its load to the majority side with it.
-func liveWorkerPool(spec LiveHotColdSpec, lc *LiveCluster, policy client.ConsistencyPolicy,
-	tally *liveTally, timeout time.Duration, verifyEvery int, seed int64,
-	coords []ring.NodeID) ([]*liveWorker, error) {
-	peers := lc.Peers()
-	if len(coords) == 0 {
-		coords = lc.IDs()
-	}
-	groupFn := hotColdGroupFn(spec.HotKeys)
-	var workers []*liveWorker
-	mk := func(kind string, i int, readProp float64, chooser dist.KeyChooser, off int64) error {
-		w, err := newLiveWorker(liveWorkerConfig{
-			id:    fmt.Sprintf("live-%s-%d", kind, i),
-			peers: peers, coords: coords,
-			policy: policy, streams: spec.ClientStreams, timeout: timeout,
-			readProp: readProp, chooser: chooser,
-			valueBytes: spec.ValueBytes, verifyEvery: verifyEvery,
-			groupFn: groupFn, seed: seed + off,
-			// The hardened request path: a replica that died (or got cut
-			// off) mid-conviction stalls one attempt, not the whole op —
-			// the retry fails over with fresh replica choices once the
-			// detector convicts the peer.
-			maxAttempts: 2,
-		}, tally)
-		if err != nil {
-			return err
-		}
-		workers = append(workers, w)
-		return nil
-	}
-	for i := 0; i < spec.HotWorkers; i++ {
-		// Hot pool: zipfian 50/50 over the hot range — contended, write-heavy.
-		if err := mk("hot", i, 0.5, dist.NewZipfianChooser(spec.HotKeys), 101+int64(i)); err != nil {
-			haltAll(workers)
-			return nil, err
-		}
-	}
-	for i := 0; i < spec.ColdWorkers; i++ {
-		// Cold pool: uniform 95/5 over the whole keyspace — read-mostly.
-		if err := mk("cold", i, 0.95, dist.NewUniformChooser(spec.TotalKeys), 10_101+int64(i)); err != nil {
-			haltAll(workers)
-			return nil, err
-		}
-	}
-	for _, w := range workers {
-		w.start()
-	}
-	return workers, nil
-}
-
-func haltAll(workers []*liveWorker) {
-	for _, w := range workers {
-		w.halt()
-	}
-}
-
 // runLiveHotCold measures one arm: spawn, preload, warm up, measure. The
 // returned series is the scraped per-second view of the measured interval.
 func runLiveHotCold(spec LiveHotColdSpec, opts Options, perGroup bool) (HotColdRun, *LiveSeries, error) {
@@ -228,86 +132,44 @@ func runLiveHotCold(spec LiveHotColdSpec, opts Options, perGroup bool) (HotColdR
 	}
 	lc, err := StartLiveCluster(LiveClusterConfig{
 		Procs: spec.Procs, RF: spec.RF,
-		HotKeys: spec.HotKeys, Streams: spec.ServerStreams,
+		HotKeys: spec.HotKeys, Streams: liveStreams,
 		LogDir: spec.LogDir,
 	})
 	if err != nil {
 		return HotColdRun{}, nil, err
 	}
-	defer lc.Close()
 	opts.progress("live hotcold %s: %d procs up, preloading %d keys", arm, spec.Procs, spec.TotalKeys)
-	if err := livePreload(lc.Peers(), lc.IDs(), spec.TotalKeys, spec.ValueBytes); err != nil {
-		return HotColdRun{}, nil, err
-	}
-
-	trace := obs.NewTrace(4096)
-	ctl := liveController(spec, perGroup, trace)
-	mon, err := startLiveMonitor(lc, ctl, spec.MonitorInterval)
-	if err != nil {
-		return HotColdRun{}, nil, err
-	}
-	defer mon.close()
-
-	tally := &liveTally{}
-	workers, err := liveWorkerPool(spec, lc, ctl, tally, 2*time.Second, spec.VerifyEvery, opts.Seed, nil)
-	if err != nil {
-		return HotColdRun{}, nil, err
-	}
-	time.Sleep(spec.Warmup)
-	tally.reset()
-	scraper := startLiveScraper(lc, tally, liveLevels(ctl, perGroup), trace, time.Second)
-	start := time.Now()
-	time.Sleep(spec.Measure)
-	snap := tally.snapshot()
-	elapsed := time.Since(start)
-	series := scraper.finish()
-	haltAll(workers)
-
-	run := HotColdRun{
-		Policy:     arm,
-		Operations: snap.ops,
-		Errors:     snap.errors,
-		ReadP99Ms:  float64(snap.readP99) / 1e6,
-	}
-	if elapsed > 0 {
-		run.ThroughputOps = float64(snap.ops) / elapsed.Seconds()
-	}
+	// Two models with split tolerances (per-group), or one global model at
+	// the hot tolerance.
 	tols := []float64{spec.HotTolerance, spec.ColdTolerance}
-	names := []string{"hot", "cold"}
-	for g := 0; g < 2; g++ {
-		hg := HotColdGroup{
-			Name:          names[g],
-			Tolerance:     tols[g],
-			Reads:         snap.reads[g],
-			Writes:        snap.writes[g],
-			ShadowSamples: snap.samples[g],
-			StaleReads:    snap.stale[g],
-		}
-		if hg.ShadowSamples > 0 {
-			hg.StaleFraction = float64(hg.StaleReads) / float64(hg.ShadowSamples)
-		}
-		hg.WithinTolerance = hg.StaleFraction <= hg.Tolerance
-		if perGroup {
-			hg.FinalLevel = ctl.GroupLast(g).Level.String()
-		} else {
-			hg.FinalLevel = ctl.Last().Level.String()
-		}
-		run.Groups = append(run.Groups, hg)
+	models := tols
+	if !perGroup {
+		models = tols[:1]
 	}
-	return run, series, nil
-}
-
-// liveLevels returns the commanded-level sampler for the scraper: the level
-// each group's model last decided (the global arm serves both groups at its
-// single model's level).
-func liveLevels(ctl *core.Controller, perGroup bool) func() []string {
-	return func() []string {
-		if perGroup {
-			return []string{ctl.GroupLast(0).Level.String(), ctl.GroupLast(1).Level.String()}
-		}
-		l := ctl.Last().Level.String()
-		return []string{l, l}
+	b, err := newLiveBackend(lc, hotColdController("live-hotcold", lc.RF(), spec.ControllerBandwidth, spec.HotKeys, models, nil), spec.MonitorInterval, loadPools{
+		hotKeys: spec.HotKeys, totalKeys: spec.TotalKeys,
+		hot: spec.HotWorkers, cold: spec.ColdWorkers,
+		valueBytes: spec.ValueBytes, verifyEvery: spec.VerifyEvery,
+		timeout: 2 * time.Second, seed: opts.Seed,
+	})
+	if err != nil {
+		return HotColdRun{}, nil, err
 	}
+	defer b.close()
+	b.start()
+	b.wait(spec.Warmup)
+	b.resetLoad()
+	b.wait(spec.Measure)
+	load := b.stop()
+	run := HotColdRun{
+		Policy:        arm,
+		ThroughputOps: load.tput,
+		Operations:    load.ops,
+		Errors:        load.errs,
+		ReadP99Ms:     float64(b.final.readP99) / 1e6,
+		Groups:        hotColdGroups(tols, b.final.opCounts, groupLevels(b.ctl)),
+	}
+	return run, b.series, nil
 }
 
 // LiveChurnSpec parameterizes the live failure/churn experiment: a member
@@ -344,12 +206,7 @@ type LiveChurnSpec struct {
 	HintQueueLimit int
 	// RepairInterval tunes anti-entropy cadence in the repair arm.
 	RepairInterval time.Duration
-	// FsyncInterval batches fsyncs in the persistent-restart arm (0 keeps
-	// group commit: every acknowledged write is on disk before the kill).
-	FsyncInterval time.Duration
-	ClientStreams int
-	ServerStreams int
-	LogDir        string
+	LogDir         string
 }
 
 // DefaultLiveChurnSpec returns the standard live failure schedule: a
@@ -379,8 +236,6 @@ func DefaultLiveChurnSpec() LiveChurnSpec {
 		RecoverWindows:      4,
 		HintQueueLimit:      200,
 		RepairInterval:      500 * time.Millisecond,
-		ClientStreams:       2,
-		ServerStreams:       2,
 	}
 }
 
@@ -409,26 +264,8 @@ func (r LiveChurnResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== live churn (%d procs, rf=%d, victim %s killed for %.0fms, %d hot / %d total keys) ==\n",
 		r.Procs, r.RF, r.Victim, r.OutageMs, r.HotKeys, r.TotalKeys)
-	for _, run := range []ChurnRun{r.Repair, r.HintsOnly, r.Persist} {
-		fmt.Fprintf(&b, "%-10s tput=%8.0f ops/s errors=%d hints=%d healed=%d recovered=%d\n",
-			run.Policy, run.ThroughputOps, run.Errors, run.HintsQueued, run.RowsHealed, run.RowsRecovered)
-		for _, g := range run.Groups {
-			rec := "NEVER"
-			if g.RecoveredWithinMs >= 0 {
-				rec = fmt.Sprintf("%.0fms", g.RecoveredWithinMs)
-			}
-			fmt.Fprintf(&b, "  %-5s tol=%.2f level=%-6s recovered=%-8s post-stale=%d/%d (%.3f) worst-window=%.3f tail=%.3f\n",
-				g.Name, g.Tolerance, g.FinalLevel, rec, g.PostStale, g.PostSamples, g.PostFraction, g.WorstWindow, g.TailFraction)
-		}
-	}
+	formatChurnRuns(&b, r.Repair, r.HintsOnly, r.Persist)
 	return b.String()
-}
-
-// liveChurnArm names one recovery mode through the failure schedule.
-type liveChurnArm struct {
-	name    string
-	repair  bool // anti-entropy enabled on every member
-	persist bool // members run persistent engines; the victim restarts with data
 }
 
 // LiveChurn runs the failure schedule for all three recovery modes over
@@ -441,29 +278,25 @@ func LiveChurn(spec LiveChurnSpec, opts Options) (LiveChurnResult, error) {
 	if spec.WindowLen <= 0 || spec.Outage <= 0 || spec.PostWatch < spec.WindowLen {
 		return LiveChurnResult{}, fmt.Errorf("bench: live churn needs positive WindowLen/Outage and PostWatch >= WindowLen")
 	}
-	withRepair, repairSeries, victim, err := runLiveChurn(spec, opts, liveChurnArm{name: "repair", repair: true})
-	if err != nil {
-		return LiveChurnResult{}, fmt.Errorf("bench: live churn repair: %w", err)
-	}
-	hintsOnly, hintsSeries, _, err := runLiveChurn(spec, opts, liveChurnArm{name: "hints-only"})
-	if err != nil {
-		return LiveChurnResult{}, fmt.Errorf("bench: live churn hints-only: %w", err)
-	}
-	persist, persistSeries, _, err := runLiveChurn(spec, opts, liveChurnArm{name: "persist", persist: true})
-	if err != nil {
-		return LiveChurnResult{}, fmt.Errorf("bench: live churn persist: %w", err)
-	}
 	res := LiveChurnResult{
 		Procs: spec.Procs, RF: spec.RF,
-		Victim:  victim,
 		HotKeys: spec.HotKeys, TotalKeys: spec.TotalKeys,
-		OutageMs:        durMs(spec.Outage),
-		Repair:          withRepair,
-		HintsOnly:       hintsOnly,
-		Persist:         persist,
-		RepairSeries:    repairSeries,
-		HintsOnlySeries: hintsSeries,
-		PersistSeries:   persistSeries,
+		OutageMs: durMs(spec.Outage),
+	}
+	arms := []struct {
+		run    *ChurnRun
+		series **LiveSeries
+	}{
+		{&res.Repair, &res.RepairSeries},
+		{&res.HintsOnly, &res.HintsOnlySeries},
+		{&res.Persist, &res.PersistSeries},
+	}
+	for i, arm := range []string{"repair", "hints-only", "persist"} {
+		run, series, victim, err := runLiveChurn(spec, opts, arm)
+		if err != nil {
+			return LiveChurnResult{}, fmt.Errorf("bench: live churn %s: %w", arm, err)
+		}
+		*arms[i].run, *arms[i].series, res.Victim = run, series, victim
 	}
 	opts.progress("live churn: post-stale hot/cold — repair %.3f/%.3f, hints-only %.3f/%.3f, persist %.3f/%.3f (%d rows recovered)",
 		res.Repair.Groups[0].PostFraction, res.Repair.Groups[1].PostFraction,
@@ -473,10 +306,13 @@ func LiveChurn(spec LiveChurnSpec, opts Options) (LiveChurnResult, error) {
 	return res, nil
 }
 
-// runLiveChurn measures one arm through the kill/restart schedule.
-func runLiveChurn(spec LiveChurnSpec, opts Options, arm liveChurnArm) (ChurnRun, *LiveSeries, string, error) {
+// runLiveChurn spawns one arm's cluster — anti-entropy on every member in
+// the "repair" arm, bitcask data dirs on group commit in the "persist" arm,
+// so the victim restarts with its pre-crash rows — and runs the failure
+// schedule on it. Every other arm's victim restarts empty.
+func runLiveChurn(spec LiveChurnSpec, opts Options, arm string) (ChurnRun, *LiveSeries, string, error) {
 	dataDir := ""
-	if arm.persist {
+	if arm == "persist" {
 		dir, err := os.MkdirTemp("", "harmony-churn-data-*")
 		if err != nil {
 			return ChurnRun{}, nil, "", fmt.Errorf("bench: churn data dir: %w", err)
@@ -487,190 +323,213 @@ func runLiveChurn(spec LiveChurnSpec, opts Options, arm liveChurnArm) (ChurnRun,
 	lc, err := StartLiveCluster(LiveClusterConfig{
 		Procs: spec.Procs, RF: spec.RF,
 		GossipInterval: spec.GossipInterval,
-		Repair:         arm.repair, RepairInterval: spec.RepairInterval,
+		Repair:         arm == "repair", RepairInterval: spec.RepairInterval,
 		HotKeys: spec.HotKeys, HintQueueLimit: spec.HintQueueLimit,
-		Streams: spec.ServerStreams,
-		DataDir: dataDir, FsyncInterval: spec.FsyncInterval,
+		Streams: liveStreams, DataDir: dataDir,
 		LogDir: spec.LogDir,
 	})
 	if err != nil {
 		return ChurnRun{}, nil, "", err
 	}
-	defer lc.Close()
-	opts.progress("live churn %s: %d procs up, preloading %d keys", arm.name, spec.Procs, spec.TotalKeys)
-	if err := livePreload(lc.Peers(), lc.IDs(), spec.TotalKeys, spec.ValueBytes); err != nil {
-		return ChurnRun{}, nil, "", err
-	}
-
+	opts.progress("live churn %s: %d procs up, preloading %d keys", arm, spec.Procs, spec.TotalKeys)
 	tols := []float64{spec.HotTolerance, spec.ColdTolerance}
-	trace := obs.NewTrace(4096)
-	ctl := core.NewController(core.ControllerConfig{
-		Policy: core.Policy{
-			Name:               "live-churn",
-			ToleratedStaleRate: spec.HotTolerance,
-		},
-		N:                    spec.RF,
-		BandwidthBytesPerSec: spec.ControllerBandwidth,
-		Groups:               2,
-		GroupFn:              hotColdGroupFn(spec.HotKeys),
-		GroupTolerances:      tols,
-		Trace:                trace,
+	b, err := newLiveBackend(lc, hotColdController("live-churn", lc.RF(), spec.ControllerBandwidth, spec.HotKeys, tols, nil), spec.MonitorInterval, loadPools{
+		hotKeys: spec.HotKeys, totalKeys: spec.TotalKeys,
+		hot: spec.HotWorkers, cold: spec.ColdWorkers,
+		valueBytes: spec.ValueBytes, verifyEvery: spec.VerifyEvery,
+		timeout: spec.OpTimeout, seed: opts.Seed,
 	})
-	mon, err := startLiveMonitor(lc, ctl, spec.MonitorInterval)
 	if err != nil {
 		return ChurnRun{}, nil, "", err
 	}
-	defer mon.close()
-
-	tally := &liveTally{}
-	hcSpec := LiveHotColdSpec{
-		Procs: spec.Procs, RF: spec.RF,
-		HotKeys: spec.HotKeys, TotalKeys: spec.TotalKeys,
-		HotWorkers: spec.HotWorkers, ColdWorkers: spec.ColdWorkers,
-		ValueBytes:    spec.ValueBytes,
-		ClientStreams: spec.ClientStreams,
-	}
-	workers, err := liveWorkerPool(hcSpec, lc, ctl, tally, spec.OpTimeout, spec.VerifyEvery, opts.Seed, nil)
-	if err != nil {
-		return ChurnRun{}, nil, "", err
-	}
-	time.Sleep(spec.Warmup)
-	tally.reset()
-	scraper := startLiveScraper(lc, tally, liveLevels(ctl, true), trace, time.Second)
-	measureStart := time.Now()
-
-	// Staleness windows: cumulative probe counters sampled on a fixed
-	// cadence by a real ticker; deltas between samples are the windows.
-	tickerStart := time.Now()
-	prevSamples, prevStale := tally.probes()
-	var windows []ChurnWindow
-	windowDone := make(chan struct{})
-	windowStop := make(chan struct{})
-	go func() {
-		defer close(windowDone)
-		tick := time.NewTicker(spec.WindowLen)
-		defer tick.Stop()
-		for {
-			select {
-			case <-windowStop:
-				return
-			case <-tick.C:
-				curSamples, curStale := tally.probes()
-				w := ChurnWindow{}
-				for g := 0; g < 2; g++ {
-					samples := curSamples[g] - prevSamples[g]
-					stale := curStale[g] - prevStale[g]
-					frac := 0.0
-					if samples > 0 {
-						frac = float64(stale) / float64(samples)
-					}
-					w.Samples = append(w.Samples, samples)
-					w.Stale = append(w.Stale, stale)
-					w.Fraction = append(w.Fraction, frac)
-				}
-				prevSamples, prevStale = curSamples, curStale
-				windows = append(windows, w)
-			}
-		}
-	}()
-
-	// The schedule: baseline -> SIGKILL -> outage -> restart -> watch.
+	defer b.close()
 	victim := lc.IDs()[1]
-	time.Sleep(spec.Baseline)
-	if err := lc.Kill(victim); err != nil {
-		close(windowStop)
-		<-windowDone
-		scraper.finish()
-		haltAll(workers)
-		return ChurnRun{}, nil, "", err
-	}
-	opts.progress("live churn %s: killed %s (SIGKILL)", arm.name, victim)
-	time.Sleep(spec.Outage)
-	if err := lc.Restart(victim); err != nil {
-		close(windowStop)
-		<-windowDone
-		scraper.finish()
-		haltAll(workers)
-		return ChurnRun{}, nil, "", err
-	}
-	recoveredAt := time.Now()
-	restartMode := "empty engine"
-	if arm.persist {
-		restartMode = "recovering from data dir"
-	}
-	opts.progress("live churn %s: restarted %s (%s)", arm.name, victim, restartMode)
-	time.Sleep(spec.PostWatch)
-	close(windowStop)
-	<-windowDone
-	snap := tally.snapshot()
-	elapsed := time.Since(measureStart)
-	series := scraper.finish()
-	haltAll(workers)
+	run, err := runChurnSchedule(b, b.ctl, churnPlan{
+		arm: arm, victim: victim,
+		warmup: spec.Warmup, baseline: spec.Baseline, outage: spec.Outage, postWatch: spec.PostWatch,
+		windowLen: spec.WindowLen, recoverWindows: spec.RecoverWindows, tols: tols,
+	}, opts)
+	return run, b.series, string(victim), err
+}
 
-	run := ChurnRun{Policy: arm.name, Windows: windows}
-	run.Operations = snap.ops
-	run.Errors = snap.errors
-	if elapsed > 0 {
-		run.ThroughputOps = float64(snap.ops) / elapsed.Seconds()
-	}
-	run.HintsQueued = mon.nodeStats(func(s wire.StatsResponse) uint64 { return s.HintsQueued })
-	run.RowsHealed = mon.nodeStats(func(s wire.StatsResponse) uint64 { return s.RepairRows })
-	// Every member other than the victim started on an empty data dir
-	// (recovered 0), so this sum is the victim's startup index rebuild.
-	run.RowsRecovered = mon.nodeStats(func(s wire.StatsResponse) uint64 { return s.RecoveredRows })
+// The live partition experiment runs the same contract as the simulated one
+// against spawned server processes: the cut is installed at runtime by
+// POSTing the same faults.Update JSON the admin endpoint accepts to every
+// member's /faults, gossip does the failure detection for real (no injected
+// liveness view), and the heal is another POST. Full replication (RF =
+// Procs) keeps the availability argument constructive: every key has a
+// replica on both sides of any split, so CL=ONE stays answerable from the
+// minority while quorum work there must refuse.
 
-	// Window offsets relative to the victim's return; the post-recovery
-	// horizon starts at the first window fully after it. Same assembly as
-	// the simulated churn bench, driven by wall-clock instants.
-	recoveryOffset := recoveredAt.Sub(tickerStart)
-	postStart := len(windows)
-	for i := range windows {
-		start := time.Duration(i) * spec.WindowLen
-		windows[i].OffsetMs = durMs(start - recoveryOffset)
-		if start >= recoveryOffset && i < postStart {
-			postStart = i
-		}
+// LivePartitionSpec parameterizes the live partition experiment.
+type LivePartitionSpec struct {
+	Procs int
+	// MinorityNodes land on the small side of the cut.
+	MinorityNodes int
+	// HotKeys / TotalKeys split the keyspace as in hotcold.
+	HotKeys   int64
+	TotalKeys int64
+	// HotWorkers / ColdWorkers size the majority-side closed-loop pools.
+	HotWorkers, ColdWorkers int
+	// HotTolerance / ColdTolerance are the per-group stale targets.
+	HotTolerance, ColdTolerance float64
+	ValueBytes                  int
+	// VerifyEvery probes every k-th read (staleness windows need density).
+	VerifyEvery int
+	// OpTimeout bounds every client operation (the fail-fast pin).
+	OpTimeout time.Duration
+	// ProbeInterval is the minority prober's cadence.
+	ProbeInterval time.Duration
+	// ControllerBandwidth: see LiveHotColdSpec.
+	ControllerBandwidth float64
+	MonitorInterval     time.Duration
+	// GossipInterval tunes detection speed: the minority must convict the
+	// majority (and vice versa) well inside the cut.
+	GossipInterval time.Duration
+	// DetectTimeout bounds how long the experiment waits for the majority's
+	// detectors to convict the cut before starting the cut measurement; it
+	// doubles as the contract's DetectBoundMs pin on the blind window.
+	DetectTimeout time.Duration
+	// Warmup precedes measurement; Baseline is watched before the cut, Cut
+	// is how long the partition holds, PostWatch the re-convergence watch.
+	Warmup, Baseline, Cut, PostWatch time.Duration
+	WindowLen                        time.Duration
+	RecoverWindows                   int
+	HintQueueLimit                   int
+	RepairInterval                   time.Duration
+	LogDir                           string
+}
+
+// DefaultLivePartitionSpec returns the standard live schedule: a 5-process
+// fully replicated cluster split 3/2 for 6 seconds.
+func DefaultLivePartitionSpec() LivePartitionSpec {
+	return LivePartitionSpec{
+		Procs:               5,
+		MinorityNodes:       2,
+		HotKeys:             200,
+		TotalKeys:           3000,
+		HotWorkers:          4,
+		ColdWorkers:         8,
+		HotTolerance:        0.05,
+		ColdTolerance:       0.50,
+		ValueBytes:          256,
+		VerifyEvery:         2,
+		OpTimeout:           750 * time.Millisecond,
+		ProbeInterval:       100 * time.Millisecond,
+		ControllerBandwidth: 1 << 20,
+		MonitorInterval:     400 * time.Millisecond,
+		GossipInterval:      150 * time.Millisecond,
+		DetectTimeout:       5 * time.Second,
+		Warmup:              2 * time.Second,
+		Baseline:            2 * time.Second,
+		Cut:                 6 * time.Second,
+		PostWatch:           8 * time.Second,
+		WindowLen:           500 * time.Millisecond,
+		RecoverWindows:      4,
+		HintQueueLimit:      2_000,
+		RepairInterval:      500 * time.Millisecond,
 	}
-	names := []string{"hot", "cold"}
-	tailStart := postStart + (len(windows)-postStart)*3/4
-	for g := 0; g < 2; g++ {
-		cg := ChurnGroup{Name: names[g], Tolerance: tols[g], RecoveredWithinMs: -1,
-			FinalLevel: ctl.GroupLast(g).Level.String()}
-		streak := 0
-		var tailStale, tailSamples uint64
-		for i := postStart; i < len(windows); i++ {
-			w := windows[i]
-			cg.PostSamples += w.Samples[g]
-			cg.PostStale += w.Stale[g]
-			if i >= tailStart {
-				tailSamples += w.Samples[g]
-				tailStale += w.Stale[g]
-			}
-			if w.Fraction[g] > cg.WorstWindow {
-				cg.WorstWindow = w.Fraction[g]
-			}
-			within := w.Samples[g] < 10 || w.Fraction[g] <= tols[g]
-			if within {
-				streak++
-				if streak == spec.RecoverWindows && cg.RecoveredWithinMs < 0 {
-					first := i - spec.RecoverWindows + 1
-					cg.RecoveredWithinMs = durMs(time.Duration(first)*spec.WindowLen - recoveryOffset)
-					if cg.RecoveredWithinMs < 0 {
-						cg.RecoveredWithinMs = 0
-					}
+}
+
+// LivePartition runs the partition experiment over a spawned cluster and
+// returns the shared PartitionResult (Backend "live").
+func LivePartition(spec LivePartitionSpec, opts Options) (PartitionResult, error) {
+	opts = opts.withDefaults()
+	if spec.HotKeys <= 0 || spec.TotalKeys <= spec.HotKeys {
+		return PartitionResult{}, fmt.Errorf("bench: live partition needs 0 < HotKeys < TotalKeys, got %d/%d", spec.HotKeys, spec.TotalKeys)
+	}
+	if spec.MinorityNodes <= 0 || spec.MinorityNodes >= spec.Procs-spec.MinorityNodes {
+		return PartitionResult{}, fmt.Errorf("bench: live partition needs 0 < MinorityNodes < Procs/2, got %d/%d", spec.MinorityNodes, spec.Procs)
+	}
+	lc, err := StartLiveCluster(LiveClusterConfig{
+		Procs: spec.Procs, RF: spec.Procs,
+		GossipInterval: spec.GossipInterval,
+		Repair:         true, RepairInterval: spec.RepairInterval,
+		HotKeys: spec.HotKeys, HintQueueLimit: spec.HintQueueLimit,
+		Streams: liveStreams,
+		LogDir:  spec.LogDir,
+	})
+	if err != nil {
+		return PartitionResult{}, err
+	}
+	ids := lc.IDs()
+	majority, minority := ids[:len(ids)-spec.MinorityNodes], ids[len(ids)-spec.MinorityNodes:]
+	opts.progress("live partition: %d procs up (rf=%d), preloading %d keys", spec.Procs, spec.Procs, spec.TotalKeys)
+	tols := []float64{spec.HotTolerance, spec.ColdTolerance}
+	b, err := newLiveBackend(lc, hotColdController("live-partition", lc.RF(), spec.ControllerBandwidth, spec.HotKeys, tols, nil), spec.MonitorInterval, loadPools{
+		hotKeys: spec.HotKeys, totalKeys: spec.TotalKeys,
+		hot: spec.HotWorkers, cold: spec.ColdWorkers,
+		valueBytes: spec.ValueBytes, verifyEvery: spec.VerifyEvery,
+		timeout: spec.OpTimeout, coords: majority, seed: opts.Seed,
+	})
+	if err != nil {
+		return PartitionResult{}, err
+	}
+	defer b.close()
+	tcp, err := b.endpoint("part-probe")
+	if err != nil {
+		return PartitionResult{}, err
+	}
+	drv, err := client.New(probeOptions(minority, spec.OpTimeout), b.rt, tcp)
+	if err != nil {
+		return PartitionResult{}, err
+	}
+	tcp.SetHandler(drv)
+	prb := startProber(b.rt, drv, spec.TotalKeys, spec.ProbeInterval)
+
+	res, err := runPartitionSchedule(b, b.ctl, b.trace, prb, partitionPlan{
+		label:    fmt.Sprintf("live-%dproc", spec.Procs),
+		majority: majority, minority: minority,
+		warmup: spec.Warmup, baseline: spec.Baseline, cut: spec.Cut, postWatch: spec.PostWatch,
+		windowLen: spec.WindowLen, recoverWindows: spec.RecoverWindows, tols: tols,
+		opTimeout: spec.OpTimeout,
+		// Gossip convicts the far side on its own. Until it does, any
+		// operation whose replica choice touches a cut peer burns its full
+		// deadline: that blind window is phi-accrual physics, so the cut is
+		// measured only once every majority member reports a shrunken alive
+		// count, and the window's length is pinned separately (DetectMs).
+		// Probes until then are discarded: a quorum probe straddling the
+		// POST loop may still legitimately succeed, and must not book into
+		// the cut tally where any success is scored as split brain.
+		convict: func(faults.PartitionSpec) float64 {
+			start := time.Now()
+			for time.Since(start) < spec.DetectTimeout {
+				if a := b.maxAliveOf(majority); a > 0 && a <= len(majority) {
+					detectMs := durMs(time.Since(start))
+					opts.progress("live partition: majority convicted the cut in %.0fms", detectMs)
+					time.Sleep(spec.OpTimeout) // drain ops issued against the pre-conviction view
+					return detectMs
 				}
-			} else {
-				streak = 0
-				cg.RecoveredWithinMs = -1
+				time.Sleep(50 * time.Millisecond)
 			}
-		}
-		if cg.PostSamples > 0 {
-			cg.PostFraction = float64(cg.PostStale) / float64(cg.PostSamples)
-		}
-		if tailSamples > 0 {
-			cg.TailFraction = float64(tailStale) / float64(tailSamples)
-		}
-		run.Groups = append(run.Groups, cg)
+			opts.progress("live partition: majority never convicted the cut within %v", spec.DetectTimeout)
+			time.Sleep(spec.OpTimeout)
+			return -1
+		},
+	}, opts)
+	if err != nil {
+		return PartitionResult{}, err
 	}
-	return run, series, string(victim), nil
+	res.Backend, res.Scenario, res.RF = "live", fmt.Sprintf("live-%dproc", spec.Procs), spec.Procs
+	res.DetectBoundMs = durMs(spec.DetectTimeout)
+	res.Series = b.series
+	return res, nil
+}
+
+// postFaults ships an Update to one member's admin /faults endpoint.
+func postFaults(admin string, upd faults.Update) error {
+	body, err := json.Marshal(upd)
+	if err != nil {
+		return err
+	}
+	resp, err := http.Post("http://"+admin+"/faults", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return fmt.Errorf("POST %s/faults: %d %s", admin, resp.StatusCode, msg)
+	}
+	return nil
 }

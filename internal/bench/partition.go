@@ -6,15 +6,11 @@ import (
 	"time"
 
 	"harmony/internal/client"
-	"harmony/internal/cluster"
 	"harmony/internal/core"
 	"harmony/internal/faults"
 	"harmony/internal/obs"
 	"harmony/internal/repair"
 	"harmony/internal/ring"
-	"harmony/internal/sim"
-	"harmony/internal/wire"
-	"harmony/internal/ycsb"
 )
 
 // The partition experiment is the availability half of the failure story:
@@ -209,14 +205,7 @@ func (r PartitionResult) Format() string {
 	}
 	fmt.Fprintf(&b, "divergence holds: %d  hints queued: %d  rows healed: %d\n",
 		r.Holds, r.HintsQueued, r.RowsHealed)
-	for _, g := range r.Groups {
-		rec := "NEVER"
-		if g.RecoveredWithinMs >= 0 {
-			rec = fmt.Sprintf("%.0fms", g.RecoveredWithinMs)
-		}
-		fmt.Fprintf(&b, "  %-5s tol=%.2f level=%-6s recovered=%-8s post-stale=%d/%d (%.3f) worst-window=%.3f tail=%.3f\n",
-			g.Name, g.Tolerance, g.FinalLevel, rec, g.PostStale, g.PostSamples, g.PostFraction, g.WorstWindow, g.TailFraction)
-	}
+	formatChurnGroups(&b, r.Groups)
 	return b.String()
 }
 
@@ -296,10 +285,7 @@ func Partition(spec PartitionSpec, opts Options) (PartitionResult, error) {
 		return PartitionResult{}, fmt.Errorf("bench: partition needs a positive MinorityNodes")
 	}
 
-	s := sim.New(opts.Seed)
-	cspec := spec.Scenario.Spec
-	cspec.Groups = 2
-	cspec.GroupFn = hotColdGroupFn(spec.HotKeys)
+	cspec := hotColdClusterSpec(spec.Scenario, spec.HotKeys)
 	cspec.HintedHandoff = true
 	cspec.HintQueueLimit = spec.HintQueueLimit
 	cspec.Repair = repair.Options{
@@ -308,210 +294,176 @@ func Partition(spec PartitionSpec, opts Options) (PartitionResult, error) {
 		Concurrency:    spec.RepairConcurrency,
 		LeavesPerRange: spec.RepairLeaves,
 	}
-	c, err := cluster.BuildSim(s, cspec)
+	s, c, undo, err := buildSim(opts.Seed, spec.Scenario, cspec)
 	if err != nil {
 		return PartitionResult{}, err
 	}
+	defer undo()
 	ids := c.NodeIDs()
 	if spec.MinorityNodes >= len(ids) {
 		return PartitionResult{}, fmt.Errorf("bench: MinorityNodes %d must be < cluster size %d", spec.MinorityNodes, len(ids))
 	}
-	majority := ids[:len(ids)-spec.MinorityNodes]
-	minority := ids[len(ids)-spec.MinorityNodes:]
-	majStrs := make([]string, len(majority))
-	minStrs := make([]string, len(minority))
-	for i, id := range majority {
-		majStrs[i] = string(id)
-	}
-	for i, id := range minority {
-		minStrs[i] = string(id)
-	}
+	majority, minority := ids[:len(ids)-spec.MinorityNodes], ids[len(ids)-spec.MinorityNodes:]
 
 	tols := []float64{spec.HotTolerance, spec.ColdTolerance}
 	trace := obs.NewTrace(4096)
-	ctl := core.NewController(core.ControllerConfig{
-		Policy: core.Policy{
-			Name:               "partition",
-			ToleratedStaleRate: spec.HotTolerance,
+	ctl := core.NewController(hotColdController("partition", cspec.RF, cspec.Profile.BandwidthBytesPerSec, spec.HotKeys, tols, trace))
+	// Majority load: clients colocated with the big side of the cut.
+	b, err := newSimBackend(s, c, ctl, spec.Scenario.MonitorInterval, cspec.RF, loadPools{
+		hotKeys: spec.HotKeys, totalKeys: spec.TotalKeys,
+		hot: spec.HotThreads, cold: spec.ColdThreads,
+		hotArrival: spec.HotArrival, coldArrival: spec.ColdArrival,
+		valueBytes: 1024, verifyEvery: 2, timeout: spec.OpTimeout,
+		coords: majority, prefix: "p", seed: opts.Seed,
+	})
+	if err != nil {
+		return PartitionResult{}, err
+	}
+	drv, err := client.New(probeOptions(minority, spec.OpTimeout), s, c.Bus)
+	if err != nil {
+		return PartitionResult{}, err
+	}
+	c.Bus.Register("part-probe", s, drv)
+	prb := startProber(s, drv, spec.TotalKeys, spec.ProbeInterval)
+
+	res, err := runPartitionSchedule(b, ctl, trace, prb, partitionPlan{
+		label:    spec.Scenario.Name,
+		majority: majority, minority: minority,
+		warmup:   max(8*spec.Scenario.MonitorInterval, 2*time.Second),
+		baseline: spec.Baseline, cut: spec.Cut, postWatch: spec.PostWatch,
+		windowLen: spec.WindowLen, recoverWindows: spec.RecoverWindows, tols: tols,
+		opTimeout: spec.OpTimeout,
+		// The cut severs member<->member delivery at once (the monitor,
+		// colocated on the majority, is cut off from the minority too); each
+		// side's detectors give up on the other only after the detection
+		// delay, as a real gossip detector's would, and that blind window is
+		// part of the measured cut.
+		measureBlind: true,
+		convict: func(sides faults.PartitionSpec) float64 {
+			s.RunFor(spec.DetectionDelay)
+			c.Faults.Apply(faults.Update{Convict: &sides})
+			return 0
 		},
-		N:                    cspec.RF,
-		BandwidthBytesPerSec: cspec.Profile.BandwidthBytesPerSec,
-		Groups:               2,
-		GroupFn:              cspec.GroupFn,
-		GroupTolerances:      tols,
-		Trace:                trace,
-	})
-	mon := core.NewMonitor(core.MonitorConfig{
-		ID:             "harmony-monitor",
-		Nodes:          ids,
-		Interval:       spec.Scenario.MonitorInterval,
-		ReplicaSetSize: cspec.RF,
-		OnObservation:  ctl.Observe,
-	}, s, c.Bus)
-	c.Net.Colocate("harmony-monitor", majority[0])
-	c.Bus.Register("harmony-monitor", s, mon)
-
-	// Majority load: the hot/cold pools from churn, restricted to majority
-	// coordinators (clients colocated with the big side of the cut).
-	hotWl := ycsb.Workload{
-		Name: "part-hot", ReadProportion: 0.5, UpdateProportion: 0.5,
-		RecordCount: spec.HotKeys, ValueBytes: 1024,
-		RequestDistribution: ycsb.DistZipfian,
-	}
-	coldWl := ycsb.Workload{
-		Name: "part-cold", ReadProportion: 0.95, UpdateProportion: 0.05,
-		RecordCount: spec.TotalKeys, ValueBytes: 1024,
-		RequestDistribution: ycsb.DistUniform,
-	}
-	newRunner := func(wl ycsb.Workload, threads int, arrival float64, prefix string, seedOff int64) (*ycsb.Runner, error) {
-		return ycsb.NewRunner(ycsb.RunConfig{
-			Workload:     wl,
-			Threads:      threads,
-			ShadowEvery:  2,
-			Seed:         opts.Seed + seedOff,
-			ClientPrefix: prefix,
-			Policy:       ctl,
-			ArrivalRate:  arrival,
-			OpTimeout:    spec.OpTimeout,
-			Coordinators: majority,
-		}, s, c)
-	}
-	hotR, err := newRunner(hotWl, spec.HotThreads, spec.HotArrival, "phot", 101)
+		acquit: func() {
+			s.RunFor(spec.DetectionDelay)
+			c.Faults.Apply(faults.Update{Acquit: true})
+		},
+	}, opts)
 	if err != nil {
 		return PartitionResult{}, err
 	}
-	coldR, err := newRunner(coldWl, spec.ColdThreads, spec.ColdArrival, "pcold", 202)
-	if err != nil {
-		return PartitionResult{}, err
-	}
-	coldR.Load()
-
-	// Minority prober: explicit-level rounds against minority coordinators
-	// only, one attempt per op so every refusal's latency is the server
-	// path's own (no client retries smearing it).
-	prb, err := newSimProber(s, c, minority, spec.OpTimeout, spec.TotalKeys)
-	if err != nil {
-		return PartitionResult{}, err
-	}
-	var discard, probeBase, probeCut PartitionProbe
-	prb.cur = &discard
-	probeStop := sim.Every(s, func() time.Duration { return spec.ProbeInterval }, prb.round)
-
-	mon.Start()
-	hotR.Start()
-	coldR.Start()
-
-	// Staleness windows on a fixed cadence, as in churn.
-	var windows []ChurnWindow
-	warmup := 8 * spec.Scenario.MonitorInterval
-	if warmup < 2*time.Second {
-		warmup = 2 * time.Second
-	}
-	s.RunFor(warmup)
-	tickerStart := s.Now()
-	last := c.AggregateMetrics()
-	windowStop := sim.Every(s, func() time.Duration { return spec.WindowLen }, func() {
-		cur := c.AggregateMetrics()
-		w := ChurnWindow{}
-		for g := 0; g < 2; g++ {
-			var samples, stale uint64
-			if g < len(cur.GroupShadowSamples) && g < len(last.GroupShadowSamples) {
-				samples = cur.GroupShadowSamples[g] - last.GroupShadowSamples[g]
-				stale = cur.GroupShadowStale[g] - last.GroupShadowStale[g]
-			}
-			frac := 0.0
-			if samples > 0 {
-				frac = float64(stale) / float64(samples)
-			}
-			w.Samples = append(w.Samples, samples)
-			w.Stale = append(w.Stale, stale)
-			w.Fraction = append(w.Fraction, frac)
-		}
-		last = cur
-		windows = append(windows, w)
-	})
-
-	// Baseline.
-	hotR.ResetMeasurement()
-	coldR.ResetMeasurement()
-	prb.cur = &probeBase
-	s.RunFor(spec.Baseline)
-	baseOps, baseErrs := runnerDeltas(hotR, coldR)
-	baselineTput := goodput(baseOps, baseErrs, spec.Baseline)
-
-	// The cut severs member<->member delivery immediately (the monitor,
-	// colocated on the majority, is cut off from the minority too); the
-	// conviction (each side's detectors giving up on the other) lands only
-	// after the detection delay, as a real gossip detector's would.
-	hotR.ResetMeasurement()
-	coldR.ResetMeasurement()
-	prb.cur = &probeCut
-	sides := &faults.PartitionSpec{A: majStrs, B: minStrs}
-	c.Faults.Apply(faults.Update{Partition: sides})
-	opts.progress("partition %s: cut %v | %v", spec.Scenario.Name, majStrs, minStrs)
-	s.RunFor(spec.DetectionDelay)
-	c.Faults.Apply(faults.Update{Convict: sides})
-	s.RunFor(spec.Cut - spec.DetectionDelay)
-	cutOps, cutErrs := runnerDeltas(hotR, coldR)
-	cutTput := goodput(cutOps, cutErrs, spec.Cut)
-
-	// Heal: delivery restores immediately, detectors re-converge after the
-	// delay, and the cross-cut recovery trigger starts anti-entropy.
-	c.Faults.Apply(faults.Update{Heal: true})
-	healedAt := s.Now()
-	prb.cur = &discard
-	s.RunFor(spec.DetectionDelay)
-	c.Faults.Apply(faults.Update{Acquit: true})
-	opts.progress("partition %s: healed, watching re-convergence", spec.Scenario.Name)
-	s.RunFor(spec.PostWatch - spec.DetectionDelay)
-
-	windowStop()
-	probeStop()
-	hotR.Stop()
-	coldR.Stop()
-	mon.Stop()
-	hotR.Drain()
-	coldR.Drain()
-
-	probeBase.DeadlineMs = durMs(spec.OpTimeout)
-	probeCut.DeadlineMs = durMs(spec.OpTimeout)
-	agg := c.AggregateMetrics()
-	res := PartitionResult{
-		Backend:         "sim",
-		Scenario:        spec.Scenario.Name,
-		Nodes:           len(ids),
-		RF:              cspec.RF,
-		Majority:        majStrs,
-		Minority:        minStrs,
-		CutMs:           durMs(spec.Cut),
-		BaselineTputOps: baselineTput,
-		CutTputOps:      cutTput,
-		ProbeBaseline:   probeBase,
-		ProbeCut:        probeCut,
-		Windows:         windows,
-		HintsQueued:     agg.HintsQueued,
-		RowsHealed:      agg.RepairRows,
-		Trace:           trace.Events(),
-		Holds:           countHolds(trace.Events()),
-	}
-	if baselineTput > 0 {
-		res.AvailabilityRatio = cutTput / baselineTput
-	}
-	res.Groups = assemblePartitionGroups(windows, tickerStart, healedAt, spec.WindowLen, spec.RecoverWindows, tols, ctl)
-	opts.progress("partition %s: availability %.2f, minority ONE %.2f, holds %d",
-		spec.Scenario.Name, res.AvailabilityRatio, probeCut.OneFraction(), res.Holds)
+	res.Backend, res.Scenario, res.RF = "sim", spec.Scenario.Name, cspec.RF
 	return res, nil
 }
 
-// runnerDeltas sums operations and errors across both pools since their last
-// ResetMeasurement.
-func runnerDeltas(rs ...*ycsb.Runner) (ops, errs int64) {
-	for _, r := range rs {
-		rep := r.Report()
-		ops += rep.Operations
-		errs += rep.Errors
+// partitionPlan is the partition schedule's shape, and how a backend's
+// detectors come to agree with a cut and with its heal.
+type partitionPlan struct {
+	label                            string
+	majority, minority               []ring.NodeID
+	warmup, baseline, cut, postWatch time.Duration
+	windowLen                        time.Duration
+	recoverWindows                   int
+	tols                             []float64
+	opTimeout                        time.Duration
+	// convict returns once the detectors have convicted the cut, with how
+	// long that took in ms (0 when the backend installs the view itself,
+	// -1 when they never did). measureBlind counts the time until then
+	// toward the cut's goodput and probes; otherwise the probes made in it
+	// are discarded and the cut is measured from conviction on.
+	convict      func(sides faults.PartitionSpec) (detectMs float64)
+	measureBlind bool
+	// acquit, when set, returns once the detectors have re-admitted the
+	// far side after the heal; the rest of the post-watch follows it.
+	acquit func()
+}
+
+// runPartitionSchedule runs the partition schedule on b, with load on the
+// majority and the prober on the minority: warm up, watch a baseline, cut,
+// hold the cut, heal, watch re-convergence.
+func runPartitionSchedule(b backend, ctl *core.Controller, trace *obs.Trace, prb *prober, p partitionPlan, opts Options) (PartitionResult, error) {
+	rt := b.runtime()
+	b.start()
+	b.wait(p.warmup)
+	win := sampleWindows(rt, p.windowLen, b.verified)
+
+	b.resetLoad()
+	prb.to(&prb.base)
+	baseStart := rt.Now()
+	b.wait(p.baseline)
+	load := b.load()
+	baselineTput := goodput(load.ops, load.errs, rt.Now().Sub(baseStart))
+
+	res := PartitionResult{
+		Nodes:    len(p.majority) + len(p.minority),
+		Majority: nodeNames(p.majority),
+		Minority: nodeNames(p.minority),
+		CutMs:    durMs(p.cut),
 	}
-	return ops, errs
+	sides := faults.PartitionSpec{A: res.Majority, B: res.Minority}
+	var cutStart time.Time
+	measureCut := func() {
+		b.resetLoad()
+		prb.to(&prb.cut)
+		cutStart = rt.Now()
+	}
+	if p.measureBlind {
+		measureCut()
+	} else {
+		prb.to(&prb.discard)
+	}
+	if err := b.apply(faults.Update{Partition: &sides}); err != nil {
+		return PartitionResult{}, err
+	}
+	opts.progress("partition %s: cut %v | %v", p.label, res.Majority, res.Minority)
+	res.DetectMs = p.convict(sides)
+	if !p.measureBlind {
+		measureCut()
+	}
+	b.wait(p.cut - rt.Now().Sub(cutStart))
+	load = b.load()
+	cutTput := goodput(load.ops, load.errs, rt.Now().Sub(cutStart))
+
+	// Heal: delivery restores at once, and the recovery trigger starts
+	// anti-entropy across the former cut.
+	prb.to(&prb.discard)
+	if err := b.apply(faults.Update{Heal: true}); err != nil {
+		return PartitionResult{}, err
+	}
+	healedAt := rt.Now()
+	if p.acquit != nil {
+		p.acquit()
+	}
+	opts.progress("partition %s: healed, watching re-convergence", p.label)
+	b.wait(p.postWatch - rt.Now().Sub(healedAt))
+
+	res.Windows = win.finish()
+	prb.stop()
+	b.stop()
+	led := b.ledger()
+	res.ProbeBaseline, res.ProbeCut = prb.phases()
+	res.ProbeBaseline.DeadlineMs = durMs(p.opTimeout)
+	res.ProbeCut.DeadlineMs = durMs(p.opTimeout)
+	res.BaselineTputOps, res.CutTputOps = baselineTput, cutTput
+	if baselineTput > 0 {
+		res.AvailabilityRatio = cutTput / baselineTput
+	}
+	res.HintsQueued, res.RowsHealed = led.hintsQueued, led.rowsHealed
+	res.Groups = assembleGroups(res.Windows, healedAt.Sub(win.start), p.windowLen, p.recoverWindows, p.tols, groupLevels(ctl))
+	res.Trace = trace.Events()
+	res.Holds = countHolds(res.Trace)
+	opts.progress("partition %s: availability %.2f, minority ONE %.2f, holds %d",
+		p.label, res.AvailabilityRatio, res.ProbeCut.OneFraction(), res.Holds)
+	return res, nil
+}
+
+// nodeNames converts member ids to the fault plane's names.
+func nodeNames(ids []ring.NodeID) []string {
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = string(id)
+	}
+	return out
 }
 
 // goodput converts an op/err delta over a phase into successful ops/s.
@@ -520,125 +472,4 @@ func goodput(ops, errs int64, d time.Duration) float64 {
 		return 0
 	}
 	return float64(ops-errs) / d.Seconds()
-}
-
-// assemblePartitionGroups runs the churn-style window assembly: per-group
-// recovery point, post-heal aggregate and tail staleness. Offsets are
-// relative to the heal instant.
-func assemblePartitionGroups(windows []ChurnWindow, tickerStart, healedAt time.Time,
-	windowLen time.Duration, recoverWindows int, tols []float64, ctl *core.Controller) []ChurnGroup {
-	recoveryOffset := healedAt.Sub(tickerStart)
-	postStart := len(windows)
-	for i := range windows {
-		start := time.Duration(i) * windowLen
-		windows[i].OffsetMs = durMs(start - recoveryOffset)
-		if start >= recoveryOffset && i < postStart {
-			postStart = i
-		}
-	}
-	names := []string{"hot", "cold"}
-	tailStart := postStart + (len(windows)-postStart)*3/4
-	var out []ChurnGroup
-	for g := 0; g < 2; g++ {
-		cg := ChurnGroup{Name: names[g], Tolerance: tols[g], RecoveredWithinMs: -1,
-			FinalLevel: ctl.GroupLast(g).Level.String()}
-		streak := 0
-		var tailStale, tailSamples uint64
-		for i := postStart; i < len(windows); i++ {
-			w := windows[i]
-			cg.PostSamples += w.Samples[g]
-			cg.PostStale += w.Stale[g]
-			if i >= tailStart {
-				tailSamples += w.Samples[g]
-				tailStale += w.Stale[g]
-			}
-			if w.Fraction[g] > cg.WorstWindow {
-				cg.WorstWindow = w.Fraction[g]
-			}
-			within := w.Samples[g] < 10 || w.Fraction[g] <= tols[g]
-			if within {
-				streak++
-				if streak == recoverWindows && cg.RecoveredWithinMs < 0 {
-					first := i - recoverWindows + 1
-					cg.RecoveredWithinMs = durMs(time.Duration(first)*windowLen - recoveryOffset)
-					if cg.RecoveredWithinMs < 0 {
-						cg.RecoveredWithinMs = 0
-					}
-				}
-			} else {
-				streak = 0
-				cg.RecoveredWithinMs = -1
-			}
-		}
-		if cg.PostSamples > 0 {
-			cg.PostFraction = float64(cg.PostStale) / float64(cg.PostSamples)
-		}
-		if tailSamples > 0 {
-			cg.TailFraction = float64(tailStale) / float64(tailSamples)
-		}
-		out = append(out, cg)
-	}
-	return out
-}
-
-// simProber issues the minority's explicit-level probe rounds on the sim.
-// All state is touched on the sim runtime only.
-type simProber struct {
-	s    *sim.Sim
-	drv  *client.Driver
-	keys int64
-	next int64
-	cur  *PartitionProbe
-}
-
-func newSimProber(s *sim.Sim, c *cluster.Cluster, coords []ring.NodeID, timeout time.Duration, keys int64) (*simProber, error) {
-	drv, err := client.New(client.Options{
-		ID:           "part-probe",
-		Coordinators: coords,
-		Policy:       client.Fixed{Write: wire.Quorum},
-		Timeout:      timeout,
-	}, s, c.Bus)
-	if err != nil {
-		return nil, err
-	}
-	c.Bus.Register("part-probe", s, drv)
-	return &simProber{s: s, drv: drv, keys: keys}, nil
-}
-
-// round issues one probe triple: CL=ONE read, QUORUM read, QUORUM write.
-// Each lands in whichever phase tally is current when it COMPLETES, so a
-// probe straddling a phase boundary books where its outcome was observed.
-func (p *simProber) round() {
-	key := ycsb.Key(p.next % p.keys)
-	p.next++
-	start := p.s.Now()
-	p.drv.ReadAt(key, wire.One, func(r client.ReadResult) {
-		if r.Err != nil {
-			p.cur.OneErr++
-		} else {
-			p.cur.OneOK++
-		}
-	})
-	p.drv.ReadAt(key, wire.Quorum, func(r client.ReadResult) {
-		if r.Err != nil {
-			p.cur.QuorumErr++
-			p.noteErrLatency(start)
-		} else {
-			p.cur.QuorumOK++
-		}
-	})
-	p.drv.Write(key, []byte("probe"), func(r client.WriteResult) {
-		if r.Err != nil {
-			p.cur.WriteErr++
-			p.noteErrLatency(start)
-		} else {
-			p.cur.WriteOK++
-		}
-	})
-}
-
-func (p *simProber) noteErrLatency(start time.Time) {
-	if ms := durMs(p.s.Now().Sub(start)); ms > p.cur.WorstQuorumErrMs {
-		p.cur.WorstQuorumErrMs = ms
-	}
 }

@@ -5,10 +5,8 @@ import (
 	"strings"
 	"time"
 
-	"harmony/internal/cluster"
 	"harmony/internal/core"
 	"harmony/internal/grouping"
-	"harmony/internal/sim"
 	"harmony/internal/ycsb"
 )
 
@@ -197,7 +195,6 @@ func Regroup(spec RegroupSpec, opts Options) (RegroupResult, error) {
 
 // runRegroup measures one policy through both phases.
 func runRegroup(spec RegroupSpec, opts Options, learned bool) (RegroupRun, error) {
-	s := sim.New(opts.Seed)
 	cspec := spec.Scenario.Spec
 	cspec.Groups = 2
 	tols := []float64{spec.HotTolerance, spec.ColdTolerance}
@@ -219,23 +216,13 @@ func runRegroup(spec RegroupSpec, opts Options, learned bool) (RegroupRun, error
 	} else {
 		// The static policy pins the groups to the initial hot range at
 		// build time — the PR 2 configuration the hotspot will outrun.
-		hot := spec.HotKeys
-		cspec.GroupFn = func(key []byte) int {
-			if idx, ok := ycsb.KeyIndex(key); ok && idx < hot {
-				return 0
-			}
-			return 1
-		}
+		cspec.GroupFn = hotColdGroupFn(spec.HotKeys)
 	}
-	c, err := cluster.BuildSim(s, cspec)
+	s, c, undo, err := buildSim(opts.Seed, spec.Scenario, cspec)
 	if err != nil {
 		return RegroupRun{}, err
 	}
-	if spec.Scenario.Prepare != nil {
-		if stop := spec.Scenario.Prepare(s, c); stop != nil {
-			defer stop()
-		}
-	}
+	defer undo()
 
 	ctl := core.NewController(core.ControllerConfig{
 		Policy: core.Policy{
@@ -290,8 +277,6 @@ func runRegroup(spec RegroupSpec, opts Options, learned bool) (RegroupRun, error
 		}
 	}
 	monCfg := core.MonitorConfig{
-		ID:             "harmony-monitor",
-		Nodes:          c.NodeIDs(),
 		Interval:       spec.Scenario.MonitorInterval,
 		ReplicaSetSize: cspec.RF,
 		OnObservation:  ctl.Observe,
@@ -299,9 +284,7 @@ func runRegroup(spec RegroupSpec, opts Options, learned bool) (RegroupRun, error
 	if rg != nil {
 		monCfg.OnNodeStats = rg.IngestStats
 	}
-	mon := core.NewMonitor(monCfg, s, c.Bus)
-	c.Net.Colocate("harmony-monitor", c.NodeIDs()[0])
-	c.Bus.Register("harmony-monitor", s, mon)
+	mon := simMonitor(s, c, monCfg)
 
 	hotWl := ycsb.Workload{
 		Name:             "regroup-hot",

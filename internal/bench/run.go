@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"harmony/internal/cluster"
 	"harmony/internal/core"
-	"harmony/internal/sim"
 	"harmony/internal/ycsb"
 )
 
@@ -37,28 +35,19 @@ func RunPolicy(spec RunSpec) (RunResult, error) {
 	if spec.Ops <= 0 {
 		return RunResult{}, fmt.Errorf("bench: op budget required")
 	}
-	s := sim.New(spec.Seed)
-	c, err := cluster.BuildSim(s, spec.Scenario.Spec)
+	s, c, undo, err := buildSim(spec.Seed, spec.Scenario, spec.Scenario.Spec)
 	if err != nil {
 		return RunResult{}, err
 	}
-	if spec.Scenario.Prepare != nil {
-		if stop := spec.Scenario.Prepare(s, c); stop != nil {
-			defer stop()
-		}
-	}
+	defer undo()
 	policy, ctl := spec.Policy.policy(spec.Scenario.Spec.RF, spec.Workload, spec.Scenario.Spec.Profile)
 	var mon *core.Monitor
 	if ctl != nil {
-		mon = core.NewMonitor(core.MonitorConfig{
-			ID:             "harmony-monitor",
-			Nodes:          c.NodeIDs(),
+		mon = simMonitor(s, c, core.MonitorConfig{
 			Interval:       spec.Scenario.MonitorInterval,
 			ReplicaSetSize: spec.Scenario.Spec.RF,
 			OnObservation:  ctl.Observe,
-		}, s, c.Bus)
-		c.Net.Colocate("harmony-monitor", c.NodeIDs()[0])
-		c.Bus.Register("harmony-monitor", s, mon)
+		})
 		mon.Start()
 	}
 	runner, err := ycsb.NewRunner(ycsb.RunConfig{

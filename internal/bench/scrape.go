@@ -61,47 +61,39 @@ type LiveSeries struct {
 	Trace []obs.Event `json:"trace,omitempty"`
 }
 
-// liveScraper polls the cluster on a fixed cadence until stopped.
+// liveScraper polls a live backend's cluster once a second (the
+// artifact's cadence) until stopped.
 type liveScraper struct {
 	interval time.Duration
 	admins   map[ring.NodeID]string
-	tally    *liveTally
-	levels   func() []string // controller-commanded level per group
-	trace    *obs.Trace      // client-side controller's ring
+	b        *liveBackend // its tally, controller and trace
 	client   *http.Client
 
 	stop chan struct{}
 	done chan struct{}
 
-	start       time.Time
-	samples     []LiveSample
-	nodeEvents  []obs.Event
-	prevOps     int64
-	prevSamples [2]uint64
-	prevStale   [2]uint64
-	prevLevels  map[string]uint64
-	since       map[ring.NodeID]uint64
+	start      time.Time
+	samples    []LiveSample
+	nodeEvents []obs.Event
+	prev       opCounts // the tally's running totals at the last tick
+	prevLevels map[string]uint64
+	since      map[ring.NodeID]uint64
 }
 
 // startLiveScraper begins polling; call finish to stop and collect the
-// series. interval <= 0 defaults to one second (the artifact's cadence).
-func startLiveScraper(lc *LiveCluster, tally *liveTally, levels func() []string, trace *obs.Trace, interval time.Duration) *liveScraper {
-	if interval <= 0 {
-		interval = time.Second
-	}
+// series.
+func startLiveScraper(b *liveBackend) *liveScraper {
 	s := &liveScraper{
-		interval: interval,
-		admins:   lc.AdminAddrs(),
-		tally:    tally,
-		levels:   levels,
-		trace:    trace,
-		client:   &http.Client{Timeout: interval / 2},
+		interval: time.Second,
+		admins:   b.lc.AdminAddrs(),
+		b:        b,
+		client:   &http.Client{Timeout: time.Second / 2},
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 		start:    time.Now(),
+		prev:     b.tally.totals(),
 		since:    make(map[ring.NodeID]uint64),
 	}
-	s.prevSamples, s.prevStale = tally.probes()
 	go s.loop()
 	return s
 }
@@ -125,7 +117,7 @@ func (s *liveScraper) finish() *LiveSeries {
 	close(s.stop)
 	<-s.done
 	s.sample()
-	events := append([]obs.Event(nil), s.trace.Events()...)
+	events := append([]obs.Event(nil), s.b.trace.Events()...)
 	events = append(events, s.nodeEvents...)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].AtMs < events[j].AtMs })
 	return &LiveSeries{
@@ -138,26 +130,24 @@ func (s *liveScraper) finish() *LiveSeries {
 // sample takes one aligned tick: client tally deltas, controller levels,
 // and a parallel scrape of every member's /metrics and /trace.
 func (s *liveScraper) sample() {
-	snap := s.tally.snapshot()
-	curSamples, curStale := s.tally.probes()
+	cur := s.b.tally.totals()
+	tick := cur.minus(s.prev)
+	s.prev = cur
+	levels := groupLevels(s.b.ctl)
 	sm := LiveSample{
 		TMs:         durMs(time.Since(s.start)),
-		Ops:         snap.ops - s.prevOps,
-		GroupLevels: s.levels(),
+		Ops:         tick.ops,
+		GroupLevels: levels[:],
 	}
 	sm.OpsPerSec = float64(sm.Ops) / s.interval.Seconds()
 	for g := 0; g < 2; g++ {
-		probes := curSamples[g] - s.prevSamples[g]
-		stale := curStale[g] - s.prevStale[g]
 		frac := 0.0
-		if probes > 0 {
-			frac = float64(stale) / float64(probes)
+		if tick.samples[g] > 0 {
+			frac = float64(tick.stale[g]) / float64(tick.samples[g])
 		}
-		sm.Probes = append(sm.Probes, probes)
+		sm.Probes = append(sm.Probes, tick.samples[g])
 		sm.StaleFrac = append(sm.StaleFrac, frac)
 	}
-	s.prevOps = snap.ops
-	s.prevSamples, s.prevStale = curSamples, curStale
 
 	// Scrape members concurrently so one dead admin port (a killed member)
 	// costs a connect refusal, not a serialized timeout chain.
