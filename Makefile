@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race fuzz-smoke repair-test storage-test admin-smoke bench bench-micro bench-smoke benchmark-test benchmark-smoke chaos-smoke lint api-check api-baseline ci
+.PHONY: build test test-race fuzz-smoke repair-test storage-test admin-smoke bench bench-micro bench-smoke benchmark-test benchmark-smoke chaos-smoke sim-repeat lint api-check api-baseline ci
 
 build:
 	$(GO) build ./...
@@ -120,6 +120,15 @@ chaos-smoke:
 	$(GO) run ./cmd/harmony-bench -experiment partition -quiet -json out/partition-sim.json
 	$(GO) run ./cmd/harmony-bench -backend live -experiment partition -procs 3 -live-outage 5s -live-postwatch 6s -live-keys 1500 -json out/partition.json
 
+# Simulated results repeat per seed: write the JSON of hotcold, churn,
+# partition, regroup and lag twice at one seed (scripts/sim_outputs.sh,
+# ~25 s each) and require the two directories to be identical.
+sim-repeat:
+	@rm -rf out/sim-repeat
+	bash scripts/sim_outputs.sh out/sim-repeat/a
+	bash scripts/sim_outputs.sh out/sim-repeat/b
+	diff -r out/sim-repeat/a out/sim-repeat/b
+
 lint:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; echo 'gofmt: files above need formatting'; exit 1; }
 	$(GO) vet ./...
@@ -137,4 +146,4 @@ api-check:
 api-baseline:
 	$(GO) run ./cmd/apicheck > api/exported.txt
 
-ci: lint build api-check test-race fuzz-smoke benchmark-test benchmark-smoke admin-smoke bench-smoke chaos-smoke
+ci: lint build api-check test-race fuzz-smoke sim-repeat benchmark-test benchmark-smoke admin-smoke bench-smoke chaos-smoke

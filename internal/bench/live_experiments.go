@@ -283,20 +283,15 @@ func LiveChurn(spec LiveChurnSpec, opts Options) (LiveChurnResult, error) {
 		HotKeys: spec.HotKeys, TotalKeys: spec.TotalKeys,
 		OutageMs: durMs(spec.Outage),
 	}
-	arms := []struct {
-		run    *ChurnRun
-		series **LiveSeries
-	}{
-		{&res.Repair, &res.RepairSeries},
-		{&res.HintsOnly, &res.HintsOnlySeries},
-		{&res.Persist, &res.PersistSeries},
+	var err error
+	if res.Repair, res.RepairSeries, res.Victim, err = runLiveChurn(spec, opts, "repair"); err != nil {
+		return LiveChurnResult{}, fmt.Errorf("bench: live churn repair: %w", err)
 	}
-	for i, arm := range []string{"repair", "hints-only", "persist"} {
-		run, series, victim, err := runLiveChurn(spec, opts, arm)
-		if err != nil {
-			return LiveChurnResult{}, fmt.Errorf("bench: live churn %s: %w", arm, err)
-		}
-		*arms[i].run, *arms[i].series, res.Victim = run, series, victim
+	if res.HintsOnly, res.HintsOnlySeries, _, err = runLiveChurn(spec, opts, "hints-only"); err != nil {
+		return LiveChurnResult{}, fmt.Errorf("bench: live churn hints-only: %w", err)
+	}
+	if res.Persist, res.PersistSeries, _, err = runLiveChurn(spec, opts, "persist"); err != nil {
+		return LiveChurnResult{}, fmt.Errorf("bench: live churn persist: %w", err)
 	}
 	opts.progress("live churn: post-stale hot/cold — repair %.3f/%.3f, hints-only %.3f/%.3f, persist %.3f/%.3f (%d rows recovered)",
 		res.Repair.Groups[0].PostFraction, res.Repair.Groups[1].PostFraction,
