@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race fuzz-smoke repair-test storage-test admin-smoke bench bench-micro bench-smoke benchmark-test benchmark-smoke chaos-smoke sim-repeat lint api-check api-baseline ci
+.PHONY: build test test-race fuzz-smoke repair-test storage-test admin-smoke bench bench-micro bench-smoke benchmark-test benchmark-smoke chaos-smoke sim-repeat sim-diff lint api-check api-baseline ci
 
 build:
 	$(GO) build ./...
@@ -128,6 +128,20 @@ sim-repeat:
 	bash scripts/sim_outputs.sh out/sim-repeat/a
 	bash scripts/sim_outputs.sh out/sim-repeat/b
 	diff -r out/sim-repeat/a out/sim-repeat/b
+
+# Simulated results unchanged against a commit: extract REV (git archive)
+# into a temp dir, write scripts/sim_outputs.sh's JSON there and on the
+# working tree, and fail on any difference; silent when they match. Usage:
+# make sim-diff REV=<commit>. Not part of ci: a change may move the
+# simulator's outputs on purpose.
+sim-diff:
+	@test -n "$(REV)" || { echo 'usage: make sim-diff REV=<commit>' >&2; exit 2; }
+	@git rev-parse -q --verify "$(REV)^{commit}" >/dev/null || { echo "sim-diff: unknown commit $(REV)" >&2; exit 2; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	mkdir "$$tmp/src" && git archive "$(REV)" | tar -x -C "$$tmp/src" && \
+	{ (cd "$$tmp/src" && bash scripts/sim_outputs.sh "$$tmp/rev") >"$$tmp/log" 2>&1 && \
+	  bash scripts/sim_outputs.sh "$$tmp/tree" >>"$$tmp/log" 2>&1 || { cat "$$tmp/log" >&2; exit 1; }; } && \
+	diff -r "$$tmp/rev" "$$tmp/tree"
 
 lint:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; echo 'gofmt: files above need formatting'; exit 1; }

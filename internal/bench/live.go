@@ -45,8 +45,6 @@ type LiveClusterConfig struct {
 	// Procs is the number of server processes; RF the replication factor.
 	Procs int
 	RF    int
-	// Vnodes per member (small keeps ring construction cheap).
-	Vnodes int
 	// GossipInterval tunes failure detection speed (churn wants it fast).
 	GossipInterval time.Duration
 	// Repair / RepairInterval enable anti-entropy on every member.
@@ -60,16 +58,17 @@ type LiveClusterConfig struct {
 	Streams int
 	// DataDir, when set, gives every member a persistent bitcask engine
 	// rooted at DataDir/<id>; a member Restart()ed after a kill recovers
-	// its pre-crash rows from disk instead of returning empty.
+	// its pre-crash rows from disk instead of returning empty. Members
+	// run group commit (every apply is durable before its ack).
 	DataDir string
-	// FsyncInterval batches member fsyncs (0 = group commit per apply).
-	FsyncInterval time.Duration
 	// LogDir receives one log file per member; empty uses a temp dir that
 	// Close removes.
 	LogDir string
-	// Exe overrides the child executable (defaults to os.Args[0]).
-	Exe string
 }
+
+// liveVnodes is the virtual nodes per member (small keeps ring construction
+// cheap).
+const liveVnodes = 8
 
 // liveProc is one spawned cluster member.
 type liveProc struct {
@@ -99,17 +98,11 @@ func StartLiveCluster(cfg LiveClusterConfig) (*LiveCluster, error) {
 	if cfg.RF <= 0 || cfg.RF > cfg.Procs {
 		cfg.RF = min(3, cfg.Procs)
 	}
-	if cfg.Vnodes <= 0 {
-		cfg.Vnodes = 8
-	}
 	if cfg.GossipInterval <= 0 {
 		cfg.GossipInterval = 250 * time.Millisecond
 	}
 	if cfg.RepairInterval <= 0 {
 		cfg.RepairInterval = 500 * time.Millisecond
-	}
-	if cfg.Exe == "" {
-		cfg.Exe = os.Args[0]
 	}
 	lc := &LiveCluster{cfg: cfg, logDir: cfg.LogDir}
 	if lc.logDir == "" {
@@ -156,7 +149,7 @@ func StartLiveCluster(cfg LiveClusterConfig) (*LiveCluster, error) {
 			"-cluster", spec,
 			"-admin-addr", admins[i],
 			"-rf", fmt.Sprint(cfg.RF),
-			"-vnodes", fmt.Sprint(cfg.Vnodes),
+			"-vnodes", fmt.Sprint(liveVnodes),
 			"-gossip-interval", cfg.GossipInterval.String(),
 			"-streams", fmt.Sprint(max(cfg.Streams, 1)),
 		}
@@ -171,9 +164,6 @@ func StartLiveCluster(cfg LiveClusterConfig) (*LiveCluster, error) {
 		}
 		if cfg.DataDir != "" {
 			args = append(args, "-data-dir", filepath.Join(cfg.DataDir, string(m.ID)))
-			if cfg.FsyncInterval > 0 {
-				args = append(args, "-fsync-interval", cfg.FsyncInterval.String())
-			}
 		}
 		lc.procs = append(lc.procs, &liveProc{
 			id: m.ID, addr: m.Addr, admin: admins[i], args: args,
@@ -200,7 +190,7 @@ func (lc *LiveCluster) spawn(p *liveProc) error {
 	if err != nil {
 		return fmt.Errorf("bench: member log: %w", err)
 	}
-	cmd := exec.Command(lc.cfg.Exe, p.args...)
+	cmd := exec.Command(os.Args[0], p.args...)
 	cmd.Stdout, cmd.Stderr = f, f
 	cmd.Env = append(os.Environ(), LiveChildEnv+"=1")
 	if err := cmd.Start(); err != nil {

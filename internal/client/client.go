@@ -130,8 +130,6 @@ type Options struct {
 	// idempotent, and duplicating writes would double mutation traffic for
 	// no latency win given TsHint replay already exists).
 	Hedge time.Duration
-	// Rand drives retry jitter; nil seeds deterministically from ID.
-	Rand *rand.Rand
 }
 
 // ReadResult is delivered to read callbacks.
@@ -240,17 +238,14 @@ func New(opts Options, rt sim.Runtime, send transport.Sender) (*Driver, error) {
 	if opts.RetryBackoffMax <= 0 {
 		opts.RetryBackoffMax = 320 * time.Millisecond
 	}
-	rng := opts.Rand
-	if rng == nil {
-		h := fnv.New64a()
-		h.Write([]byte(opts.ID))
-		rng = rand.New(rand.NewSource(int64(h.Sum64())))
-	}
+	// Retry jitter is seeded from the ID, so a seeded simulation repeats.
+	h := fnv.New64a()
+	h.Write([]byte(opts.ID))
 	return &Driver{
 		opts:    opts,
 		rt:      rt,
 		send:    send,
-		rng:     rng,
+		rng:     rand.New(rand.NewSource(int64(h.Sum64()))),
 		pending: make(map[uint64]*logicalOp),
 	}, nil
 }

@@ -11,7 +11,6 @@ import (
 	"harmony/internal/ring"
 	"harmony/internal/sim"
 	"harmony/internal/simnet"
-	"harmony/internal/storage"
 	"harmony/internal/transport"
 	"harmony/internal/wire"
 )
@@ -46,8 +45,6 @@ type Spec struct {
 	Repair repair.Options
 	// ReadTimeout/WriteTimeout propagate to every node.
 	ReadTimeout, WriteTimeout time.Duration
-	// Engine configures node-local storage.
-	Engine storage.Options
 	// Service models each node's finite processing capacity; the zero
 	// value selects DefaultServiceProfile. Set Disabled to bypass queueing
 	// (pure-network experiments).
@@ -297,7 +294,6 @@ func build(spec Spec, rtFor func(ring.NodeID) sim.Runtime, s *sim.Sim) (*Cluster
 			HintedHandoff:    spec.HintedHandoff,
 			HintQueueLimit:   spec.HintQueueLimit,
 			Repair:           spec.Repair,
-			Engine:           spec.Engine,
 			Groups:           spec.Groups,
 			GroupFn:          spec.GroupFn,
 			KeySampleLimit:   spec.KeySampleLimit,

@@ -29,6 +29,17 @@ import (
 	"harmony/internal/wire"
 )
 
+const (
+	// sessionRetry is how long a SESSION read coordinator waits before
+	// re-polling replicas when no response yet covers the client's session
+	// token (the acked write is still propagating, or a down replica holds
+	// it). The read still fails with the normal ReadTimeout when the token
+	// can never be satisfied.
+	sessionRetry = 25 * time.Millisecond
+	// hintReplayInterval is how often queued hints are retried.
+	hintReplayInterval = 10 * time.Second
+)
+
 // Config parameterizes a storage node.
 type Config struct {
 	ID       ring.NodeID
@@ -41,12 +52,6 @@ type Config struct {
 	// WriteTimeout bounds how long a coordinator waits for enough mutation
 	// acks; zero means 1s.
 	WriteTimeout time.Duration
-	// SessionRetry is how long a SESSION read coordinator waits before
-	// re-polling replicas when no response yet covers the client's session
-	// token (the acked write is still propagating, or a down replica holds
-	// it). Zero means 25ms. The read still fails with the normal
-	// ReadTimeout when the token can never be satisfied.
-	SessionRetry time.Duration
 	// ReadRepairChance is the probability that a read fans out to every
 	// replica (still blocking only for the consistency level) and issues
 	// background repairs to stale ones — Cassandra's read_repair_chance.
@@ -57,9 +62,6 @@ type Config struct {
 	// HintedHandoff queues mutations for replicas the failure detector
 	// considers down and replays them when the replica returns.
 	HintedHandoff bool
-	// HintReplayInterval is how often queued hints are retried; zero means
-	// 10s.
-	HintReplayInterval time.Duration
 	// HintQueueLimit caps the total hints queued across all down peers;
 	// once full, further mutations for down replicas are DROPPED (counted
 	// in Metrics.HintsDropped) — the durability gap Cassandra's bounded
@@ -70,7 +72,9 @@ type Config struct {
 	// sessions with replica peers that bound how long a recovered node can
 	// serve stale data (see internal/repair).
 	Repair repair.Options
-	// Engine configures the local storage engine.
+	// Engine configures the local storage engine. With Repair enabled the
+	// node installs its own OnReplace hook (the Merkle-tree feed),
+	// replacing any set here.
 	Engine storage.Options
 	// Groups is the number of key groups the node tallies separately for
 	// the monitoring pipeline; zero or negative means one. Group counters
@@ -296,12 +300,6 @@ func New(cfg Config, rt sim.Runtime, send transport.Sender) *Node {
 	if cfg.WriteTimeout <= 0 {
 		cfg.WriteTimeout = time.Second
 	}
-	if cfg.SessionRetry <= 0 {
-		cfg.SessionRetry = 25 * time.Millisecond
-	}
-	if cfg.HintReplayInterval <= 0 {
-		cfg.HintReplayInterval = 10 * time.Second
-	}
 	if cfg.Alive == nil {
 		cfg.Alive = func(ring.NodeID) bool { return true }
 	}
@@ -332,13 +330,9 @@ func New(cfg Config, rt sim.Runtime, send transport.Sender) *Node {
 		// version's in), so anti-entropy trees stay current without
 		// whole-arc rebuild scans. The hook runs on the node's runtime,
 		// which serializes it against repair session handling.
-		userHook := engOpts.OnReplace
 		engOpts.OnReplace = func(key []byte, old wire.Value, hadOld bool, v wire.Value) {
 			if n.antiEntropy != nil {
 				n.antiEntropy.Applied(key, old, hadOld, v)
-			}
-			if userHook != nil {
-				userHook(key, old, hadOld, v)
 			}
 		}
 	}
@@ -406,7 +400,7 @@ func (n *Node) Engine() *storage.Engine { return n.engine }
 // runtime context (or before the fabric starts delivering messages).
 func (n *Node) Start() {
 	if n.cfg.HintedHandoff && n.hintStop == nil {
-		n.hintStop = tick(n.rt, n.cfg.HintReplayInterval, n.replayHints)
+		n.hintStop = tick(n.rt, hintReplayInterval, n.replayHints)
 	}
 	if n.antiEntropy != nil {
 		n.antiEntropy.Start()
@@ -689,7 +683,7 @@ func (n *Node) sessionProgress(op *readOp) {
 	op.repolls++
 	n.counters.sessionRepolls.Add(1)
 	opID := op.id
-	n.rt.After(n.cfg.SessionRetry, func() { n.sessionRepoll(opID) })
+	n.rt.After(sessionRetry, func() { n.sessionRepoll(opID) })
 }
 
 // sessionRepoll re-contacts every live replica of a still-unsatisfied

@@ -39,17 +39,10 @@ type Decision struct {
 	Estimate float64 // θ_stale: estimated stale-read rate at CL=ONE
 	Xn       int     // replicas a read must block for
 	Level    wire.ConsistencyLevel
-	// WriteLevel is the level writes of this stream should ship at: ONE in
-	// the paper's scheme, QUORUM when adaptive write levels trade cheaper
-	// reads for dearer writes (see ControllerConfig.AdaptiveWriteLevels).
-	// Zero on decisions from configurations predating the feature is read
-	// as ONE.
-	WriteLevel wire.ConsistencyLevel
-	Model      Model
+	Model    Model
 	// DivergenceHold reports that the quorum floor was forced because
-	// unrepaired divergence alone breached the tolerance (see
-	// ControllerConfig.DivergenceSensitivity) — the stream stays held until
-	// anti-entropy converges.
+	// unrepaired divergence (Observation.Divergence) alone breached the
+	// tolerance — the stream stays held until anti-entropy converges.
 	DivergenceHold bool
 	// AvailabilityClamp reports that the commanded level was lowered
 	// because the cluster's failure detectors see too few live members to
@@ -73,39 +66,10 @@ type ControllerConfig struct {
 	// Tp to the network latency alone.
 	AvgWriteBytes        float64
 	BandwidthBytesPerSec float64
-	// UseMeanLatency switches Tp to the mean peer latency instead of the
-	// max; the default (max) is conservative: propagation is complete only
-	// when the farthest replica has the update.
-	UseMeanLatency bool
 	// FixedTp, when positive, disables the latency term entirely and uses
 	// this constant — the ablation of DESIGN.md §6 showing why monitoring
 	// Ln matters (Fig. 4(b)).
 	FixedTp time.Duration
-	// AdaptiveWriteLevels lets the controller pick the WRITE consistency
-	// level per decision stream instead of shipping every write at ONE:
-	// when the estimator demands reads block for more than a quorum, the
-	// stream's writes move to QUORUM and its reads cap at QUORUM — the
-	// R+W>N overlap then guarantees reads observe every completed write, a
-	// strictly stronger guarantee than the probabilistic Xn>quorum one, at
-	// lower read fan-in. Read-heavy workloads (the only regime where the
-	// estimator pushes Xn that high) come out ahead because the expensive
-	// level moves to the rare operation. The overlap only covers writes
-	// issued after a flip: for roughly one propagation time, rows written
-	// at ONE just before it are read at the capped quorum instead of the
-	// model's Xn, a transient the tolerance may briefly exceed. Off by
-	// default: write-ONE is the paper's configuration.
-	AdaptiveWriteLevels bool
-	// DivergenceSensitivity couples the controller to the anti-entropy
-	// divergence gauge (Observation.Divergence): unrepaired replica
-	// divergence — a recovering node serving data that predates its outage
-	// — is staleness the propagation-time model cannot see, so the gauge ν
-	// is folded into the estimate as an extra stale probability
-	// 1−exp(−sensitivity·ν) and groups whose divergence alone breaches
-	// their tolerance are forced to at least quorum reads until repair
-	// converges (quorum suffices: with one recovering replica, any
-	// multi-replica read includes a healthy one and last-writer-wins picks
-	// its fresher version). Zero means 1.0; negative disables the coupling.
-	DivergenceSensitivity float64
 	// OnDecision, when set, observes every decision (for tracing/benches).
 	OnDecision func(Decision)
 	// Trace, when set, receives structured control-loop events: per-group
@@ -159,9 +123,10 @@ type ControllerConfig struct {
 //	if app_stale_rate ≥ θ_stale: Level = ONE
 //	else:                        Level from Xn (equation 8)
 //
-// Controller implements client.ConsistencyPolicy (LevelsFor), so drivers
-// pick up the current levels on every operation, and it is safe for
-// concurrent use (clients and the monitor may live on different runtimes).
+// Writes always ship at ONE, as in the paper. Controller implements
+// client.ConsistencyPolicy (LevelsFor), so drivers pick up the current
+// levels on every operation, and it is safe for concurrent use (clients and
+// the monitor may live on different runtimes).
 //
 // With ControllerConfig.Groups > 1 it is a multi-model controller: every
 // key group gets its own estimator model and decision stream derived from
@@ -322,13 +287,11 @@ func (c *Controller) sessionOKLocked(g int) bool {
 }
 
 // LevelsFor implements client.ConsistencyPolicy: the key's group supplies
-// both the read and the write level, resolved under one lock acquisition so
-// a key is never judged with one epoch's group id against another epoch's
-// group table, and read and write level always come from the same decision.
+// the read level, resolved under one lock acquisition so a key is never
+// judged with one epoch's group id against another epoch's group table.
 // Out-of-range GroupFn results clamp to group 0, matching the cluster nodes'
 // telemetry clamp, so a miscategorized key is served by the group whose
-// counters it feeds. Before the group's first decision writes are served at
-// ONE.
+// counters it feeds. Writes are always served at ONE.
 func (c *Controller) LevelsFor(key []byte) (read, write wire.ConsistencyLevel) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -339,12 +302,7 @@ func (c *Controller) LevelsFor(key []byte) (read, write wire.ConsistencyLevel) {
 	if g < 0 || g >= len(c.groups) {
 		g = 0
 	}
-	read = c.groups[g].level
-	write = c.groups[g].last.WriteLevel
-	if write == 0 {
-		write = wire.One
-	}
-	return read, write
+	return c.groups[g].level, wire.One
 }
 
 // GroupLast returns the most recent decision for a group.
@@ -385,18 +343,21 @@ func (c *Controller) History() []Decision {
 	return out
 }
 
-// divergenceStaleness converts the divergence gauge ν into an extra stale
-// probability via the configured sensitivity (saturating: any sustained
-// repair activity reads as near-certain divergence exposure).
-func (c *Controller) divergenceStaleness(divergence float64) float64 {
-	w := c.cfg.DivergenceSensitivity
-	if w < 0 || divergence <= 0 {
+// divergenceStaleness couples the controller to the anti-entropy divergence
+// gauge ν (Observation.Divergence): unrepaired replica divergence — a
+// recovering node serving data that predates its outage — is staleness the
+// propagation-time model cannot see, so ν is folded into the estimate as an
+// extra stale probability 1−exp(−ν) (saturating: any sustained repair
+// activity reads as near-certain divergence exposure), and groups whose
+// divergence alone breaches their tolerance are forced to at least quorum
+// reads until repair converges (quorum suffices: with one recovering
+// replica, any multi-replica read includes a healthy one and
+// last-writer-wins picks its fresher version).
+func divergenceStaleness(divergence float64) float64 {
+	if divergence <= 0 {
 		return 0
 	}
-	if w == 0 {
-		w = 1
-	}
-	return 1 - math.Exp(-w*divergence)
+	return 1 - math.Exp(-divergence)
 }
 
 // decide runs the paper's decision scheme for one model against one
@@ -404,7 +365,7 @@ func (c *Controller) divergenceStaleness(divergence float64) float64 {
 // when repair is converged or disabled) as staleness on top of the model's
 // propagation estimate.
 func (c *Controller) decide(at time.Time, model Model, tolerated, pd float64, reachable int) Decision {
-	d := Decision{At: at, Model: model, WriteLevel: wire.One}
+	d := Decision{At: at, Model: model}
 	d.Estimate = pd + (1-pd)*model.StaleReadProbability()
 	if (!model.Valid() && pd <= 0) || tolerated >= d.Estimate {
 		// No signal, or the application tolerates the estimated staleness:
@@ -418,18 +379,11 @@ func (c *Controller) decide(at time.Time, model Model, tolerated, pd float64, re
 		}
 		if pd > tolerated {
 			// Divergence alone breaches the tolerance: hold at least quorum
-			// until anti-entropy converges (see DivergenceSensitivity).
+			// until anti-entropy converges (see divergenceStaleness).
 			d.DivergenceHold = true
 			if q := c.cfg.N/2 + 1; d.Xn < q {
 				d.Xn = q
 			}
-		}
-		if q := c.cfg.N/2 + 1; c.cfg.AdaptiveWriteLevels && d.Xn > q {
-			// Quorum writes + quorum reads overlap on every replica set:
-			// cheaper reads than the model's Xn with a stronger guarantee
-			// (see AdaptiveWriteLevels).
-			d.Xn = q
-			d.WriteLevel = wire.Quorum
 		}
 		d.Level = wire.LevelForCount(d.Xn, c.cfg.N)
 	}
@@ -437,17 +391,11 @@ func (c *Controller) decide(at time.Time, model Model, tolerated, pd float64, re
 	// commanding a level that blocks for more replicas than the failure
 	// detectors believe reachable cannot add consistency — every such
 	// operation just fails after its deadline (see Decision.AvailabilityClamp).
-	if reachable > 0 && reachable < c.cfg.N {
-		if d.Level.BlockFor(c.cfg.N) > reachable {
-			d.AvailabilityClamp = true
-			d.Level = strongestServable(c.cfg.N, reachable)
-			if d.Xn > reachable {
-				d.Xn = reachable
-			}
-		}
-		if d.WriteLevel.BlockFor(c.cfg.N) > reachable {
-			d.AvailabilityClamp = true
-			d.WriteLevel = wire.One
+	if reachable > 0 && reachable < c.cfg.N && d.Level.BlockFor(c.cfg.N) > reachable {
+		d.AvailabilityClamp = true
+		d.Level = strongestServable(c.cfg.N, reachable)
+		if d.Xn > reachable {
+			d.Xn = reachable
 		}
 	}
 	return d
@@ -472,14 +420,10 @@ func (c *Controller) propagation(obs Observation) time.Duration {
 // propagationWith resolves Tp for one model using avgw as the mean write
 // payload; non-positive avgw falls back to the observed cluster-wide mean.
 func (c *Controller) propagationWith(obs Observation, avgw float64) time.Duration {
-	ln := obs.Latency
-	if c.cfg.UseMeanLatency {
-		ln = obs.MeanLatency
-	}
 	if avgw <= 0 {
 		avgw = obs.AvgWriteBytes
 	}
-	tp := PropagationTime(ln, avgw, c.cfg.BandwidthBytesPerSec)
+	tp := PropagationTime(obs.Latency, avgw, c.cfg.BandwidthBytesPerSec)
 	if c.cfg.FixedTp > 0 {
 		tp = c.cfg.FixedTp
 	}
@@ -507,7 +451,7 @@ func (c *Controller) Observe(obs Observation) {
 		LambdaR: obs.ReadRate,
 		LambdaW: obs.WriteInterval,
 		Tp:      tp,
-	}, c.cfg.Policy.ToleratedStaleRate, c.divergenceStaleness(obs.Divergence), reachable)
+	}, c.cfg.Policy.ToleratedStaleRate, divergenceStaleness(obs.Divergence), reachable)
 
 	c.mu.Lock()
 	// Per-group decisions: measured group rates when the monitor reports
@@ -534,17 +478,15 @@ func (c *Controller) Observe(obs Observation) {
 			}
 		}
 		tol := c.groupToleranceLocked(g)
-		groupDs[g] = c.decide(obs.At, model, tol, c.divergenceStaleness(div), reachable)
+		groupDs[g] = c.decide(obs.At, model, tol, divergenceStaleness(div), reachable)
 		demanded := groupDs[g].Level
 		if c.sessionOKLocked(g) && groupDs[g].Level != wire.One {
 			// Session-flagged group: any tighter-than-ONE demand is served by
 			// the SESSION tier instead — token-checked reads block for one
 			// replica in the common case, which is exactly the guarantee this
 			// group's clients need (see ControllerConfig.SessionGroups).
-			// Writes stay at ONE: session is a read-side guarantee.
 			groupDs[g].Xn = 1
 			groupDs[g].Level = wire.Session
-			groupDs[g].WriteLevel = wire.One
 		}
 		// Trace transitions against the still-uncommitted previous state;
 		// events are appended outside the lock below.

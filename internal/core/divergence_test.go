@@ -70,18 +70,6 @@ func TestControllerDivergenceTightensOnlyAffectedGroups(t *testing.T) {
 	}
 }
 
-func TestControllerDivergenceSensitivityDisable(t *testing.T) {
-	ctl := NewController(ControllerConfig{
-		Policy:                Policy{ToleratedStaleRate: 0.10},
-		N:                     5,
-		DivergenceSensitivity: -1,
-	})
-	ctl.Observe(obsWith(10, nil))
-	if got := ctl.Last().Level; got != wire.One {
-		t.Fatalf("disabled divergence coupling still tightened to %v", got)
-	}
-}
-
 // TestControllerDivergenceWithoutRates pins the outage-window edge case: a
 // round with no measured traffic (invalid model) but active repair must
 // still tighten rather than default to eventual consistency.
@@ -94,85 +82,5 @@ func TestControllerDivergenceWithoutRates(t *testing.T) {
 	d := ctl.Last()
 	if d.Level == wire.One || d.Xn < 3 {
 		t.Fatalf("invalid model with divergence gave %v/Xn=%d, want >= quorum", d.Level, d.Xn)
-	}
-}
-
-// TestAdaptiveWriteLevelsTradeReadForWrite pins the R+W>N rewrite: a model
-// demanding reads beyond quorum moves writes to QUORUM and caps reads at
-// QUORUM; with the feature off the same model reads near ALL at write-ONE.
-func TestAdaptiveWriteLevelsTradeReadForWrite(t *testing.T) {
-	demanding := Observation{
-		At:            time.Unix(2000, 0),
-		ReadRate:      100,
-		WriteInterval: 0.01, // write-heavy
-		Latency:       5 * time.Millisecond,
-		Window:        time.Second,
-	}
-	base := ControllerConfig{Policy: Policy{ToleratedStaleRate: 0.01}, N: 5}
-
-	off := NewController(base)
-	off.Observe(demanding)
-	if d := off.Last(); d.Xn <= 3 || d.WriteLevel != wire.One {
-		t.Fatalf("baseline: Xn=%d write=%v, want Xn>quorum at write-ONE", d.Xn, d.WriteLevel)
-	}
-
-	cfg := base
-	cfg.AdaptiveWriteLevels = true
-	on := NewController(cfg)
-	on.Observe(demanding)
-	d := on.Last()
-	if d.Xn != 3 || d.Level != wire.Quorum {
-		t.Fatalf("adaptive: reads at Xn=%d/%v, want quorum", d.Xn, d.Level)
-	}
-	if d.WriteLevel != wire.Quorum {
-		t.Fatalf("adaptive: writes at %v, want QUORUM", d.WriteLevel)
-	}
-	if _, w := on.LevelsFor(nil); w != wire.Quorum {
-		t.Fatalf("LevelsFor write level = %v, want QUORUM", w)
-	}
-	// A benign regime keeps writes at ONE even with the feature on.
-	on.Observe(obsWith(0, nil))
-	if _, got := on.LevelsFor(nil); got != wire.One {
-		t.Fatalf("benign regime writes at %v, want ONE", got)
-	}
-}
-
-// TestWriteLevelForFollowsGroups exercises the per-key write side of the
-// multi-model controller.
-func TestWriteLevelForFollowsGroups(t *testing.T) {
-	groupFn := func(key []byte) int {
-		if len(key) > 0 && key[0] == 'h' {
-			return 0
-		}
-		return 1
-	}
-	ctl := NewController(ControllerConfig{
-		Policy:              Policy{ToleratedStaleRate: 0.5},
-		N:                   5,
-		Groups:              2,
-		GroupFn:             groupFn,
-		GroupTolerances:     []float64{0.01, 0.6},
-		AdaptiveWriteLevels: true,
-	})
-	obs := Observation{
-		At:            time.Unix(3000, 0),
-		ReadRate:      100,
-		WriteInterval: 0.01,
-		Latency:       5 * time.Millisecond,
-		Window:        time.Second,
-		Groups: []GroupRates{
-			{ReadRate: 100, WriteInterval: 0.01}, // hot: demands > quorum
-			{ReadRate: 100, WriteInterval: 10},   // cold: benign
-		},
-	}
-	ctl.Observe(obs)
-	if _, got := ctl.LevelsFor([]byte("hot")); got != wire.Quorum {
-		t.Fatalf("hot group writes at %v, want QUORUM", got)
-	}
-	if _, got := ctl.LevelsFor([]byte("cold")); got != wire.One {
-		t.Fatalf("cold group writes at %v, want ONE", got)
-	}
-	if got, _ := ctl.LevelsFor([]byte("hot")); got != wire.Quorum {
-		t.Fatalf("hot group reads at %v, want QUORUM (capped by quorum writes)", got)
 	}
 }

@@ -338,80 +338,6 @@ func TestPerKeyLevelsGroupModels(t *testing.T) {
 	}
 }
 
-func TestAdvisorEndpoints(t *testing.T) {
-	crit := Advisor{Profile: AppProfile{CriticalReads: true, StaleCost: 1, LatencyCostPerMs: 100}}
-	if got, _ := crit.Recommend(); got != 0 {
-		t.Fatalf("critical = %v, want 0", got)
-	}
-	arch := Advisor{Profile: AppProfile{ArchivalReads: true}}
-	if got, _ := arch.Recommend(); got != 1 {
-		t.Fatalf("archival = %v, want 1", got)
-	}
-	if _, err := (Advisor{Profile: AppProfile{StaleCost: -1}}).Recommend(); err == nil {
-		t.Fatal("negative cost accepted")
-	}
-}
-
-func TestAdvisorCostBalance(t *testing.T) {
-	// Equal costs: indifferent -> 0.5.
-	a := Advisor{Profile: AppProfile{StaleCost: 1, LatencyCostPerMs: 1}, FreshnessLatencyMs: 1}
-	got, err := a.Recommend()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got < 0.45 || got > 0.55 {
-		t.Fatalf("balanced = %v, want ~0.5", got)
-	}
-	// Stale reads 100x costlier than latency: tolerance near 0.
-	shop := Advisor{Profile: AppProfile{StaleCost: 100, LatencyCostPerMs: 1}, FreshnessLatencyMs: 1}
-	if got, _ = shop.Recommend(); got > 0.1 {
-		t.Fatalf("webshop tolerance = %v, want near 0", got)
-	}
-	// Latency 100x costlier: tolerance near 1.
-	feed := Advisor{Profile: AppProfile{StaleCost: 1, LatencyCostPerMs: 10}, FreshnessLatencyMs: 10}
-	if got, _ = feed.Recommend(); got < 0.9 {
-		t.Fatalf("feed tolerance = %v, want near 1", got)
-	}
-}
-
-func TestAdvisorMonotoneInStaleCost(t *testing.T) {
-	prev := 2.0
-	for _, staleCost := range []float64{0.01, 0.1, 1, 10, 100} {
-		a := Advisor{Profile: AppProfile{StaleCost: staleCost, LatencyCostPerMs: 1}, FreshnessLatencyMs: 2}
-		got, err := a.Recommend()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got > prev {
-			t.Fatalf("tolerance rose from %v to %v as stale cost grew", prev, got)
-		}
-		prev = got
-	}
-}
-
-func TestAdvisorLadder(t *testing.T) {
-	a := Advisor{Profile: AppProfile{StaleCost: 1, LatencyCostPerMs: 1}, FreshnessLatencyMs: 1}
-	got, err := a.RecommendLadder()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0.5 {
-		t.Fatalf("ladder = %v, want 0.5", got)
-	}
-	crit := Advisor{Profile: AppProfile{CriticalReads: true}}
-	if got, _ := crit.RecommendLadder(); got != 0 {
-		t.Fatalf("critical ladder = %v", got)
-	}
-}
-
-func TestAdvisorZeroCosts(t *testing.T) {
-	a := Advisor{Profile: AppProfile{}}
-	got, err := a.Recommend()
-	if err != nil || got != 0.5 {
-		t.Fatalf("zero-cost recommendation = %v err=%v, want the paper's average", got, err)
-	}
-}
-
 // TestWeightedKMeansSeparatesHotPopulationsUnderHeavyTail is the
 // sampler-weighted clustering property: with a heavy tail of cold keys
 // whose scattered features would otherwise soak up centroids, the two

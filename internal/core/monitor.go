@@ -15,8 +15,11 @@ import (
 // estimate.
 type Observation struct {
 	At time.Time
-	// ReadRate is the read arrival rate λr (reads/second). By default it
-	// is the per-node average (see MonitorConfig.AggregateRates).
+	// ReadRate is the read arrival rate λr (reads/second), averaged per
+	// polled node: the estimation model's λr and λw describe the arrival
+	// process contending on one replica set, and the per-node average is
+	// the faithful proxy for that at cluster scale (cluster-wide totals
+	// saturate the estimate at trivial load).
 	ReadRate float64
 	// WriteInterval is the mean time between writes λw (seconds) — the
 	// paper's exponential parameter for the write process — at the same
@@ -29,18 +32,16 @@ type Observation struct {
 	// no replica-set size configured this degrades to half the maximum
 	// observed round-trip.
 	Latency time.Duration
-	// MeanLatency is the average one-way latency across peers.
-	MeanLatency time.Duration
 	// AvgWriteBytes is the measured mean write payload over the window —
 	// the avgw input of the paper's Tp(Ln, avgw). Zero when no writes
 	// were observed.
 	AvgWriteBytes float64
 	// Divergence is the anti-entropy divergence gauge over the window:
 	// age-seconds of stale data repair sessions healed, per second, at the
-	// same scope as ReadRate (per-node average by default). Zero on a
-	// converged cluster; positive while repair is still discovering rows a
-	// recovering replica missed — i.e. while reads can hit data the
-	// propagation-time staleness model knows nothing about.
+	// same per-node scope as ReadRate. Zero on a converged cluster;
+	// positive while repair is still discovering rows a recovering replica
+	// missed — i.e. while reads can hit data the propagation-time
+	// staleness model knows nothing about.
 	Divergence float64
 	// Window is the effective measurement window after subtracting the
 	// collection time, mirroring the paper's monitoring module which
@@ -62,8 +63,8 @@ type Observation struct {
 	AliveMembers int
 	// Groups carries per-key-group arrival rates, indexed by group id,
 	// when the polled nodes report per-group counters. Rates use the same
-	// scope (per-node average vs cluster total) as ReadRate/WriteInterval,
-	// and the groups partition the aggregate traffic. Empty when the
+	// per-node scope as ReadRate/WriteInterval, and the groups partition
+	// the aggregate traffic. Empty when the
 	// cluster runs the classic single-group pipeline, and empty for the
 	// transition rounds around a grouping-epoch change: per-group counters
 	// re-baseline on regroup, so deltas spanning two epochs are discarded
@@ -98,16 +99,9 @@ type MonitorConfig struct {
 	ID ring.NodeID
 	// Nodes are the storage nodes to poll.
 	Nodes []ring.NodeID
-	// Interval between monitoring rounds; zero means 1s.
+	// Interval between monitoring rounds; zero means 1s. A collection
+	// round is closed after Interval/2.
 	Interval time.Duration
-	// RoundTimeout bounds one collection round; zero means Interval/2.
-	RoundTimeout time.Duration
-	// AggregateRates reports cluster-wide total arrival rates instead of
-	// the default per-node averages. The estimation model's λr and λw
-	// describe the arrival process contending on one replica set; the
-	// per-node average is the faithful proxy for that at cluster scale
-	// (cluster-wide totals saturate the estimate at trivial load).
-	AggregateRates bool
 	// ReplicaSetSize, when positive, makes the latency estimate the
 	// expected slowest one-way latency over a random subset of this many
 	// peers — the replication factor, since an update has propagated only
@@ -170,9 +164,6 @@ func NewMonitor(cfg MonitorConfig, rt sim.Runtime, send transport.Sender) *Monit
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
 	}
-	if cfg.RoundTimeout <= 0 {
-		cfg.RoundTimeout = cfg.Interval / 2
-	}
 	return &Monitor{
 		cfg:    cfg,
 		rt:     rt,
@@ -223,7 +214,7 @@ func (m *Monitor) beginRound() {
 		r.pingSent[m.seq] = n
 		m.send.Send(m.cfg.ID, n, wire.Ping{ID: m.seq, Sent: m.rt.Now().UnixNano()})
 	}
-	r.expires = m.rt.After(m.cfg.RoundTimeout, func() {
+	r.expires = m.rt.After(m.cfg.Interval/2, func() {
 		if m.round == r && !r.done {
 			m.closeRound()
 		}
@@ -333,18 +324,13 @@ func (m *Monitor) closeRound() {
 		}
 	}
 	groupsComparable := epochAgreed && allBaselined && anyGroups
-	var maxRTT, sumRTT time.Duration
+	var maxRTT time.Duration
 	all := make([]time.Duration, 0, len(r.rtts))
 	for _, rtt := range r.rtts {
 		if rtt > maxRTT {
 			maxRTT = rtt
 		}
-		sumRTT += rtt
 		all = append(all, rtt)
-	}
-	var meanRTT time.Duration
-	if len(r.rtts) > 0 {
-		meanRTT = sumRTT / time.Duration(len(r.rtts))
 	}
 	ln := maxRTT / 2
 	if rf := m.cfg.ReplicaSetSize; rf > 0 && len(all) > 0 {
@@ -373,19 +359,18 @@ func (m *Monitor) closeRound() {
 	if window <= 0 || m.cfg.OnObservation == nil {
 		return
 	}
-	scale := 1.0
-	if !m.cfg.AggregateRates && len(m.cfg.Nodes) > 0 {
+	scale := 1.0 // rates are per-node averages (see Observation.ReadRate)
+	if len(m.cfg.Nodes) > 0 {
 		scale = float64(len(m.cfg.Nodes))
 	}
 	obs := Observation{
-		At:          now,
-		ReadRate:    float64(dReads) / window.Seconds() / scale,
-		Latency:     ln,
-		MeanLatency: meanRTT / 2,
-		Divergence:  float64(dRepAge) / 1000 / window.Seconds() / scale,
-		Window:      window,
-		Nodes:       len(r.stats),
-		Members:     len(m.cfg.Nodes),
+		At:         now,
+		ReadRate:   float64(dReads) / window.Seconds() / scale,
+		Latency:    ln,
+		Divergence: float64(dRepAge) / 1000 / window.Seconds() / scale,
+		Window:     window,
+		Nodes:      len(r.stats),
+		Members:    len(m.cfg.Nodes),
 	}
 	for _, s := range r.stats {
 		if int(s.AliveMembers) > obs.AliveMembers {

@@ -97,9 +97,6 @@ func TestMonitorMeasuresRates(t *testing.T) {
 	if last.Latency <= 0 {
 		t.Fatal("no latency measured")
 	}
-	if last.MeanLatency > last.Latency {
-		t.Fatalf("mean latency %v above max %v", last.MeanLatency, last.Latency)
-	}
 }
 
 func TestMonitorFirstRoundIsBaseline(t *testing.T) {

@@ -47,37 +47,14 @@ func TestControllerSessionGroupServedAtSession(t *testing.T) {
 	if d0.Level != wire.Session || d0.Xn != 1 {
 		t.Fatalf("session group decision = %+v, want SESSION with Xn=1", d0)
 	}
-	if d0.WriteLevel != wire.One {
-		t.Fatalf("session group write level = %v, want ONE", d0.WriteLevel)
-	}
 
 	// LevelsFor (the client.ConsistencyPolicy surface) agrees with the
-	// per-group streams.
+	// per-group streams, and the session group's writes ship at ONE.
 	if r, w := ctl.LevelsFor([]byte("alpha")); r != wire.Session || w != wire.One {
-		t.Fatalf("LevelsFor(session key) = %v/%v", r, w)
+		t.Fatalf("LevelsFor(session key) = %v/%v, want SESSION/ONE", r, w)
 	}
 	if r, _ := ctl.LevelsFor([]byte("bulk")); r != d1.Level {
 		t.Fatalf("LevelsFor(classic key) read = %v, want %v", r, d1.Level)
-	}
-}
-
-func TestControllerSessionOverridesAdaptiveWriteLevels(t *testing.T) {
-	// Zero tolerance normally drives Xn past quorum, which adaptive write
-	// levels convert to quorum reads + quorum writes; a session flag takes
-	// precedence: reads at SESSION, writes back at ONE.
-	ctl := NewController(ControllerConfig{
-		Policy:              Policy{ToleratedStaleRate: 0},
-		N:                   5,
-		AdaptiveWriteLevels: true,
-		SessionGroups:       []bool{true},
-	})
-	ctl.Observe(hotObs(1))
-	if d := ctl.GroupLast(0); d.Level != wire.Session || d.WriteLevel != wire.One {
-		t.Fatalf("decision = %+v, want SESSION reads with ONE writes", d)
-	}
-	// The global stream is not session-scoped and keeps the quorum overlap.
-	if d := ctl.Last(); d.Level != wire.Quorum || d.WriteLevel != wire.Quorum {
-		t.Fatalf("global decision = %+v, want quorum/quorum", d)
 	}
 }
 

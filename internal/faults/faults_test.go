@@ -323,6 +323,64 @@ func TestHTTPHandlerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsInvalidUpdates pins POST /faults validation: an update the
+// plane cannot run is refused with 400 before it is applied, so the plane's
+// state is unchanged and the send path keeps working. Once applied, a
+// reorder rule with a huge delay panics the next Send in the reorder draw
+// (3*scale overflows into a negative Int63n bound).
+func TestHTTPRejectsInvalidUpdates(t *testing.T) {
+	for _, tc := range []struct {
+		name, body string
+	}{
+		{"reorder overflow", `{"set":[{"from":"*","to":"*","delay":4000000000000000000,"reorder":1}]}`},
+		{"delay above bound", `{"set":[{"from":"n1","to":"n2","delay":3600000000001}]}`},
+		{"negative delay", `{"set":[{"from":"n1","to":"n2","delay":-1}]}`},
+		{"negative jitter", `{"set":[{"from":"n1","to":"n2","jitter":-5}]}`},
+		{"jitter above bound", `{"set":[{"from":"n1","to":"n2","jitter":3600000000001}]}`},
+		{"drop above one", `{"set":[{"from":"n1","to":"n2","drop":1.5}]}`},
+		{"negative duplicate", `{"set":[{"from":"n1","to":"n2","duplicate":-0.1}]}`},
+		{"reorder above one", `{"set":[{"from":"n1","to":"n2","reorder":2}]}`},
+		{"negative after", `{"plan":[{"after":-1,"update":{"heal":true}}]}`},
+		{"bad rule in plan", `{"plan":[{"after":0,"update":{"set":[{"from":"n1","to":"n2","drop":7}]}}]}`},
+		{"bad rule in nested plan", `{"plan":[{"after":0,"update":{"plan":[{"after":0,"update":{"set":[{"from":"*","to":"*","delay":-1}]}}]}}]}`},
+		{"good rule beside bad", `{"set":[{"from":"n1","to":"n2","drop":0.5},{"from":"n2","to":"n3","drop":-1}]}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New(12)
+			rec := newRecorder(s)
+			p, in := wrapped(s, rec, "n1", "n2", "n3")
+			before, _ := json.Marshal(p.Snapshot())
+			w := httptest.NewRecorder()
+			p.ServeHTTP(w, httptest.NewRequest("POST", "/faults", strings.NewReader(tc.body)))
+			if w.Code != 400 {
+				t.Fatalf("status %d, want 400: %s", w.Code, w.Body.String())
+			}
+			s.RunFor(time.Second) // a plan that slipped through would fire here
+			after, _ := json.Marshal(p.Snapshot())
+			if !bytes.Equal(before, after) {
+				t.Fatalf("refused update changed the plane:\n before %s\n after  %s", before, after)
+			}
+			in.Send("n1", "n2", ping(1))
+			s.RunFor(time.Second)
+			if rec.count("n2") != 1 {
+				t.Fatalf("send after a refused update delivered %d frames, want 1", rec.count("n2"))
+			}
+		})
+	}
+
+	// The bounds themselves are accepted.
+	s := sim.New(13)
+	rec := newRecorder(s)
+	p, in := wrapped(s, rec, "n1", "n2")
+	w := httptest.NewRecorder()
+	body := `{"set":[{"from":"n1","to":"n2","delay":3600000000000,"jitter":3600000000000,"drop":0,"duplicate":1,"reorder":1}],"plan":[{"after":0,"update":{"heal":true}}]}`
+	p.ServeHTTP(w, httptest.NewRequest("POST", "/faults", strings.NewReader(body)))
+	if w.Code != 200 {
+		t.Fatalf("rule at the bounds refused: %d %s", w.Code, w.Body.String())
+	}
+	in.Send("n1", "n2", ping(1)) // must not panic in the reorder draw
+}
+
 // TestConcurrentSendsUnderMutation pins -race cleanliness: senders on many
 // goroutines while rules and partitions churn.
 func TestConcurrentSendsUnderMutation(t *testing.T) {

@@ -37,6 +37,14 @@ type arrivalWindow struct {
 
 const arrivalWindowSize = 32
 
+const (
+	// fanout is the number of peers contacted per round.
+	fanout = 3
+	// phiThreshold is the suspicion level above which a peer is convicted
+	// (the Cassandra default).
+	phiThreshold = 8.0
+)
+
 func (w *arrivalWindow) observe(t time.Time) {
 	if !w.haveLast {
 		w.last = t
@@ -113,11 +121,6 @@ type Config struct {
 	Peers []ring.NodeID
 	// Interval between gossip rounds; zero means 1s.
 	Interval time.Duration
-	// Fanout peers contacted per round; zero means 3.
-	Fanout int
-	// PhiThreshold above which a peer is convicted; zero means 8 (the
-	// Cassandra default).
-	PhiThreshold float64
 	// Seed for peer selection.
 	Seed int64
 	// OnRecover, when set, fires once per down→up transition: a peer this
@@ -149,12 +152,6 @@ type Gossiper struct {
 func New(cfg Config, rt sim.Runtime, send transport.Sender) *Gossiper {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
-	}
-	if cfg.Fanout <= 0 {
-		cfg.Fanout = 3
-	}
-	if cfg.PhiThreshold <= 0 {
-		cfg.PhiThreshold = 8
 	}
 	g := &Gossiper{
 		cfg:    cfg,
@@ -209,8 +206,8 @@ func (g *Gossiper) round() {
 		}
 	}
 	g.rng.Shuffle(len(peers), func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
-	if len(peers) > g.cfg.Fanout {
-		peers = peers[:g.cfg.Fanout]
+	if len(peers) > fanout {
+		peers = peers[:fanout]
 	}
 	g.mu.Unlock()
 	if g.cfg.OnRecover != nil {
@@ -233,7 +230,7 @@ func (g *Gossiper) sweepConvictionsLocked() []ring.NodeID {
 		if id == g.cfg.ID || st.arrivals == nil {
 			continue
 		}
-		alive := st.arrivals.phi(now, g.cfg.Interval) < g.cfg.PhiThreshold
+		alive := st.arrivals.phi(now, g.cfg.Interval) < phiThreshold
 		switch {
 		case !alive && !st.convicted:
 			st.convicted = true
@@ -327,7 +324,7 @@ func (g *Gossiper) Alive(id ring.NodeID) bool {
 	if !ok || st.arrivals == nil {
 		return true
 	}
-	return st.arrivals.phi(g.rt.Now(), g.cfg.Interval) < g.cfg.PhiThreshold
+	return st.arrivals.phi(g.rt.Now(), g.cfg.Interval) < phiThreshold
 }
 
 // Members returns every node this gossiper has state for.

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"harmony/internal/core"
-	"harmony/internal/obs"
 	"harmony/internal/ring"
 	"harmony/internal/sim"
 	"harmony/internal/transport"
@@ -45,15 +44,6 @@ type Config struct {
 	// epoch instead of staying pinned tight forever (and instead of
 	// growing every broadcast's key map without bound).
 	MaxCarry int
-	// MinShift is epoch hysteresis: a new assignment only becomes an epoch
-	// when the keys that changed groups carry more than this fraction of
-	// the total sampled weight (zero means 0.10, negative disables). Keys
-	// on a cluster boundary flicker between groups on every recluster;
-	// they carry negligible traffic, and bumping the epoch for them would
-	// re-baseline every node's counters — and blind the monitor for a
-	// round — without changing behavior. A migrating hotspot moves a large
-	// weight share and clears the bar immediately.
-	MinShift float64
 	// Seed makes clustering deterministic.
 	Seed int64
 	// Controller, when set, is regrouped in lockstep with the broadcast:
@@ -67,11 +57,16 @@ type Config struct {
 	Initial *Assignment
 	// OnRegroup observes every applied assignment (after broadcast).
 	OnRegroup func(*Assignment)
-	// Trace, when set, receives one structured event per applied epoch
-	// (broadcast-side; the controller and nodes emit their own install
-	// events). Nil disables tracing.
-	Trace *obs.Trace
 }
+
+// minShift is epoch hysteresis: a new assignment only becomes an epoch when
+// the keys that changed groups carry at least this fraction of the total
+// sampled weight. Keys on a cluster boundary flicker between groups on every
+// recluster; they carry negligible traffic, and bumping the epoch for them
+// would re-baseline every node's counters — and blind the monitor for a
+// round — without changing behavior. A migrating hotspot moves a large
+// weight share and clears the bar immediately.
+const minShift = 0.10
 
 // Regrouper runs the monitor-side half of the online grouping loop. Wire
 // IngestStats into core.MonitorConfig.OnNodeStats and call Start; every
@@ -109,9 +104,6 @@ func New(cfg Config, rt sim.Runtime, send transport.Sender) (*Regrouper, error) 
 	}
 	if cfg.MinKeys <= 0 {
 		cfg.MinKeys = 8 * cfg.K
-	}
-	if cfg.MinShift == 0 {
-		cfg.MinShift = 0.10
 	}
 	if cfg.MaxCarry == 0 {
 		cfg.MaxCarry = 8
@@ -262,7 +254,7 @@ func (r *Regrouper) RegroupNow() bool {
 		// every node's counters) instead of churning the whole pipeline.
 		return false
 	}
-	if r.cfg.MinShift > 0 && cur.Groups() == candidate.Groups() {
+	if cur.Groups() == candidate.Groups() {
 		total, changed := 0.0, 0.0
 		for key, w := range weight {
 			total += w
@@ -270,7 +262,7 @@ func (r *Regrouper) RegroupNow() bool {
 				changed += w
 			}
 		}
-		if total > 0 && changed/total < r.cfg.MinShift {
+		if total > 0 && changed/total < minShift {
 			// Only boundary flicker moved: not worth an epoch.
 			return false
 		}
@@ -318,13 +310,6 @@ func (r *Regrouper) RegroupNow() bool {
 	for _, n := range r.cfg.Nodes {
 		r.send.Send(r.cfg.Self, n, update)
 	}
-	r.cfg.Trace.Add(obs.Event{
-		Kind:  obs.EventRegroup,
-		Group: -1,
-		Epoch: candidate.Epoch(),
-		Detail: fmt.Sprintf("broadcast epoch %d: %d groups, %d pinned keys, %d nodes",
-			candidate.Epoch(), candidate.Groups(), len(assign), len(r.cfg.Nodes)),
-	})
 	if r.cfg.Controller != nil {
 		r.cfg.Controller.Regroup(candidate.Epoch(), candidate.GroupOf, candidate.Tolerances(), parents)
 	}

@@ -179,7 +179,7 @@ func TestIncrementalMatchesRebuildProperty(t *testing.T) {
 
 // newIncrementalPair is newPair with the production wiring: accepted
 // mutations fold into the Merkle caches in place via OnReplace -> Applied
-// (what cluster.New installs), instead of the conservative OnApply ->
+// (what cluster.New installs), instead of the conservative OnReplace ->
 // Invalidate the classic pair helper uses.
 func newIncrementalPair(t *testing.T, opts Options) *pair {
 	t.Helper()

@@ -21,9 +21,6 @@ type Options struct {
 	// zero means 1s. One session covers every range shared with one peer,
 	// so a full cycle over all peers takes len(peers)*Interval/Concurrency.
 	Interval time.Duration
-	// SessionTimeout abandons a session whose peer stopped answering; zero
-	// means 5s.
-	SessionTimeout time.Duration
 	// Concurrency caps concurrently outstanding initiator sessions; zero
 	// means 2. Responder work is not capped (it is stateless per message).
 	Concurrency int
@@ -32,26 +29,25 @@ type Options struct {
 	// rows per divergent key at the cost of bigger tree exchanges. Zero
 	// means 8.
 	LeavesPerRange int
-	// AgeCap bounds one healed row's contribution to the divergence gauge
-	// (bulk-loaded history would otherwise dominate it); zero means 30s.
-	AgeCap time.Duration
 }
+
+const (
+	// sessionTimeout abandons a session whose peer stopped answering.
+	sessionTimeout = 5 * time.Second
+	// ageCap bounds one healed row's contribution to the divergence gauge
+	// (bulk-loaded history would otherwise dominate it).
+	ageCap = 30 * time.Second
+)
 
 func (o Options) withDefaults() Options {
 	if o.Interval <= 0 {
 		o.Interval = time.Second
-	}
-	if o.SessionTimeout <= 0 {
-		o.SessionTimeout = 5 * time.Second
 	}
 	if o.Concurrency <= 0 {
 		o.Concurrency = 2
 	}
 	if o.LeavesPerRange <= 0 {
 		o.LeavesPerRange = 8
-	}
-	if o.AgeCap <= 0 {
-		o.AgeCap = 30 * time.Second
 	}
 	return o
 }
@@ -70,7 +66,7 @@ type Config struct {
 	// OnHealed observes every row a repair session changed locally (the row
 	// was missing or older here): the hook the node uses to tally the
 	// per-group divergence gauge. age is now − row timestamp, capped at
-	// Options.AgeCap. Runs on the node's runtime.
+	// 30 s (ageCap). Runs on the node's runtime.
 	OnHealed func(key []byte, v wire.Value, age time.Duration)
 }
 
@@ -126,8 +122,9 @@ type Stats struct {
 }
 
 // NewManager builds the repair plan and tree cache for a node. Wire
-// Invalidate into the engine's OnApply hook and route the repair wire
-// messages to Deliver; call Start for periodic sessions.
+// Applied (or the conservative Invalidate) into the engine's OnReplace hook
+// and route the repair wire messages to Deliver; call Start for periodic
+// sessions.
 func NewManager(cfg Config, rt sim.Runtime, send transport.Sender) *Manager {
 	opts := cfg.Options.withDefaults()
 	plan := BuildPlan(cfg.Ring, cfg.Strategy, cfg.Self)
@@ -268,7 +265,7 @@ func (m *Manager) startSession(peer ring.NodeID) {
 	m.activeN.Store(int64(len(m.active)))
 	m.byPeer[peer] = s.id
 	m.bump(func(st *Stats) { st.SessionsStarted++ })
-	s.cancel = m.rt.After(m.opts.SessionTimeout, func() {
+	s.cancel = m.rt.After(sessionTimeout, func() {
 		if _, live := m.active[s.id]; live {
 			m.bump(func(st *Stats) { st.SessionsTimedOut++ })
 			m.finish(s)
@@ -493,8 +490,8 @@ func (m *Manager) applyEntries(entries []wire.SyncEntry) map[string]bool {
 		if age < 0 {
 			age = 0
 		}
-		if age > m.opts.AgeCap {
-			age = m.opts.AgeCap
+		if age > ageCap {
+			age = ageCap
 		}
 		m.bump(func(st *Stats) {
 			st.RowsHealed++

@@ -52,12 +52,12 @@ func newPairOpts(t *testing.T, optsA, optsB Options) *pair {
 	lb := transport.NewLoopback()
 	p := &pair{s: s, lb: lb, aID: "n0", bID: "n1"}
 	var ma, mb *Manager
-	p.ea = storage.NewEngine(storage.Options{OnApply: func(k []byte, _ wire.Value) {
+	p.ea = storage.NewEngine(storage.Options{OnReplace: func(k []byte, _ wire.Value, _ bool, _ wire.Value) {
 		if ma != nil {
 			ma.Invalidate(k)
 		}
 	}})
-	p.eb = storage.NewEngine(storage.Options{OnApply: func(k []byte, _ wire.Value) {
+	p.eb = storage.NewEngine(storage.Options{OnReplace: func(k []byte, _ wire.Value, _ bool, _ wire.Value) {
 		if mb != nil {
 			mb.Invalidate(k)
 		}

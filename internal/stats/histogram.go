@@ -1,9 +1,6 @@
-// Package stats provides the measurement primitives used throughout the
-// repository: a log-bucketed latency histogram with percentile queries (the
-// paper reports 99th-percentile read latency), windowed and exponentially
-// weighted rate meters (Harmony's monitor derives read/write arrival rates
-// from counter deltas over a monitoring window), simple counters, and online
-// mean/variance accumulators.
+// Package stats provides the latency histogram used throughout the
+// repository: log-spaced buckets with percentile queries (the paper reports
+// 99th-percentile read latency) and a mergeable, allocation-free Record.
 package stats
 
 import (
@@ -190,9 +187,8 @@ func (h *Histogram) String() string {
 		h.total, h.Mean(), h.Median(), h.P95(), h.P99(), h.Max())
 }
 
-// ExactPercentile computes the exact percentile of a slice of durations; it
-// is used by tests to validate Histogram accuracy and by small-sample report
-// paths where exactness matters more than memory.
+// ExactPercentile computes the exact percentile of a slice of durations, the
+// reference the tests validate Histogram accuracy against.
 func ExactPercentile(samples []time.Duration, q float64) time.Duration {
 	if len(samples) == 0 {
 		return 0

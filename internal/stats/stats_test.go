@@ -197,118 +197,6 @@ func TestExactPercentile(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	done := make(chan struct{})
-	for i := 0; i < 4; i++ {
-		go func() {
-			for j := 0; j < 1000; j++ {
-				c.Inc()
-			}
-			done <- struct{}{}
-		}()
-	}
-	for i := 0; i < 4; i++ {
-		<-done
-	}
-	if c.Value() != 4000 {
-		t.Fatalf("counter = %d, want 4000", c.Value())
-	}
-}
-
-func TestRateFromDelta(t *testing.T) {
-	if got := RateFromDelta(100, time.Second); got != 100 {
-		t.Fatalf("rate = %v", got)
-	}
-	if got := RateFromDelta(100, 0); got != 0 {
-		t.Fatalf("zero-window rate = %v", got)
-	}
-	if got := RateFromDelta(50, 500*time.Millisecond); got != 100 {
-		t.Fatalf("rate = %v", got)
-	}
-}
-
-func TestEWMAConvergence(t *testing.T) {
-	e := NewEWMA(time.Second)
-	t0 := time.Unix(0, 0)
-	e.Observe(t0, 10)
-	if e.Value() != 10 {
-		t.Fatalf("first observation = %v", e.Value())
-	}
-	// After many half-lives of observing 20, value approaches 20.
-	for i := 1; i <= 20; i++ {
-		e.Observe(t0.Add(time.Duration(i)*time.Second), 20)
-	}
-	if math.Abs(e.Value()-20) > 0.1 {
-		t.Fatalf("ewma = %v, want ~20", e.Value())
-	}
-}
-
-func TestEWMAHalfLifeExact(t *testing.T) {
-	e := NewEWMA(time.Second)
-	t0 := time.Unix(0, 0)
-	e.Observe(t0, 0)
-	e.Observe(t0.Add(time.Second), 1)
-	// one half-life: value should move halfway from 0 to 1
-	if math.Abs(e.Value()-0.5) > 1e-9 {
-		t.Fatalf("after one half-life = %v, want 0.5", e.Value())
-	}
-}
-
-func TestEWMAPanicsOnBadHalfLife(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewEWMA(0)
-}
-
-func TestWelford(t *testing.T) {
-	var w Welford
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Add(x)
-	}
-	if w.Count() != 8 {
-		t.Fatalf("n = %d", w.Count())
-	}
-	if math.Abs(w.Mean()-5) > 1e-12 {
-		t.Fatalf("mean = %v", w.Mean())
-	}
-	// sample variance of this classic dataset is 32/7
-	if math.Abs(w.Variance()-32.0/7.0) > 1e-9 {
-		t.Fatalf("variance = %v", w.Variance())
-	}
-	var empty Welford
-	if empty.Variance() != 0 || empty.StdDev() != 0 {
-		t.Fatal("empty welford must report 0")
-	}
-}
-
-func TestWindowRate(t *testing.T) {
-	w := NewWindowRate(time.Second, 10)
-	t0 := time.Unix(100, 0)
-	for i := 0; i < 50; i++ {
-		w.Observe(t0.Add(time.Duration(i) * 100 * time.Millisecond)) // 10/s for 5s
-	}
-	rate := w.Rate(t0.Add(5 * time.Second))
-	if math.Abs(rate-10) > 2.5 {
-		t.Fatalf("rate = %v, want ~10", rate)
-	}
-	// After a long silent gap, the rate decays to 0.
-	rate = w.Rate(t0.Add(60 * time.Second))
-	if rate != 0 {
-		t.Fatalf("stale rate = %v, want 0", rate)
-	}
-}
-
-func TestWindowRateEmpty(t *testing.T) {
-	w := NewWindowRate(time.Second, 4)
-	if got := w.Rate(time.Unix(0, 0)); got != 0 {
-		t.Fatalf("empty rate = %v", got)
-	}
-}
-
 func BenchmarkHistogramRecord(b *testing.B) {
 	var h Histogram
 	for i := 0; i < b.N; i++ {

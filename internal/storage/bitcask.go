@@ -233,7 +233,7 @@ func syncDir(path string) error {
 
 // diskEntry is one keydir slot: where the newest record for a key lives,
 // plus the version metadata the engine needs to arbitrate an incoming write
-// without touching disk (the resolver reads Data only on same-timestamp
+// without touching disk (arbitration reads Data only on same-timestamp
 // sibling tie-breaks, which pread the full record on demand).
 type diskEntry struct {
 	seg   *segment

@@ -1,7 +1,7 @@
 // Package storage implements a node-local storage engine: the newest
 // version of every key a replica holds, arbitrated on write by
 // versioning.Decide (causal order when both versions carry vector clocks,
-// the configured Resolver for concurrent siblings and clock-less values).
+// last-writer-wins for concurrent siblings and clock-less values).
 //
 // By default — and in the simulator, which runs thousands of node instances
 // — the engine is a lock-striped in-memory map. For the real TCP deployment
@@ -46,7 +46,7 @@ type shard struct {
 
 	reads    uint64
 	writes   uint64
-	siblings uint64 // concurrent versions settled by the resolver
+	siblings uint64 // concurrent versions settled by last-writer-wins
 
 	_ [80]byte // pad to 128 bytes
 }
@@ -56,8 +56,6 @@ type Engine struct {
 	shards    []shard
 	mask      uint64 // len(shards)-1; shard selection is hash&mask
 	seed      maphash.Seed
-	resolver  versioning.Resolver
-	onApply   func(key []byte, v wire.Value)
 	onReplace func(key []byte, old wire.Value, hadOld bool, v wire.Value)
 	persist   *persistState // nil for the in-memory engine
 	scanPool  sync.Pool     // *scanScratch, reused across Scan/ScanVersions
@@ -70,25 +68,18 @@ type Options struct {
 	// GOMAXPROCS (see defaultShards). One shard reproduces the classic
 	// single-lock engine exactly.
 	Shards int
-	// Resolver arbitrates concurrent (sibling) versions detected by
-	// vector-clock comparison; nil means versioning.LWW, which reproduces
-	// the engine's historical last-writer-wins behavior exactly. Resolvers
-	// must be deterministic or anti-entropy cannot converge replicas.
-	Resolver versioning.Resolver
-	// OnApply, when non-nil, observes every mutation that actually changed
-	// the engine (last-writer-wins accepted it), after the shard's lock is
-	// released. The callback runs on the applying goroutine, once, as soon
-	// as the version is visible — on a durable engine that is before the
-	// fsync round covering it, not after: a hook sees a version a crash may
-	// still lose. It must not call back into the engine's write path.
-	OnApply func(key []byte, v wire.Value)
-	// OnReplace is OnApply with the displaced version: old is the newest
-	// value the engine held for key before this mutation (hadOld false for
-	// a first write). The anti-entropy subsystem uses it to fold the
-	// replaced row's digest out of — and the new row's digest into — the
-	// affected Merkle leaf in place, instead of invalidating the whole
-	// token arc. Same timing and restrictions as OnApply; when both hooks
-	// are set, OnReplace runs first.
+	// OnReplace, when non-nil, observes every mutation that actually
+	// changed the engine (version arbitration accepted it) together with
+	// the displaced version: old is the newest value the engine held for
+	// key before this mutation (hadOld false for a first write). The
+	// anti-entropy subsystem uses it to fold the replaced row's digest out
+	// of — and the new row's digest into — the affected Merkle leaf in
+	// place, instead of invalidating the whole token arc. The callback runs
+	// after the shard's lock is released, on the applying goroutine, once,
+	// as soon as the version is visible — on a durable engine that is
+	// before the fsync round covering it, not after: a hook sees a version
+	// a crash may still lose. It must not call back into the engine's write
+	// path.
 	OnReplace func(key []byte, old wire.Value, hadOld bool, v wire.Value)
 	// Persist, when non-nil, backs every shard with a bitcask-style
 	// append-only log under Persist.Path (or the pre-acquired Persist.Dir)
@@ -168,8 +159,6 @@ func Open(opts Options) (*Engine, error) {
 		shards:    make([]shard, p),
 		mask:      uint64(p - 1),
 		seed:      maphash.MakeSeed(),
-		resolver:  opts.Resolver,
-		onApply:   opts.OnApply,
 		onReplace: opts.OnReplace,
 	}
 	if opts.Persist == nil {
@@ -240,8 +229,8 @@ func fnv64a(b []byte) uint64 {
 
 // Apply writes v under key if it wins the engine's version comparison
 // against what is already held: causal (vector-clock) order when both
-// versions carry clocks, the configured Resolver for concurrent siblings
-// and clock-less values (last-writer-wins by default). It reports whether
+// versions carry clocks, last-writer-wins for concurrent siblings and
+// clock-less values (versioning.Decide). It reports whether
 // the value was applied, and returns once the outcome is as durable as the
 // engine's mode makes it: Apply is ApplyTicket followed by WaitDurable.
 func (e *Engine) Apply(key []byte, v wire.Value) (bool, error) {
@@ -258,8 +247,8 @@ func (e *Engine) Apply(key []byte, v wire.Value) (bool, error) {
 }
 
 // ApplyTicket is Apply without the durability wait: it arbitrates, appends,
-// makes the version visible to reads, runs the hooks and returns a ticket
-// for the fsync round that will cover the outcome. Ticket 0 means there is
+// makes the version visible to reads, runs the OnReplace hook and returns a
+// ticket for the fsync round that will cover the outcome. Ticket 0 means there is
 // nothing to wait for — an in-memory engine, the periodic fsync mode, or a
 // rejected mutation whose winner is already on disk — and the caller may
 // acknowledge at once. A non-zero ticket is durable once WaitDurable(ticket)
@@ -288,7 +277,7 @@ func (e *Engine) ApplyTicket(key []byte, v wire.Value) (applied bool, ticket uin
 	s.writes++
 	if p, ok := s.vals[string(key)]; ok {
 		old, hadOld = *p, true
-		take, conc := versioning.Decide(v, old, e.resolver)
+		take, conc := versioning.Decide(v, old)
 		if conc {
 			s.siblings++
 		}
@@ -303,19 +292,10 @@ func (e *Engine) ApplyTicket(key []byte, v wire.Value) (applied bool, ticket uin
 		s.vals[string(key)] = vp
 	}
 	s.mu.Unlock()
-	e.runHooks(key, old, hadOld, v)
-	return true, 0, nil
-}
-
-// runHooks tells the observers about an accepted mutation; the caller has
-// released the shard lock.
-func (e *Engine) runHooks(key []byte, old wire.Value, hadOld bool, v wire.Value) {
 	if e.onReplace != nil {
 		e.onReplace(key, old, hadOld, v)
 	}
-	if e.onApply != nil {
-		e.onApply(key, v)
-	}
+	return true, 0, nil
 }
 
 // WaitDurable blocks until the fsync round covering ticket has completed and
@@ -366,7 +346,7 @@ func (e *Engine) applyDisk(s *shard, key []byte, v wire.Value) (bool, uint64, er
 			}
 			old = full
 		}
-		take, conc := versioning.Decide(v, old, e.resolver)
+		take, conc := versioning.Decide(v, old)
 		if conc {
 			s.siblings++
 		}
@@ -386,23 +366,20 @@ func (e *Engine) applyDisk(s *shard, key []byte, v wire.Value) (bool, uint64, er
 	if err != nil {
 		return false, 0, err
 	}
-	e.runHooks(key, old, hadOld, v)
+	if e.onReplace != nil {
+		e.onReplace(key, old, hadOld, v)
+	}
 	return true, ticket, nil
 }
 
-// needOldData reports whether version arbitration (or a hook) can observe
-// the stored value's Data, requiring a pread of the old record. With the
-// default LWW resolver, Decide touches Data only on the same-timestamp
-// both-clock-bearing sibling tie-break; custom resolvers and the OnReplace
-// hook (whose consumers digest the replaced row's bytes) always need it.
+// needOldData reports whether version arbitration (or the hook) can observe
+// the stored value's Data, requiring a pread of the old record. Decide
+// touches Data only on the same-timestamp both-clock-bearing sibling
+// tie-break; the OnReplace hook (whose consumers digest the replaced row's
+// bytes) always needs it.
 func (e *Engine) needOldData(incoming, old wire.Value) bool {
 	if e.onReplace != nil {
 		return true
-	}
-	if e.resolver != nil {
-		if _, isLWW := e.resolver.(versioning.LWW); !isLWW {
-			return true
-		}
 	}
 	return incoming.Timestamp == old.Timestamp && len(incoming.Clock) > 0 && len(old.Clock) > 0
 }
@@ -602,7 +579,7 @@ type Stats struct {
 	// Compactions counts persistent segment compactions.
 	Compactions uint64
 	// Siblings counts applies where the incoming and held versions were
-	// causally concurrent and the resolver had to arbitrate — the store's
+	// causally concurrent and last-writer-wins had to arbitrate — the store's
 	// conflict-rate gauge.
 	Siblings uint64
 	LiveKeys int

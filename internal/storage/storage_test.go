@@ -259,7 +259,7 @@ func TestStatsLiveKeys(t *testing.T) {
 
 // modelValue draws from a small version space so histories hit every
 // arbitration case: clock-less LWW, causal descent, concurrent clocks at
-// the same timestamp (siblings settled by the resolver) and tombstones.
+// the same timestamp (siblings settled by last-writer-wins) and tombstones.
 func modelValue(rng *rand.Rand) wire.Value {
 	v := wire.Value{Data: []byte{byte('a' + rng.Intn(4))}, Timestamp: int64(1 + rng.Intn(8))}
 	if rng.Intn(6) == 0 {
@@ -302,7 +302,7 @@ func TestMemoryEngineMatchesReference(t *testing.T) {
 			take := true
 			if hadOld {
 				var conc bool
-				take, conc = versioning.Decide(v, old, nil)
+				take, conc = versioning.Decide(v, old)
 				if conc {
 					siblings++
 				}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"harmony/internal/versioning"
 	"harmony/internal/wire"
 )
 
@@ -74,28 +73,5 @@ func TestCausalDescendReplaces(t *testing.T) {
 	}
 	if e.Stats().Siblings != 0 {
 		t.Errorf("causal ordering miscounted as siblings: %d", e.Stats().Siblings)
-	}
-}
-
-// countingResolver proves the Resolver option is actually threaded through
-// Apply for clock-less values.
-type countingResolver struct {
-	calls int
-	lww   versioning.LWW
-}
-
-func (c *countingResolver) Resolve(in, cur wire.Value) bool {
-	c.calls++
-	return c.lww.Resolve(in, cur)
-}
-
-func TestResolverOptionThreaded(t *testing.T) {
-	r := &countingResolver{}
-	e := NewEngine(Options{Shards: 1, Resolver: r})
-	key := []byte("k")
-	e.Apply(key, wire.Value{Data: []byte("a"), Timestamp: 1})
-	e.Apply(key, wire.Value{Data: []byte("b"), Timestamp: 2})
-	if r.calls != 1 {
-		t.Fatalf("resolver called %d times, want 1 (first write has no current)", r.calls)
 	}
 }

@@ -61,8 +61,6 @@ type TCPConfig struct {
 	// drop the frame (counted, like packet loss under overload). Zero
 	// means 4 MiB.
 	MaxPending int
-	// DialTimeout bounds one dial attempt; zero means 2s.
-	DialTimeout time.Duration
 	// DialBackoff is the first redial delay after a failed dial and
 	// DialBackoffMax the cap it doubles toward. Zero means 50ms and 2s.
 	DialBackoff    time.Duration
@@ -95,7 +93,6 @@ type TCPNode struct {
 
 	streamsPerPeer int
 	maxPending     int
-	dialTimeout    time.Duration
 	backoffMin     time.Duration
 	backoffMax     time.Duration
 
@@ -156,7 +153,6 @@ func NewTCPNode(cfg TCPConfig, rt sim.Runtime, h Handler) (*TCPNode, error) {
 		handler:        h,
 		streamsPerPeer: cfg.Streams,
 		maxPending:     cfg.MaxPending,
-		dialTimeout:    cfg.DialTimeout,
 		backoffMin:     cfg.DialBackoff,
 		backoffMax:     cfg.DialBackoffMax,
 		peers:          make(map[ring.NodeID]string, len(cfg.Peers)),
@@ -174,9 +170,6 @@ func NewTCPNode(cfg TCPConfig, rt sim.Runtime, h Handler) (*TCPNode, error) {
 	}
 	if n.maxPending <= 0 {
 		n.maxPending = 4 << 20
-	}
-	if n.dialTimeout <= 0 {
-		n.dialTimeout = 2 * time.Second
 	}
 	if n.backoffMin <= 0 {
 		n.backoffMin = 50 * time.Millisecond
@@ -495,7 +488,7 @@ func (g *peerGroup) pick(target int) *stream {
 // dial opens a connection to a peer, sends the hello frame, and starts the
 // stream's goroutines.
 func (n *TCPNode) dial(to ring.NodeID, addr string) (*stream, error) {
-	raw, err := net.DialTimeout("tcp", addr, n.dialTimeout)
+	raw, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -625,6 +618,9 @@ func (st *stream) alive() bool {
 // maxRetainedBatch bounds the flusher's recycled batch buffer; a burst that
 // ballooned past it is returned to the allocator rather than pinned.
 const maxRetainedBatch = 1 << 20
+
+// dialTimeout bounds one dial attempt.
+const dialTimeout = 2 * time.Second
 
 // flushLoop drains the pending buffer into single writes. Senders append
 // while a flush is in flight — the two buffers swap roles each round — so

@@ -2,11 +2,11 @@
 // version is a vector clock — one (coordinator, counter) entry per
 // coordinator that has written it, where counters are the coordinator's
 // write timestamps — so two versions can be compared causally: one descends
-// from the other, they are equal, or they are concurrent siblings. Sibling
-// resolution is pluggable (Resolver); the default remains last-writer-wins,
-// which keeps legacy clock-less values behaving exactly as before and keeps
-// anti-entropy byte-convergent, because every replica resolves the same pair
-// of siblings to the same winner.
+// from the other, they are equal, or they are concurrent siblings. Siblings
+// are settled by last-writer-wins (Decide), which keeps legacy clock-less
+// values behaving exactly as before and keeps anti-entropy byte-convergent,
+// because every replica resolves the same pair of siblings to the same
+// winner.
 package versioning
 
 import (

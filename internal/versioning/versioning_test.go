@@ -119,15 +119,15 @@ func val(data string, ts int64, clock Clock) wire.Value {
 func TestDecideCausal(t *testing.T) {
 	older := val("x", 5, ck("a", 5))
 	newer := val("y", 9, ck("a", 5, "b", 9))
-	take, conc := Decide(newer, older, nil)
+	take, conc := Decide(newer, older)
 	if !take || conc {
 		t.Errorf("descendant must replace ancestor: take=%v conc=%v", take, conc)
 	}
-	take, conc = Decide(older, newer, nil)
+	take, conc = Decide(older, newer)
 	if take || conc {
 		t.Errorf("ancestor must not replace descendant: take=%v conc=%v", take, conc)
 	}
-	take, conc = Decide(newer, newer, nil)
+	take, conc = Decide(newer, newer)
 	if take || conc {
 		t.Errorf("equal clocks must be a no-op: take=%v conc=%v", take, conc)
 	}
@@ -136,8 +136,8 @@ func TestDecideCausal(t *testing.T) {
 func TestDecideConcurrentDeterministic(t *testing.T) {
 	s1 := val("x", 7, ck("a", 7))
 	s2 := val("y", 7, ck("b", 7))
-	t1, c1 := Decide(s1, s2, nil)
-	t2, c2 := Decide(s2, s1, nil)
+	t1, c1 := Decide(s1, s2)
+	t2, c2 := Decide(s2, s1)
 	if !c1 || !c2 {
 		t.Fatal("siblings not flagged concurrent")
 	}
@@ -155,17 +155,17 @@ func TestDecideLegacyLWW(t *testing.T) {
 	// Clock-less values reproduce the historical Fresh() rule exactly:
 	// strictly newer timestamp wins, ties keep current.
 	cur := val("a", 10, nil)
-	if take, _ := Decide(val("b", 11, nil), cur, nil); !take {
+	if take, _ := Decide(val("b", 11, nil), cur); !take {
 		t.Error("newer legacy value must win")
 	}
-	if take, _ := Decide(val("b", 10, nil), cur, nil); take {
+	if take, _ := Decide(val("b", 10, nil), cur); take {
 		t.Error("legacy tie must keep current")
 	}
-	if take, _ := Decide(val("b", 9, nil), cur, nil); take {
+	if take, _ := Decide(val("b", 9, nil), cur); take {
 		t.Error("older legacy value must lose")
 	}
 	// Mixed: clock-bearing incoming vs legacy current still settles by ts.
-	if take, _ := Decide(val("b", 11, ck("a", 11)), cur, nil); !take {
+	if take, _ := Decide(val("b", 11, ck("a", 11)), cur); !take {
 		t.Error("clock-bearing newer value must win over legacy")
 	}
 }

@@ -45,20 +45,13 @@ type RunConfig struct {
 	ClientPrefix string
 	// OpTimeout bounds each operation; zero means 5s.
 	OpTimeout time.Duration
-	// ThinkTime, when set, samples a pause in seconds that each thread
-	// waits after an operation completes before issuing the next — the
-	// closed-loop-with-think-time client model (YCSB's target-rate mode
-	// is the special case of a constant gap). Nil preserves the paper's
-	// pure closed loop. Draws use the issuing thread's seeded rng, so
-	// runs stay deterministic.
-	ThinkTime dist.Sampler
 	// ArrivalRate, when positive, switches the runner to open loop:
 	// operations arrive as a Poisson process at this aggregate rate (ops
 	// per virtual second) regardless of completions — exponential
 	// inter-arrival gaps driven by sim.Every — and are spread round-robin
 	// over the thread drivers (Threads then only sizes the driver pool
-	// and in-flight correlation space). Closed-loop thread parking,
-	// SetActiveThreads and ThinkTime do not apply in open loop.
+	// and in-flight correlation space). Closed-loop thread parking and
+	// SetActiveThreads do not apply in open loop.
 	ArrivalRate float64
 	// KeyOffset shifts every chosen key index by a constant: the chooser
 	// draws i in [0, RecordCount) and the runner accesses Key(i+KeyOffset).
@@ -477,12 +470,6 @@ func (r *Runner) finish(th *thread, start time.Time, hist *stats.Histogram, err 
 	}
 	if r.cfg.ArrivalRate > 0 {
 		return // open loop: the arrival process issues the next op
-	}
-	if r.cfg.ThinkTime != nil {
-		if d := dist.SampleDuration(r.cfg.ThinkTime, th.rng, time.Second); d > 0 {
-			r.s.After(d, func() { r.next(th) })
-			return
-		}
 	}
 	r.next(th)
 }

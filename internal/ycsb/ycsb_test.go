@@ -7,7 +7,6 @@ import (
 
 	"harmony/internal/client"
 	"harmony/internal/cluster"
-	"harmony/internal/dist"
 	"harmony/internal/sim"
 	"harmony/internal/wire"
 )
@@ -460,37 +459,6 @@ func TestRunnerPolicyShapesEveryRead(t *testing.T) {
 type allReads struct{}
 
 func (allReads) LevelsFor([]byte) (read, write wire.ConsistencyLevel) { return wire.All, wire.One }
-
-func TestRunnerThinkTimeThrottles(t *testing.T) {
-	run := func(think dist.Sampler) int64 {
-		s, _, r := newRunner(t, RunConfig{
-			Workload:  smallWorkload(WorkloadA()),
-			Threads:   4,
-			Seed:      23,
-			ThinkTime: think,
-		})
-		r.Start()
-		s.RunFor(4 * time.Second)
-		r.Stop()
-		r.Drain()
-		return r.Completed()
-	}
-	// A 50ms constant think time bounds each thread near 20 ops/s: with 4
-	// threads over 4 virtual seconds the ceiling is 320 ops.
-	throttled := run(dist.Constant{V: 0.05})
-	if throttled == 0 || throttled > 330 {
-		t.Fatalf("think-time run completed %d ops, want (0, 330]", throttled)
-	}
-	unthrottled := run(nil)
-	if unthrottled < 4*throttled {
-		t.Fatalf("think time had no effect: %d vs %d ops", unthrottled, throttled)
-	}
-	// Stochastic gaps must behave the same in expectation.
-	poisson := run(dist.NewExponential(0.05))
-	if poisson == 0 || poisson > 500 {
-		t.Fatalf("poisson think-time run completed %d ops", poisson)
-	}
-}
 
 func TestRunnerSessionMode(t *testing.T) {
 	// Session mode over a SESSION policy: every coordinated read is
