@@ -121,8 +121,9 @@ chaos-smoke:
 	$(GO) run ./cmd/harmony-bench -backend live -experiment partition -procs 3 -live-outage 5s -live-postwatch 6s -live-keys 1500 -json out/partition.json
 
 # Simulated results repeat per seed: write the JSON of hotcold, churn,
-# partition, regroup and lag twice at one seed (scripts/sim_outputs.sh,
-# ~25 s each) and require the two directories to be identical.
+# partition, regroup, lag and fig6 over all six scenarios twice at one seed
+# (scripts/sim_outputs.sh, ~40 s each) and require the two directories to be
+# identical.
 sim-repeat:
 	@rm -rf out/sim-repeat
 	bash scripts/sim_outputs.sh out/sim-repeat/a
@@ -130,16 +131,17 @@ sim-repeat:
 	diff -r out/sim-repeat/a out/sim-repeat/b
 
 # Simulated results unchanged against a commit: extract REV (git archive)
-# into a temp dir, write scripts/sim_outputs.sh's JSON there and on the
-# working tree, and fail on any difference; silent when they match. Usage:
-# make sim-diff REV=<commit>. Not part of ci: a change may move the
+# into a temp dir, run the working tree's scripts/sim_outputs.sh there and on
+# the working tree, and fail on any difference; silent when they match. Both
+# trees run the same script, so an output this change adds is compared too.
+# Usage: make sim-diff REV=<commit>. Not part of ci: a change may move the
 # simulator's outputs on purpose.
 sim-diff:
 	@test -n "$(REV)" || { echo 'usage: make sim-diff REV=<commit>' >&2; exit 2; }
 	@git rev-parse -q --verify "$(REV)^{commit}" >/dev/null || { echo "sim-diff: unknown commit $(REV)" >&2; exit 2; }
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	mkdir "$$tmp/src" && git archive "$(REV)" | tar -x -C "$$tmp/src" && \
-	{ (cd "$$tmp/src" && bash scripts/sim_outputs.sh "$$tmp/rev") >"$$tmp/log" 2>&1 && \
+	{ (cd "$$tmp/src" && bash "$(CURDIR)/scripts/sim_outputs.sh" "$$tmp/rev") >"$$tmp/log" 2>&1 && \
 	  bash scripts/sim_outputs.sh "$$tmp/tree" >>"$$tmp/log" 2>&1 || { cat "$$tmp/log" >&2; exit 1; }; } && \
 	diff -r "$$tmp/rev" "$$tmp/tree"
 

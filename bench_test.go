@@ -1,9 +1,9 @@
 // Package repro's root benchmarks regenerate every figure of the paper's
 // evaluation (§V) through the testing.B interface, one benchmark per figure,
-// plus the headline claims and the ablations of DESIGN.md §6. Custom metrics
-// carry the reproduced quantities (throughput, p99 latency, stale fraction,
-// estimates) so `go test -bench=. -benchmem` prints the paper's numbers
-// alongside the usual ns/op.
+// plus the headline claims. Custom metrics carry the reproduced quantities
+// (throughput, p99 latency, stale fraction, estimates) so
+// `go test -bench=. -benchmem` prints the paper's numbers alongside the
+// usual ns/op.
 //
 // Budgets here are sized for minutes-scale runs; `cmd/harmony-bench` runs
 // the same experiments with larger budgets and full tables.
@@ -180,55 +180,6 @@ func BenchmarkHeadline(b *testing.B) {
 			b.ReportMetric(sum.StaleReductionVsEventual*100, "staleCut_pct")
 			b.ReportMetric(sum.ThroughputGainVsStrong*100, "tputGain_pct")
 			b.ReportMetric(sum.LatencyOverheadVsEventual*100, "latOverhead_pct")
-		}
-	}
-}
-
-// BenchmarkAblationFixedTp compares monitored vs frozen propagation time
-// (DESIGN.md §6): why Harmony must watch network latency.
-func BenchmarkAblationFixedTp(b *testing.B) {
-	opts := benchOpts()
-	opts.Threads = []int{40}
-	for i := 0; i < b.N; i++ {
-		fig, err := bench.AblationFixedTp(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportSeries(b, fig, "per100k")
-		}
-	}
-}
-
-// BenchmarkAblationReadRepair measures staleness with and without
-// background read repair.
-func BenchmarkAblationReadRepair(b *testing.B) {
-	opts := benchOpts()
-	opts.Threads = []int{40}
-	for i := 0; i < b.N; i++ {
-		fig, err := bench.AblationReadRepair(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportSeries(b, fig, "per100k")
-		}
-	}
-}
-
-// BenchmarkAblationVsQuorum compares Harmony against static QUORUM reads.
-func BenchmarkAblationVsQuorum(b *testing.B) {
-	opts := benchOpts()
-	opts.Threads = []int{40}
-	for i := 0; i < b.N; i++ {
-		figs, err := bench.AblationVsQuorum(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, f := range figs {
-				reportSeries(b, f, "y")
-			}
 		}
 	}
 }

@@ -13,8 +13,8 @@
 //	harmony-bench -experiment fig5 -arrival 8000   # open-loop Poisson load
 //	harmony-bench -backend live -experiment hotcold -procs 5 -json out/live.json
 //
-// Experiments: fig4a fig4b fig5 fig6 headline ablations hotcold regroup lag
-// churn partition all. fig5 and fig6 derive from the same measurement grid;
+// Experiments: fig4a fig4b fig5 fig6 headline hotcold regroup lag churn
+// partition all. fig5 and fig6 derive from the same measurement grid;
 // requesting either runs the grid for the selected scenario(s). hotcold
 // compares the per-group multi-model controller against the global
 // controller on a hot/cold key split; regroup compares learned online
@@ -54,7 +54,7 @@ func main() {
 		os.Exit(server.Main(os.Args[1:]))
 	}
 	var (
-		experiment = flag.String("experiment", "all", "fig4a|fig4b|fig5|fig6|headline|ablations|hotcold|regroup|lag|churn|partition|all")
+		experiment = flag.String("experiment", "all", "fig4a|fig4b|fig5|fig6|headline|hotcold|regroup|lag|churn|partition|all")
 		scenario   = flag.String("scenario", "both", "a scenario name (grid5000, ec2, wan-heavytail, degraded, congested-bimodal, drifting), 'both' paper testbeds, or 'all'")
 		ops        = flag.Int64("ops", 30000, "operations per measurement point")
 		seed       = flag.Int64("seed", 1, "root random seed")
@@ -74,6 +74,9 @@ func main() {
 	)
 	flag.Parse()
 
+	if *ops <= 0 {
+		fatalf("bad -ops %d: need a positive operation budget", *ops)
+	}
 	opts := bench.Options{OpsPerPoint: *ops, Seed: *seed, ArrivalRate: *arrival}
 	if !*quiet {
 		opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, "  "+line) }
@@ -135,10 +138,9 @@ func main() {
 	case wants(*experiment, "fig4a"):
 	case wants(*experiment, "fig4b"):
 	case wants(*experiment, "fig5"), wants(*experiment, "fig6"),
-		wants(*experiment, "headline"), wants(*experiment, "ablations"),
-		wants(*experiment, "hotcold"), wants(*experiment, "regroup"),
-		wants(*experiment, "lag"), wants(*experiment, "churn"),
-		wants(*experiment, "partition"):
+		wants(*experiment, "headline"), wants(*experiment, "hotcold"),
+		wants(*experiment, "regroup"), wants(*experiment, "lag"),
+		wants(*experiment, "churn"), wants(*experiment, "partition"):
 	default:
 		fatalf("unknown experiment %q", *experiment)
 	}
@@ -168,9 +170,6 @@ func main() {
 			}
 			fmt.Println(sum.Format())
 		}
-	}
-	if wants(*experiment, "ablations") {
-		runAblations(opts, &figures)
 	}
 	if wants(*experiment, "hotcold") {
 		for _, sc := range scenarios {
@@ -379,34 +378,6 @@ func runLiveBackend(experiment string, opts bench.Options, jsonPath string, ov l
 	}
 	fmt.Fprintf(os.Stderr, "done in %v\n", time.Since(start).Round(time.Millisecond))
 	failOnViolations(violations)
-}
-
-func runAblations(opts bench.Options, figures *[]bench.Figure) {
-	if fig, err := bench.AblationFixedTp(opts); err != nil {
-		fatalf("ablation fixedtp: %v", err)
-	} else {
-		*figures = append(*figures, fig)
-	}
-	if fig, err := bench.AblationMonitorInterval(opts); err != nil {
-		fatalf("ablation interval: %v", err)
-	} else {
-		*figures = append(*figures, fig)
-	}
-	if fig, err := bench.AblationReadRepair(opts); err != nil {
-		fatalf("ablation read-repair: %v", err)
-	} else {
-		*figures = append(*figures, fig)
-	}
-	if figs, err := bench.AblationVsQuorum(opts); err != nil {
-		fatalf("ablation quorum: %v", err)
-	} else {
-		*figures = append(*figures, figs...)
-	}
-	if fig, err := bench.AblationStrategy(opts); err != nil {
-		fatalf("ablation strategy: %v", err)
-	} else {
-		*figures = append(*figures, fig)
-	}
 }
 
 // writeJSON persists every result of the invocation as one machine-readable

@@ -51,16 +51,32 @@ func TestPolicyNames(t *testing.T) {
 	cases := map[string]PolicySpec{
 		"Eventual":    {Kind: PolicyEventual},
 		"Strong":      {Kind: PolicyStrong},
-		"Quorum":      {Kind: PolicyQuorum},
 		"Harmony-20%": {Kind: PolicyHarmony, Tolerance: 0.2},
-		"Harmony-40%-fixedTp": {
-			Kind: PolicyHarmony, Tolerance: 0.4, FixedTp: time.Millisecond,
-		},
 	}
 	for want, p := range cases {
 		if got := p.Name(); got != want {
 			t.Errorf("Name() = %q, want %q", got, want)
 		}
+	}
+}
+
+// TestSeedZeroIsItsOwnSeed: seed 0 must not be mapped onto another seed,
+// or a sweep over seeds 0..N would run one of them twice.
+func TestSeedZeroIsItsOwnSeed(t *testing.T) {
+	run := func(seed int64) RunResult {
+		g, err := RunGrid(Grid5000(), []PolicySpec{{Kind: PolicyEventual}},
+			Options{OpsPerPoint: 500, Threads: []int{4}, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g.Results[0][0]
+	}
+	zero, one := run(0), run(1)
+	if zero.Spec.Seed != 0 {
+		t.Fatalf("seed 0 ran as seed %d", zero.Spec.Seed)
+	}
+	if zero.Report.ReadLatency.Mean() == one.Report.ReadLatency.Mean() {
+		t.Fatal("seeds 0 and 1 produced the same run")
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package bench regenerates every figure of the paper's evaluation (§V):
 // the stale-read estimation studies of Fig. 4, the latency/throughput
 // comparisons of Fig. 5, the measured-staleness comparison of Fig. 6, and
-// the headline claims of §I, plus the ablations listed in DESIGN.md. Each
-// experiment builds a fresh simulated cluster, drives it with the YCSB
-// workload model, and emits a Figure whose series mirror the paper's plots.
+// the headline claims of §I. Each experiment builds a fresh simulated
+// cluster, drives it with the YCSB workload model, and emits a Figure whose
+// series mirror the paper's plots.
 package bench
 
 import (

@@ -92,7 +92,8 @@ type Grid struct {
 	Results [][]RunResult
 }
 
-// Options tune experiment cost; zero values select defaults.
+// Options tune experiment cost; zero values select defaults, except Seed,
+// where zero is a seed like any other.
 type Options struct {
 	// OpsPerPoint is the operation budget per measurement point
 	// (default 30000). The paper ran 3M (Grid'5000) / 10M (EC2); rates and
@@ -100,7 +101,7 @@ type Options struct {
 	OpsPerPoint int64
 	// Threads overrides the thread sweep.
 	Threads []int
-	// Seed feeds all randomness (default 1).
+	// Seed feeds all randomness.
 	Seed int64
 	// PhaseDuration is the virtual time per thread phase in Fig. 4(a);
 	// zero selects DefaultFig4aPhase.
@@ -119,9 +120,6 @@ func (o Options) withDefaults() Options {
 	}
 	if len(o.Threads) == 0 {
 		o.Threads = ThreadSweep
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }

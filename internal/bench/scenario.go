@@ -170,8 +170,6 @@ const (
 	PolicyEventual PolicyKind = iota
 	// PolicyStrong is static strong consistency (CL=ALL).
 	PolicyStrong
-	// PolicyQuorum is static quorum reads (ablation baseline).
-	PolicyQuorum
 	// PolicyHarmony adapts the level with the monitor + controller.
 	PolicyHarmony
 )
@@ -181,9 +179,6 @@ type PolicySpec struct {
 	Kind PolicyKind
 	// Tolerance is app_stale_rate for PolicyHarmony.
 	Tolerance float64
-	// FixedTp, when positive, runs Harmony with a constant propagation
-	// time — the no-latency-monitoring ablation.
-	FixedTp time.Duration
 }
 
 // Name renders the policy the way the paper labels its curves.
@@ -193,12 +188,7 @@ func (p PolicySpec) Name() string {
 		return "Eventual"
 	case PolicyStrong:
 		return "Strong"
-	case PolicyQuorum:
-		return "Quorum"
 	case PolicyHarmony:
-		if p.FixedTp > 0 {
-			return fmt.Sprintf("Harmony-%d%%-fixedTp", int(p.Tolerance*100+0.5))
-		}
 		return fmt.Sprintf("Harmony-%d%%", int(p.Tolerance*100+0.5))
 	}
 	return "unknown"
@@ -210,15 +200,12 @@ func (p PolicySpec) policy(n int, w ycsb.Workload, profile simnet.Profile) (clie
 	switch p.Kind {
 	case PolicyStrong:
 		return client.Fixed{Read: wire.All}, nil
-	case PolicyQuorum:
-		return client.Fixed{Read: wire.Quorum}, nil
 	case PolicyHarmony:
 		ctl := core.NewController(core.ControllerConfig{
 			Policy:               core.Policy{Name: p.Name(), ToleratedStaleRate: p.Tolerance},
 			N:                    n,
 			AvgWriteBytes:        float64(w.ValueBytes),
 			BandwidthBytesPerSec: profile.BandwidthBytesPerSec,
-			FixedTp:              p.FixedTp,
 		})
 		return ctl, ctl
 	default:

@@ -55,8 +55,8 @@ var (
 
 // ConsistencyPolicy supplies the read and write consistency levels for an
 // operation on key. It is the single policy surface of the client: Harmony's
-// adaptive controller implements it (per key group), static deployments use
-// Fixed, and per-key category tables (core.PerKeyLevels) implement it too.
+// adaptive controller implements it (per key group) and static deployments
+// use Fixed.
 //
 // The driver consults the policy at issue time for every operation and never
 // caches levels, so a policy whose grouping changes at runtime (the

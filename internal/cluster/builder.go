@@ -25,9 +25,6 @@ type Spec struct {
 	RF int
 	// VNodes per physical node; zero means 16.
 	VNodes int
-	// NetworkTopologyAware selects NetworkTopologyStrategy (the paper's
-	// placement) instead of SimpleStrategy.
-	NetworkTopologyAware bool
 	// Profile is the network latency profile.
 	Profile simnet.Profile
 	// ReadRepairChance is the probability a read fans out to all replicas
@@ -46,8 +43,7 @@ type Spec struct {
 	// ReadTimeout/WriteTimeout propagate to every node.
 	ReadTimeout, WriteTimeout time.Duration
 	// Service models each node's finite processing capacity; the zero
-	// value selects DefaultServiceProfile. Set Disabled to bypass queueing
-	// (pure-network experiments).
+	// value selects DefaultServiceProfile.
 	Service ServiceProfile
 	// Groups and GroupFn configure per-key-group telemetry on every node:
 	// each coordinated read/write is tagged into a group and tallied
@@ -70,8 +66,8 @@ type Spec struct {
 
 // ServiceProfile gives per-message-class service times for the node queue.
 // Actual service times are the class mean multiplied by a lognormal jitter
-// with unit mean and the configured 99th percentile, modeling the variance
-// real storage nodes exhibit (page-cache misses, GC pauses, compaction
+// with unit mean and a 99th percentile of 3x, modeling the variance real
+// storage nodes exhibit (page-cache misses, GC pauses, compaction
 // interference). The jitter is what separates "wait for the first replica"
 // from "wait for the slowest of five" in the latency distributions.
 type ServiceProfile struct {
@@ -81,16 +77,6 @@ type ServiceProfile struct {
 	ReplicaWrite time.Duration // applying a mutation or repair
 	Response     time.Duration // handling replica responses/acks
 	Other        time.Duration // stats, ping, gossip
-	// JitterP99 is the 99th percentile of the unit-mean multiplier; zero
-	// means 3.0, values <= 1 disable jitter.
-	JitterP99 float64
-	// Jitter, when non-nil, replaces the lognormal multiplier entirely
-	// with an arbitrary dist sampler (heavy-tailed GC pauses, bimodal
-	// compaction interference); JitterP99 is then ignored. The sampler is
-	// a multiplicative factor and should have mean ~1 so the class means
-	// stay calibrated.
-	Jitter   dist.Sampler
-	Disabled bool
 }
 
 // DefaultServiceProfile bounds the 20-node cluster at roughly 30k
@@ -105,7 +91,6 @@ func DefaultServiceProfile() ServiceProfile {
 		ReplicaWrite: 200 * time.Microsecond,
 		Response:     8 * time.Microsecond,
 		Other:        5 * time.Microsecond,
-		JitterP99:    3.0,
 	}
 }
 
@@ -120,26 +105,13 @@ func (p ServiceProfile) Scale(f float64) ServiceProfile {
 		ReplicaWrite: mul(p.ReplicaWrite),
 		Response:     mul(p.Response),
 		Other:        mul(p.Other),
-		JitterP99:    p.JitterP99,
-		Jitter:       p.Jitter,
-		Disabled:     p.Disabled,
 	}
 }
 
 // Timer converts the profile into a transport.ServiceTimer drawing jitter
 // from rng (which must belong to the node's runtime).
 func (p ServiceProfile) Timer(rng *rand.Rand) transport.ServiceTimer {
-	jitter := p.Jitter
-	if jitter == nil {
-		jp99 := p.JitterP99
-		if jp99 == 0 {
-			jp99 = 3.0
-		}
-		jitter = dist.Constant{V: 1}
-		if jp99 > 1 {
-			jitter = dist.LognormalFromMeanP99(1.0, jp99)
-		}
-	}
+	jitter := dist.LognormalFromMeanP99(1.0, 3.0)
 	return func(m wire.Message) time.Duration {
 		var base time.Duration
 		switch m.(type) {
@@ -169,14 +141,13 @@ func (p ServiceProfile) isZero() bool {
 // topology-aware placement, read repair on.
 func DefaultSpec() Spec {
 	return Spec{
-		DCs:                  1,
-		RacksPerDC:           4,
-		NodesPerRack:         5,
-		RF:                   5,
-		VNodes:               16,
-		NetworkTopologyAware: true,
-		Profile:              simnet.Grid5000Profile(),
-		ReadRepairChance:     0.1,
+		DCs:              1,
+		RacksPerDC:       4,
+		NodesPerRack:     5,
+		RF:               5,
+		VNodes:           16,
+		Profile:          simnet.Grid5000Profile(),
+		ReadRepairChance: 0.1,
 	}
 }
 
@@ -246,12 +217,7 @@ func build(spec Spec, rtFor func(ring.NodeID) sim.Runtime, s *sim.Sim) (*Cluster
 	if err != nil {
 		return nil, err
 	}
-	var strat ring.Strategy
-	if spec.NetworkTopologyAware {
-		strat = ring.NetworkTopologyStrategy{RF: spec.RF}
-	} else {
-		strat = ring.SimpleStrategy{RF: spec.RF}
-	}
+	strat := ring.NetworkTopologyStrategy{RF: spec.RF}
 	net := simnet.New(topo, spec.Profile, s.NewStream())
 	ids := make([]ring.NodeID, len(infos))
 	for i, info := range infos {
@@ -303,11 +269,7 @@ func build(spec Spec, rtFor func(ring.NodeID) sim.Runtime, s *sim.Sim) (*Cluster
 			AliveCount:       func() int { return plane.AliveCount(self) },
 			Rand:             s.NewStream(),
 		}, rt, bus)
-		var h transport.Handler = n
-		if !svc.Disabled {
-			h = transport.NewServiceQueue(rt, n, svc.Timer(s.NewStream()))
-		}
-		bus.Register(info.ID, rt, h)
+		bus.Register(info.ID, rt, transport.NewServiceQueue(rt, n, svc.Timer(s.NewStream())))
 		n.Start()
 		c.Nodes = append(c.Nodes, n)
 		c.byID[info.ID] = n

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"harmony/internal/client"
-	"harmony/internal/dist"
 	"harmony/internal/faults"
 	"harmony/internal/ring"
 	"harmony/internal/sim"
@@ -744,42 +743,30 @@ func TestRealTimeClusterSmoke(t *testing.T) {
 	}
 }
 
-// TestServiceProfileCustomJitter covers the dist.Sampler override: an
-// arbitrary sampler replaces the built-in lognormal multiplier, and Scale
-// must carry both jitter knobs through.
-func TestServiceProfileCustomJitter(t *testing.T) {
+// TestServiceProfileTimer covers the node service model: request classes
+// pay their mean times a stochastic lognormal multiplier, response-class
+// messages pay a fixed cost, and Scale multiplies every class mean.
+func TestServiceProfileTimer(t *testing.T) {
 	p := DefaultServiceProfile()
-	p.Jitter = dist.Constant{V: 10}
-	timer := p.Timer(rand.New(rand.NewSource(1)))
-	if got, want := timer(wire.ReadRequest{}), 10*p.CoordRead; got != want {
-		t.Fatalf("jittered coord read = %v, want %v", got, want)
-	}
-	if got, want := timer(wire.Mutation{}), 10*p.ReplicaWrite; got != want {
-		t.Fatalf("jittered replica write = %v, want %v", got, want)
-	}
-	// Response-class messages are fixed-cost and bypass jitter.
-	if got := timer(wire.MutationAck{}); got != p.Response {
-		t.Fatalf("response handling = %v, want %v", got, p.Response)
-	}
-
-	sc := p.Scale(2)
-	if sc.Jitter == nil || sc.JitterP99 != p.JitterP99 {
-		t.Fatalf("Scale dropped jitter configuration: %+v", sc)
-	}
-	if got, want := sc.Scale(1).CoordRead, 2*p.CoordRead; got != want {
-		t.Fatalf("scaled coord read = %v, want %v", got, want)
-	}
-
-	// Without an override the multiplier is stochastic with the
-	// configured p99: the default profile must vary its service times.
-	d := DefaultServiceProfile()
-	dt := d.Timer(rand.New(rand.NewSource(2)))
+	timer := p.Timer(rand.New(rand.NewSource(2)))
 	seen := map[time.Duration]bool{}
 	for i := 0; i < 50; i++ {
-		seen[dt(wire.ReplicaRead{})] = true
+		seen[timer(wire.ReplicaRead{})] = true
+		// Response-class messages are fixed-cost and bypass jitter.
+		if got := timer(wire.MutationAck{}); got != p.Response {
+			t.Fatalf("response handling = %v, want %v", got, p.Response)
+		}
 	}
 	if len(seen) < 10 {
 		t.Fatalf("default jitter produced only %d distinct service times", len(seen))
+	}
+
+	sc := p.Scale(2)
+	if got, want := sc.Scale(1).CoordRead, 2*p.CoordRead; got != want {
+		t.Fatalf("scaled coord read = %v, want %v", got, want)
+	}
+	if got, want := sc.Response, 2*p.Response; got != want {
+		t.Fatalf("scaled response = %v, want %v", got, want)
 	}
 }
 

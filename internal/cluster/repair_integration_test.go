@@ -20,14 +20,13 @@ import (
 // replicates most keys, hints capped tightly, anti-entropy on a fast cadence.
 func repairSpec() Spec {
 	return Spec{
-		DCs:                  1,
-		RacksPerDC:           2,
-		NodesPerRack:         3,
-		RF:                   5,
-		NetworkTopologyAware: true,
-		Profile:              simnet.Grid5000Profile(),
-		HintedHandoff:        true,
-		HintQueueLimit:       8,
+		DCs:            1,
+		RacksPerDC:     2,
+		NodesPerRack:   3,
+		RF:             5,
+		Profile:        simnet.Grid5000Profile(),
+		HintedHandoff:  true,
+		HintQueueLimit: 8,
 		Repair: repair.Options{
 			Enabled:        true,
 			Interval:       200 * time.Millisecond,

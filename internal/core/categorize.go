@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-
-	"harmony/internal/wire"
 )
 
 // This file implements the first future-work item of the paper's §VII:
@@ -20,16 +18,14 @@ import (
 // k-means over the feature space (write intensity and read/write contention)
 // and maps each cluster to a tolerable stale-read rate: hot, update-heavy
 // keys get tight tolerances (their staleness is visible), read-mostly cold
-// keys get loose ones. A PerKeyLevels view then serves per-operation levels
-// by combining the key's category tolerance with the current estimator
-// model.
+// keys get loose ones. The regrouping subsystem (internal/grouping) turns
+// the categories into the staleness groups the per-group controller serves.
 
-// KeyStats tracks exponentially decayed per-key access counts. It is safe
-// for concurrent use.
+// KeyStats accumulates per-key access counts. It is safe for concurrent
+// use.
 type KeyStats struct {
-	mu    sync.Mutex
-	decay float64 // multiplicative decay applied on Tick
-	keys  map[string]*keyCounters
+	mu   sync.Mutex
+	keys map[string]*keyCounters
 }
 
 type keyCounters struct {
@@ -37,20 +33,10 @@ type keyCounters struct {
 	writes float64
 }
 
-// NewKeyStats creates a tracker whose counters decay by the given factor
-// (0 < decay < 1 keeps history; 1 never forgets) on every Tick.
-func NewKeyStats(decay float64) *KeyStats {
-	if decay <= 0 || decay > 1 {
-		decay = 0.5
-	}
-	return &KeyStats{decay: decay, keys: make(map[string]*keyCounters)}
+// NewKeyStats creates an empty tracker.
+func NewKeyStats() *KeyStats {
+	return &KeyStats{keys: make(map[string]*keyCounters)}
 }
-
-// ObserveRead records one read of key.
-func (ks *KeyStats) ObserveRead(key []byte) { ks.observe(key, 1, 0) }
-
-// ObserveWrite records one write of key.
-func (ks *KeyStats) ObserveWrite(key []byte) { ks.observe(key, 0, 1) }
 
 // Add merges pre-aggregated weights for key — the hook the regrouping
 // subsystem uses to fold per-node samples into one cluster-wide view.
@@ -65,10 +51,6 @@ func (ks *KeyStats) Add(key []byte, reads, writes float64) {
 	if math.IsInf(reads, 1) || math.IsInf(writes, 1) || reads+writes == 0 {
 		return
 	}
-	ks.observe(key, reads, writes)
-}
-
-func (ks *KeyStats) observe(key []byte, r, w float64) {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
 	kc, ok := ks.keys[string(key)]
@@ -76,22 +58,8 @@ func (ks *KeyStats) observe(key []byte, r, w float64) {
 		kc = &keyCounters{}
 		ks.keys[string(key)] = kc
 	}
-	kc.reads += r
-	kc.writes += w
-}
-
-// Tick applies decay, aging out stale history; call it once per monitoring
-// interval.
-func (ks *KeyStats) Tick() {
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	for k, kc := range ks.keys {
-		kc.reads *= ks.decay
-		kc.writes *= ks.decay
-		if kc.reads+kc.writes < 0.01 {
-			delete(ks.keys, k)
-		}
-	}
+	kc.reads += reads
+	kc.writes += writes
 }
 
 // Len reports how many keys are currently tracked.
@@ -162,20 +130,18 @@ type Categorizer struct {
 	mu         sync.Mutex
 	categories []Category
 	assign     map[string]int
-	defaultTol float64
 }
 
-// NewCategorizer creates a k-category clusterer. defaultTol applies to keys
-// never seen at clustering time. seed makes clustering deterministic.
-func NewCategorizer(k int, defaultTol float64, seed int64) (*Categorizer, error) {
+// NewCategorizer creates a k-category clusterer. seed makes clustering
+// deterministic.
+func NewCategorizer(k int, seed int64) (*Categorizer, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("core: need at least 2 categories, got %d", k)
 	}
 	return &Categorizer{
-		k:          k,
-		seed:       seed,
-		assign:     make(map[string]int),
-		defaultTol: defaultTol,
+		k:      k,
+		seed:   seed,
+		assign: make(map[string]int),
 	}, nil
 }
 
@@ -415,108 +381,4 @@ func (c *Categorizer) Assignment() map[string]int {
 		out[k] = g
 	}
 	return out
-}
-
-// ToleranceFor returns the tolerable stale-read rate for a key.
-func (c *Categorizer) ToleranceFor(key []byte) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if idx, ok := c.assign[string(key)]; ok && idx < len(c.categories) {
-		return c.categories[idx].Tolerance
-	}
-	return c.defaultTol
-}
-
-// PerKeyLevels combines a Categorizer with the live estimation model: each
-// read gets the level its key's category demands under current conditions.
-// It implements client.ConsistencyPolicy (writes ship at ONE, the paper's
-// configuration).
-//
-// When GroupFn is set and the monitor reports per-group rates, the key's
-// category tolerance is evaluated against its own group's measured λr/λw
-// instead of the cluster-wide model, so a cold group's keys are judged by
-// the cold group's (benign) arrival process even while a hot group melts.
-type PerKeyLevels struct {
-	Cat *Categorizer
-	// AvgWriteBytes / BandwidthBytesPerSec parameterize Tp like
-	// ControllerConfig does.
-	AvgWriteBytes        float64
-	BandwidthBytesPerSec float64
-	// GroupFn maps keys to telemetry groups; it must match the cluster's
-	// Config.GroupFn. Nil keeps the global model for every key.
-	GroupFn func(key []byte) int
-
-	mu     sync.Mutex
-	model  Model
-	groups []Model
-}
-
-// Observe updates the estimator inputs; wire it to a Monitor alongside (or
-// instead of) a Controller.
-func (p *PerKeyLevels) Observe(obs Observation) {
-	tp := PropagationTime(obs.Latency, p.AvgWriteBytes, p.BandwidthBytesPerSec)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.model = Model{
-		N:       p.model.N,
-		LambdaR: obs.ReadRate,
-		LambdaW: obs.WriteInterval,
-		Tp:      tp,
-	}
-	p.groups = p.groups[:0]
-	for _, gr := range obs.Groups {
-		p.groups = append(p.groups, Model{
-			N:       p.model.N,
-			LambdaR: gr.ReadRate,
-			LambdaW: gr.WriteInterval,
-			Tp:      tp,
-		})
-	}
-}
-
-// SetN fixes the replication factor used by the per-key model.
-func (p *PerKeyLevels) SetN(n int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.model.N = n
-	for g := range p.groups {
-		p.groups[g].N = n
-	}
-}
-
-// modelFor picks the estimator model judging a key: its group's measured
-// rates when available, the global model otherwise. Out-of-range GroupFn
-// results clamp to group 0, matching the cluster nodes' telemetry clamp.
-// GroupFn runs outside the lock — it is user code on the per-read path.
-func (p *PerKeyLevels) modelFor(key []byte) Model {
-	g := -1
-	if p.GroupFn != nil {
-		g = p.GroupFn(key)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.GroupFn == nil || len(p.groups) == 0 {
-		return p.model
-	}
-	if g < 0 || g >= len(p.groups) {
-		g = 0
-	}
-	return p.groups[g]
-}
-
-// ReadLevelFor implements per-key adaptive consistency: the paper's §III
-// decision scheme evaluated against the key's category tolerance.
-func (p *PerKeyLevels) ReadLevelFor(key []byte) wire.ConsistencyLevel {
-	tol := p.Cat.ToleranceFor(key)
-	model := p.modelFor(key)
-	if !model.Valid() || tol >= model.StaleReadProbability() {
-		return wire.One
-	}
-	return wire.LevelForCount(model.ReplicasNeeded(tol), model.N)
-}
-
-// LevelsFor implements client.ConsistencyPolicy: reads at the key's
-// category-demanded level, writes at ONE.
-func (p *PerKeyLevels) LevelsFor(key []byte) (read, write wire.ConsistencyLevel) {
-	return p.ReadLevelFor(key), wire.One
 }

@@ -66,10 +66,6 @@ type ControllerConfig struct {
 	// Tp to the network latency alone.
 	AvgWriteBytes        float64
 	BandwidthBytesPerSec float64
-	// FixedTp, when positive, disables the latency term entirely and uses
-	// this constant — the ablation of DESIGN.md §6 showing why monitoring
-	// Ln matters (Fig. 4(b)).
-	FixedTp time.Duration
 	// OnDecision, when set, observes every decision (for tracing/benches).
 	OnDecision func(Decision)
 	// Trace, when set, receives structured control-loop events: per-group
@@ -423,11 +419,7 @@ func (c *Controller) propagationWith(obs Observation, avgw float64) time.Duratio
 	if avgw <= 0 {
 		avgw = obs.AvgWriteBytes
 	}
-	tp := PropagationTime(obs.Latency, avgw, c.cfg.BandwidthBytesPerSec)
-	if c.cfg.FixedTp > 0 {
-		tp = c.cfg.FixedTp
-	}
-	return tp
+	return PropagationTime(obs.Latency, avgw, c.cfg.BandwidthBytesPerSec)
 }
 
 // Observe consumes one monitoring observation and updates the consistency

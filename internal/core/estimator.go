@@ -2,8 +2,9 @@
 // estimator of §IV, the monitoring module that derives its inputs from the
 // running cluster (§V-A), and the adaptive-consistency controller that turns
 // the estimate into a per-operation consistency level using the decision
-// scheme of §III. It also carries the paper's future-work extensions
-// (access-pattern categorization and automatic tolerance advice).
+// scheme of §III. It also carries the paper's first future-work item,
+// access-pattern categorization (k-means over per-key read/write traffic),
+// which the regrouping subsystem turns into per-group tolerances.
 package core
 
 import (

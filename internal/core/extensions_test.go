@@ -6,38 +6,18 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
-
-	"harmony/internal/wire"
 )
 
-func TestKeyStatsObserveAndDecay(t *testing.T) {
-	ks := NewKeyStats(0.5)
-	ks.ObserveRead([]byte("a"))
-	ks.ObserveWrite([]byte("a"))
-	ks.ObserveRead([]byte("b"))
-	if ks.Len() != 2 {
-		t.Fatalf("len = %d", ks.Len())
-	}
-	// Many decay ticks age both keys out entirely.
-	for i := 0; i < 12; i++ {
-		ks.Tick()
-	}
-	if ks.Len() != 0 {
-		t.Fatalf("after decay len = %d", ks.Len())
-	}
-}
-
 func TestNewCategorizerValidation(t *testing.T) {
-	if _, err := NewCategorizer(1, 0.5, 1); err == nil {
+	if _, err := NewCategorizer(1, 1); err == nil {
 		t.Fatal("k=1 accepted")
 	}
 }
 
 func TestReclusterNeedsEnoughKeys(t *testing.T) {
-	ks := NewKeyStats(1)
-	ks.ObserveRead([]byte("only"))
-	cat, err := NewCategorizer(3, 0.5, 1)
+	ks := NewKeyStats()
+	ks.Add([]byte("only"), 1, 0)
+	cat, err := NewCategorizer(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,15 +27,15 @@ func TestReclusterNeedsEnoughKeys(t *testing.T) {
 }
 
 func TestReclusterEmptyStatsErrorsCleanly(t *testing.T) {
-	cat, err := NewCategorizer(2, 0.5, 1)
+	cat, err := NewCategorizer(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cat.Recluster(NewKeyStats(1), 0.05, 0.8); err == nil {
+	if err := cat.Recluster(NewKeyStats(), 0.05, 0.8); err == nil {
 		t.Fatal("reclustered an empty KeyStats")
 	}
-	if got := cat.ToleranceFor([]byte("x")); got != 0.5 {
-		t.Fatalf("failed recluster disturbed the default tolerance: %v", got)
+	if len(cat.Categories()) != 0 || len(cat.Assignment()) != 0 {
+		t.Fatalf("failed recluster installed state: %v %v", cat.Categories(), cat.Assignment())
 	}
 }
 
@@ -63,15 +43,11 @@ func TestReclusterIdenticalFeaturesNoNaN(t *testing.T) {
 	// Every key has the exact same access pattern: k-means collapses onto
 	// one point, empty clusters keep duplicate centroids, and tolerances
 	// must still come out finite and in-bounds.
-	ks := NewKeyStats(1)
+	ks := NewKeyStats()
 	for i := 0; i < 20; i++ {
-		key := []byte(fmt.Sprintf("same%d", i))
-		for j := 0; j < 10; j++ {
-			ks.ObserveRead(key)
-			ks.ObserveWrite(key)
-		}
+		ks.Add([]byte(fmt.Sprintf("same%d", i)), 10, 10)
 	}
-	cat, _ := NewCategorizer(3, 0.5, 9)
+	cat, _ := NewCategorizer(3, 9)
 	if err := cat.Recluster(ks, 0.05, 0.8); err != nil {
 		t.Fatal(err)
 	}
@@ -89,17 +65,16 @@ func TestReclusterIdenticalFeaturesNoNaN(t *testing.T) {
 		t.Fatalf("assigned %d of 20 keys", total)
 	}
 	for i := 0; i < 20; i++ {
-		tol := cat.ToleranceFor([]byte(fmt.Sprintf("same%d", i)))
-		if math.IsNaN(tol) {
+		if tol := toleranceOf(t, cat, fmt.Sprintf("same%d", i)); math.IsNaN(tol) {
 			t.Fatalf("same%d tolerance is NaN", i)
 		}
 	}
 }
 
 func TestReclusterSanitizesToleranceBounds(t *testing.T) {
-	ks := NewKeyStats(1)
+	ks := NewKeyStats()
 	populateBimodal(ks, 10, 10)
-	cat, _ := NewCategorizer(2, 0.5, 5)
+	cat, _ := NewCategorizer(2, 5)
 	// NaN bounds are rejected without touching state.
 	if err := cat.Recluster(ks, math.NaN(), 0.8); err == nil {
 		t.Fatal("NaN tolerance bound accepted")
@@ -116,9 +91,9 @@ func TestReclusterSanitizesToleranceBounds(t *testing.T) {
 }
 
 func TestReclusterCanonicalContentionOrder(t *testing.T) {
-	ks := NewKeyStats(1)
+	ks := NewKeyStats()
 	populateBimodal(ks, 25, 25)
-	cat, _ := NewCategorizer(2, 0.5, 11)
+	cat, _ := NewCategorizer(2, 11)
 	if err := cat.Recluster(ks, 0.05, 0.8); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +113,7 @@ func TestReclusterCanonicalContentionOrder(t *testing.T) {
 }
 
 func TestKeyStatsAddIgnoresDegenerateWeights(t *testing.T) {
-	ks := NewKeyStats(1)
+	ks := NewKeyStats()
 	ks.Add([]byte("big"), 10, 5)
 	ks.Add([]byte("small"), 1, 0)
 	ks.Add([]byte("junk"), math.NaN(), math.Inf(1)) // ignored
@@ -147,7 +122,7 @@ func TestKeyStatsAddIgnoresDegenerateWeights(t *testing.T) {
 		t.Fatalf("len = %d, want 2 (junk weights ignored)", ks.Len())
 	}
 	// The merged weights feed clustering: both keys are clusterable.
-	cat, _ := NewCategorizer(2, 0.5, 1)
+	cat, _ := NewCategorizer(2, 1)
 	if err := cat.Recluster(ks, 0.1, 0.9); err != nil {
 		t.Fatal(err)
 	}
@@ -160,24 +135,28 @@ func TestKeyStatsAddIgnoresDegenerateWeights(t *testing.T) {
 // write-contended keys and cold read-only keys.
 func populateBimodal(ks *KeyStats, hot, cold int) {
 	for i := 0; i < hot; i++ {
-		key := []byte(fmt.Sprintf("hot%d", i))
-		for j := 0; j < 50; j++ {
-			ks.ObserveWrite(key)
-			ks.ObserveRead(key)
-		}
+		ks.Add([]byte(fmt.Sprintf("hot%d", i)), 50, 50)
 	}
 	for i := 0; i < cold; i++ {
-		key := []byte(fmt.Sprintf("cold%d", i))
-		for j := 0; j < 20; j++ {
-			ks.ObserveRead(key)
-		}
+		ks.Add([]byte(fmt.Sprintf("cold%d", i)), 20, 0)
 	}
 }
 
+// toleranceOf returns the tolerance of the category key is assigned to,
+// failing the test when the last Recluster did not assign it.
+func toleranceOf(t *testing.T, cat *Categorizer, key string) float64 {
+	t.Helper()
+	idx, ok := cat.Assignment()[key]
+	if !ok {
+		t.Fatalf("key %q not assigned", key)
+	}
+	return cat.Categories()[idx].Tolerance
+}
+
 func TestCategorizerSeparatesHotAndCold(t *testing.T) {
-	ks := NewKeyStats(1)
+	ks := NewKeyStats()
 	populateBimodal(ks, 30, 30)
-	cat, err := NewCategorizer(2, 0.5, 7)
+	cat, err := NewCategorizer(2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +168,8 @@ func TestCategorizerSeparatesHotAndCold(t *testing.T) {
 		t.Fatalf("categories = %d", len(cats))
 	}
 	// Every hot key must get a tighter tolerance than every cold key.
-	hotTol := cat.ToleranceFor([]byte("hot0"))
-	coldTol := cat.ToleranceFor([]byte("cold0"))
+	hotTol := toleranceOf(t, cat, "hot0")
+	coldTol := toleranceOf(t, cat, "cold0")
 	if hotTol >= coldTol {
 		t.Fatalf("hot tolerance %v not tighter than cold %v", hotTol, coldTol)
 	}
@@ -198,24 +177,24 @@ func TestCategorizerSeparatesHotAndCold(t *testing.T) {
 		t.Fatalf("tolerances = %v / %v, want endpoints 0.05 / 0.8", hotTol, coldTol)
 	}
 	for i := 0; i < 30; i++ {
-		if got := cat.ToleranceFor([]byte(fmt.Sprintf("hot%d", i))); got != hotTol {
+		if got := toleranceOf(t, cat, fmt.Sprintf("hot%d", i)); got != hotTol {
 			t.Fatalf("hot%d tolerance %v", i, got)
 		}
-		if got := cat.ToleranceFor([]byte(fmt.Sprintf("cold%d", i))); got != coldTol {
+		if got := toleranceOf(t, cat, fmt.Sprintf("cold%d", i)); got != coldTol {
 			t.Fatalf("cold%d tolerance %v", i, got)
 		}
 	}
-	// Unknown keys use the default.
-	if got := cat.ToleranceFor([]byte("never-seen")); got != 0.5 {
-		t.Fatalf("default tolerance = %v", got)
+	// Keys never observed get no category.
+	if _, ok := cat.Assignment()["never-seen"]; ok {
+		t.Fatal("unobserved key was assigned a category")
 	}
 }
 
 func TestCategorizerDeterministic(t *testing.T) {
 	run := func() []Category {
-		ks := NewKeyStats(1)
+		ks := NewKeyStats()
 		populateBimodal(ks, 20, 20)
-		cat, _ := NewCategorizer(2, 0.5, 42)
+		cat, _ := NewCategorizer(2, 42)
 		if err := cat.Recluster(ks, 0.1, 0.9); err != nil {
 			t.Fatal(err)
 		}
@@ -232,109 +211,31 @@ func TestCategorizerDeterministic(t *testing.T) {
 func TestCategorizerToleranceBoundsProperty(t *testing.T) {
 	if err := quick.Check(func(seed int64, nKeys uint8) bool {
 		n := int(nKeys%40) + 4
-		ks := NewKeyStats(1)
+		ks := NewKeyStats()
 		r := rand.New(rand.NewSource(seed))
 		for i := 0; i < n; i++ {
 			key := []byte(fmt.Sprintf("k%d", i))
 			for j := 0; j < r.Intn(20)+1; j++ {
 				if r.Intn(2) == 0 {
-					ks.ObserveRead(key)
+					ks.Add(key, 1, 0)
 				} else {
-					ks.ObserveWrite(key)
+					ks.Add(key, 0, 1)
 				}
 			}
 		}
-		cat, _ := NewCategorizer(3, 0.5, seed)
+		cat, _ := NewCategorizer(3, seed)
 		if err := cat.Recluster(ks, 0.1, 0.7); err != nil {
 			return true // not enough distinct keys; fine
 		}
-		for i := 0; i < n; i++ {
-			tol := cat.ToleranceFor([]byte(fmt.Sprintf("k%d", i)))
-			if tol < 0.1-1e-9 || tol > 0.7+1e-9 {
+		cats := cat.Categories()
+		for _, idx := range cat.Assignment() {
+			if tol := cats[idx].Tolerance; tol < 0.1-1e-9 || tol > 0.7+1e-9 {
 				return false
 			}
 		}
 		return true
 	}, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPerKeyLevels(t *testing.T) {
-	ks := NewKeyStats(1)
-	populateBimodal(ks, 10, 10)
-	cat, _ := NewCategorizer(2, 0.5, 3)
-	if err := cat.Recluster(ks, 0.02, 0.9); err != nil {
-		t.Fatal(err)
-	}
-	pkl := &PerKeyLevels{Cat: cat}
-	pkl.SetN(5)
-	// Moderate contention: the estimate lands between the hot category's
-	// 2% tolerance and the cold category's 90%.
-	pkl.Observe(Observation{ReadRate: 300, WriteInterval: 0.005, Latency: time.Millisecond})
-	hot := pkl.ReadLevelFor([]byte("hot0"))
-	cold := pkl.ReadLevelFor([]byte("cold0"))
-	if hot == wire.One {
-		t.Fatal("hot key stayed at ONE under heavy contention")
-	}
-	if cold != wire.One {
-		t.Fatalf("cold key escalated to %v; its category tolerates staleness", cold)
-	}
-	// Quiet cluster: everyone relaxes to ONE.
-	pkl.Observe(Observation{ReadRate: 1, WriteInterval: 10, Latency: 100 * time.Microsecond})
-	if got := pkl.ReadLevelFor([]byte("hot0")); got != wire.One {
-		t.Fatalf("hot key = %v on a quiet cluster", got)
-	}
-}
-
-func TestPerKeyLevelsGroupModels(t *testing.T) {
-	// With GroupFn set, each key is judged against its own group's
-	// measured rates: a tight-tolerance key relaxes to ONE when its group
-	// is quiet, even while the global model screams contention.
-	ks := NewKeyStats(1)
-	populateBimodal(ks, 10, 10)
-	cat, _ := NewCategorizer(2, 0.5, 3)
-	if err := cat.Recluster(ks, 0.02, 0.9); err != nil {
-		t.Fatal(err)
-	}
-	pkl := &PerKeyLevels{Cat: cat, GroupFn: func(key []byte) int {
-		if len(key) > 0 && key[0] == 'h' {
-			return 0
-		}
-		return 1
-	}}
-	pkl.SetN(5)
-	contended := GroupRates{ReadRate: 300, WriteInterval: 0.005}
-	quiet := GroupRates{ReadRate: 1, WriteInterval: 10}
-
-	// Hot keys' group contended: they escalate.
-	pkl.Observe(Observation{ReadRate: 300, WriteInterval: 0.005, Latency: time.Millisecond,
-		Groups: []GroupRates{contended, quiet}})
-	if got := pkl.ReadLevelFor([]byte("hot0")); got == wire.One {
-		t.Fatal("hot key stayed at ONE while its group is contended")
-	}
-	// Same global picture, but the hot keys' group is now the quiet one:
-	// the per-group model must relax them even though the global model
-	// (and the other group) still shows contention.
-	pkl.Observe(Observation{ReadRate: 300, WriteInterval: 0.005, Latency: time.Millisecond,
-		Groups: []GroupRates{quiet, contended}})
-	if got := pkl.ReadLevelFor([]byte("hot0")); got != wire.One {
-		t.Fatalf("hot key = %v; its group is quiet, want ONE", got)
-	}
-	// Out-of-range GroupFn results clamp to group 0, mirroring the
-	// cluster nodes' telemetry clamp: here group 0 is contended while the
-	// global model is quiet, so a clamped key must escalate.
-	pkl2 := &PerKeyLevels{Cat: cat, GroupFn: func([]byte) int { return 5 }}
-	pkl2.SetN(5)
-	pkl2.Observe(Observation{ReadRate: 1, WriteInterval: 10, Latency: time.Millisecond,
-		Groups: []GroupRates{contended, quiet}})
-	if got := pkl2.ReadLevelFor([]byte("hot0")); got == wire.One {
-		t.Fatal("out-of-range group did not clamp to (contended) group 0")
-	}
-	// Without per-group telemetry the global model still rules.
-	pkl2.Observe(Observation{ReadRate: 300, WriteInterval: 0.005, Latency: time.Millisecond})
-	if got := pkl2.ReadLevelFor([]byte("hot0")); got == wire.One {
-		t.Fatal("no-telemetry observation did not fall back to the global model")
 	}
 }
 
@@ -345,7 +246,7 @@ func TestPerKeyLevelsGroupModels(t *testing.T) {
 // (they carry the traffic the categories exist to protect), and the
 // write-contended one must get the tightest tolerance.
 func TestWeightedKMeansSeparatesHotPopulationsUnderHeavyTail(t *testing.T) {
-	ks := NewKeyStats(1)
+	ks := NewKeyStats()
 	// 400 tail keys, ~unit weight, read-mostly features scattered across
 	// the low end (write share <= ~0.2, far from the hot populations').
 	for i := 0; i < 400; i++ {
@@ -361,7 +262,7 @@ func TestWeightedKMeansSeparatesHotPopulationsUnderHeavyTail(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		ks.Add([]byte(fmt.Sprintf("hotB%02d", i)), 4500, 500)
 	}
-	cat, err := NewCategorizer(3, 0.5, 7)
+	cat, err := NewCategorizer(3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,19 +223,6 @@ func TestControllerNoSignalStaysEventual(t *testing.T) {
 	}
 }
 
-func TestControllerFixedTpAblation(t *testing.T) {
-	// With FixedTp the decision ignores measured latency entirely.
-	ctl := NewController(ControllerConfig{
-		Policy:  Policy{ToleratedStaleRate: 0.2},
-		N:       5,
-		FixedTp: time.Microsecond,
-	})
-	ctl.Observe(Observation{At: time.Unix(1, 0), ReadRate: 1000, WriteInterval: 0.002, Latency: 40 * time.Millisecond, Window: time.Second})
-	if d := ctl.Last(); d.Model.Tp != time.Microsecond {
-		t.Fatalf("FixedTp not applied: %v", d.Model.Tp)
-	}
-}
-
 func TestMonitorControllerEndToEnd(t *testing.T) {
 	// Full loop: synthetic load → monitor → controller → level adapts.
 	var decisions []Decision

@@ -1,6 +1,6 @@
 // Package dist provides the statistical primitives every timing model in
-// this repository is built from: latency/jitter samplers with analytic
-// moments, and the YCSB request-key choosers (zipfian and friends).
+// this repository is built from: latency/jitter samplers, and the YCSB
+// request-key choosers (zipfian and friends).
 //
 // Samplers are immutable values. All randomness flows through the
 // *rand.Rand passed to Sample, so determinism is entirely the caller's:
@@ -8,11 +8,6 @@
 // workload thread) reproduces the same draws run after run. Because
 // samplers hold no mutable state they are safe to share across goroutines
 // as long as each goroutine samples with its own rng.
-//
-// Every concrete sampler exposes closed-form Mean and Quantile accessors
-// (combinators invert their analytic CDF numerically), which is what lets
-// property tests pin empirical moments against ground truth and lets
-// profile authors reason about a jitter model's p99 without simulating it.
 package dist
 
 import (
@@ -22,19 +17,9 @@ import (
 )
 
 // Sampler is a one-dimensional distribution: Sample draws a variate using
-// the caller's rng, Mean returns the expectation, and Quantile(p) returns
-// the value x with P(X <= x) = p for p in (0, 1).
+// the caller's rng.
 type Sampler interface {
 	Sample(rng *rand.Rand) float64
-	Mean() float64
-	Quantile(p float64) float64
-}
-
-// CDFer is implemented by samplers whose cumulative distribution function
-// is available in closed form. All samplers in this package implement it;
-// combinators use it to invert mixtures numerically.
-type CDFer interface {
-	CDF(x float64) float64
 }
 
 // NewRand returns a deterministic random stream for the seed; a convenience
@@ -46,7 +31,7 @@ func NewRand(seed int64) *rand.Rand {
 
 // SampleDuration draws from s and scales the variate by unit, clamping
 // negatives to zero. It is the bridge between unitless samplers and the
-// time.Duration world of the simulator (think times, inter-arrival gaps).
+// time.Duration world of the simulator (open-loop inter-arrival gaps).
 func SampleDuration(s Sampler, rng *rand.Rand, unit time.Duration) time.Duration {
 	v := s.Sample(rng)
 	if v <= 0 {
@@ -62,52 +47,3 @@ func zQuantile(p float64) float64 {
 
 // z99 is Phi^-1(0.99), the constant behind the mean/p99 lognormal fit.
 var z99 = zQuantile(0.99)
-
-// cdfOf evaluates the CDF of any sampler: directly when it implements
-// CDFer, otherwise by numerically inverting its (monotone) Quantile.
-func cdfOf(s Sampler, x float64) float64 {
-	if c, ok := s.(CDFer); ok {
-		return c.CDF(x)
-	}
-	lo, hi := 0.0, 1.0
-	for i := 0; i < 64; i++ {
-		mid := (lo + hi) / 2
-		if s.Quantile(mid) <= x {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
-// clampProb guards quantile inputs: values at or outside (0,1) are pulled
-// to the nearest representable interior probability so accessors stay
-// finite and monotone even under sloppy callers.
-func clampProb(p float64) float64 {
-	const eps = 1e-12
-	if !(p > eps) { // also catches NaN
-		return eps
-	}
-	if p > 1-eps {
-		return 1 - eps
-	}
-	return p
-}
-
-// invertCDF computes the generalized inverse inf{x : F(x) >= p} by
-// bisection on [lo, hi], which must bracket it (F(lo) <= p <= F(hi)).
-// Returning the upper end of the shrunken bracket makes quantiles land on
-// top of CDF jumps (point masses) instead of just below them. Used by
-// combinators whose CDF is analytic but whose quantile has no closed form.
-func invertCDF(cdf func(float64) float64, p, lo, hi float64) float64 {
-	for i := 0; i < 128 && hi-lo > math.Abs(hi)*1e-13+1e-300; i++ {
-		mid := lo + (hi-lo)/2
-		if cdf(mid) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi
-}

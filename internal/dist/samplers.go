@@ -15,50 +15,6 @@ type Constant struct {
 // Sample returns V.
 func (c Constant) Sample(*rand.Rand) float64 { return c.V }
 
-// Mean returns V.
-func (c Constant) Mean() float64 { return c.V }
-
-// Quantile returns V for every p.
-func (c Constant) Quantile(float64) float64 { return c.V }
-
-// CDF is the unit step at V.
-func (c Constant) CDF(x float64) float64 {
-	if x < c.V {
-		return 0
-	}
-	return 1
-}
-
-// Uniform is the continuous uniform distribution on [Lo, Hi).
-type Uniform struct {
-	Lo, Hi float64
-}
-
-// Sample draws uniformly from [Lo, Hi).
-func (u Uniform) Sample(rng *rand.Rand) float64 {
-	return u.Lo + rng.Float64()*(u.Hi-u.Lo)
-}
-
-// Mean returns the midpoint (Lo+Hi)/2.
-func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
-
-// Quantile returns Lo + p*(Hi-Lo).
-func (u Uniform) Quantile(p float64) float64 {
-	return u.Lo + clampProb(p)*(u.Hi-u.Lo)
-}
-
-// CDF is linear between Lo and Hi.
-func (u Uniform) CDF(x float64) float64 {
-	switch {
-	case x <= u.Lo:
-		return 0
-	case x >= u.Hi:
-		return 1
-	default:
-		return (x - u.Lo) / (u.Hi - u.Lo)
-	}
-}
-
 // Exponential is the exponential distribution parameterized by its Mean
 // (1/rate), the natural form for inter-arrival gaps and memoryless delays.
 type Exponential struct {
@@ -71,22 +27,6 @@ func NewExponential(mean float64) Exponential { return Exponential{MeanV: mean} 
 // Sample draws an exponential variate with the configured mean.
 func (e Exponential) Sample(rng *rand.Rand) float64 {
 	return rng.ExpFloat64() * e.MeanV
-}
-
-// Mean returns the configured mean.
-func (e Exponential) Mean() float64 { return e.MeanV }
-
-// Quantile returns -mean * ln(1-p).
-func (e Exponential) Quantile(p float64) float64 {
-	return -e.MeanV * math.Log(1-clampProb(p))
-}
-
-// CDF returns 1 - exp(-x/mean) for x >= 0.
-func (e Exponential) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return 1 - math.Exp(-x/e.MeanV)
 }
 
 // Lognormal is exp(N(Mu, Sigma^2)): the classic model for service-time and
@@ -123,28 +63,6 @@ func (l Lognormal) Sample(rng *rand.Rand) float64 {
 	return math.Exp(l.Mu + l.Sigma*rng.NormFloat64())
 }
 
-// Mean returns exp(mu + sigma^2/2).
-func (l Lognormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
-
-// Quantile returns exp(mu + sigma*Phi^-1(p)).
-func (l Lognormal) Quantile(p float64) float64 {
-	return math.Exp(l.Mu + l.Sigma*zQuantile(clampProb(p)))
-}
-
-// CDF returns Phi((ln x - mu)/sigma).
-func (l Lognormal) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	if l.Sigma == 0 {
-		if math.Log(x) < l.Mu {
-			return 0
-		}
-		return 1
-	}
-	return 0.5 * math.Erfc(-(math.Log(x)-l.Mu)/(l.Sigma*math.Sqrt2))
-}
-
 // Pareto is the type-I Pareto distribution with scale Xm (minimum value)
 // and shape Alpha: the canonical heavy tail for WAN latency spikes. Alpha
 // <= 1 has an infinite mean; keep Alpha > 1 for latency models.
@@ -165,27 +83,6 @@ func (pa Pareto) Sample(rng *rand.Rand) float64 {
 	return pa.Xm * math.Pow(1-u, -1/pa.Alpha)
 }
 
-// Mean returns alpha*Xm/(alpha-1), or +Inf for alpha <= 1.
-func (pa Pareto) Mean() float64 {
-	if pa.Alpha <= 1 {
-		return math.Inf(1)
-	}
-	return pa.Alpha * pa.Xm / (pa.Alpha - 1)
-}
-
-// Quantile returns Xm * (1-p)^(-1/alpha).
-func (pa Pareto) Quantile(p float64) float64 {
-	return pa.Xm * math.Pow(1-clampProb(p), -1/pa.Alpha)
-}
-
-// CDF returns 1 - (Xm/x)^alpha for x >= Xm.
-func (pa Pareto) CDF(x float64) float64 {
-	if x < pa.Xm {
-		return 0
-	}
-	return 1 - math.Pow(pa.Xm/x, pa.Alpha)
-}
-
 // Shifted translates Base by Offset: X = Offset + Base. Used to give a
 // stochastic tail a hard latency floor (e.g. a degraded link that is never
 // faster than some constant).
@@ -197,124 +94,30 @@ type Shifted struct {
 // Sample returns Offset + Base.Sample.
 func (s Shifted) Sample(rng *rand.Rand) float64 { return s.Offset + s.Base.Sample(rng) }
 
-// Mean returns Offset + Base.Mean.
-func (s Shifted) Mean() float64 { return s.Offset + s.Base.Mean() }
-
-// Quantile returns Offset + Base.Quantile(p).
-func (s Shifted) Quantile(p float64) float64 { return s.Offset + s.Base.Quantile(p) }
-
-// CDF evaluates the base CDF at x - Offset.
-func (s Shifted) CDF(x float64) float64 { return cdfOf(s.Base, x-s.Offset) }
-
-// Component weights one sampler inside a Mixture.
-type Component struct {
-	Weight  float64
-	Sampler Sampler
-}
-
-// Mixture draws from one of several component distributions chosen by
-// weight — the general tool for multi-regime latency (fast path vs
-// retransmit, cache hit vs miss). Construct with NewMixture.
-type Mixture struct {
-	comps []Component
-	total float64
-}
-
-// NewMixture builds a mixture from components with positive weights
-// (normalization is internal; weights need not sum to 1). It panics on an
-// empty or non-positive-weight component list, since a silent fallback
-// would corrupt experiment timing.
-func NewMixture(comps ...Component) Mixture {
-	total := 0.0
-	for _, c := range comps {
-		if c.Weight < 0 || c.Sampler == nil {
-			panic("dist: mixture component with negative weight or nil sampler")
-		}
-		total += c.Weight
-	}
-	if len(comps) == 0 || total <= 0 {
-		panic("dist: mixture needs at least one positively weighted component")
-	}
-	return Mixture{comps: append([]Component(nil), comps...), total: total}
-}
-
-// Sample picks a component by weight, then samples it.
-func (m Mixture) Sample(rng *rand.Rand) float64 {
-	u := rng.Float64() * m.total
-	for _, c := range m.comps {
-		if u < c.Weight {
-			return c.Sampler.Sample(rng)
-		}
-		u -= c.Weight
-	}
-	return m.comps[len(m.comps)-1].Sampler.Sample(rng)
-}
-
-// Mean returns the weight-averaged component means.
-func (m Mixture) Mean() float64 {
-	sum := 0.0
-	for _, c := range m.comps {
-		sum += c.Weight * c.Sampler.Mean()
-	}
-	return sum / m.total
-}
-
-// CDF returns the weight-averaged component CDFs.
-func (m Mixture) CDF(x float64) float64 {
-	sum := 0.0
-	for _, c := range m.comps {
-		sum += c.Weight * cdfOf(c.Sampler, x)
-	}
-	return sum / m.total
-}
-
-// Quantile inverts the mixture CDF numerically. The quantile is bracketed
-// by the extreme component quantiles: at min_i Q_i(p) the mixture CDF is
-// <= p, at max_i Q_i(p) it is >= p.
-func (m Mixture) Quantile(p float64) float64 {
-	p = clampProb(p)
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, c := range m.comps {
-		q := c.Sampler.Quantile(p)
-		lo = math.Min(lo, q)
-		hi = math.Max(hi, q)
-	}
-	if lo == hi {
-		return lo
-	}
-	return invertCDF(m.CDF, p, lo, hi)
-}
-
-// Bimodal is the two-regime special case of Mixture that network profiles
-// use for congestion: with probability PFar the draw comes from Far (the
-// slow mode), otherwise from Near. Construct with NewBimodal.
+// Bimodal is the two-regime distribution network profiles use for
+// congestion: with probability pFar the draw comes from far (the slow
+// mode), otherwise from near. Construct with NewBimodal.
 type Bimodal struct {
-	mix Mixture
+	near, far Sampler
+	pNear     float64
 }
 
-// NewBimodal builds a two-mode distribution: Near with probability
-// 1-pFar, Far with probability pFar. pFar must lie in [0, 1].
+// NewBimodal builds a two-mode distribution: near with probability
+// 1-pFar, far with probability pFar. pFar must lie in [0, 1].
 func NewBimodal(near, far Sampler, pFar float64) Bimodal {
 	if pFar < 0 || pFar > 1 {
 		panic("dist: bimodal far-mode probability outside [0,1]")
 	}
-	return Bimodal{mix: NewMixture(
-		Component{Weight: 1 - pFar, Sampler: near},
-		Component{Weight: pFar, Sampler: far},
-	)}
+	return Bimodal{near: near, far: far, pNear: 1 - pFar}
 }
 
-// Sample draws from the active mode.
-func (b Bimodal) Sample(rng *rand.Rand) float64 { return b.mix.Sample(rng) }
-
-// Mean returns (1-pFar)*near.Mean + pFar*far.Mean.
-func (b Bimodal) Mean() float64 { return b.mix.Mean() }
-
-// Quantile inverts the two-mode CDF.
-func (b Bimodal) Quantile(p float64) float64 { return b.mix.Quantile(p) }
-
-// CDF is the weighted two-mode CDF.
-func (b Bimodal) CDF(x float64) float64 { return b.mix.CDF(x) }
+// Sample draws one Float64 to pick the mode, then samples that mode.
+func (b Bimodal) Sample(rng *rand.Rand) float64 {
+	if rng.Float64() < b.pNear {
+		return b.near.Sample(rng)
+	}
+	return b.far.Sample(rng)
+}
 
 // Drifting is a time-varying two-regime distribution: each draw comes from
 // From with probability 1-Progress and from To with probability Progress,
@@ -324,10 +127,7 @@ func (b Bimodal) CDF(x float64) float64 { return b.mix.CDF(x) }
 //
 // Unlike every other sampler in this package, Drifting carries mutable
 // state (the progress knob) and is therefore a pointer type; SetProgress
-// is safe to call concurrently with Sample. At any fixed progress the
-// analytic accessors (Mean/Quantile/CDF) describe the current mixture
-// exactly, which keeps property tests and profile authors honest about
-// the instantaneous regime.
+// is safe to call concurrently with Sample.
 type Drifting struct {
 	From, To Sampler
 	bits     atomic.Uint64
@@ -356,21 +156,6 @@ func (d *Drifting) SetProgress(p float64) {
 // Progress returns the current drift position in [0, 1].
 func (d *Drifting) Progress() float64 { return math.Float64frombits(d.bits.Load()) }
 
-// snapshot freezes the current mixture.
-func (d *Drifting) snapshot() Mixture {
-	p := d.Progress()
-	switch p {
-	case 0:
-		return NewMixture(Component{Weight: 1, Sampler: d.From})
-	case 1:
-		return NewMixture(Component{Weight: 1, Sampler: d.To})
-	}
-	return NewMixture(
-		Component{Weight: 1 - p, Sampler: d.From},
-		Component{Weight: p, Sampler: d.To},
-	)
-}
-
 // Sample draws from the regime mixture at the current progress.
 func (d *Drifting) Sample(rng *rand.Rand) float64 {
 	p := d.Progress()
@@ -379,12 +164,3 @@ func (d *Drifting) Sample(rng *rand.Rand) float64 {
 	}
 	return d.From.Sample(rng)
 }
-
-// Mean returns the progress-weighted regime means.
-func (d *Drifting) Mean() float64 { return d.snapshot().Mean() }
-
-// Quantile inverts the current mixture CDF.
-func (d *Drifting) Quantile(p float64) float64 { return d.snapshot().Quantile(p) }
-
-// CDF is the progress-weighted regime CDF.
-func (d *Drifting) CDF(x float64) float64 { return d.snapshot().CDF(x) }

@@ -108,7 +108,7 @@ func New(cfg Config, rt sim.Runtime, send transport.Sender) (*Regrouper, error) 
 	if cfg.MaxCarry == 0 {
 		cfg.MaxCarry = 8
 	}
-	cat, err := core.NewCategorizer(cfg.K, cfg.MaxTolerance, cfg.Seed)
+	cat, err := core.NewCategorizer(cfg.K, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +190,7 @@ func (r *Regrouper) Epochs() uint64 {
 // of (or in addition to) the timer.
 func (r *Regrouper) RegroupNow() bool {
 	r.mu.Lock()
-	merged := core.NewKeyStats(1)
+	merged := core.NewKeyStats()
 	weight := make(map[string]float64)
 	for _, samples := range r.samples {
 		for _, s := range samples {

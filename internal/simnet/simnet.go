@@ -139,22 +139,6 @@ func DriftingProfile() (Profile, *dist.Drifting) {
 	}, drift
 }
 
-// Profiles returns every named profile keyed by its Name, for CLIs and
-// experiment configs that select scenarios by string. The drifting
-// profile is registered at progress 0 (its healthy regime); experiments
-// that want the drift itself use DriftingProfile directly for the knob.
-func Profiles() map[string]Profile {
-	drifting, _ := DriftingProfile()
-	ps := map[string]Profile{}
-	for _, p := range []Profile{
-		Grid5000Profile(), EC2Profile(), WANHeavyTailProfile(),
-		DegradedProfile(), CongestedBimodalProfile(), drifting,
-	} {
-		ps[p.Name] = p
-	}
-	return ps
-}
-
 // UniformProfile gives every pair the same one-way latency; used by the
 // Fig. 4(b) sweep where latency is the controlled variable.
 func UniformProfile(oneWay time.Duration) Profile {

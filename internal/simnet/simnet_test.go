@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -184,31 +185,35 @@ func TestProfilesSane(t *testing.T) {
 			t.Fatal("uniform profile not uniform")
 		}
 	}
-}
-
-func TestNamedProfilesRegistry(t *testing.T) {
-	ps := Profiles()
-	for _, name := range []string{"grid5000", "ec2", "wan-heavytail", "degraded", "congested-bimodal", "drifting"} {
-		p, ok := ps[name]
-		if !ok {
-			t.Fatalf("registry missing profile %q", name)
-		}
-		if p.Name != name {
-			t.Fatalf("profile keyed %q has Name %q", name, p.Name)
-		}
+	drifting, _ := DriftingProfile()
+	for _, p := range []Profile{g, e, WANHeavyTailProfile(), DegradedProfile(), CongestedBimodalProfile(), drifting} {
 		if p.Jitter == nil {
-			t.Fatalf("profile %q has nil jitter", name)
+			t.Fatalf("profile %q has nil jitter", p.Name)
 		}
 		// Base latencies must be monotone in proximity class.
 		for i := 1; i < 4; i++ {
 			if p.Base[i] < p.Base[i-1] {
-				t.Fatalf("profile %q base latencies not monotone: %v", name, p.Base)
+				t.Fatalf("profile %q base latencies not monotone: %v", p.Name, p.Base)
 			}
 		}
 	}
-	if len(ps) != 6 {
-		t.Fatalf("registry has %d profiles, want 6", len(ps))
+}
+
+// jitterDraws returns n seeded draws of s, sorted, and their mean.
+func jitterDraws(s dist.Sampler, n int) (sorted []float64, mean float64) {
+	rng := dist.NewRand(9)
+	sorted = make([]float64, n)
+	for i := range sorted {
+		sorted[i] = s.Sample(rng)
+		mean += sorted[i]
 	}
+	slices.Sort(sorted)
+	return sorted, mean / float64(n)
+}
+
+// quantile reads the p-quantile off a sorted sample.
+func quantile(sorted []float64, p float64) float64 {
+	return sorted[int(p*float64(len(sorted)))]
 }
 
 // TestDriftingProfileRegimes pins the drifting profile's two endpoints:
@@ -219,14 +224,14 @@ func TestDriftingProfileRegimes(t *testing.T) {
 	if p.Name != "drifting" || p.Jitter != dist.Sampler(knob) {
 		t.Fatalf("profile jitter is not the returned knob")
 	}
-	healthy := knob.Mean()
+	_, healthy := jitterDraws(knob, 100_000)
 	knob.SetProgress(1)
-	degraded := knob.Mean()
+	degradedDraws, degraded := jitterDraws(knob, 100_000)
 	if degraded < 1.7*healthy {
 		t.Fatalf("drift barely degrades: %v -> %v", healthy, degraded)
 	}
-	if q := knob.Quantile(0.01); q < 0.8 {
-		t.Fatalf("degraded regime floor missing: p1 = %v", q)
+	if degradedDraws[0] < 0.8 {
+		t.Fatalf("degraded regime floor missing: min multiplier %v", degradedDraws[0])
 	}
 	// Independent knobs per call.
 	p2, knob2 := DriftingProfile()
@@ -235,31 +240,35 @@ func TestDriftingProfileRegimes(t *testing.T) {
 	}
 }
 
-// TestStressProfileJitterShapes pins the statistical character each new
-// profile was added for, via the samplers' analytic accessors.
+// TestStressProfileJitterShapes pins the statistical character each stress
+// profile was added for, measured on seeded draws of its jitter.
 func TestStressProfileJitterShapes(t *testing.T) {
-	wan, deg, con := WANHeavyTailProfile(), DegradedProfile(), CongestedBimodalProfile()
-	// All jitters are multiplicative factors with mean in a sane band.
-	for _, p := range []Profile{wan, deg, con} {
-		m := p.Jitter.Mean()
+	const n = 200_000
+	shapes := map[string][]float64{}
+	for _, p := range []Profile{WANHeavyTailProfile(), DegradedProfile(), CongestedBimodalProfile()} {
+		sorted, m := jitterDraws(p.Jitter, n)
+		shapes[p.Name] = sorted
+		// All jitters are multiplicative factors with mean in a sane band.
 		if m < 0.9 || m > 2.5 {
 			t.Errorf("%s jitter mean = %v, want ~[1, 2.5]", p.Name, m)
 		}
-		if p99 := p.Jitter.Quantile(0.99); p99 <= m {
+		if p99 := quantile(sorted, 0.99); p99 <= m {
 			t.Errorf("%s jitter p99 %v not above mean %v", p.Name, p99, m)
 		}
 	}
 	// Heavy tail: WAN p99.99 must dwarf its p99.
-	if r := wan.Jitter.Quantile(0.9999) / wan.Jitter.Quantile(0.99); r < 3 {
+	wan := shapes["wan-heavytail"]
+	if r := quantile(wan, 0.9999) / quantile(wan, 0.99); r < 3 {
 		t.Errorf("wan tail ratio p99.99/p99 = %v, want heavy", r)
 	}
-	// Degraded has a hard floor: even the p1 multiplier stays above it.
-	if q := deg.Jitter.Quantile(0.01); q < 0.8 {
-		t.Errorf("degraded floor broken: p1 multiplier = %v", q)
+	// Degraded has a hard floor: no multiplier falls below it.
+	if q := shapes["degraded"][0]; q < 0.8 {
+		t.Errorf("degraded floor broken: min multiplier = %v", q)
 	}
 	// Bimodal: the congested mode must show as a jump between median and
 	// tail that a unimodal lognormal of the same median would not have.
-	if r := con.Jitter.Quantile(0.95) / con.Jitter.Quantile(0.5); r < 3 {
+	con := shapes["congested-bimodal"]
+	if r := quantile(con, 0.95) / quantile(con, 0.5); r < 3 {
 		t.Errorf("congested p95/p50 = %v, want bimodal separation", r)
 	}
 }

@@ -24,9 +24,9 @@ type RunConfig struct {
 	// caller stops the run by advancing virtual time and calling Stop).
 	Operations int64
 	// Policy supplies the read and write consistency levels per operation:
-	// Harmony's controller (per key group), core.PerKeyLevels, or
-	// client.Fixed for the static baselines. Nil means client.Fixed{} —
-	// read ONE, write ONE, the paper's baseline.
+	// Harmony's controller (per key group) or client.Fixed for the static
+	// baselines. Nil means client.Fixed{} — read ONE, write ONE, the
+	// paper's baseline.
 	Policy client.ConsistencyPolicy
 	// Sessions routes every thread's operations through a client.Session:
 	// reads at wire.Session carry the thread's session token (enforced
