@@ -185,15 +185,31 @@ func TestProfilesSane(t *testing.T) {
 			t.Fatal("uniform profile not uniform")
 		}
 	}
+}
+
+// TestNamedProfilesRegistry pins each named profile's Name (the string
+// scenarios and plots select it by) and its per-profile sanity.
+func TestNamedProfilesRegistry(t *testing.T) {
 	drifting, _ := DriftingProfile()
-	for _, p := range []Profile{g, e, WANHeavyTailProfile(), DegradedProfile(), CongestedBimodalProfile(), drifting} {
+	ps := map[string]Profile{
+		"grid5000":          Grid5000Profile(),
+		"ec2":               EC2Profile(),
+		"wan-heavytail":     WANHeavyTailProfile(),
+		"degraded":          DegradedProfile(),
+		"congested-bimodal": CongestedBimodalProfile(),
+		"drifting":          drifting,
+	}
+	for name, p := range ps {
+		if p.Name != name {
+			t.Fatalf("profile %q has Name %q", name, p.Name)
+		}
 		if p.Jitter == nil {
-			t.Fatalf("profile %q has nil jitter", p.Name)
+			t.Fatalf("profile %q has nil jitter", name)
 		}
 		// Base latencies must be monotone in proximity class.
 		for i := 1; i < 4; i++ {
 			if p.Base[i] < p.Base[i-1] {
-				t.Fatalf("profile %q base latencies not monotone: %v", p.Name, p.Base)
+				t.Fatalf("profile %q base latencies not monotone: %v", name, p.Base)
 			}
 		}
 	}
