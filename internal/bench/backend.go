@@ -106,8 +106,8 @@ func buildSim(seed int64, sc Scenario, cspec cluster.Spec) (s *sim.Sim, c *clust
 		return nil, nil, nil, err
 	}
 	undo = func() {}
-	if sc.Prepare != nil {
-		if stop := sc.Prepare(s, c); stop != nil {
+	if sc.prepare != nil {
+		if stop := sc.prepare(s, c); stop != nil {
 			undo = stop
 		}
 	}

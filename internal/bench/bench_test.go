@@ -50,7 +50,7 @@ func TestFigureFormatAndCSV(t *testing.T) {
 func TestPolicyNames(t *testing.T) {
 	cases := map[string]PolicySpec{
 		"Eventual":    {Kind: PolicyEventual},
-		"Strong":      {Kind: PolicyStrong},
+		"Strong":      {Kind: policyStrong},
 		"Harmony-20%": {Kind: PolicyHarmony, Tolerance: 0.2},
 	}
 	for want, p := range cases {
@@ -63,6 +63,7 @@ func TestPolicyNames(t *testing.T) {
 // TestSeedZeroIsItsOwnSeed: seed 0 must not be mapped onto another seed,
 // or a sweep over seeds 0..N would run one of them twice.
 func TestSeedZeroIsItsOwnSeed(t *testing.T) {
+	t.Parallel()
 	run := func(seed int64) RunResult {
 		g, err := RunGrid(Grid5000(), []PolicySpec{{Kind: PolicyEventual}},
 			Options{OpsPerPoint: 500, Threads: []int{4}, Seed: seed})
@@ -104,6 +105,7 @@ func TestRunPolicyValidation(t *testing.T) {
 }
 
 func TestRunPolicyEventualVsStrong(t *testing.T) {
+	t.Parallel()
 	sc := Grid5000()
 	ev, err := RunPolicy(RunSpec{
 		Scenario: sc, Policy: PolicySpec{Kind: PolicyEventual},
@@ -113,7 +115,7 @@ func TestRunPolicyEventualVsStrong(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, err := RunPolicy(RunSpec{
-		Scenario: sc, Policy: PolicySpec{Kind: PolicyStrong},
+		Scenario: sc, Policy: PolicySpec{Kind: policyStrong},
 		Workload: ycsb.WorkloadA(), Threads: 40, Ops: 6000, Seed: 5,
 	})
 	if err != nil {
@@ -133,12 +135,13 @@ func TestRunPolicyEventualVsStrong(t *testing.T) {
 	if ev.Report.ReadLatency.P99() >= st.Report.ReadLatency.P99() {
 		t.Fatalf("eventual p99 %v >= strong %v", ev.Report.ReadLatency.P99(), st.Report.ReadLatency.P99())
 	}
-	if len(ev.Decisions) != 0 {
+	if len(ev.decisions) != 0 {
 		t.Fatal("static policy produced decisions")
 	}
 }
 
 func TestRunPolicyHarmonyAdapts(t *testing.T) {
+	t.Parallel()
 	res, err := RunPolicy(RunSpec{
 		Scenario: Grid5000(),
 		Policy:   PolicySpec{Kind: PolicyHarmony, Tolerance: 0.05},
@@ -147,12 +150,12 @@ func TestRunPolicyHarmonyAdapts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Decisions) == 0 {
+	if len(res.decisions) == 0 {
 		t.Fatal("no controller decisions recorded")
 	}
 	// A 5% tolerance under a 60-thread update-heavy load must escalate.
 	sawEscalation := false
-	for _, d := range res.Decisions {
+	for _, d := range res.decisions {
 		if d.Xn > 1 {
 			sawEscalation = true
 		}
@@ -176,8 +179,9 @@ func TestRunPolicyHarmonyAdapts(t *testing.T) {
 }
 
 func TestRunGridShape(t *testing.T) {
+	t.Parallel()
 	opts := quickOpts()
-	g, err := RunGrid(Grid5000(), []PolicySpec{{Kind: PolicyEventual}, {Kind: PolicyStrong}}, opts)
+	g, err := RunGrid(Grid5000(), []PolicySpec{{Kind: PolicyEventual}, {Kind: policyStrong}}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,6 +210,7 @@ func TestRunGridShape(t *testing.T) {
 }
 
 func TestFig4aSeries(t *testing.T) {
+	t.Parallel()
 	opts := quickOpts()
 	fig, err := Fig4a(opts)
 	if err != nil {
@@ -259,6 +264,7 @@ func TestFig4aSeries(t *testing.T) {
 }
 
 func TestFig4bMonotoneInLatency(t *testing.T) {
+	t.Parallel()
 	est1, err := fig4bPoint(time.Millisecond, 2000, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -276,13 +282,14 @@ func TestFig4bMonotoneInLatency(t *testing.T) {
 }
 
 func TestHeadlineComputesRatios(t *testing.T) {
+	t.Parallel()
 	opts := quickOpts()
 	opts.OpsPerPoint = 6000
 	sum, err := Headline(Grid5000(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.EventualStale == 0 {
+	if sum.eventualStale == 0 {
 		t.Fatal("eventual baseline had no stale reads")
 	}
 	if sum.StaleReductionVsEventual <= 0 {
@@ -314,8 +321,8 @@ func TestScenarioRegistry(t *testing.T) {
 	if len(ss) != 6 {
 		t.Fatalf("registry has %d scenarios, want 6", len(ss))
 	}
-	if ss["drifting"].Prepare == nil {
-		t.Fatal("drifting scenario has no Prepare hook")
+	if ss["drifting"].prepare == nil {
+		t.Fatal("drifting scenario has no prepare hook")
 	}
 }
 
@@ -324,6 +331,7 @@ func TestScenarioRegistry(t *testing.T) {
 // Harmony controller while every group's measured staleness stays within
 // its tolerance.
 func TestHotColdPerGroupBeatsGlobal(t *testing.T) {
+	t.Parallel()
 	spec := DefaultHotColdSpec()
 	res, err := HotCold(spec, Options{OpsPerPoint: 12000, Seed: 5})
 	if err != nil {
@@ -398,6 +406,7 @@ func TestHotColdValidation(t *testing.T) {
 // controller must emit decisions on both sides of the regime change, and
 // the latency estimate it sees must grow as the jitter drifts degraded.
 func TestDriftingScenarioReAdapts(t *testing.T) {
+	t.Parallel()
 	sc := Drifting()
 	res, err := RunPolicy(RunSpec{
 		Scenario: sc,
@@ -410,7 +419,7 @@ func TestDriftingScenarioReAdapts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := res.Decisions
+	ds := res.decisions
 	if len(ds) < 8 {
 		t.Fatalf("only %d decisions across the drift", len(ds))
 	}
@@ -428,6 +437,7 @@ func TestDriftingScenarioReAdapts(t *testing.T) {
 // and the staleness probe must engage under Pareto, floored-exponential
 // and bimodal jitter alike.
 func TestStressScenariosRunAdaptive(t *testing.T) {
+	t.Parallel()
 	for _, sc := range []Scenario{WANHeavyTail(), Degraded(), CongestedBimodal()} {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
@@ -453,7 +463,7 @@ func TestStressScenariosRunAdaptive(t *testing.T) {
 			if res.Report.ThroughputOps <= 0 {
 				t.Fatal("no throughput")
 			}
-			if len(res.Decisions) == 0 {
+			if len(res.decisions) == 0 {
 				t.Fatal("controller made no decisions")
 			}
 			if res.Report.ShadowSamples == 0 {

@@ -30,35 +30,49 @@ type ChurnSpec struct {
 	// HotKeys / TotalKeys split the keyspace as in the hotcold experiment.
 	HotKeys   int64
 	TotalKeys int64
-	// HotThreads / ColdThreads size the two client driver pools.
-	HotThreads, ColdThreads int
-	// HotArrival / ColdArrival drive the pools open loop (Poisson, ops/s):
-	// offered load does not pause for the outage, so writes keep arriving —
-	// and keep being hinted, dropped, and diverging — while the victim is
-	// down, exactly like production traffic.
-	HotArrival, ColdArrival float64
-	// HotTolerance / ColdTolerance are the per-group stale-read targets.
-	HotTolerance, ColdTolerance float64
-	// Baseline is how long staleness windows are observed before the
-	// outage; Outage how long the victim stays down; PostWatch how long
+	// Outage is how long the victim stays down; PostWatch how long
 	// recovery is observed.
-	Baseline, Outage, PostWatch time.Duration
-	// WindowLen is the staleness measurement window.
-	WindowLen time.Duration
-	// RecoverWindows is how many consecutive within-tolerance windows
-	// declare a group recovered.
-	RecoverWindows int
+	Outage, PostWatch time.Duration
 	// HintQueueLimit caps each coordinator's hint queue (overflow drops
-	// mutations); DropHintsAtRecovery discards the survivors just before
-	// the victim returns (the coordinator-crash injection).
-	HintQueueLimit      int
-	DropHintsAtRecovery bool
-	// RepairInterval / RepairConcurrency / RepairLeaves tune the repair
-	// subsystem for the repair-enabled run.
-	RepairInterval    time.Duration
-	RepairConcurrency int
-	RepairLeaves      int
+	// mutations).
+	HintQueueLimit int
+	// RepairInterval is the repair subsystem's cadence in the
+	// repair-enabled run.
+	RepairInterval time.Duration
 }
+
+// The churn experiment's fixed load, targets and windowing.
+const (
+	// churnHotThreads / churnColdThreads size the two client driver pools.
+	// The cold pool carries enough write traffic that an outage dirties a
+	// substantial fraction of the cold keyspace, while its loose tolerance
+	// keeps the estimator at CL=ONE in steady state — the combination that
+	// exposes post-recovery divergence to reads.
+	churnHotThreads  = 10
+	churnColdThreads = 25
+	// churnHotArrival / churnColdArrival drive the pools open loop
+	// (Poisson, ops/s): offered load does not pause for the outage, so
+	// writes keep arriving — and keep being hinted, dropped, and diverging
+	// — while the victim is down, exactly like production traffic.
+	churnHotArrival  = 1200
+	churnColdArrival = 4000
+	// churnHotTolerance / churnColdTolerance are the per-group stale-read
+	// targets.
+	churnHotTolerance  = 0.05
+	churnColdTolerance = 0.30
+	// churnBaseline is how long staleness windows are observed before the
+	// outage.
+	churnBaseline = 1500 * time.Millisecond
+	// churnWindowLen is the staleness measurement window;
+	// churnRecoverWindows is how many consecutive within-tolerance windows
+	// declare a group recovered.
+	churnWindowLen      = 250 * time.Millisecond
+	churnRecoverWindows = 4
+	// churnRepairConcurrency / churnRepairLeaves tune the repair subsystem
+	// for the repair-enabled run.
+	churnRepairConcurrency = 3
+	churnRepairLeaves      = 64
+)
 
 // DefaultChurnSpec returns the standard configuration: a 6-node RF=5
 // cluster (every node replicates most keys, so a stale replica is visible
@@ -72,29 +86,13 @@ func DefaultChurnSpec() ChurnSpec {
 	sc.Spec.NodesPerRack = 3
 	sc.Spec.HintedHandoff = true
 	return ChurnSpec{
-		Scenario:   sc,
-		HotKeys:    400,
-		TotalKeys:  8_000,
-		HotThreads: 10,
-		// The cold pool carries enough write traffic that an outage dirties
-		// a substantial fraction of the cold keyspace, while its loose
-		// tolerance keeps the estimator at CL=ONE in steady state — the
-		// combination that exposes post-recovery divergence to reads.
-		ColdThreads:         25,
-		HotArrival:          1200,
-		ColdArrival:         4000,
-		HotTolerance:        0.05,
-		ColdTolerance:       0.30,
-		Baseline:            1500 * time.Millisecond,
-		Outage:              5 * time.Second,
-		PostWatch:           10 * time.Second,
-		WindowLen:           250 * time.Millisecond,
-		RecoverWindows:      4,
-		HintQueueLimit:      300,
-		DropHintsAtRecovery: true,
-		RepairInterval:      300 * time.Millisecond,
-		RepairConcurrency:   3,
-		RepairLeaves:        64,
+		Scenario:       sc,
+		HotKeys:        400,
+		TotalKeys:      8_000,
+		Outage:         5 * time.Second,
+		PostWatch:      10 * time.Second,
+		HintQueueLimit: 300,
+		RepairInterval: 300 * time.Millisecond,
 	}
 }
 
@@ -113,7 +111,7 @@ type ChurnGroup struct {
 	Name      string  `json:"name"`
 	Tolerance float64 `json:"tolerance"`
 	// RecoveredWithinMs is the time from the victim's return until the
-	// group began RecoverWindows consecutive within-tolerance windows; -1
+	// group began recoverWindows consecutive within-tolerance windows; -1
 	// when the group never restabilized inside the watched horizon.
 	RecoveredWithinMs float64 `json:"recovered_within_ms"`
 	// PostStale / PostSamples accumulate over the post-recovery horizon;
@@ -200,8 +198,8 @@ func Churn(spec ChurnSpec, opts Options) (ChurnResult, error) {
 	if spec.HotKeys <= 0 || spec.TotalKeys <= spec.HotKeys {
 		return ChurnResult{}, fmt.Errorf("bench: churn needs 0 < HotKeys < TotalKeys, got %d/%d", spec.HotKeys, spec.TotalKeys)
 	}
-	if spec.WindowLen <= 0 || spec.Outage <= 0 || spec.PostWatch < spec.WindowLen {
-		return ChurnResult{}, fmt.Errorf("bench: churn needs positive WindowLen/Outage and PostWatch >= WindowLen")
+	if spec.Outage <= 0 || spec.PostWatch < churnWindowLen {
+		return ChurnResult{}, fmt.Errorf("bench: churn needs a positive Outage and PostWatch >= %v", churnWindowLen)
 	}
 	withRepair, _, err := runSimChurn(spec, opts, "repair")
 	if err != nil {
@@ -237,8 +235,8 @@ func runSimChurn(spec ChurnSpec, opts Options, arm string) (ChurnRun, string, er
 		cspec.Repair = repair.Options{
 			Enabled:        true,
 			Interval:       spec.RepairInterval,
-			Concurrency:    spec.RepairConcurrency,
-			LeavesPerRange: spec.RepairLeaves,
+			Concurrency:    churnRepairConcurrency,
+			LeavesPerRange: churnRepairLeaves,
 		}
 	}
 	s, c, undo, err := buildSim(opts.Seed, spec.Scenario, cspec)
@@ -246,20 +244,22 @@ func runSimChurn(spec ChurnSpec, opts Options, arm string) (ChurnRun, string, er
 		return ChurnRun{}, "", err
 	}
 	defer undo()
-	tols := []float64{spec.HotTolerance, spec.ColdTolerance}
-	ctl := core.NewController(hotColdController(fmt.Sprintf("churn-%d%%", int(spec.HotTolerance*100+0.5)),
+	tols := []float64{churnHotTolerance, churnColdTolerance}
+	ctl := core.NewController(hotColdController(fmt.Sprintf("churn-%d%%", int(tols[0]*100+0.5)),
 		cspec.RF, cspec.Profile.BandwidthBytesPerSec, spec.HotKeys, tols, nil))
 	b, err := newSimBackend(s, c, ctl, spec.Scenario.MonitorInterval, cspec.RF, loadPools{
 		hotKeys: spec.HotKeys, totalKeys: spec.TotalKeys,
-		hot: spec.HotThreads, cold: spec.ColdThreads,
-		hotArrival: spec.HotArrival, coldArrival: spec.ColdArrival,
+		hot: churnHotThreads, cold: churnColdThreads,
+		hotArrival: churnHotArrival, coldArrival: churnColdArrival,
 		valueBytes: 1024, verifyEvery: 2, timeout: 750 * time.Millisecond,
 		seed: opts.Seed,
 	})
 	if err != nil {
 		return ChurnRun{}, "", err
 	}
-	b.dropHints = spec.DropHintsAtRecovery
+	// The coordinator-crash injection: the hints that survived the queue
+	// cap are discarded just before the victim returns.
+	b.dropHints = true
 	// The victim: with RF=5 over 6 nodes it replicates nearly every key. It
 	// stays in the client rotation — drivers eat timeouts while it is down
 	// (a short OpTimeout keeps threads cycling), and the moment it returns
@@ -270,8 +270,8 @@ func runSimChurn(spec ChurnSpec, opts Options, arm string) (ChurnRun, string, er
 	run, err := runChurnSchedule(b, ctl, churnPlan{
 		arm: arm, victim: victim,
 		warmup:   max(8*spec.Scenario.MonitorInterval, 2*time.Second),
-		baseline: spec.Baseline, outage: spec.Outage, postWatch: spec.PostWatch,
-		windowLen: spec.WindowLen, recoverWindows: spec.RecoverWindows, tols: tols,
+		baseline: churnBaseline, outage: spec.Outage, postWatch: spec.PostWatch,
+		windowLen: churnWindowLen, recoverWindows: churnRecoverWindows, tols: tols,
 	}, opts)
 	return run, string(victim), err
 }

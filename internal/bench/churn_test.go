@@ -15,6 +15,7 @@ import (
 // and beats hints-only on post-recovery staleness, while hints-only keeps
 // serving divergent data that only sampled read repair slowly drains.
 func TestChurnRepairBoundsPostRecoveryStaleness(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("churn schedule needs its full virtual timeline")
 	}

@@ -14,18 +14,18 @@ import (
 	"harmony/internal/ycsb"
 )
 
-// Fig4aPhases is the thread schedule of Fig. 4(a): the paper starts at 90
+// fig4aPhases is the thread schedule of Fig. 4(a): the paper starts at 90
 // threads and steps down to 70, 40, 15 and finally 1.
-var Fig4aPhases = []int{90, 70, 40, 15, 1}
+var fig4aPhases = []int{90, 70, 40, 15, 1}
 
-// DefaultFig4aPhase is the virtual time spent per thread phase when
+// defaultFig4aPhase is the virtual time spent per thread phase when
 // Options.PhaseDuration is zero.
-const DefaultFig4aPhase = 6 * time.Second
+const defaultFig4aPhase = 6 * time.Second
 
 // Fig4a reproduces Fig. 4(a): the estimated stale-read probability over
 // running time for Workload-A (heavy read-update) and Workload-B (read
 // mostly), while the number of client threads steps down through
-// Fig4aPhases. Run on the Grid'5000 profile, as the paper does ("we used
+// fig4aPhases. Run on the Grid'5000 profile, as the paper does ("we used
 // Grid'5000 as we can guarantee the network latency").
 func Fig4a(opts Options) (Figure, error) {
 	opts = opts.withDefaults()
@@ -65,7 +65,7 @@ func fig4aSeries(wl ycsb.Workload, opts Options) (Series, error) {
 
 	runner, err := ycsb.NewRunner(ycsb.RunConfig{
 		Workload: wl,
-		Threads:  Fig4aPhases[0],
+		Threads:  fig4aPhases[0],
 		Seed:     opts.Seed,
 	}, s, c)
 	if err != nil {
@@ -74,12 +74,12 @@ func fig4aSeries(wl ycsb.Workload, opts Options) (Series, error) {
 	runner.Load()
 	phase := opts.PhaseDuration
 	if phase <= 0 {
-		phase = DefaultFig4aPhase
+		phase = defaultFig4aPhase
 	}
 	start := s.Now()
 	mon.Start()
 	runner.Start()
-	for _, threads := range Fig4aPhases {
+	for _, threads := range fig4aPhases {
 		runner.SetActiveThreads(threads)
 		s.RunFor(phase)
 	}
@@ -97,9 +97,9 @@ func fig4aSeries(wl ycsb.Workload, opts Options) (Series, error) {
 	return series, nil
 }
 
-// Fig4bLatencies is the x-axis of Fig. 4(b): one-way network latencies from
+// fig4bLatencies is the x-axis of Fig. 4(b): one-way network latencies from
 // sub-millisecond up to 50 ms (the variability observed on EC2).
-var Fig4bLatencies = []time.Duration{
+var fig4bLatencies = []time.Duration{
 	500 * time.Microsecond, time.Millisecond, 2 * time.Millisecond,
 	5 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond,
 	30 * time.Millisecond, 40 * time.Millisecond, 50 * time.Millisecond,
@@ -124,7 +124,7 @@ func Fig4b(opts Options) (Figure, error) {
 	// Two offered loads demonstrate that latency dominates once large.
 	for _, rate := range []float64{4000, 1000} {
 		series := Series{Name: fmt.Sprintf("%.0f ops/s", rate)}
-		for i, lat := range Fig4bLatencies {
+		for i, lat := range fig4bLatencies {
 			est, err := fig4bPoint(lat, rate, opts.Seed+int64(i))
 			if err != nil {
 				return Figure{}, err

@@ -171,6 +171,7 @@ func goldenDigest(t *testing.T, seed int64, faulted bool) uint64 {
 }
 
 func TestGoldenTrajectory(t *testing.T) {
+	t.Parallel()
 	// Recorded at the parent of the substrate change (commit 24c4ed1).
 	want := map[bool][]uint64{
 		false: {0xe36c6ffff24f4847, 0x2b99d5b1a241bebe, 0x868507c6b8a6b59a},

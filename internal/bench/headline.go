@@ -18,21 +18,21 @@ type HeadlineSummary struct {
 	Scenario string
 	Threads  int
 	// Tolerance is the restrictive Harmony setting (stale-cut claim);
-	// PermissiveTolerance is the setting behind the throughput claim.
+	// permissiveTolerance is the setting behind the throughput claim.
 	Tolerance           float64
-	PermissiveTolerance float64
+	permissiveTolerance float64
 	// StaleReductionVsEventual is 1 - stale(Harmony)/stale(Eventual).
 	StaleReductionVsEventual float64
 	// ThroughputGainVsStrong is tput(Harmony)/tput(Strong) - 1.
 	ThroughputGainVsStrong float64
 	// LatencyOverheadVsEventual is p99(Harmony)/p99(Eventual) - 1.
 	LatencyOverheadVsEventual float64
-	// LatencyVsStrong is p99(Harmony)/p99(Strong).
-	LatencyVsStrong float64
+	// latencyVsStrong is p99(Harmony)/p99(Strong).
+	latencyVsStrong float64
 	// Raw numbers backing the ratios.
-	HarmonyStale, EventualStale        uint64
-	HarmonyTput, StrongTput            float64
-	HarmonyP99, EventualP99, StrongP99 time.Duration
+	harmonyStale, eventualStale        uint64
+	harmonyTput, strongTput            float64
+	harmonyP99, eventualP99, strongP99 time.Duration
 }
 
 // Format renders the summary.
@@ -40,12 +40,12 @@ func (h HeadlineSummary) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== headline (%s, %d threads) ==\n", h.Scenario, h.Threads)
 	fmt.Fprintf(&b, "stale reads (Harmony-%d%%):  harmony=%d eventual=%d -> rate reduction %.0f%% (paper: ~80%%)\n",
-		int(h.Tolerance*100+0.5), h.HarmonyStale, h.EventualStale, h.StaleReductionVsEventual*100)
+		int(h.Tolerance*100+0.5), h.harmonyStale, h.eventualStale, h.StaleReductionVsEventual*100)
 	fmt.Fprintf(&b, "throughput (Harmony-%d%%):   harmony=%.0f strong=%.0f ops/s -> gain %.0f%% (paper: ~45%%)\n",
-		int(h.PermissiveTolerance*100+0.5), h.HarmonyTput, h.StrongTput, h.ThroughputGainVsStrong*100)
+		int(h.permissiveTolerance*100+0.5), h.harmonyTput, h.strongTput, h.ThroughputGainVsStrong*100)
 	fmt.Fprintf(&b, "p99 latency (Harmony-%d%%):  harmony=%v eventual=%v strong=%v -> overhead vs eventual %.0f%%, vs strong %.2fx\n",
-		int(h.Tolerance*100+0.5), h.HarmonyP99.Round(10*time.Microsecond), h.EventualP99.Round(10*time.Microsecond),
-		h.StrongP99.Round(10*time.Microsecond), h.LatencyOverheadVsEventual*100, h.LatencyVsStrong)
+		int(h.Tolerance*100+0.5), h.harmonyP99.Round(10*time.Microsecond), h.eventualP99.Round(10*time.Microsecond),
+		h.strongP99.Round(10*time.Microsecond), h.LatencyOverheadVsEventual*100, h.latencyVsStrong)
 	return b.String()
 }
 
@@ -62,7 +62,7 @@ func Headline(sc Scenario, opts Options) (HeadlineSummary, error) {
 		{Kind: PolicyHarmony, Tolerance: restrictive},
 		{Kind: PolicyHarmony, Tolerance: permissive},
 		{Kind: PolicyEventual},
-		{Kind: PolicyStrong},
+		{Kind: policyStrong},
 	}
 	var results []RunResult
 	for i, pol := range policies {
@@ -88,14 +88,14 @@ func Headline(sc Scenario, opts Options) (HeadlineSummary, error) {
 		Scenario:            sc.Name,
 		Threads:             threads,
 		Tolerance:           restrictive,
-		PermissiveTolerance: permissive,
-		HarmonyStale:        tight.StaleReads,
-		EventualStale:       eventual.StaleReads,
-		HarmonyTput:         loose.ThroughputOps,
-		StrongTput:          strong.ThroughputOps,
-		HarmonyP99:          tight.ReadLatency.P99(),
-		EventualP99:         eventual.ReadLatency.P99(),
-		StrongP99:           strong.ReadLatency.P99(),
+		permissiveTolerance: permissive,
+		harmonyStale:        tight.StaleReads,
+		eventualStale:       eventual.StaleReads,
+		harmonyTput:         loose.ThroughputOps,
+		strongTput:          strong.ThroughputOps,
+		harmonyP99:          tight.ReadLatency.P99(),
+		eventualP99:         eventual.ReadLatency.P99(),
+		strongP99:           strong.ReadLatency.P99(),
 	}
 	// Normalize stale counts by probe volume before comparing.
 	tightRate := ratio(tight.StaleReads, tight.ShadowSamples)
@@ -110,7 +110,7 @@ func Headline(sc Scenario, opts Options) (HeadlineSummary, error) {
 		h.LatencyOverheadVsEventual = float64(tight.ReadLatency.P99())/float64(eventual.ReadLatency.P99()) - 1
 	}
 	if strong.ReadLatency.P99() > 0 {
-		h.LatencyVsStrong = float64(tight.ReadLatency.P99()) / float64(strong.ReadLatency.P99())
+		h.latencyVsStrong = float64(tight.ReadLatency.P99()) / float64(strong.ReadLatency.P99())
 	}
 	return h, nil
 }

@@ -36,13 +36,6 @@ type HotColdSpec struct {
 	// the whole keyspace (the cold range is [HotKeys, TotalKeys)).
 	HotKeys   int64
 	TotalKeys int64
-	// HotThreads / ColdThreads size the two closed-loop client pools.
-	HotThreads, ColdThreads int
-	// HotTolerance is the hot group's (tight) tolerable stale-read rate;
-	// the global baseline controller runs at this same tolerance, since a
-	// single-knob deployment must protect its most sensitive data.
-	// ColdTolerance is the cold group's loose target.
-	HotTolerance, ColdTolerance float64
 	// ArrivalRate, when positive, drives both client pools open loop,
 	// splitting the aggregate Poisson rate between them in proportion to
 	// their thread counts.
@@ -54,15 +47,24 @@ type HotColdSpec struct {
 // a 60% cold target.
 func DefaultHotColdSpec() HotColdSpec {
 	return HotColdSpec{
-		Scenario:      Grid5000(),
-		HotKeys:       500,
-		TotalKeys:     20_000,
-		HotThreads:    20,
-		ColdThreads:   40,
-		HotTolerance:  0.05,
-		ColdTolerance: 0.60,
+		Scenario:  Grid5000(),
+		HotKeys:   500,
+		TotalKeys: 20_000,
 	}
 }
+
+// The hotcold experiment's fixed load and targets. hotColdHotThreads /
+// hotColdColdThreads size the two closed-loop client pools.
+// hotColdHotTolerance is the hot group's (tight) tolerable stale-read rate;
+// the global baseline controller runs at this same tolerance, since a
+// single-knob deployment must protect its most sensitive data.
+// hotColdColdTolerance is the cold group's loose target.
+const (
+	hotColdHotThreads    = 20
+	hotColdColdThreads   = 40
+	hotColdHotTolerance  = 0.05
+	hotColdColdTolerance = 0.60
+)
 
 // HotColdGroup is one key group's outcome in a hotcold run.
 type HotColdGroup struct {
@@ -221,12 +223,12 @@ func runHotCold(spec HotColdSpec, opts Options, mode hotColdMode) (HotColdRun, e
 
 	// A single-knob deployment must protect its most sensitive (hot) data
 	// on every read, so the global arm runs one model at the hot tolerance.
-	tols := []float64{spec.HotTolerance, spec.ColdTolerance}
+	tols := []float64{hotColdHotTolerance, hotColdColdTolerance}
 	models := tols
 	if mode == hotColdGlobal {
 		models = tols[:1]
 	}
-	ccfg := hotColdController(fmt.Sprintf("hotcold-%d%%", int(spec.HotTolerance*100+0.5)),
+	ccfg := hotColdController(fmt.Sprintf("hotcold-%d%%", int(tols[0]*100+0.5)),
 		cspec.RF, cspec.Profile.BandwidthBytesPerSec, spec.HotKeys, models, nil)
 	ccfg.AvgWriteBytes = 1024
 	if mode == hotColdSession {
@@ -237,15 +239,16 @@ func runHotCold(spec HotColdSpec, opts Options, mode hotColdMode) (HotColdRun, e
 	ctl := core.NewController(ccfg)
 	pools := loadPools{
 		hotKeys: spec.HotKeys, totalKeys: spec.TotalKeys,
-		hot: spec.HotThreads, cold: spec.ColdThreads,
+		hot: hotColdHotThreads, cold: hotColdColdThreads,
 		valueBytes: 1024, verifyEvery: 4,
 		sessions: mode == hotColdSession, seed: opts.Seed,
 	}
 	// An aggregate arrival rate splits between the pools in proportion to
 	// their thread counts.
-	if total := spec.HotThreads + spec.ColdThreads; spec.ArrivalRate > 0 && total > 0 {
-		pools.hotArrival = spec.ArrivalRate * float64(spec.HotThreads) / float64(total)
-		pools.coldArrival = spec.ArrivalRate * float64(spec.ColdThreads) / float64(total)
+	if spec.ArrivalRate > 0 {
+		const total = hotColdHotThreads + hotColdColdThreads
+		pools.hotArrival = spec.ArrivalRate * hotColdHotThreads / total
+		pools.coldArrival = spec.ArrivalRate * hotColdColdThreads / total
 	}
 	// The controller is the policy in every arm: with one group its
 	// per-group stream coincides with the global one.

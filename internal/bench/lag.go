@@ -56,11 +56,11 @@ func (r LagResult) Format() string {
 
 // AdaptationLag runs the given regime-change scenario under Harmony at the
 // scenario's tighter tolerance and measures time-from-regime-change-to-
-// stable-level. The scenario must declare RegimeChangeAt (the drifting
+// stable-level. The scenario must declare regimeChangeAt (the drifting
 // scenario does).
 func AdaptationLag(sc Scenario, opts Options) (LagResult, error) {
 	opts = opts.withDefaults()
-	if sc.RegimeChangeAt <= 0 {
+	if sc.regimeChangeAt <= 0 {
 		return LagResult{}, fmt.Errorf("bench: scenario %q has no declared regime change", sc.Name)
 	}
 	s, c, undo, err := buildSim(opts.Seed, sc, sc.Spec)
@@ -110,10 +110,10 @@ func AdaptationLag(sc Scenario, opts Options) (LagResult, error) {
 
 	// Run to the regime change, mark it, then run until well past the
 	// environment's own settling point so the controller can stabilize.
-	s.RunFor(sc.RegimeChangeAt)
+	s.RunFor(sc.regimeChangeAt)
 	meter.MarkRegimeChange(s.Now())
 	preLevel := meter.PreLevel()
-	settle := sc.RegimeStableBy - sc.RegimeChangeAt + 6*time.Second
+	settle := sc.regimeStableBy - sc.regimeChangeAt + 6*time.Second
 	s.RunFor(settle)
 	runner.Stop()
 	mon.Stop()
@@ -124,8 +124,8 @@ func AdaptationLag(sc Scenario, opts Options) (LagResult, error) {
 		Scenario:         sc.Name,
 		Policy:           ctl.Policy().Name,
 		Tolerance:        tol,
-		RegimeChangeAtMs: durMs(sc.RegimeChangeAt),
-		RegimeStableByMs: durMs(sc.RegimeStableBy),
+		RegimeChangeAtMs: durMs(sc.regimeChangeAt),
+		RegimeStableByMs: durMs(sc.regimeStableBy),
 		LagMs:            durMs(lag),
 		Stable:           stable,
 		PreLevel:         preLevel.String(),

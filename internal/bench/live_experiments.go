@@ -21,46 +21,50 @@ type LiveHotColdSpec struct {
 	Procs int
 	RF    int
 	// HotKeys / TotalKeys split the keyspace as in the simulated variant.
-	HotKeys   int64
-	TotalKeys int64
-	// HotWorkers / ColdWorkers size the closed-loop client pools.
-	HotWorkers, ColdWorkers int
-	// HotTolerance / ColdTolerance are the per-group stale targets; the
-	// global arm runs everything at the hot tolerance.
-	HotTolerance, ColdTolerance float64
-	ValueBytes                  int
-	// VerifyEvery probes every k-th read with a dual read (§V-F literal).
-	VerifyEvery int
-	// ControllerBandwidth parameterizes Tp's transfer term. Loopback RTTs
-	// are microseconds, so the latency term alone would let the estimator
-	// serve everything at ONE; the bandwidth term stands in for the
-	// provisioned per-replica bandwidth of a real deployment, exactly as
-	// the scenario profiles do for the simulated benches.
-	ControllerBandwidth float64
-	MonitorInterval     time.Duration
-	Warmup, Measure     time.Duration
+	HotKeys         int64
+	TotalKeys       int64
+	ValueBytes      int
+	MonitorInterval time.Duration
+	// Measure is how long each arm's load is measured.
+	Measure time.Duration
 	// LogDir keeps member logs (empty = temp, removed).
 	LogDir string
 }
+
+// The live hotcold experiment's fixed pools, targets and controller input.
+const (
+	// liveHotColdHotWorkers / liveHotColdColdWorkers size the closed-loop
+	// client pools.
+	liveHotColdHotWorkers  = 5
+	liveHotColdColdWorkers = 10
+	// liveHotColdHotTolerance / liveHotColdColdTolerance are the per-group
+	// stale targets; the global arm runs everything at the hot tolerance.
+	liveHotColdHotTolerance  = 0.05
+	liveHotColdColdTolerance = 0.60
+	// liveHotColdVerifyEvery probes every k-th read with a dual read (§V-F
+	// literal).
+	liveHotColdVerifyEvery = 8
+	// liveHotColdWarmup precedes each arm's measurement.
+	liveHotColdWarmup = 3 * time.Second
+	// liveHotColdBandwidth parameterizes Tp's transfer term. Loopback
+	// RTTs are microseconds, so the latency term alone would let the
+	// estimator serve everything at ONE; the bandwidth term stands in for
+	// the provisioned per-replica bandwidth of a real deployment, exactly
+	// as the scenario profiles do for the simulated benches.
+	liveHotColdBandwidth = 8 << 20
+)
 
 // DefaultLiveHotColdSpec returns a configuration sized for a laptop/CI
 // machine: a 5-process cluster and a few seconds of measured load.
 func DefaultLiveHotColdSpec() LiveHotColdSpec {
 	return LiveHotColdSpec{
-		Procs:               5,
-		RF:                  3,
-		HotKeys:             200,
-		TotalKeys:           4000,
-		HotWorkers:          5,
-		ColdWorkers:         10,
-		HotTolerance:        0.05,
-		ColdTolerance:       0.60,
-		ValueBytes:          3072,
-		VerifyEvery:         8,
-		ControllerBandwidth: 8 << 20,
-		MonitorInterval:     500 * time.Millisecond,
-		Warmup:              3 * time.Second,
-		Measure:             8 * time.Second,
+		Procs:           5,
+		RF:              3,
+		HotKeys:         200,
+		TotalKeys:       4000,
+		ValueBytes:      3072,
+		MonitorInterval: 500 * time.Millisecond,
+		Measure:         8 * time.Second,
 	}
 }
 
@@ -141,15 +145,15 @@ func runLiveHotCold(spec LiveHotColdSpec, opts Options, perGroup bool) (HotColdR
 	opts.progress("live hotcold %s: %d procs up, preloading %d keys", arm, spec.Procs, spec.TotalKeys)
 	// Two models with split tolerances (per-group), or one global model at
 	// the hot tolerance.
-	tols := []float64{spec.HotTolerance, spec.ColdTolerance}
+	tols := []float64{liveHotColdHotTolerance, liveHotColdColdTolerance}
 	models := tols
 	if !perGroup {
 		models = tols[:1]
 	}
-	b, err := newLiveBackend(lc, hotColdController("live-hotcold", lc.RF(), spec.ControllerBandwidth, spec.HotKeys, models, nil), spec.MonitorInterval, loadPools{
+	b, err := newLiveBackend(lc, hotColdController("live-hotcold", lc.RF(), liveHotColdBandwidth, spec.HotKeys, models, nil), spec.MonitorInterval, loadPools{
 		hotKeys: spec.HotKeys, totalKeys: spec.TotalKeys,
-		hot: spec.HotWorkers, cold: spec.ColdWorkers,
-		valueBytes: spec.ValueBytes, verifyEvery: spec.VerifyEvery,
+		hot: liveHotColdHotWorkers, cold: liveHotColdColdWorkers,
+		valueBytes: spec.ValueBytes, verifyEvery: liveHotColdVerifyEvery,
 		timeout: 2 * time.Second, seed: opts.Seed,
 	})
 	if err != nil {
@@ -157,7 +161,7 @@ func runLiveHotCold(spec LiveHotColdSpec, opts Options, perGroup bool) (HotColdR
 	}
 	defer b.close()
 	b.start()
-	b.wait(spec.Warmup)
+	b.wait(liveHotColdWarmup)
 	b.resetLoad()
 	b.wait(spec.Measure)
 	load := b.stop()
@@ -179,29 +183,16 @@ type LiveChurnSpec struct {
 	Procs int
 	RF    int
 	// HotKeys / TotalKeys split the keyspace as in hotcold.
-	HotKeys   int64
-	TotalKeys int64
-	// HotWorkers / ColdWorkers size the closed-loop pools.
-	HotWorkers, ColdWorkers int
-	// HotTolerance / ColdTolerance are the per-group stale targets.
-	HotTolerance, ColdTolerance float64
-	ValueBytes                  int
-	// VerifyEvery probes every k-th read (staleness windows need density).
-	VerifyEvery int
+	HotKeys    int64
+	TotalKeys  int64
+	ValueBytes int
 	// OpTimeout keeps workers cycling while the victim is down.
-	OpTimeout time.Duration
-	// ControllerBandwidth: see LiveHotColdSpec.
-	ControllerBandwidth float64
-	MonitorInterval     time.Duration
-	GossipInterval      time.Duration
-	// Warmup precedes measurement; Baseline is watched before the kill;
+	OpTimeout       time.Duration
+	MonitorInterval time.Duration
+	GossipInterval  time.Duration
 	// Outage is how long the victim stays dead; PostWatch how long recovery
 	// is observed after the restart.
-	Warmup, Baseline, Outage, PostWatch time.Duration
-	// WindowLen is the staleness window; RecoverWindows the consecutive
-	// within-tolerance windows that declare a group recovered.
-	WindowLen      time.Duration
-	RecoverWindows int
+	Outage, PostWatch time.Duration
 	// HintQueueLimit caps hints so the outage genuinely loses data.
 	HintQueueLimit int
 	// RepairInterval tunes anti-entropy cadence in the repair arm.
@@ -214,30 +205,47 @@ type LiveChurnSpec struct {
 // large share of CL=ONE reads), a 3s SIGKILL outage, capped hints.
 func DefaultLiveChurnSpec() LiveChurnSpec {
 	return LiveChurnSpec{
-		Procs:               5,
-		RF:                  4,
-		HotKeys:             200,
-		TotalKeys:           3000,
-		HotWorkers:          4,
-		ColdWorkers:         8,
-		HotTolerance:        0.05,
-		ColdTolerance:       0.50,
-		ValueBytes:          256,
-		VerifyEvery:         2,
-		OpTimeout:           750 * time.Millisecond,
-		ControllerBandwidth: 1 << 20,
-		MonitorInterval:     400 * time.Millisecond,
-		GossipInterval:      200 * time.Millisecond,
-		Warmup:              2 * time.Second,
-		Baseline:            2 * time.Second,
-		Outage:              3 * time.Second,
-		PostWatch:           8 * time.Second,
-		WindowLen:           500 * time.Millisecond,
-		RecoverWindows:      4,
-		HintQueueLimit:      200,
-		RepairInterval:      500 * time.Millisecond,
+		Procs:           5,
+		RF:              4,
+		HotKeys:         200,
+		TotalKeys:       3000,
+		ValueBytes:      256,
+		OpTimeout:       750 * time.Millisecond,
+		MonitorInterval: 400 * time.Millisecond,
+		GossipInterval:  200 * time.Millisecond,
+		Outage:          3 * time.Second,
+		PostWatch:       8 * time.Second,
+		HintQueueLimit:  200,
+		RepairInterval:  500 * time.Millisecond,
 	}
 }
+
+// The live churn and partition experiments share one load shape, target
+// pair and staleness windowing.
+const (
+	// liveFaultHotWorkers / liveFaultColdWorkers size the closed-loop pools
+	// (the majority side's, under a partition).
+	liveFaultHotWorkers  = 4
+	liveFaultColdWorkers = 8
+	// liveFaultHotTolerance / liveFaultColdTolerance are the per-group
+	// stale targets.
+	liveFaultHotTolerance  = 0.05
+	liveFaultColdTolerance = 0.50
+	// liveFaultVerifyEvery probes every k-th read (staleness windows need
+	// density).
+	liveFaultVerifyEvery = 2
+	// liveFaultBandwidth: see liveHotColdBandwidth.
+	liveFaultBandwidth = 1 << 20
+	// liveFaultWarmup precedes measurement; liveFaultBaseline is watched
+	// before the kill or the cut.
+	liveFaultWarmup   = 2 * time.Second
+	liveFaultBaseline = 2 * time.Second
+	// liveFaultWindowLen is the staleness window; liveFaultRecoverWindows
+	// the consecutive within-tolerance windows that declare a group
+	// recovered.
+	liveFaultWindowLen      = 500 * time.Millisecond
+	liveFaultRecoverWindows = 4
+)
 
 // LiveChurnResult compares three recovery modes over identical live failure
 // schedules: anti-entropy repair, hints alone, and a persistent restart
@@ -275,8 +283,8 @@ func LiveChurn(spec LiveChurnSpec, opts Options) (LiveChurnResult, error) {
 	if spec.HotKeys <= 0 || spec.TotalKeys <= spec.HotKeys {
 		return LiveChurnResult{}, fmt.Errorf("bench: live churn needs 0 < HotKeys < TotalKeys, got %d/%d", spec.HotKeys, spec.TotalKeys)
 	}
-	if spec.WindowLen <= 0 || spec.Outage <= 0 || spec.PostWatch < spec.WindowLen {
-		return LiveChurnResult{}, fmt.Errorf("bench: live churn needs positive WindowLen/Outage and PostWatch >= WindowLen")
+	if spec.Outage <= 0 || spec.PostWatch < liveFaultWindowLen {
+		return LiveChurnResult{}, fmt.Errorf("bench: live churn needs a positive Outage and PostWatch >= %v", liveFaultWindowLen)
 	}
 	res := LiveChurnResult{
 		Procs: spec.Procs, RF: spec.RF,
@@ -327,11 +335,11 @@ func runLiveChurn(spec LiveChurnSpec, opts Options, arm string) (ChurnRun, *Live
 		return ChurnRun{}, nil, "", err
 	}
 	opts.progress("live churn %s: %d procs up, preloading %d keys", arm, spec.Procs, spec.TotalKeys)
-	tols := []float64{spec.HotTolerance, spec.ColdTolerance}
-	b, err := newLiveBackend(lc, hotColdController("live-churn", lc.RF(), spec.ControllerBandwidth, spec.HotKeys, tols, nil), spec.MonitorInterval, loadPools{
+	tols := []float64{liveFaultHotTolerance, liveFaultColdTolerance}
+	b, err := newLiveBackend(lc, hotColdController("live-churn", lc.RF(), liveFaultBandwidth, spec.HotKeys, tols, nil), spec.MonitorInterval, loadPools{
 		hotKeys: spec.HotKeys, totalKeys: spec.TotalKeys,
-		hot: spec.HotWorkers, cold: spec.ColdWorkers,
-		valueBytes: spec.ValueBytes, verifyEvery: spec.VerifyEvery,
+		hot: liveFaultHotWorkers, cold: liveFaultColdWorkers,
+		valueBytes: spec.ValueBytes, verifyEvery: liveFaultVerifyEvery,
 		timeout: spec.OpTimeout, seed: opts.Seed,
 	})
 	if err != nil {
@@ -341,8 +349,8 @@ func runLiveChurn(spec LiveChurnSpec, opts Options, arm string) (ChurnRun, *Live
 	victim := lc.IDs()[1]
 	run, err := runChurnSchedule(b, b.ctl, churnPlan{
 		arm: arm, victim: victim,
-		warmup: spec.Warmup, baseline: spec.Baseline, outage: spec.Outage, postWatch: spec.PostWatch,
-		windowLen: spec.WindowLen, recoverWindows: spec.RecoverWindows, tols: tols,
+		warmup: liveFaultWarmup, baseline: liveFaultBaseline, outage: spec.Outage, postWatch: spec.PostWatch,
+		windowLen: liveFaultWindowLen, recoverWindows: liveFaultRecoverWindows, tols: tols,
 	}, opts)
 	return run, b.series, string(victim), err
 }
@@ -362,67 +370,50 @@ type LivePartitionSpec struct {
 	// MinorityNodes land on the small side of the cut.
 	MinorityNodes int
 	// HotKeys / TotalKeys split the keyspace as in hotcold.
-	HotKeys   int64
-	TotalKeys int64
-	// HotWorkers / ColdWorkers size the majority-side closed-loop pools.
-	HotWorkers, ColdWorkers int
-	// HotTolerance / ColdTolerance are the per-group stale targets.
-	HotTolerance, ColdTolerance float64
-	ValueBytes                  int
-	// VerifyEvery probes every k-th read (staleness windows need density).
-	VerifyEvery int
+	HotKeys    int64
+	TotalKeys  int64
+	ValueBytes int
 	// OpTimeout bounds every client operation (the fail-fast pin).
-	OpTimeout time.Duration
-	// ProbeInterval is the minority prober's cadence.
-	ProbeInterval time.Duration
-	// ControllerBandwidth: see LiveHotColdSpec.
-	ControllerBandwidth float64
-	MonitorInterval     time.Duration
+	OpTimeout       time.Duration
+	MonitorInterval time.Duration
 	// GossipInterval tunes detection speed: the minority must convict the
 	// majority (and vice versa) well inside the cut.
 	GossipInterval time.Duration
-	// DetectTimeout bounds how long the experiment waits for the majority's
-	// detectors to convict the cut before starting the cut measurement; it
-	// doubles as the contract's DetectBoundMs pin on the blind window.
-	DetectTimeout time.Duration
-	// Warmup precedes measurement; Baseline is watched before the cut, Cut
-	// is how long the partition holds, PostWatch the re-convergence watch.
-	Warmup, Baseline, Cut, PostWatch time.Duration
-	WindowLen                        time.Duration
-	RecoverWindows                   int
-	HintQueueLimit                   int
-	RepairInterval                   time.Duration
-	LogDir                           string
+	// Cut is how long the partition holds, PostWatch the re-convergence
+	// watch.
+	Cut, PostWatch time.Duration
+	HintQueueLimit int
+	RepairInterval time.Duration
+	LogDir         string
 }
+
+// The live partition experiment's fixed prober and detection bound.
+const (
+	// livePartitionProbeInterval is the minority prober's cadence.
+	livePartitionProbeInterval = 100 * time.Millisecond
+	// livePartitionDetectTimeout bounds how long the experiment waits for
+	// the majority's detectors to convict the cut before starting the cut
+	// measurement; it doubles as the contract's DetectBoundMs pin on the
+	// blind window.
+	livePartitionDetectTimeout = 5 * time.Second
+)
 
 // DefaultLivePartitionSpec returns the standard live schedule: a 5-process
 // fully replicated cluster split 3/2 for 6 seconds.
 func DefaultLivePartitionSpec() LivePartitionSpec {
 	return LivePartitionSpec{
-		Procs:               5,
-		MinorityNodes:       2,
-		HotKeys:             200,
-		TotalKeys:           3000,
-		HotWorkers:          4,
-		ColdWorkers:         8,
-		HotTolerance:        0.05,
-		ColdTolerance:       0.50,
-		ValueBytes:          256,
-		VerifyEvery:         2,
-		OpTimeout:           750 * time.Millisecond,
-		ProbeInterval:       100 * time.Millisecond,
-		ControllerBandwidth: 1 << 20,
-		MonitorInterval:     400 * time.Millisecond,
-		GossipInterval:      150 * time.Millisecond,
-		DetectTimeout:       5 * time.Second,
-		Warmup:              2 * time.Second,
-		Baseline:            2 * time.Second,
-		Cut:                 6 * time.Second,
-		PostWatch:           8 * time.Second,
-		WindowLen:           500 * time.Millisecond,
-		RecoverWindows:      4,
-		HintQueueLimit:      2_000,
-		RepairInterval:      500 * time.Millisecond,
+		Procs:           5,
+		MinorityNodes:   2,
+		HotKeys:         200,
+		TotalKeys:       3000,
+		ValueBytes:      256,
+		OpTimeout:       750 * time.Millisecond,
+		MonitorInterval: 400 * time.Millisecond,
+		GossipInterval:  150 * time.Millisecond,
+		Cut:             6 * time.Second,
+		PostWatch:       8 * time.Second,
+		HintQueueLimit:  2_000,
+		RepairInterval:  500 * time.Millisecond,
 	}
 }
 
@@ -450,11 +441,11 @@ func LivePartition(spec LivePartitionSpec, opts Options) (PartitionResult, error
 	ids := lc.IDs()
 	majority, minority := ids[:len(ids)-spec.MinorityNodes], ids[len(ids)-spec.MinorityNodes:]
 	opts.progress("live partition: %d procs up (rf=%d), preloading %d keys", spec.Procs, spec.Procs, spec.TotalKeys)
-	tols := []float64{spec.HotTolerance, spec.ColdTolerance}
-	b, err := newLiveBackend(lc, hotColdController("live-partition", lc.RF(), spec.ControllerBandwidth, spec.HotKeys, tols, nil), spec.MonitorInterval, loadPools{
+	tols := []float64{liveFaultHotTolerance, liveFaultColdTolerance}
+	b, err := newLiveBackend(lc, hotColdController("live-partition", lc.RF(), liveFaultBandwidth, spec.HotKeys, tols, nil), spec.MonitorInterval, loadPools{
 		hotKeys: spec.HotKeys, totalKeys: spec.TotalKeys,
-		hot: spec.HotWorkers, cold: spec.ColdWorkers,
-		valueBytes: spec.ValueBytes, verifyEvery: spec.VerifyEvery,
+		hot: liveFaultHotWorkers, cold: liveFaultColdWorkers,
+		valueBytes: spec.ValueBytes, verifyEvery: liveFaultVerifyEvery,
 		timeout: spec.OpTimeout, coords: majority, seed: opts.Seed,
 	})
 	if err != nil {
@@ -470,13 +461,13 @@ func LivePartition(spec LivePartitionSpec, opts Options) (PartitionResult, error
 		return PartitionResult{}, err
 	}
 	tcp.SetHandler(drv)
-	prb := startProber(b.rt, drv, spec.TotalKeys, spec.ProbeInterval)
+	prb := startProber(b.rt, drv, spec.TotalKeys, livePartitionProbeInterval)
 
 	res, err := runPartitionSchedule(b, b.ctl, b.trace, prb, partitionPlan{
 		label:    fmt.Sprintf("live-%dproc", spec.Procs),
 		majority: majority, minority: minority,
-		warmup: spec.Warmup, baseline: spec.Baseline, cut: spec.Cut, postWatch: spec.PostWatch,
-		windowLen: spec.WindowLen, recoverWindows: spec.RecoverWindows, tols: tols,
+		warmup: liveFaultWarmup, baseline: liveFaultBaseline, cut: spec.Cut, postWatch: spec.PostWatch,
+		windowLen: liveFaultWindowLen, recoverWindows: liveFaultRecoverWindows, tols: tols,
 		opTimeout: spec.OpTimeout,
 		// Gossip convicts the far side on its own. Until it does, any
 		// operation whose replica choice touches a cut peer burns its full
@@ -488,7 +479,7 @@ func LivePartition(spec LivePartitionSpec, opts Options) (PartitionResult, error
 		// the cut tally where any success is scored as split brain.
 		convict: func(faults.PartitionSpec) float64 {
 			start := time.Now()
-			for time.Since(start) < spec.DetectTimeout {
+			for time.Since(start) < livePartitionDetectTimeout {
 				if a := b.maxAliveOf(majority); a > 0 && a <= len(majority) {
 					detectMs := durMs(time.Since(start))
 					opts.progress("live partition: majority convicted the cut in %.0fms", detectMs)
@@ -497,7 +488,7 @@ func LivePartition(spec LivePartitionSpec, opts Options) (PartitionResult, error
 				}
 				time.Sleep(50 * time.Millisecond)
 			}
-			opts.progress("live partition: majority never convicted the cut within %v", spec.DetectTimeout)
+			opts.progress("live partition: majority never convicted the cut within %v", livePartitionDetectTimeout)
 			time.Sleep(spec.OpTimeout)
 			return -1
 		},
@@ -506,7 +497,7 @@ func LivePartition(spec LivePartitionSpec, opts Options) (PartitionResult, error
 		return PartitionResult{}, err
 	}
 	res.Backend, res.Scenario, res.RF = "live", fmt.Sprintf("live-%dproc", spec.Procs), spec.Procs
-	res.DetectBoundMs = durMs(spec.DetectTimeout)
+	res.DetectBoundMs = durMs(livePartitionDetectTimeout)
 	res.Series = b.series
 	return res, nil
 }

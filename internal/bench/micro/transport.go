@@ -97,7 +97,7 @@ func TransportPipelinedRPC(b *testing.B) {
 
 // TransportBatchedThroughput drives acked ~128-byte mutations through a
 // bounded in-flight window — the replica write fan-out shape — over one
-// coalescing stream. The window (well under MaxPending) keeps the backlog
+// coalescing stream. The window (well under the pending-bytes cap) keeps the backlog
 // cap out of play.
 func TransportBatchedThroughput(b *testing.B) {
 	const window = 512

@@ -31,41 +31,51 @@ type PartitionSpec struct {
 	// HotKeys / TotalKeys split the keyspace as in the hotcold experiment.
 	HotKeys   int64
 	TotalKeys int64
-	// HotThreads / ColdThreads size the majority-side load pools;
-	// HotArrival / ColdArrival drive them open loop (ops/s) so offered load
+	// hotThreads / coldThreads size the majority-side load pools;
+	// hotArrival / coldArrival drive them open loop (ops/s) so offered load
 	// does not pause for the cut.
-	HotThreads, ColdThreads int
-	HotArrival, ColdArrival float64
-	// HotTolerance / ColdTolerance are the per-group stale-read targets.
-	HotTolerance, ColdTolerance float64
+	hotThreads, coldThreads int
+	hotArrival, coldArrival float64
 	// MinorityNodes is how many nodes land on the small side of the cut
 	// (the last ones in topology order; the monitor stays with the
 	// majority).
 	MinorityNodes int
-	// Baseline is observed before the cut, Cut is how long the partition
+	// baseline is observed before the cut, Cut is how long the partition
 	// holds, PostWatch how long re-convergence is observed after the heal.
-	Baseline, Cut, PostWatch time.Duration
-	// DetectionDelay models failure-detector convergence: the gap between
-	// the network cut (or heal) and every node's liveness view reflecting
-	// it. During it, cross-cut operations time out instead of failing fast.
-	DetectionDelay time.Duration
+	baseline, Cut, PostWatch time.Duration
 	// OpTimeout bounds every client operation — the fail-fast pin is that
 	// no probe error takes much longer than this.
 	OpTimeout time.Duration
-	// ProbeInterval is the minority prober's cadence: each tick issues a
-	// CL=ONE read, a QUORUM read, and a QUORUM write at explicit levels.
-	ProbeInterval time.Duration
-	// WindowLen / RecoverWindows: staleness windowing as in churn.
-	WindowLen      time.Duration
-	RecoverWindows int
 	// HintQueueLimit caps coordinator hint queues during the cut.
 	HintQueueLimit int
-	// RepairInterval / RepairConcurrency / RepairLeaves tune anti-entropy
-	// (always enabled here: the post-heal convergence pin depends on it).
-	RepairInterval    time.Duration
-	RepairConcurrency int
-	RepairLeaves      int
+	// RepairInterval is anti-entropy's cadence (always enabled here: the
+	// post-heal convergence pin depends on it).
+	RepairInterval time.Duration
 }
+
+// The partition experiment's fixed targets, detection model, prober and
+// windowing.
+const (
+	// partitionHotTolerance / partitionColdTolerance are the per-group
+	// stale-read targets.
+	partitionHotTolerance  = 0.05
+	partitionColdTolerance = 0.30
+	// partitionDetectionDelay models failure-detector convergence: the gap
+	// between the network cut (or heal) and every node's liveness view
+	// reflecting it. During it, cross-cut operations time out instead of
+	// failing fast.
+	partitionDetectionDelay = 500 * time.Millisecond
+	// partitionProbeInterval is the minority prober's cadence: each tick
+	// issues a CL=ONE read, a QUORUM read, and a QUORUM write at explicit
+	// levels.
+	partitionProbeInterval = 50 * time.Millisecond
+	// Staleness windowing as in churn.
+	partitionWindowLen      = 250 * time.Millisecond
+	partitionRecoverWindows = 4
+	// partitionRepairConcurrency / partitionRepairLeaves tune anti-entropy.
+	partitionRepairConcurrency = 3
+	partitionRepairLeaves      = 64
+)
 
 // DefaultPartitionSpec returns the standard configuration: the churn
 // experiment's 6-node RF=5 cluster (full-enough replication that every key
@@ -79,28 +89,20 @@ func DefaultPartitionSpec() PartitionSpec {
 	sc.Spec.NodesPerRack = 3
 	sc.Spec.HintedHandoff = true
 	return PartitionSpec{
-		Scenario:          sc,
-		HotKeys:           400,
-		TotalKeys:         8_000,
-		HotThreads:        10,
-		ColdThreads:       25,
-		HotArrival:        1200,
-		ColdArrival:       4000,
-		HotTolerance:      0.05,
-		ColdTolerance:     0.30,
-		MinorityNodes:     2,
-		Baseline:          2 * time.Second,
-		Cut:               5 * time.Second,
-		PostWatch:         10 * time.Second,
-		DetectionDelay:    500 * time.Millisecond,
-		OpTimeout:         750 * time.Millisecond,
-		ProbeInterval:     50 * time.Millisecond,
-		WindowLen:         250 * time.Millisecond,
-		RecoverWindows:    4,
-		HintQueueLimit:    2_000,
-		RepairInterval:    300 * time.Millisecond,
-		RepairConcurrency: 3,
-		RepairLeaves:      64,
+		Scenario:       sc,
+		HotKeys:        400,
+		TotalKeys:      8_000,
+		hotThreads:     10,
+		coldThreads:    25,
+		hotArrival:     1200,
+		coldArrival:    4000,
+		MinorityNodes:  2,
+		baseline:       2 * time.Second,
+		Cut:            5 * time.Second,
+		PostWatch:      10 * time.Second,
+		OpTimeout:      750 * time.Millisecond,
+		HintQueueLimit: 2_000,
+		RepairInterval: 300 * time.Millisecond,
 	}
 }
 
@@ -122,8 +124,8 @@ type PartitionProbe struct {
 	DeadlineMs float64 `json:"deadline_ms"`
 }
 
-// OneFraction returns the CL=ONE success fraction of the phase.
-func (p PartitionProbe) OneFraction() float64 {
+// oneFraction returns the CL=ONE success fraction of the phase.
+func (p PartitionProbe) oneFraction() float64 {
 	if p.OneOK+p.OneErr == 0 {
 		return 0
 	}
@@ -199,7 +201,7 @@ func (r PartitionResult) Format() string {
 		p    PartitionProbe
 	}{{"baseline", r.ProbeBaseline}, {"cut", r.ProbeCut}} {
 		fmt.Fprintf(&b, "minority %-8s ONE %d/%d ok (%.2f)  QUORUM-read %d ok / %d err  QUORUM-write %d ok / %d err  worst-err %.0fms (deadline %.0fms)\n",
-			ph.name, ph.p.OneOK, ph.p.OneOK+ph.p.OneErr, ph.p.OneFraction(),
+			ph.name, ph.p.OneOK, ph.p.OneOK+ph.p.OneErr, ph.p.oneFraction(),
 			ph.p.QuorumOK, ph.p.QuorumErr, ph.p.WriteOK, ph.p.WriteErr,
 			ph.p.WorstQuorumErrMs, ph.p.DeadlineMs)
 	}
@@ -233,7 +235,7 @@ func CheckPartition(r PartitionResult) []string {
 	p := r.ProbeCut
 	if p.OneOK == 0 {
 		fail("minority served no CL=ONE reads during the cut")
-	} else if f := p.OneFraction(); f < 0.75 {
+	} else if f := p.oneFraction(); f < 0.75 {
 		fail("minority CL=ONE availability %.2f < 0.75 during the cut (%d ok / %d err)", f, p.OneOK, p.OneErr)
 	}
 	if p.QuorumOK != 0 || p.WriteOK != 0 {
@@ -278,8 +280,8 @@ func Partition(spec PartitionSpec, opts Options) (PartitionResult, error) {
 	if spec.HotKeys <= 0 || spec.TotalKeys <= spec.HotKeys {
 		return PartitionResult{}, fmt.Errorf("bench: partition needs 0 < HotKeys < TotalKeys, got %d/%d", spec.HotKeys, spec.TotalKeys)
 	}
-	if spec.Cut <= spec.DetectionDelay || spec.PostWatch <= spec.DetectionDelay {
-		return PartitionResult{}, fmt.Errorf("bench: partition needs Cut and PostWatch > DetectionDelay")
+	if spec.Cut <= partitionDetectionDelay || spec.PostWatch <= partitionDetectionDelay {
+		return PartitionResult{}, fmt.Errorf("bench: partition needs Cut and PostWatch > %v", partitionDetectionDelay)
 	}
 	if spec.MinorityNodes <= 0 {
 		return PartitionResult{}, fmt.Errorf("bench: partition needs a positive MinorityNodes")
@@ -291,8 +293,8 @@ func Partition(spec PartitionSpec, opts Options) (PartitionResult, error) {
 	cspec.Repair = repair.Options{
 		Enabled:        true,
 		Interval:       spec.RepairInterval,
-		Concurrency:    spec.RepairConcurrency,
-		LeavesPerRange: spec.RepairLeaves,
+		Concurrency:    partitionRepairConcurrency,
+		LeavesPerRange: partitionRepairLeaves,
 	}
 	s, c, undo, err := buildSim(opts.Seed, spec.Scenario, cspec)
 	if err != nil {
@@ -305,14 +307,14 @@ func Partition(spec PartitionSpec, opts Options) (PartitionResult, error) {
 	}
 	majority, minority := ids[:len(ids)-spec.MinorityNodes], ids[len(ids)-spec.MinorityNodes:]
 
-	tols := []float64{spec.HotTolerance, spec.ColdTolerance}
+	tols := []float64{partitionHotTolerance, partitionColdTolerance}
 	trace := obs.NewTrace(4096)
 	ctl := core.NewController(hotColdController("partition", cspec.RF, cspec.Profile.BandwidthBytesPerSec, spec.HotKeys, tols, trace))
 	// Majority load: clients colocated with the big side of the cut.
 	b, err := newSimBackend(s, c, ctl, spec.Scenario.MonitorInterval, cspec.RF, loadPools{
 		hotKeys: spec.HotKeys, totalKeys: spec.TotalKeys,
-		hot: spec.HotThreads, cold: spec.ColdThreads,
-		hotArrival: spec.HotArrival, coldArrival: spec.ColdArrival,
+		hot: spec.hotThreads, cold: spec.coldThreads,
+		hotArrival: spec.hotArrival, coldArrival: spec.coldArrival,
 		valueBytes: 1024, verifyEvery: 2, timeout: spec.OpTimeout,
 		coords: majority, prefix: "p", seed: opts.Seed,
 	})
@@ -324,14 +326,14 @@ func Partition(spec PartitionSpec, opts Options) (PartitionResult, error) {
 		return PartitionResult{}, err
 	}
 	c.Bus.Register("part-probe", s, drv)
-	prb := startProber(s, drv, spec.TotalKeys, spec.ProbeInterval)
+	prb := startProber(s, drv, spec.TotalKeys, partitionProbeInterval)
 
 	res, err := runPartitionSchedule(b, ctl, trace, prb, partitionPlan{
 		label:    spec.Scenario.Name,
 		majority: majority, minority: minority,
 		warmup:   max(8*spec.Scenario.MonitorInterval, 2*time.Second),
-		baseline: spec.Baseline, cut: spec.Cut, postWatch: spec.PostWatch,
-		windowLen: spec.WindowLen, recoverWindows: spec.RecoverWindows, tols: tols,
+		baseline: spec.baseline, cut: spec.Cut, postWatch: spec.PostWatch,
+		windowLen: partitionWindowLen, recoverWindows: partitionRecoverWindows, tols: tols,
 		opTimeout: spec.OpTimeout,
 		// The cut severs member<->member delivery at once (the monitor,
 		// colocated on the majority, is cut off from the minority too); each
@@ -340,12 +342,12 @@ func Partition(spec PartitionSpec, opts Options) (PartitionResult, error) {
 		// part of the measured cut.
 		measureBlind: true,
 		convict: func(sides faults.PartitionSpec) float64 {
-			s.RunFor(spec.DetectionDelay)
+			s.RunFor(partitionDetectionDelay)
 			c.Faults.Apply(faults.Update{Convict: &sides})
 			return 0
 		},
 		acquit: func() {
-			s.RunFor(spec.DetectionDelay)
+			s.RunFor(partitionDetectionDelay)
 			c.Faults.Apply(faults.Update{Acquit: true})
 		},
 	}, opts)
@@ -453,7 +455,7 @@ func runPartitionSchedule(b backend, ctl *core.Controller, trace *obs.Trace, prb
 	res.Trace = trace.Events()
 	res.Holds = countHolds(res.Trace)
 	opts.progress("partition %s: availability %.2f, minority ONE %.2f, holds %d",
-		p.label, res.AvailabilityRatio, res.ProbeCut.OneFraction(), res.Holds)
+		p.label, res.AvailabilityRatio, res.ProbeCut.oneFraction(), res.Holds)
 	return res, nil
 }
 

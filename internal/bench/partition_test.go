@@ -123,9 +123,9 @@ func reducedPartitionSpec() PartitionSpec {
 	spec := DefaultPartitionSpec()
 	spec.TotalKeys = 2000
 	spec.HotKeys = 200
-	spec.HotThreads, spec.ColdThreads = 4, 8
-	spec.HotArrival, spec.ColdArrival = 600, 1500
-	spec.Baseline = 1500 * time.Millisecond
+	spec.hotThreads, spec.coldThreads = 4, 8
+	spec.hotArrival, spec.coldArrival = 600, 1500
+	spec.baseline = 1500 * time.Millisecond
 	spec.Cut = 4 * time.Second
 	spec.PostWatch = 8 * time.Second
 	return spec
@@ -136,6 +136,7 @@ func reducedPartitionSpec() PartitionSpec {
 // minority unavailability at quorum with CL=ONE still served, fail-fast
 // refusals, divergence holds, post-heal re-convergence.
 func TestPartitionSim(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("partition sim experiment is seconds of virtual time")
 	}

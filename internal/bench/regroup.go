@@ -28,47 +28,48 @@ type RegroupSpec struct {
 	// TotalKeys is the whole keyspace.
 	HotKeys   int64
 	TotalKeys int64
-	// MigrateTo is where the hot range jumps mid-run: [MigrateTo,
-	// MigrateTo+HotKeys).
-	MigrateTo int64
-	// HotThreads / ColdThreads size the two closed-loop client pools.
-	HotThreads, ColdThreads int
-	// HotReadProportion is the hot pool's read share (its write share is
-	// the complement); the hot data is write-contended by design.
-	HotReadProportion float64
-	// HotTolerance / ColdTolerance are the tight and loose tolerable
-	// stale-read rates.
-	HotTolerance, ColdTolerance float64
-	// RegroupInterval is the learned policy's regroup cadence.
-	RegroupInterval time.Duration
+	// migrateTo is where the hot range jumps mid-run: [migrateTo,
+	// migrateTo+HotKeys).
+	migrateTo int64
 	// KeySampleLimit is the per-node sample export size for the learned
 	// policy.
 	KeySampleLimit int
-	// AdaptTime is the virtual time granted after the migration before the
-	// post-migration measurement begins (covers sampler decay, reclustering
-	// and broadcast for the learned policy — the static policy just waits).
-	AdaptTime time.Duration
 }
+
+// The regroup experiment's fixed load, targets and timing.
+const (
+	// regroupHotThreads / regroupColdThreads size the two closed-loop
+	// client pools.
+	regroupHotThreads  = 20
+	regroupColdThreads = 40
+	// regroupHotReadProportion is the hot pool's read share (its write
+	// share is the complement); the hot data is write-contended by design.
+	regroupHotReadProportion = 0.3
+	// regroupHotTolerance / regroupColdTolerance are the tight and loose
+	// tolerable stale-read rates.
+	regroupHotTolerance  = 0.05
+	regroupColdTolerance = 0.25
+	// regroupInterval is the learned policy's regroup cadence.
+	regroupInterval = time.Second
+	// regroupAdaptTime is the virtual time granted after the migration
+	// before the post-migration measurement begins (covers sampler decay,
+	// reclustering and broadcast for the learned policy — the static
+	// policy just waits).
+	regroupAdaptTime = 6 * time.Second
+)
 
 // DefaultRegroupSpec returns the standard configuration.
 func DefaultRegroupSpec() RegroupSpec {
 	return RegroupSpec{
-		Scenario:          Grid5000(),
-		HotKeys:           300,
-		TotalKeys:         20_000,
-		MigrateTo:         10_000,
-		HotThreads:        20,
-		ColdThreads:       40,
-		HotReadProportion: 0.3,
-		HotTolerance:      0.05,
-		ColdTolerance:     0.25,
-		RegroupInterval:   time.Second,
+		Scenario:  Grid5000(),
+		HotKeys:   300,
+		TotalKeys: 20_000,
+		migrateTo: 10_000,
 		// Sampler-weighted clustering concentrates the tight category on
 		// the heavy head of the zipfian hotspot; a larger per-node sample
 		// keeps the hot range's lighter tail visible so it clusters with
 		// the head instead of defaulting loose.
 		KeySampleLimit: 256,
-		AdaptTime:      6 * time.Second,
 	}
 }
 
@@ -165,14 +166,14 @@ func Regroup(spec RegroupSpec, opts Options) (RegroupResult, error) {
 	if spec.HotKeys <= 0 || spec.TotalKeys <= spec.HotKeys {
 		return RegroupResult{}, fmt.Errorf("bench: regroup needs 0 < HotKeys < TotalKeys, got %d/%d", spec.HotKeys, spec.TotalKeys)
 	}
-	if spec.MigrateTo <= spec.HotKeys || spec.MigrateTo+spec.HotKeys > spec.TotalKeys {
-		return RegroupResult{}, fmt.Errorf("bench: MigrateTo %d must move the hot range into fresh keyspace", spec.MigrateTo)
+	if spec.migrateTo <= spec.HotKeys || spec.migrateTo+spec.HotKeys > spec.TotalKeys {
+		return RegroupResult{}, fmt.Errorf("bench: migrateTo %d must move the hot range into fresh keyspace", spec.migrateTo)
 	}
 	res := RegroupResult{
 		Scenario:  spec.Scenario.Name,
 		HotKeys:   spec.HotKeys,
 		TotalKeys: spec.TotalKeys,
-		MigrateTo: spec.MigrateTo,
+		MigrateTo: spec.migrateTo,
 		Ops:       opts.OpsPerPoint,
 	}
 	learned, err := runRegroup(spec, opts, true)
@@ -197,7 +198,7 @@ func Regroup(spec RegroupSpec, opts Options) (RegroupResult, error) {
 func runRegroup(spec RegroupSpec, opts Options, learned bool) (RegroupRun, error) {
 	cspec := spec.Scenario.Spec
 	cspec.Groups = 2
-	tols := []float64{spec.HotTolerance, spec.ColdTolerance}
+	tols := []float64{regroupHotTolerance, regroupColdTolerance}
 
 	var initial *grouping.Assignment
 	if learned {
@@ -226,9 +227,9 @@ func runRegroup(spec RegroupSpec, opts Options, learned bool) (RegroupRun, error
 
 	ctl := core.NewController(core.ControllerConfig{
 		Policy: core.Policy{
-			Name: fmt.Sprintf("regroup-%d%%", int(spec.HotTolerance*100+0.5)),
+			Name: fmt.Sprintf("regroup-%d%%", int(tols[0]*100+0.5)),
 			// The global stream protects the most sensitive data.
-			ToleratedStaleRate: spec.HotTolerance,
+			ToleratedStaleRate: regroupHotTolerance,
 		},
 		N:                    cspec.RF,
 		BandwidthBytesPerSec: cspec.Profile.BandwidthBytesPerSec,
@@ -245,15 +246,15 @@ func runRegroup(spec RegroupSpec, opts Options, learned bool) (RegroupRun, error
 	if learned {
 		probes := make([][]byte, 8)
 		for i := range probes {
-			probes[i] = ycsb.Key(spec.MigrateTo + int64(i))
+			probes[i] = ycsb.Key(spec.migrateTo + int64(i))
 		}
 		rg, err = grouping.New(grouping.Config{
 			Self:         "harmony-monitor",
 			Nodes:        c.NodeIDs(),
 			K:            2,
-			MinTolerance: spec.HotTolerance,
-			MaxTolerance: spec.ColdTolerance,
-			Interval:     spec.RegroupInterval,
+			MinTolerance: regroupHotTolerance,
+			MaxTolerance: regroupColdTolerance,
+			Interval:     regroupInterval,
 			Seed:         opts.Seed,
 			Controller:   ctl,
 			Initial:      initial,
@@ -288,8 +289,8 @@ func runRegroup(spec RegroupSpec, opts Options, learned bool) (RegroupRun, error
 
 	hotWl := ycsb.Workload{
 		Name:             "regroup-hot",
-		ReadProportion:   spec.HotReadProportion,
-		UpdateProportion: 1 - spec.HotReadProportion,
+		ReadProportion:   regroupHotReadProportion,
+		UpdateProportion: 1 - regroupHotReadProportion,
 		RecordCount:      spec.HotKeys, ValueBytes: 1024,
 		RequestDistribution: ycsb.DistZipfian,
 	}
@@ -308,11 +309,11 @@ func runRegroup(spec RegroupSpec, opts Options, learned bool) (RegroupRun, error
 			Policy:       ctl,
 		}, s, c)
 	}
-	hotR, err := newRunner(hotWl, spec.HotThreads, "hot", 101)
+	hotR, err := newRunner(hotWl, regroupHotThreads, "hot", 101)
 	if err != nil {
 		return RegroupRun{}, err
 	}
-	coldR, err := newRunner(coldWl, spec.ColdThreads, "cold", 202)
+	coldR, err := newRunner(coldWl, regroupColdThreads, "cold", 202)
 	if err != nil {
 		return RegroupRun{}, err
 	}
@@ -369,8 +370,8 @@ func runRegroup(spec RegroupSpec, opts Options, learned bool) (RegroupRun, error
 	// Warm-up: enough monitor rounds for steady state, and for the learned
 	// policy at least two regroup cycles so epoch 1 is installed.
 	warmup := 8 * spec.Scenario.MonitorInterval
-	if learned && warmup < 3*spec.RegroupInterval {
-		warmup = 3 * spec.RegroupInterval
+	if learned && warmup < 3*regroupInterval {
+		warmup = 3 * regroupInterval
 	}
 	if warmup < 2*time.Second {
 		warmup = 2 * time.Second
@@ -384,11 +385,11 @@ func runRegroup(spec RegroupSpec, opts Options, learned bool) (RegroupRun, error
 		return RegroupRun{}, err
 	}
 
-	// The hotspot migrates; the environment gets AdaptTime to re-adapt
+	// The hotspot migrates; the environment gets regroupAdaptTime to re-adapt
 	// before the after-picture is taken.
 	migratedAt = s.Now()
-	hotR.SetKeyOffset(spec.MigrateTo)
-	s.RunFor(spec.AdaptTime)
+	hotR.SetKeyOffset(spec.migrateTo)
+	s.RunFor(regroupAdaptTime)
 	if run.Phase2, err = measure(); err != nil {
 		return RegroupRun{}, err
 	}
@@ -402,12 +403,12 @@ func runRegroup(spec RegroupSpec, opts Options, learned bool) (RegroupRun, error
 	hotR.Drain()
 	coldR.Drain()
 
-	run.HotProtectedTo = spec.ColdTolerance // pinned groups: hot data on the loose target
+	run.HotProtectedTo = regroupColdTolerance // pinned groups: hot data on the loose target
 	if learned {
 		run.Epochs = rg.Epochs()
 		run.RegroupLagMs = durMs(regroupLag)
-		if g := rg.Current().GroupOf(ycsb.Key(spec.MigrateTo)); g == 0 {
-			run.HotProtectedTo = spec.HotTolerance
+		if g := rg.Current().GroupOf(ycsb.Key(spec.migrateTo)); g == 0 {
+			run.HotProtectedTo = regroupHotTolerance
 		}
 	}
 	return run, nil

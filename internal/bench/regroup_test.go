@@ -10,6 +10,7 @@ import (
 // learned group inside its staleness tolerance, and it must re-tighten the
 // migrated hot keys to the hot target the static grouping abandons.
 func TestRegroupLearnedBeatsStaticAfterMigration(t *testing.T) {
+	t.Parallel()
 	spec := DefaultRegroupSpec()
 	res, err := Regroup(spec, Options{OpsPerPoint: 8000, Seed: 1})
 	if err != nil {
@@ -43,13 +44,13 @@ func TestRegroupLearnedBeatsStaticAfterMigration(t *testing.T) {
 	// The differentiation that matters after the migration: learned guards
 	// the new hot keys at the tight target and keeps escalating their
 	// group; the pinned grouping leaves them on the loose target.
-	if res.Learned.HotProtectedTo != spec.HotTolerance {
+	if res.Learned.HotProtectedTo != regroupHotTolerance {
 		t.Fatalf("learned hot data protected to %.2f, want %.2f",
-			res.Learned.HotProtectedTo, spec.HotTolerance)
+			res.Learned.HotProtectedTo, regroupHotTolerance)
 	}
-	if res.Static.HotProtectedTo != spec.ColdTolerance {
+	if res.Static.HotProtectedTo != regroupColdTolerance {
 		t.Fatalf("static hot data protected to %.2f, want the loose %.2f",
-			res.Static.HotProtectedTo, spec.ColdTolerance)
+			res.Static.HotProtectedTo, regroupColdTolerance)
 	}
 	if res.Learned.Phase2.Groups[0].FinalLevel == "ONE" {
 		t.Fatalf("learned tight group never escalated after migration: %+v",
@@ -64,7 +65,7 @@ func TestRegroupLearnedBeatsStaticAfterMigration(t *testing.T) {
 
 func TestRegroupValidation(t *testing.T) {
 	spec := DefaultRegroupSpec()
-	spec.MigrateTo = spec.HotKeys / 2 // overlaps the initial hot range
+	spec.migrateTo = spec.HotKeys / 2 // overlaps the initial hot range
 	if _, err := Regroup(spec, Options{}); err == nil {
 		t.Fatal("overlapping migration accepted")
 	}
@@ -78,6 +79,7 @@ func TestRegroupValidation(t *testing.T) {
 // TestAdaptationLagMeasured runs the drifting scenario through the lag
 // experiment: the regime change must be detected and timed.
 func TestAdaptationLagMeasured(t *testing.T) {
+	t.Parallel()
 	res, err := AdaptationLag(Drifting(), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)

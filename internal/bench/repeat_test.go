@@ -13,6 +13,7 @@ import (
 // hotcold session arm), hint replay in map order (the partition's
 // heal), and controller trace events stamped with the host clock.
 func TestSimExperimentsRepeatPerSeed(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("runs two simulated experiments twice")
 	}

@@ -25,7 +25,7 @@ type RunSpec struct {
 type RunResult struct {
 	Spec      RunSpec
 	Report    ycsb.Report
-	Decisions []core.Decision // Harmony's trace (empty for static policies)
+	decisions []core.Decision // Harmony's trace (empty for static policies)
 }
 
 // RunPolicy executes one point: build the cluster, wire the policy (with
@@ -77,7 +77,7 @@ func RunPolicy(spec RunSpec) (RunResult, error) {
 	}
 	res := RunResult{Spec: spec, Report: report}
 	if ctl != nil {
-		res.Decisions = ctl.History()
+		res.decisions = ctl.History()
 	}
 	return res, nil
 }
@@ -86,7 +86,7 @@ func RunPolicy(spec RunSpec) (RunResult, error) {
 // figures 5(a-d) and 6(a-b) are different projections of it.
 type Grid struct {
 	Scenario Scenario
-	Policies []PolicySpec
+	policies []PolicySpec
 	Threads  []int
 	// Results indexed [policy][thread].
 	Results [][]RunResult
@@ -104,7 +104,7 @@ type Options struct {
 	// Seed feeds all randomness.
 	Seed int64
 	// PhaseDuration is the virtual time per thread phase in Fig. 4(a);
-	// zero selects DefaultFig4aPhase.
+	// zero selects defaultFig4aPhase.
 	PhaseDuration time.Duration
 	// ArrivalRate, when positive, drives every measurement point open
 	// loop: Poisson arrivals at this aggregate ops/s instead of the
@@ -119,7 +119,7 @@ func (o Options) withDefaults() Options {
 		o.OpsPerPoint = 30000
 	}
 	if len(o.Threads) == 0 {
-		o.Threads = ThreadSweep
+		o.Threads = threadSweep
 	}
 	return o
 }
@@ -134,7 +134,7 @@ func (o Options) progress(format string, args ...any) {
 // Workload-A, the paper's evaluation workload.
 func RunGrid(sc Scenario, policies []PolicySpec, opts Options) (Grid, error) {
 	opts = opts.withDefaults()
-	g := Grid{Scenario: sc, Policies: policies, Threads: opts.Threads}
+	g := Grid{Scenario: sc, policies: policies, Threads: opts.Threads}
 	for pi, pol := range policies {
 		row := make([]RunResult, 0, len(opts.Threads))
 		for ti, th := range opts.Threads {
@@ -171,7 +171,7 @@ func (g Grid) LatencyFigure(id string) Figure {
 		XLabel: "threads",
 		YLabel: "99th percentile latency (ms)",
 	}
-	for pi, pol := range g.Policies {
+	for pi, pol := range g.policies {
 		s := Series{Name: pol.Name()}
 		for ti, th := range g.Threads {
 			p99 := g.Results[pi][ti].Report.ReadLatency.P99()
@@ -191,7 +191,7 @@ func (g Grid) ThroughputFigure(id string) Figure {
 		XLabel: "threads",
 		YLabel: "throughput (ops/s)",
 	}
-	for pi, pol := range g.Policies {
+	for pi, pol := range g.policies {
 		s := Series{Name: pol.Name()}
 		for ti, th := range g.Threads {
 			s.Points = append(s.Points, Point{X: float64(th), Y: g.Results[pi][ti].Report.ThroughputOps})
@@ -211,7 +211,7 @@ func (g Grid) StalenessFigure(id string) Figure {
 		XLabel: "threads",
 		YLabel: "stale reads per 100k reads",
 	}
-	for pi, pol := range g.Policies {
+	for pi, pol := range g.policies {
 		s := Series{Name: pol.Name()}
 		for ti, th := range g.Threads {
 			rep := g.Results[pi][ti].Report

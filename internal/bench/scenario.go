@@ -23,18 +23,18 @@ type Scenario struct {
 	// HarmonyTolerances are the two tolerable-stale-rate settings the
 	// paper evaluates on this testbed (Grid'5000: 20%/40%; EC2: 40%/60%).
 	HarmonyTolerances [2]float64
-	// Prepare, when set, is invoked after the cluster is built and before
+	// prepare, when set, is invoked after the cluster is built and before
 	// load starts; scenarios use it to inject mid-run dynamics (the
 	// drifting profile's jitter schedule). The returned stop function
 	// (may be nil) runs when the measurement ends.
-	Prepare func(s *sim.Sim, c *cluster.Cluster) (stop func())
-	// RegimeChangeAt, when positive, is the virtual instant (measured from
-	// Prepare) at which the scenario's mid-run regime change begins, and
-	// RegimeStableBy when the environment has fully settled into the new
+	prepare func(s *sim.Sim, c *cluster.Cluster) (stop func())
+	// regimeChangeAt, when positive, is the virtual instant (measured from
+	// prepare) at which the scenario's mid-run regime change begins, and
+	// regimeStableBy when the environment has fully settled into the new
 	// regime — the anchors re-adaptation-lag measurements need. Zero for
 	// static scenarios.
-	RegimeChangeAt time.Duration
-	RegimeStableBy time.Duration
+	regimeChangeAt time.Duration
+	regimeStableBy time.Duration
 }
 
 // Grid5000 is the paper's first testbed scaled to simulation: 20 physical
@@ -134,9 +134,9 @@ func Drifting() Scenario {
 		Spec:              spec,
 		MonitorInterval:   250 * time.Millisecond,
 		HarmonyTolerances: [2]float64{0.20, 0.40},
-		RegimeChangeAt:    lead,
-		RegimeStableBy:    lead + driftWindow,
-		Prepare: func(s *sim.Sim, c *cluster.Cluster) func() {
+		regimeChangeAt:    lead,
+		regimeStableBy:    lead + driftWindow,
+		prepare: func(s *sim.Sim, c *cluster.Cluster) func() {
 			knob.SetProgress(0)
 			start := s.Now()
 			return sim.Every(s,
@@ -168,8 +168,8 @@ type PolicyKind int
 const (
 	// PolicyEventual is Cassandra's static eventual consistency (CL=ONE).
 	PolicyEventual PolicyKind = iota
-	// PolicyStrong is static strong consistency (CL=ALL).
-	PolicyStrong
+	// policyStrong is static strong consistency (CL=ALL).
+	policyStrong
 	// PolicyHarmony adapts the level with the monitor + controller.
 	PolicyHarmony
 )
@@ -186,7 +186,7 @@ func (p PolicySpec) Name() string {
 	switch p.Kind {
 	case PolicyEventual:
 		return "Eventual"
-	case PolicyStrong:
+	case policyStrong:
 		return "Strong"
 	case PolicyHarmony:
 		return fmt.Sprintf("Harmony-%d%%", int(p.Tolerance*100+0.5))
@@ -198,7 +198,7 @@ func (p PolicySpec) Name() string {
 // controller that must be fed by a monitor.
 func (p PolicySpec) policy(n int, w ycsb.Workload, profile simnet.Profile) (client.ConsistencyPolicy, *core.Controller) {
 	switch p.Kind {
-	case PolicyStrong:
+	case policyStrong:
 		return client.Fixed{Read: wire.All}, nil
 	case PolicyHarmony:
 		ctl := core.NewController(core.ControllerConfig{
@@ -221,9 +221,9 @@ func StandardPolicies(sc Scenario) []PolicySpec {
 		{Kind: PolicyHarmony, Tolerance: sc.HarmonyTolerances[1]},
 		{Kind: PolicyHarmony, Tolerance: sc.HarmonyTolerances[0]},
 		{Kind: PolicyEventual},
-		{Kind: PolicyStrong},
+		{Kind: policyStrong},
 	}
 }
 
-// ThreadSweep is the client-thread x-axis of Fig. 5 and 6.
-var ThreadSweep = []int{1, 15, 40, 70, 90, 100}
+// threadSweep is the client-thread x-axis of Fig. 5 and 6.
+var threadSweep = []int{1, 15, 40, 70, 90, 100}

@@ -18,6 +18,7 @@ import (
 // learned tolerance. (PR 3 proved K=2 end to end; the subsystem always
 // supported arbitrary K — this is the first workload that rewards it.)
 func TestThreePopulationLearnsMiddleTier(t *testing.T) {
+	t.Parallel()
 	const (
 		hotKeys   = 300
 		warmStart = 3000

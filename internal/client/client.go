@@ -50,7 +50,7 @@ var (
 	ErrTimeout     = errors.New("client: operation timed out")
 	ErrUnavailable = errors.New("client: not enough replicas")
 	ErrOverloaded  = errors.New("client: coordinator overloaded")
-	ErrServer      = errors.New("client: server error")
+	errServer      = errors.New("client: server error")
 )
 
 // ConsistencyPolicy supplies the read and write consistency levels for an
@@ -272,15 +272,7 @@ func (d *Driver) Read(key []byte, cb func(ReadResult)) {
 
 // ReadAt fetches key at an explicit consistency level.
 func (d *Driver) ReadAt(key []byte, level wire.ConsistencyLevel, cb func(ReadResult)) {
-	d.ReadToken(key, level, nil, cb)
-}
-
-// ReadToken fetches key at an explicit level carrying a session token. At
-// wire.Session the coordinator must answer with a version covering the token
-// (Session maintains tokens and calls this); at other levels the token is
-// ignored by the cluster.
-func (d *Driver) ReadToken(key []byte, level wire.ConsistencyLevel, token []wire.ClockEntry, cb func(ReadResult)) {
-	d.readToken(key, level, token, d.opts.MaxAttempts, true, cb)
+	d.readToken(key, level, nil, d.opts.MaxAttempts, true, cb)
 }
 
 // ReadAtOnce fetches key at an explicit level with a single attempt and no
@@ -294,6 +286,9 @@ func (d *Driver) ReadAtOnce(key []byte, level wire.ConsistencyLevel, cb func(Rea
 	d.readToken(key, level, nil, 1, false, cb)
 }
 
+// readToken fetches key at level carrying a session token: at wire.Session
+// the coordinator must answer with a version covering the token (Session
+// maintains tokens); at other levels the cluster ignores it.
 func (d *Driver) readToken(key []byte, level wire.ConsistencyLevel, token []wire.ClockEntry, maxAttempts int, hedge bool, cb func(ReadResult)) {
 	if level == 0 {
 		level = wire.One
@@ -522,7 +517,7 @@ func baseErr(code wire.ErrorCode) error {
 	case wire.ErrOverloaded:
 		return ErrOverloaded
 	}
-	return ErrServer
+	return errServer
 }
 
 // Deliver implements transport.Handler: correlate responses to callbacks.
@@ -551,7 +546,7 @@ func (d *Driver) Deliver(_ ring.NodeID, m wire.Message) {
 			d.attemptFailed(op, msg.ID, baseErr(msg.Code), msg.Msg)
 			return
 		}
-		err := d.wrapErr(op, fmt.Errorf("%w: %s (%s)", ErrServer, msg.Msg, msg.Code), "not retryable")
+		err := d.wrapErr(op, fmt.Errorf("%w: %s (%s)", errServer, msg.Msg, msg.Code), "not retryable")
 		d.finish(op, ReadResult{Err: err}, WriteResult{Err: err})
 	}
 }

@@ -92,7 +92,7 @@ func (s *Session) ReadAt(key []byte, level wire.ConsistencyLevel, cb func(ReadRe
 		token = []wire.ClockEntry(*s.bucket(key))
 	}
 	s.reads++
-	s.d.ReadToken(key, level, token, func(res ReadResult) {
+	s.d.readToken(key, level, token, s.d.opts.MaxAttempts, true, func(res ReadResult) {
 		if res.Err == nil {
 			s.observe(key, res.Ts, res.Clock, true)
 		}

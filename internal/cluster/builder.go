@@ -17,14 +17,15 @@ import (
 
 // Spec describes a whole cluster to assemble; it is the shared entry point
 // for tests, benchmarks and examples.
+// vnodesPerNode is the virtual node count of every simulated member.
+const vnodesPerNode = 16
+
 type Spec struct {
 	// DCs is the number of datacenters; RacksPerDC and NodesPerRack shape
 	// each one identically.
 	DCs, RacksPerDC, NodesPerRack int
 	// RF is the replication factor (the paper uses 5).
 	RF int
-	// VNodes per physical node; zero means 16.
-	VNodes int
 	// Profile is the network latency profile.
 	Profile simnet.Profile
 	// ReadRepairChance is the probability a read fans out to all replicas
@@ -71,12 +72,12 @@ type Spec struct {
 // interference). The jitter is what separates "wait for the first replica"
 // from "wait for the slowest of five" in the latency distributions.
 type ServiceProfile struct {
-	CoordRead    time.Duration // coordinating a client read
-	CoordWrite   time.Duration // coordinating a client write
+	coordRead    time.Duration // coordinating a client read
+	coordWrite   time.Duration // coordinating a client write
 	ReplicaRead  time.Duration // serving a replica-local read
-	ReplicaWrite time.Duration // applying a mutation or repair
+	replicaWrite time.Duration // applying a mutation or repair
 	Response     time.Duration // handling replica responses/acks
-	Other        time.Duration // stats, ping, gossip
+	other        time.Duration // stats, ping, gossip
 }
 
 // DefaultServiceProfile bounds the 20-node cluster at roughly 30k
@@ -85,12 +86,12 @@ type ServiceProfile struct {
 // near 90 threads, Fig. 5(c)).
 func DefaultServiceProfile() ServiceProfile {
 	return ServiceProfile{
-		CoordRead:    50 * time.Microsecond,
-		CoordWrite:   50 * time.Microsecond,
+		coordRead:    50 * time.Microsecond,
+		coordWrite:   50 * time.Microsecond,
 		ReplicaRead:  160 * time.Microsecond,
-		ReplicaWrite: 200 * time.Microsecond,
+		replicaWrite: 200 * time.Microsecond,
 		Response:     8 * time.Microsecond,
-		Other:        5 * time.Microsecond,
+		other:        5 * time.Microsecond,
 	}
 }
 
@@ -99,34 +100,34 @@ func DefaultServiceProfile() ServiceProfile {
 func (p ServiceProfile) Scale(f float64) ServiceProfile {
 	mul := func(d time.Duration) time.Duration { return time.Duration(float64(d) * f) }
 	return ServiceProfile{
-		CoordRead:    mul(p.CoordRead),
-		CoordWrite:   mul(p.CoordWrite),
+		coordRead:    mul(p.coordRead),
+		coordWrite:   mul(p.coordWrite),
 		ReplicaRead:  mul(p.ReplicaRead),
-		ReplicaWrite: mul(p.ReplicaWrite),
+		replicaWrite: mul(p.replicaWrite),
 		Response:     mul(p.Response),
-		Other:        mul(p.Other),
+		other:        mul(p.other),
 	}
 }
 
-// Timer converts the profile into a transport.ServiceTimer drawing jitter
+// timer converts the profile into a transport.ServiceTimer drawing jitter
 // from rng (which must belong to the node's runtime).
-func (p ServiceProfile) Timer(rng *rand.Rand) transport.ServiceTimer {
+func (p ServiceProfile) timer(rng *rand.Rand) transport.ServiceTimer {
 	jitter := dist.LognormalFromMeanP99(1.0, 3.0)
 	return func(m wire.Message) time.Duration {
 		var base time.Duration
 		switch m.(type) {
 		case wire.ReadRequest:
-			base = p.CoordRead
+			base = p.coordRead
 		case wire.WriteRequest:
-			base = p.CoordWrite
+			base = p.coordWrite
 		case wire.ReplicaRead:
 			base = p.ReplicaRead
 		case wire.Mutation, wire.Repair:
-			base = p.ReplicaWrite
+			base = p.replicaWrite
 		case wire.ReplicaReadResp, wire.MutationAck:
 			return p.Response // cheap fixed-cost handling
 		default:
-			return p.Other
+			return p.other
 		}
 		return time.Duration(float64(base) * jitter.Sample(rng))
 	}
@@ -145,7 +146,6 @@ func DefaultSpec() Spec {
 		RacksPerDC:       4,
 		NodesPerRack:     5,
 		RF:               5,
-		VNodes:           16,
 		Profile:          simnet.Grid5000Profile(),
 		ReadRepairChance: 0.1,
 	}
@@ -153,7 +153,7 @@ func DefaultSpec() Spec {
 
 // Cluster bundles a running set of nodes with the fabric connecting them.
 type Cluster struct {
-	Topo     *ring.Topology
+	topo     *ring.Topology
 	Ring     *ring.Ring
 	Strategy ring.Strategy
 	Net      *simnet.Net
@@ -194,9 +194,6 @@ func build(spec Spec, rtFor func(ring.NodeID) sim.Runtime, s *sim.Sim) (*Cluster
 	if spec.RF <= 0 {
 		return nil, fmt.Errorf("cluster: replication factor must be positive")
 	}
-	if spec.VNodes == 0 {
-		spec.VNodes = 16
-	}
 	var infos []ring.NodeInfo
 	for dc := 1; dc <= spec.DCs; dc++ {
 		for rack := 1; rack <= spec.RacksPerDC; rack++ {
@@ -213,7 +210,7 @@ func build(spec Spec, rtFor func(ring.NodeID) sim.Runtime, s *sim.Sim) (*Cluster
 	if err != nil {
 		return nil, err
 	}
-	rng, err := ring.Build(topo, spec.VNodes)
+	rng, err := ring.Build(topo, vnodesPerNode)
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +224,7 @@ func build(spec Spec, rtFor func(ring.NodeID) sim.Runtime, s *sim.Sim) (*Cluster
 	plane := faults.New(faultsRT, s.NewStream().Int63(), ids)
 	bus := transport.NewBus(net, plane)
 	c := &Cluster{
-		Topo:     topo,
+		topo:     topo,
 		Ring:     rng,
 		Strategy: strat,
 		Net:      net,
@@ -269,7 +266,7 @@ func build(spec Spec, rtFor func(ring.NodeID) sim.Runtime, s *sim.Sim) (*Cluster
 			AliveCount:       func() int { return plane.AliveCount(self) },
 			Rand:             s.NewStream(),
 		}, rt, bus)
-		bus.Register(info.ID, rt, transport.NewServiceQueue(rt, n, svc.Timer(s.NewStream())))
+		bus.Register(info.ID, rt, transport.NewServiceQueue(rt, n, svc.timer(s.NewStream())))
 		n.Start()
 		c.Nodes = append(c.Nodes, n)
 		c.byID[info.ID] = n
@@ -281,7 +278,7 @@ func build(spec Spec, rtFor func(ring.NodeID) sim.Runtime, s *sim.Sim) (*Cluster
 func (c *Cluster) Node(id ring.NodeID) *Node { return c.byID[id] }
 
 // NodeIDs returns all node IDs in deterministic order.
-func (c *Cluster) NodeIDs() []ring.NodeID { return c.Topo.Nodes() }
+func (c *Cluster) NodeIDs() []ring.NodeID { return c.topo.Nodes() }
 
 // AggregateMetrics sums metrics across all nodes. Per-group counters only
 // aggregate over nodes at the newest grouping epoch: during a GroupUpdate

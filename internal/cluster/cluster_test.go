@@ -357,7 +357,7 @@ func TestHintedHandoffDelivery(t *testing.T) {
 		t.Fatal("write did not complete")
 	}
 	coord := c.Node(reps[0])
-	if coord.PendingHints() == 0 {
+	if coord.pendingHints() == 0 {
 		t.Fatal("no hint queued for the down replica")
 	}
 	if v, ok := c.Node(down).Engine().Get([]byte("hh")); ok && string(v.Data) == "v" {
@@ -369,8 +369,8 @@ func TestHintedHandoffDelivery(t *testing.T) {
 	if v, ok := c.Node(down).Engine().Get([]byte("hh")); !ok || string(v.Data) != "v" {
 		t.Fatalf("hint not replayed: %q ok=%v", v.Data, ok)
 	}
-	if coord.PendingHints() != 0 {
-		t.Fatalf("%d hints still queued after replay", coord.PendingHints())
+	if coord.pendingHints() != 0 {
+		t.Fatalf("%d hints still queued after replay", coord.pendingHints())
 	}
 }
 
@@ -748,7 +748,7 @@ func TestRealTimeClusterSmoke(t *testing.T) {
 // messages pay a fixed cost, and Scale multiplies every class mean.
 func TestServiceProfileTimer(t *testing.T) {
 	p := DefaultServiceProfile()
-	timer := p.Timer(rand.New(rand.NewSource(2)))
+	timer := p.timer(rand.New(rand.NewSource(2)))
 	seen := map[time.Duration]bool{}
 	for i := 0; i < 50; i++ {
 		seen[timer(wire.ReplicaRead{})] = true
@@ -762,7 +762,7 @@ func TestServiceProfileTimer(t *testing.T) {
 	}
 
 	sc := p.Scale(2)
-	if got, want := sc.Scale(1).CoordRead, 2*p.CoordRead; got != want {
+	if got, want := sc.Scale(1).coordRead, 2*p.coordRead; got != want {
 		t.Fatalf("scaled coord read = %v, want %v", got, want)
 	}
 	if got, want := sc.Response, 2*p.Response; got != want {

@@ -1068,8 +1068,8 @@ func (n *Node) clearHintAck(from ring.NodeID, id uint64) bool {
 	return false
 }
 
-// PendingHints reports how many hints are queued (for tests).
-func (n *Node) PendingHints() int {
+// pendingHints reports how many hints are queued (for tests).
+func (n *Node) pendingHints() int {
 	total := 0
 	for _, muts := range n.hints {
 		total += len(muts)
@@ -1077,7 +1077,7 @@ func (n *Node) PendingHints() int {
 	return total
 }
 
-// HintDepth reports the hint-queue depth. Unlike PendingHints it is safe
+// HintDepth reports the hint-queue depth. Unlike pendingHints it is safe
 // from any goroutine — the admin scrape path's gauge.
 func (n *Node) HintDepth() int { return int(n.counters.hintDepth.Load()) }
 

@@ -146,7 +146,7 @@ func TestHintReplayRacesNodeRecovery(t *testing.T) {
 
 	c.Faults.Apply(faults.Update{Down: names(victim)})
 	syncWrite(t, s, drv, string(key), "hinted-v1")
-	if c.Node(coord).PendingHints() == 0 {
+	if c.Node(coord).pendingHints() == 0 {
 		t.Fatal("no hint queued while the victim was down")
 	}
 	// The victim returns, and a fresh write lands BEFORE the replay tick.
@@ -154,7 +154,7 @@ func TestHintReplayRacesNodeRecovery(t *testing.T) {
 	syncWrite(t, s, drv, string(key), "fresh-v2")
 	// Let the replay interval (10s default) fire with the stale hint.
 	s.RunFor(30 * time.Second)
-	if c.Node(coord).PendingHints() != 0 {
+	if c.Node(coord).pendingHints() != 0 {
 		t.Fatal("hint never replayed")
 	}
 	v, ok := c.Node(victim).Engine().Get(key)
@@ -303,14 +303,14 @@ func TestFaultPlanDrivesLiveness(t *testing.T) {
 		t.Fatal("Down did not take the victim down")
 	}
 	syncWrite(t, s, drv, key, "v") // hinted for the down victim
-	if c.Node(coord).PendingHints() == 0 {
+	if c.Node(coord).pendingHints() == 0 {
 		t.Fatal("no hint queued during the injected outage")
 	}
 	s.RunFor(time.Second)
 	if !c.Faults.Alive(coord, victim) {
 		t.Fatal("Up did not bring the victim back")
 	}
-	if c.Node(coord).PendingHints() != 0 {
+	if c.Node(coord).pendingHints() != 0 {
 		t.Fatal("DropHints left hints queued")
 	}
 	if c.AggregateMetrics().HintsDropped == 0 {

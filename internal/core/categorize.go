@@ -114,11 +114,11 @@ func (ks *KeyStats) features() (keys []string, feats []feature, weights []float6
 type Category struct {
 	// Tolerance is the category's tolerable stale-read rate.
 	Tolerance float64
-	// Centroid documents the cluster center (write intensity normalized to
+	// centroid documents the cluster center (write intensity normalized to
 	// [0, 1] against the recluster's hottest writer, write share).
-	Centroid [2]float64
-	// Keys is the number of member keys at clustering time.
-	Keys int
+	centroid [2]float64
+	// keys is the number of member keys at clustering time.
+	keys int
 }
 
 // Categorizer clusters keys into consistency categories. It is safe for
@@ -219,13 +219,13 @@ func (c *Categorizer) Recluster(ks *KeyStats, minTol, maxTol float64) error {
 		}
 		ct := centroids[r.idx]
 		cats[rank].Tolerance = minTol + frac*(maxTol-minTol)
-		cats[rank].Centroid = [2]float64{ct.writeIntensity, ct.writeShare}
+		cats[rank].centroid = [2]float64{ct.writeIntensity, ct.writeShare}
 	}
 	assign := make(map[string]int, len(keys))
 	for i, f := range feats {
 		best := rankOf[nearest(centroids, f)]
 		assign[keys[i]] = best
-		cats[best].Keys++
+		cats[best].keys++
 	}
 
 	c.mu.Lock()

@@ -35,7 +35,7 @@ func TestControllerClampsToReachableReplicas(t *testing.T) {
 	if base.Level.BlockFor(3) < 2 {
 		t.Fatalf("demanding workload decided %v, want at least quorum fan-in", base.Level)
 	}
-	if base.AvailabilityClamp {
+	if base.availabilityClamp {
 		t.Fatal("clamp set with all members alive")
 	}
 
@@ -46,21 +46,21 @@ func TestControllerClampsToReachableReplicas(t *testing.T) {
 	if got := d.Level.BlockFor(3); got > 2 {
 		t.Fatalf("with 2 of 3 members alive the level %v blocks for %d", d.Level, got)
 	}
-	if base.Level.BlockFor(3) > 2 && !d.AvailabilityClamp {
-		t.Fatal("level lowered for liveness without AvailabilityClamp set")
+	if base.Level.BlockFor(3) > 2 && !d.availabilityClamp {
+		t.Fatal("level lowered for liveness without availabilityClamp set")
 	}
 
 	// Minority view: only 1 reachable — everything degrades to ONE.
 	ctl.Observe(demandingObs(3, 1))
 	d = ctl.Last()
-	if d.Level != wire.One || !d.AvailabilityClamp {
-		t.Fatalf("with 1 of 3 members alive got %v (clamp=%v), want clamped ONE", d.Level, d.AvailabilityClamp)
+	if d.Level != wire.One || !d.availabilityClamp {
+		t.Fatalf("with 1 of 3 members alive got %v (clamp=%v), want clamped ONE", d.Level, d.availabilityClamp)
 	}
 
 	// Membership recovers: the clamp releases and the demand returns.
 	ctl.Observe(demandingObs(3, 3))
 	d = ctl.Last()
-	if d.AvailabilityClamp {
+	if d.availabilityClamp {
 		t.Fatal("clamp still set after membership recovered")
 	}
 	if d.Level != base.Level {
@@ -77,7 +77,7 @@ func TestControllerClampSkippedWithoutLivenessSignal(t *testing.T) {
 	// even though Members is populated.
 	ctl.Observe(demandingObs(3, 0))
 	d := ctl.Last()
-	if d.AvailabilityClamp {
+	if d.availabilityClamp {
 		t.Fatal("clamp triggered without a liveness signal")
 	}
 	if d.Level.BlockFor(3) < 2 {
@@ -97,11 +97,11 @@ func TestControllerClampWinsOverDivergenceHold(t *testing.T) {
 	o.Divergence = 2.0
 	ctl.Observe(o)
 	d := ctl.Last()
-	if !d.DivergenceHold {
+	if !d.divergenceHold {
 		t.Fatalf("divergence 2.0 did not trip the hold (estimate %.3f)", d.Estimate)
 	}
-	if d.Level != wire.One || !d.AvailabilityClamp {
-		t.Fatalf("hold with 1 reachable replica decided %v (clamp=%v), want clamped ONE", d.Level, d.AvailabilityClamp)
+	if d.Level != wire.One || !d.availabilityClamp {
+		t.Fatalf("hold with 1 reachable replica decided %v (clamp=%v), want clamped ONE", d.Level, d.availabilityClamp)
 	}
 }
 

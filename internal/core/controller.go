@@ -40,11 +40,11 @@ type Decision struct {
 	Xn       int     // replicas a read must block for
 	Level    wire.ConsistencyLevel
 	Model    Model
-	// DivergenceHold reports that the quorum floor was forced because
+	// divergenceHold reports that the quorum floor was forced because
 	// unrepaired divergence (Observation.Divergence) alone breached the
 	// tolerance — the stream stays held until anti-entropy converges.
-	DivergenceHold bool
-	// AvailabilityClamp reports that the commanded level was lowered
+	divergenceHold bool
+	// availabilityClamp reports that the commanded level was lowered
 	// because the cluster's failure detectors see too few live members to
 	// serve the demanded level: a level blocking for more replicas than
 	// remain reachable cannot succeed, it can only turn every operation
@@ -52,7 +52,7 @@ type Decision struct {
 	// the majority side available at the strongest level it can actually
 	// serve; the staleness estimate is still reported so consumers can see
 	// the tolerance is (unavoidably) breached while the cut lasts.
-	AvailabilityClamp bool
+	availabilityClamp bool
 }
 
 // ControllerConfig configures the adaptive-consistency module.
@@ -108,7 +108,7 @@ type ControllerConfig struct {
 	// stale-read probability the way QUORUM does. Groups beyond the slice
 	// (or with a false entry) keep the paper's ONE/.../ALL menu. Regroup
 	// clears the flags (group ids change meaning); re-arm with
-	// SetSessionGroups after installing the new epoch.
+	// setSessionGroups after installing the new epoch.
 	SessionGroups []bool
 }
 
@@ -257,7 +257,7 @@ func (c *Controller) Regroup(epoch uint64, groupFn func(key []byte) int, toleran
 	c.groupFn = groupFn
 	c.tols = append([]float64(nil), tolerances...)
 	// Session flags name groups of the retired epoch; the new epoch's groups
-	// start unflagged until SetSessionGroups re-arms them.
+	// start unflagged until setSessionGroups re-arms them.
 	c.sess = nil
 	c.cfg.Trace.Add(obspkg.Event{
 		Kind:   obspkg.EventRegroup,
@@ -267,10 +267,10 @@ func (c *Controller) Regroup(epoch uint64, groupFn func(key []byte) int, toleran
 	})
 }
 
-// SetSessionGroups installs per-group session flags for the current grouping
+// setSessionGroups installs per-group session flags for the current grouping
 // (see ControllerConfig.SessionGroups). Call it after Regroup to re-arm
 // session-tier selection for the new epoch's groups.
-func (c *Controller) SetSessionGroups(flags []bool) {
+func (c *Controller) setSessionGroups(flags []bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sess = append([]bool(nil), flags...)
@@ -311,8 +311,8 @@ func (c *Controller) GroupLast(g int) Decision {
 	return c.groups[g].last
 }
 
-// GroupHistory returns a copy of a group's retained decision trace.
-func (c *Controller) GroupHistory(g int) []Decision {
+// groupHistory returns a copy of a group's retained decision trace.
+func (c *Controller) groupHistory(g int) []Decision {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if g < 0 || g >= len(c.groups) {
@@ -362,21 +362,21 @@ func divergenceStaleness(divergence float64) float64 {
 // propagation estimate.
 func (c *Controller) decide(at time.Time, model Model, tolerated, pd float64, reachable int) Decision {
 	d := Decision{At: at, Model: model}
-	d.Estimate = pd + (1-pd)*model.StaleReadProbability()
-	if (!model.Valid() && pd <= 0) || tolerated >= d.Estimate {
+	d.Estimate = pd + (1-pd)*model.staleReadProbability()
+	if (!model.valid() && pd <= 0) || tolerated >= d.Estimate {
 		// No signal, or the application tolerates the estimated staleness:
 		// eventual consistency.
 		d.Xn = 1
 		d.Level = wire.One
 	} else {
 		d.Xn = 1
-		if model.Valid() {
-			d.Xn = model.ReplicasNeeded(tolerated)
+		if model.valid() {
+			d.Xn = model.replicasNeeded(tolerated)
 		}
 		if pd > tolerated {
 			// Divergence alone breaches the tolerance: hold at least quorum
 			// until anti-entropy converges (see divergenceStaleness).
-			d.DivergenceHold = true
+			d.divergenceHold = true
 			if q := c.cfg.N/2 + 1; d.Xn < q {
 				d.Xn = q
 			}
@@ -386,9 +386,9 @@ func (c *Controller) decide(at time.Time, model Model, tolerated, pd float64, re
 	// Availability clamp, applied last so it wins over the divergence hold:
 	// commanding a level that blocks for more replicas than the failure
 	// detectors believe reachable cannot add consistency — every such
-	// operation just fails after its deadline (see Decision.AvailabilityClamp).
+	// operation just fails after its deadline (see Decision.availabilityClamp).
 	if reachable > 0 && reachable < c.cfg.N && d.Level.BlockFor(c.cfg.N) > reachable {
-		d.AvailabilityClamp = true
+		d.availabilityClamp = true
 		d.Level = strongestServable(c.cfg.N, reachable)
 		if d.Xn > reachable {
 			d.Xn = reachable
@@ -419,7 +419,7 @@ func (c *Controller) propagationWith(obs Observation, avgw float64) time.Duratio
 	if avgw <= 0 {
 		avgw = obs.AvgWriteBytes
 	}
-	return PropagationTime(obs.Latency, avgw, c.cfg.BandwidthBytesPerSec)
+	return propagationTime(obs.Latency, avgw, c.cfg.BandwidthBytesPerSec)
 }
 
 // Observe consumes one monitoring observation and updates the consistency
@@ -440,8 +440,8 @@ func (c *Controller) Observe(obs Observation) {
 	}
 	global := c.decide(obs.At, Model{
 		N:       c.cfg.N,
-		LambdaR: obs.ReadRate,
-		LambdaW: obs.WriteInterval,
+		lambdaR: obs.ReadRate,
+		lambdaW: obs.WriteInterval,
 		Tp:      tp,
 	}, c.cfg.Policy.ToleratedStaleRate, divergenceStaleness(obs.Divergence), reachable)
 
@@ -457,11 +457,11 @@ func (c *Controller) Observe(obs Observation) {
 	groupDs := make([]Decision, len(c.groups))
 	var events []obspkg.Event
 	for g := range c.groups {
-		model := Model{N: c.cfg.N, LambdaR: obs.ReadRate, LambdaW: obs.WriteInterval, Tp: tp}
+		model := Model{N: c.cfg.N, lambdaR: obs.ReadRate, lambdaW: obs.WriteInterval, Tp: tp}
 		div := obs.Divergence
 		if aligned {
-			model.LambdaR = obs.Groups[g].ReadRate
-			model.LambdaW = obs.Groups[g].WriteInterval
+			model.lambdaR = obs.Groups[g].ReadRate
+			model.lambdaW = obs.Groups[g].WriteInterval
 			div = obs.Groups[g].Divergence
 			// Groups with distinct measured payload sizes get distinct Tp
 			// estimates (unless a configured AvgWriteBytes pins avgw).
@@ -504,21 +504,21 @@ func (c *Controller) Observe(obs Observation) {
 				e.Detail = "session-flagged group served at SESSION instead of demanded level"
 				events = append(events, e)
 			}
-			if nd.AvailabilityClamp != old.last.AvailabilityClamp {
+			if nd.availabilityClamp != old.last.availabilityClamp {
 				e := base
 				e.Kind = obspkg.EventAvailabilityClamp
 				e.From = old.level.String()
 				e.To = nd.Level.String()
-				if nd.AvailabilityClamp {
+				if nd.availabilityClamp {
 					e.Detail = fmt.Sprintf("only %d of %d replicas reachable", reachable, c.cfg.N)
 				} else {
 					e.Detail = "membership recovered, clamp released"
 				}
 				events = append(events, e)
 			}
-			if nd.DivergenceHold != old.last.DivergenceHold {
+			if nd.divergenceHold != old.last.divergenceHold {
 				e := base
-				if nd.DivergenceHold {
+				if nd.divergenceHold {
 					e.Kind = obspkg.EventDivergenceHold
 					e.To = nd.Level.String()
 				} else {

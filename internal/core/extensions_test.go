@@ -56,10 +56,10 @@ func TestReclusterIdenticalFeaturesNoNaN(t *testing.T) {
 		if math.IsNaN(c.Tolerance) || c.Tolerance < 0.05-1e-9 || c.Tolerance > 0.8+1e-9 {
 			t.Fatalf("category %d tolerance = %v", i, c.Tolerance)
 		}
-		if math.IsNaN(c.Centroid[0]) || math.IsNaN(c.Centroid[1]) {
-			t.Fatalf("category %d centroid = %v", i, c.Centroid)
+		if math.IsNaN(c.centroid[0]) || math.IsNaN(c.centroid[1]) {
+			t.Fatalf("category %d centroid = %v", i, c.centroid)
 		}
-		total += c.Keys
+		total += c.keys
 	}
 	if total != 20 {
 		t.Fatalf("assigned %d of 20 keys", total)

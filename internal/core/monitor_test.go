@@ -386,13 +386,13 @@ func TestControllerPerGroupDecisions(t *testing.T) {
 		t.Fatalf("LevelsFor(cold) read = %v, want ONE", got)
 	}
 	// Per-group models carry the measured per-group rates, not the global.
-	if hot.Model.LambdaR != 500 || cold.Model.LambdaR != 100 {
-		t.Fatalf("group models use wrong rates: hot=%v cold=%v", hot.Model.LambdaR, cold.Model.LambdaR)
+	if hot.Model.lambdaR != 500 || cold.Model.lambdaR != 100 {
+		t.Fatalf("group models use wrong rates: hot=%v cold=%v", hot.Model.lambdaR, cold.Model.lambdaR)
 	}
 	if g := ctl.Groups(); g != 2 {
 		t.Fatalf("Groups() = %d", g)
 	}
-	if h := ctl.GroupHistory(1); len(h) != 1 || h[0] != cold {
+	if h := ctl.groupHistory(1); len(h) != 1 || h[0] != cold {
 		t.Fatalf("group history = %+v", h)
 	}
 }
@@ -406,7 +406,7 @@ func TestControllerGroupFallsBackToGlobalRates(t *testing.T) {
 		Latency: 20 * time.Millisecond, Window: time.Second,
 		Groups: []GroupRates{{ReadRate: 1000, WriteInterval: 0.002}},
 	})
-	if d := ctl.GroupLast(2); d.Model.LambdaR != 1000 || d.Level == wire.One {
+	if d := ctl.GroupLast(2); d.Model.lambdaR != 1000 || d.Level == wire.One {
 		t.Fatalf("unreported group decision = %+v, want global-rate escalation", d)
 	}
 }

@@ -64,10 +64,10 @@ func TestControllerRegroupMigratesModels(t *testing.T) {
 		t.Fatalf("fresh group at %v, want the global stream's %v", got, ctl.Last().Level)
 	}
 	// The migrated group keeps its parent's decision history.
-	if hist := ctl.GroupHistory(0); len(hist) != 1 {
+	if hist := ctl.groupHistory(0); len(hist) != 1 {
 		t.Fatalf("migrated history length = %d, want 1", len(hist))
 	}
-	if hist := ctl.GroupHistory(1); len(hist) != 0 {
+	if hist := ctl.groupHistory(1); len(hist) != 0 {
 		t.Fatalf("fresh group history length = %d, want 0", len(hist))
 	}
 }
@@ -107,12 +107,12 @@ func TestControllerObserveRequiresEpochAlignment(t *testing.T) {
 	// Same group count but a stale epoch: per-group rates must be ignored
 	// in favor of the cluster-wide rates.
 	ctl.Observe(contendedObs(time.Unix(1, 0), []GroupRates{quietRates, quietRates}, 0))
-	if got := ctl.GroupLast(0).Model.LambdaR; got != 300 {
+	if got := ctl.GroupLast(0).Model.lambdaR; got != 300 {
 		t.Fatalf("stale-epoch group rates applied: λr = %v, want global 300", got)
 	}
 	// Matching epoch: the group's own rates rule.
 	ctl.Observe(contendedObs(time.Unix(2, 0), []GroupRates{quietRates, quietRates}, 1))
-	if got := ctl.GroupLast(0).Model.LambdaR; got != quietRates.ReadRate {
+	if got := ctl.GroupLast(0).Model.lambdaR; got != quietRates.ReadRate {
 		t.Fatalf("aligned group rates not applied: λr = %v, want %v", got, quietRates.ReadRate)
 	}
 }
@@ -135,7 +135,7 @@ func TestControllerPerGroupAvgWriteBytesTp(t *testing.T) {
 	if tp1 <= tp0 {
 		t.Fatalf("large-payload group Tp %v not above small-payload group Tp %v", tp1, tp0)
 	}
-	if want := PropagationTime(obs.Latency, 128*1024, bw); tp1 != want {
+	if want := propagationTime(obs.Latency, 128*1024, bw); tp1 != want {
 		t.Fatalf("group 1 Tp = %v, want %v", tp1, want)
 	}
 	// A configured AvgWriteBytes pins every group to the same avgw.

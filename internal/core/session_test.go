@@ -78,7 +78,7 @@ func TestControllerRegroupClearsSessionFlags(t *testing.T) {
 	}
 
 	// Re-arming restores session-tier selection for the new epoch.
-	ctl.SetSessionGroups([]bool{true})
+	ctl.setSessionGroups([]bool{true})
 	ctl.Observe(Observation{At: time.Unix(3, 0), ReadRate: 1000, WriteInterval: 0.002,
 		Latency: 20 * time.Millisecond, Window: time.Second, Epoch: 1})
 	if d := ctl.GroupLast(0); d.Level != wire.Session {

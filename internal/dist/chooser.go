@@ -3,22 +3,20 @@ package dist
 import (
 	"math"
 	"math/rand"
-	"sync"
 )
 
 // KeyChooser picks record indices for a YCSB-style workload: Next draws
-// the next key index in [0, n) using the caller's rng, and SetItemCount
-// grows (or shrinks) the keyspace as inserts land. Implementations are
-// safe for concurrent use; determinism follows from each calling thread
-// owning its own seeded rng, exactly as with Sampler.
+// the next key index in [0, n) using the caller's rng, over a keyspace
+// fixed when the chooser is built. Choosers are immutable, so they are
+// safe to share across goroutines without a lock; determinism follows
+// from each calling thread owning its own seeded rng, exactly as with
+// Sampler.
 type KeyChooser interface {
 	Next(r *rand.Rand) int64
-	SetItemCount(n int64)
 }
 
 // UniformChooser draws keys uniformly from the keyspace.
 type UniformChooser struct {
-	mu    sync.Mutex
 	items int64
 }
 
@@ -28,58 +26,38 @@ func NewUniformChooser(n int64) *UniformChooser {
 }
 
 // Next draws uniformly from [0, items).
-func (u *UniformChooser) Next(r *rand.Rand) int64 {
-	u.mu.Lock()
-	n := u.items
-	u.mu.Unlock()
-	return r.Int63n(n)
-}
+func (u *UniformChooser) Next(r *rand.Rand) int64 { return r.Int63n(u.items) }
 
-// SetItemCount resizes the keyspace.
-func (u *UniformChooser) SetItemCount(n int64) {
-	u.mu.Lock()
-	u.items = max(n, 1)
-	u.mu.Unlock()
-}
-
-// ZipfianConstant is YCSB's default skew parameter theta.
-const ZipfianConstant = 0.99
+// zipfianConstant is YCSB's default skew parameter theta.
+const zipfianConstant = 0.99
 
 // ZipfianChooser reproduces YCSB's ZipfianGenerator (the Gray et al.
 // "Quickly generating billion-record synthetic databases" algorithm):
 // key i is drawn with probability proportional to 1/i^theta, so low
-// indices are hot. The zeta normalization constant is maintained
-// incrementally as the keyspace grows.
+// indices are hot.
 type ZipfianChooser struct {
-	mu         sync.Mutex
-	items      int64
-	theta      float64
-	zeta2theta float64
-	alpha      float64
-	// zetaN is zeta(zetaItems, theta), extended incrementally when the
-	// item count grows past zetaItems.
-	zetaN     float64
-	zetaItems int64
-	eta       float64
+	items int64
+	// theta is zipfianConstant held as a float64, so alpha, zeta and eta
+	// are rounded step by step at run time rather than folded exactly at
+	// compile time; the draws depend on those low bits.
+	theta float64
+	alpha float64
+	zetaN float64 // zeta(items, theta)
+	eta   float64
 }
 
 // NewZipfianChooser returns a zipfian chooser over [0, n) with the YCSB
 // default theta of 0.99.
 func NewZipfianChooser(n int64) *ZipfianChooser {
-	z := &ZipfianChooser{
-		items: max(n, 1),
-		theta: ZipfianConstant,
-	}
+	z := &ZipfianChooser{items: max(n, 1), theta: zipfianConstant}
 	z.alpha = 1 / (1 - z.theta)
-	z.zeta2theta = zetaStatic(2, z.theta)
-	z.zetaItems = z.items
-	z.zetaN = zetaStatic(z.items, z.theta)
-	z.eta = z.etaLocked()
+	z.zetaN = zeta(z.items, z.theta)
+	z.eta = (1 - math.Pow(2/float64(z.items), 1-z.theta)) / (1 - zeta(2, z.theta)/z.zetaN)
 	return z
 }
 
-// zetaStatic computes sum_{i=1..n} 1/i^theta from scratch.
-func zetaStatic(n int64, theta float64) float64 {
+// zeta computes sum_{i=1..n} 1/i^theta.
+func zeta(n int64, theta float64) float64 {
 	sum := 0.0
 	for i := int64(1); i <= n; i++ {
 		sum += 1 / math.Pow(float64(i), theta)
@@ -87,15 +65,8 @@ func zetaStatic(n int64, theta float64) float64 {
 	return sum
 }
 
-func (z *ZipfianChooser) etaLocked() float64 {
-	n := float64(z.items)
-	return (1 - math.Pow(2/n, 1-z.theta)) / (1 - z.zeta2theta/z.zetaN)
-}
-
 // Next draws a zipfian-distributed index in [0, items).
 func (z *ZipfianChooser) Next(r *rand.Rand) int64 {
-	z.mu.Lock()
-	defer z.mu.Unlock()
 	u := r.Float64()
 	uz := u * z.zetaN
 	if uz < 1 {
@@ -109,147 +80,4 @@ func (z *ZipfianChooser) Next(r *rand.Rand) int64 {
 		idx = z.items - 1
 	}
 	return idx
-}
-
-// SetItemCount grows the keyspace, extending the zeta constant
-// incrementally (shrinking recomputes from scratch; workloads only grow).
-func (z *ZipfianChooser) SetItemCount(n int64) {
-	n = max(n, 1)
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	z.items = n
-	if n > z.zetaItems {
-		for i := z.zetaItems + 1; i <= n; i++ {
-			z.zetaN += 1 / math.Pow(float64(i), z.theta)
-		}
-		z.zetaItems = n
-	} else if n < z.zetaItems {
-		z.zetaItems = n
-		z.zetaN = zetaStatic(n, z.theta)
-	}
-	z.eta = z.etaLocked()
-}
-
-// ScrambledZipfianChooser spreads zipfian popularity across the whole
-// keyspace by hashing the zipfian draw (YCSB's default request
-// distribution): the hot set is still ~N^(1-theta) keys, but they are
-// scattered instead of clustered at low indices.
-type ScrambledZipfianChooser struct {
-	zipf *ZipfianChooser
-}
-
-// NewScrambledZipfianChooser returns a scrambled zipfian chooser over [0, n).
-func NewScrambledZipfianChooser(n int64) *ScrambledZipfianChooser {
-	return &ScrambledZipfianChooser{zipf: NewZipfianChooser(n)}
-}
-
-// Next draws a zipfian index and scatters it with an FNV-1a hash.
-func (s *ScrambledZipfianChooser) Next(r *rand.Rand) int64 {
-	z := s.zipf.Next(r)
-	s.zipf.mu.Lock()
-	n := s.zipf.items
-	s.zipf.mu.Unlock()
-	return int64(fnv64(uint64(z)) % uint64(n))
-}
-
-// SetItemCount resizes the underlying keyspace.
-func (s *ScrambledZipfianChooser) SetItemCount(n int64) { s.zipf.SetItemCount(n) }
-
-// fnv64 is the FNV-1a hash of the value's 8 bytes, YCSB's key scrambler.
-func fnv64(v uint64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= prime64
-		v >>= 8
-	}
-	return h
-}
-
-// LatestChooser skews toward the most recently inserted records
-// (YCSB's "latest" distribution, workload D): the newest key is the
-// hottest, with zipfian fall-off into the past.
-type LatestChooser struct {
-	zipf *ZipfianChooser
-}
-
-// NewLatestChooser returns a latest-skewed chooser over [0, n).
-func NewLatestChooser(n int64) *LatestChooser {
-	return &LatestChooser{zipf: NewZipfianChooser(n)}
-}
-
-// Next draws an offset-from-newest zipfian index.
-func (l *LatestChooser) Next(r *rand.Rand) int64 {
-	off := l.zipf.Next(r)
-	l.zipf.mu.Lock()
-	n := l.zipf.items
-	l.zipf.mu.Unlock()
-	idx := n - 1 - off
-	if idx < 0 {
-		idx = 0
-	}
-	return idx
-}
-
-// SetItemCount moves the "latest" frontier as inserts land.
-func (l *LatestChooser) SetItemCount(n int64) { l.zipf.SetItemCount(n) }
-
-// HotspotChooser concentrates hotOpnFraction of the draws on the first
-// hotsetFraction of the keyspace and spreads the rest uniformly over the
-// cold remainder (YCSB's hotspot distribution).
-type HotspotChooser struct {
-	mu         sync.Mutex
-	items      int64
-	hotsetFrac float64
-	hotOpnFrac float64
-}
-
-// NewHotspotChooser returns a hotspot chooser over [0, n) where
-// hotOpnFraction of operations hit the first hotsetFraction of keys.
-func NewHotspotChooser(n int64, hotsetFraction, hotOpnFraction float64) *HotspotChooser {
-	return &HotspotChooser{
-		items:      max(n, 1),
-		hotsetFrac: clamp01(hotsetFraction),
-		hotOpnFrac: clamp01(hotOpnFraction),
-	}
-}
-
-// Next draws from the hot set with probability hotOpnFraction, else from
-// the cold remainder.
-func (h *HotspotChooser) Next(r *rand.Rand) int64 {
-	h.mu.Lock()
-	items := h.items
-	h.mu.Unlock()
-	hot := int64(float64(items) * h.hotsetFrac)
-	if hot < 1 {
-		hot = 1
-	}
-	if hot > items {
-		hot = items
-	}
-	if r.Float64() < h.hotOpnFrac || hot == items {
-		return r.Int63n(hot)
-	}
-	return hot + r.Int63n(items-hot)
-}
-
-// SetItemCount resizes the keyspace (the hot set scales with it).
-func (h *HotspotChooser) SetItemCount(n int64) {
-	h.mu.Lock()
-	h.items = max(n, 1)
-	h.mu.Unlock()
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
 }

@@ -1,6 +1,6 @@
 // Package dist provides the statistical primitives every timing model in
 // this repository is built from: latency/jitter samplers, and the YCSB
-// request-key choosers (zipfian and friends).
+// request-key choosers (uniform and zipfian).
 //
 // Samplers are immutable values. All randomness flows through the
 // *rand.Rand passed to Sample, so determinism is entirely the caller's:

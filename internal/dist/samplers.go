@@ -18,21 +18,21 @@ func (c Constant) Sample(*rand.Rand) float64 { return c.V }
 // Exponential is the exponential distribution parameterized by its Mean
 // (1/rate), the natural form for inter-arrival gaps and memoryless delays.
 type Exponential struct {
-	MeanV float64
+	mean float64
 }
 
 // NewExponential returns an exponential distribution with the given mean.
-func NewExponential(mean float64) Exponential { return Exponential{MeanV: mean} }
+func NewExponential(mean float64) Exponential { return Exponential{mean: mean} }
 
 // Sample draws an exponential variate with the configured mean.
 func (e Exponential) Sample(rng *rand.Rand) float64 {
-	return rng.ExpFloat64() * e.MeanV
+	return rng.ExpFloat64() * e.mean
 }
 
-// Lognormal is exp(N(Mu, Sigma^2)): the classic model for service-time and
+// Lognormal is exp(N(mu, sigma^2)): the classic model for service-time and
 // network jitter multipliers (multiplicative noise, right-skewed tail).
 type Lognormal struct {
-	Mu, Sigma float64
+	mu, sigma float64
 }
 
 // LognormalFromMeanP99 fits a lognormal to a target mean and 99th
@@ -48,39 +48,39 @@ type Lognormal struct {
 func LognormalFromMeanP99(mean, p99 float64) Lognormal {
 	if mean <= 0 || p99 <= mean {
 		// Degenerate request: collapse toward a point mass at mean.
-		return Lognormal{Mu: math.Log(math.Max(mean, 1e-300)), Sigma: 0}
+		return Lognormal{mu: math.Log(math.Max(mean, 1e-300)), sigma: 0}
 	}
 	disc := z99*z99 - 2*math.Log(p99/mean)
 	if disc < 0 {
 		disc = 0
 	}
 	sigma := z99 - math.Sqrt(disc)
-	return Lognormal{Mu: math.Log(mean) - sigma*sigma/2, Sigma: sigma}
+	return Lognormal{mu: math.Log(mean) - sigma*sigma/2, sigma: sigma}
 }
 
 // Sample draws exp(mu + sigma*Z).
 func (l Lognormal) Sample(rng *rand.Rand) float64 {
-	return math.Exp(l.Mu + l.Sigma*rng.NormFloat64())
+	return math.Exp(l.mu + l.sigma*rng.NormFloat64())
 }
 
-// Pareto is the type-I Pareto distribution with scale Xm (minimum value)
-// and shape Alpha: the canonical heavy tail for WAN latency spikes. Alpha
-// <= 1 has an infinite mean; keep Alpha > 1 for latency models.
+// Pareto is the type-I Pareto distribution with scale xm (minimum value)
+// and shape alpha: the canonical heavy tail for WAN latency spikes. An alpha
+// <= 1 has an infinite mean; keep alpha > 1 for latency models.
 type Pareto struct {
-	Xm, Alpha float64
+	xm, alpha float64
 }
 
 // ParetoFromMean returns a Pareto with the given mean and tail shape alpha
-// (> 1): Xm = mean*(alpha-1)/alpha. Smaller alpha means a heavier tail at
+// (> 1): xm = mean*(alpha-1)/alpha. Smaller alpha means a heavier tail at
 // the same mean.
 func ParetoFromMean(mean, alpha float64) Pareto {
-	return Pareto{Xm: mean * (alpha - 1) / alpha, Alpha: alpha}
+	return Pareto{xm: mean * (alpha - 1) / alpha, alpha: alpha}
 }
 
-// Sample draws by inverse transform: Xm * (1-U)^(-1/alpha).
+// Sample draws by inverse transform: xm * (1-U)^(-1/alpha).
 func (pa Pareto) Sample(rng *rand.Rand) float64 {
 	u := rng.Float64()
-	return pa.Xm * math.Pow(1-u, -1/pa.Alpha)
+	return pa.xm * math.Pow(1-u, -1/pa.alpha)
 }
 
 // Shifted translates Base by Offset: X = Offset + Base. Used to give a

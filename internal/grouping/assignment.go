@@ -33,9 +33,9 @@ type Assignment struct {
 	assign     map[string]int
 }
 
-// NewAssignment builds an assignment. tolerances must be non-empty and
+// newAssignment builds an assignment. tolerances must be non-empty and
 // finite; group ids in assign and def are clamped into range.
-func NewAssignment(epoch uint64, tolerances []float64, def int, assign map[string]int) (*Assignment, error) {
+func newAssignment(epoch uint64, tolerances []float64, def int, assign map[string]int) (*Assignment, error) {
 	if len(tolerances) == 0 {
 		return nil, fmt.Errorf("grouping: assignment needs at least one group")
 	}
@@ -68,7 +68,7 @@ func NewAssignment(epoch uint64, tolerances []float64, def int, assign map[strin
 // from: groups groups with the given tolerances and no keys assigned — all
 // keys fall to the default group.
 func Uniform(tolerances []float64, def int) (*Assignment, error) {
-	return NewAssignment(0, tolerances, def, nil)
+	return newAssignment(0, tolerances, def, nil)
 }
 
 // Epoch returns the assignment's epoch.
@@ -98,8 +98,8 @@ func (a *Assignment) GroupOf(key []byte) int {
 	return a.def
 }
 
-// ToWire renders the assignment as the broadcast message.
-func (a *Assignment) ToWire() wire.GroupUpdate {
+// toWire renders the assignment as the broadcast message.
+func (a *Assignment) toWire() wire.GroupUpdate {
 	u := wire.GroupUpdate{
 		Epoch:      a.epoch,
 		Tolerances: append([]float64(nil), a.tolerances...),
@@ -112,21 +112,21 @@ func (a *Assignment) ToWire() wire.GroupUpdate {
 	return u
 }
 
-// FromWire reconstructs an assignment from a broadcast message.
-func FromWire(u wire.GroupUpdate) (*Assignment, error) {
+// fromWire reconstructs an assignment from a broadcast message.
+func fromWire(u wire.GroupUpdate) (*Assignment, error) {
 	assign := make(map[string]int, len(u.Entries))
 	for _, e := range u.Entries {
 		assign[string(e.Key)] = int(e.Group)
 	}
-	return NewAssignment(u.Epoch, u.Tolerances, int(u.Default), assign)
+	return newAssignment(u.Epoch, u.Tolerances, int(u.Default), assign)
 }
 
-// EquivalentTo reports whether b groups every key exactly like a (same
+// equivalentTo reports whether b groups every key exactly like a (same
 // group count, same tolerances, and the same group for every key either
 // side mentions — keys absent from both maps compare via the defaults).
 // The regrouper uses it to skip epoch bumps when a recluster reproduced the
 // incumbent grouping: no broadcast, no counter re-baseline, no model churn.
-func (a *Assignment) EquivalentTo(b *Assignment) bool {
+func (a *Assignment) equivalentTo(b *Assignment) bool {
 	if b == nil || len(a.tolerances) != len(b.tolerances) || a.def != b.def {
 		return false
 	}

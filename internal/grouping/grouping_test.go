@@ -12,13 +12,13 @@ import (
 )
 
 func TestAssignmentRoundTrip(t *testing.T) {
-	a, err := NewAssignment(7, []float64{0.02, 0.3, 0.9}, 2, map[string]int{
+	a, err := newAssignment(7, []float64{0.02, 0.3, 0.9}, 2, map[string]int{
 		"hot0": 0, "warm0": 1, "cold0": 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := a.ToWire()
+	u := a.toWire()
 	if u.Epoch != 7 || len(u.Tolerances) != 3 || u.Default != 2 || len(u.Entries) != 3 {
 		t.Fatalf("wire form = %+v", u)
 	}
@@ -31,11 +31,11 @@ func TestAssignmentRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := FromWire(decoded.(wire.GroupUpdate))
+	back, err := fromWire(decoded.(wire.GroupUpdate))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.EquivalentTo(back) || back.Epoch() != 7 || back.Groups() != 3 || back.Default() != 2 {
+	if !a.equivalentTo(back) || back.Epoch() != 7 || back.Groups() != 3 || back.Default() != 2 {
 		t.Fatalf("round trip lost information: %+v", back)
 	}
 	if back.GroupOf([]byte("hot0")) != 0 || back.GroupOf([]byte("never-seen")) != 2 {
@@ -44,13 +44,13 @@ func TestAssignmentRoundTrip(t *testing.T) {
 }
 
 func TestAssignmentValidation(t *testing.T) {
-	if _, err := NewAssignment(1, nil, 0, nil); err == nil {
+	if _, err := newAssignment(1, nil, 0, nil); err == nil {
 		t.Fatal("empty tolerance table accepted")
 	}
-	if _, err := NewAssignment(1, []float64{math.NaN()}, 0, nil); err == nil {
+	if _, err := newAssignment(1, []float64{math.NaN()}, 0, nil); err == nil {
 		t.Fatal("NaN tolerance accepted")
 	}
-	a, err := NewAssignment(1, []float64{-0.5, 1.5}, 99, map[string]int{"k": 7, "ok": 1})
+	a, err := newAssignment(1, []float64{-0.5, 1.5}, 99, map[string]int{"k": 7, "ok": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,20 +67,20 @@ func TestAssignmentValidation(t *testing.T) {
 }
 
 func TestAssignmentEquivalence(t *testing.T) {
-	base, _ := NewAssignment(1, []float64{0.1, 0.5}, 1, map[string]int{"h": 0})
+	base, _ := newAssignment(1, []float64{0.1, 0.5}, 1, map[string]int{"h": 0})
 	// A new key explicitly assigned to the default group changes nothing.
-	absorbed, _ := NewAssignment(2, []float64{0.1, 0.5}, 1, map[string]int{"h": 0, "c": 1})
-	if !base.EquivalentTo(absorbed) || !absorbed.EquivalentTo(base) {
+	absorbed, _ := newAssignment(2, []float64{0.1, 0.5}, 1, map[string]int{"h": 0, "c": 1})
+	if !base.equivalentTo(absorbed) || !absorbed.equivalentTo(base) {
 		t.Fatal("default-group addition should be equivalent")
 	}
 	// Moving a key is a real change, in either direction.
-	moved, _ := NewAssignment(2, []float64{0.1, 0.5}, 1, map[string]int{"h": 1})
-	if base.EquivalentTo(moved) {
+	moved, _ := newAssignment(2, []float64{0.1, 0.5}, 1, map[string]int{"h": 1})
+	if base.equivalentTo(moved) {
 		t.Fatal("moved key reported equivalent")
 	}
 	// So are tolerance changes.
-	retuned, _ := NewAssignment(2, []float64{0.1, 0.6}, 1, map[string]int{"h": 0})
-	if base.EquivalentTo(retuned) {
+	retuned, _ := newAssignment(2, []float64{0.1, 0.6}, 1, map[string]int{"h": 0})
+	if base.equivalentTo(retuned) {
 		t.Fatal("retuned tolerances reported equivalent")
 	}
 }
@@ -125,7 +125,7 @@ func newTestRegrouper(t *testing.T, ctl *core.Controller, sink *updateSink) *Reg
 		K:            2,
 		MinTolerance: 0.02,
 		MaxTolerance: 0.6,
-		MinKeys:      10,
+		minKeys:      10,
 		Seed:         42,
 		Controller:   ctl,
 	}, nil, sink)
@@ -143,15 +143,15 @@ func TestRegrouperLearnsAndBroadcasts(t *testing.T) {
 	sink := newUpdateSink()
 	r := newTestRegrouper(t, ctl, sink)
 
-	// Below the MinKeys gate: nothing happens.
+	// Below the minKeys gate: nothing happens.
 	r.IngestStats("n1", wire.StatsResponse{KeySamples: hotColdSamples("a", 2, 2)})
-	if r.RegroupNow() {
-		t.Fatal("regrouped below the MinKeys gate")
+	if r.regroupNow() {
+		t.Fatal("regrouped below the minKeys gate")
 	}
 
 	r.IngestStats("n1", wire.StatsResponse{KeySamples: hotColdSamples("a", 8, 8)})
 	r.IngestStats("n2", wire.StatsResponse{KeySamples: hotColdSamples("b", 8, 8)})
-	if !r.RegroupNow() {
+	if !r.regroupNow() {
 		t.Fatal("no epoch applied despite a clear hot/cold split")
 	}
 	cur := r.Current()
@@ -185,7 +185,7 @@ func TestRegrouperLearnsAndBroadcasts(t *testing.T) {
 
 	// Re-clustering an unchanged workload is a no-op: no epoch bump, no
 	// broadcast storm.
-	if r.RegroupNow() {
+	if r.regroupNow() {
 		t.Fatal("stable workload bumped the epoch")
 	}
 	if got := r.Epochs(); got != 1 {
@@ -201,13 +201,13 @@ func TestRegrouperCarryOverExpiresWithoutEvidence(t *testing.T) {
 	r, err := New(Config{
 		Self: "mon", Nodes: []ring.NodeID{"n1"},
 		K: 2, MinTolerance: 0.02, MaxTolerance: 0.6,
-		MinKeys: 10, Seed: 42, MaxCarry: 2,
+		minKeys: 10, Seed: 42, maxCarry: 2,
 	}, nil, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.IngestStats("n1", wire.StatsResponse{KeySamples: hotColdSamples("a", 8, 8)})
-	if !r.RegroupNow() {
+	if !r.regroupNow() {
 		t.Fatal("initial regroup failed")
 	}
 	oldHot := []byte("a-hot0")
@@ -219,19 +219,19 @@ func TestRegrouperCarryOverExpiresWithoutEvidence(t *testing.T) {
 	// The first epoch after the migration still carries the old keys (no
 	// churn, no premature demotion)...
 	r.IngestStats("n1", wire.StatsResponse{KeySamples: hotColdSamples("b", 8, 8)})
-	if !r.RegroupNow() {
+	if !r.regroupNow() {
 		t.Fatal("migration did not bump the epoch")
 	}
 	if g := r.Current().GroupOf(oldHot); g != 0 {
 		t.Fatalf("old hot key demoted immediately, want carried (group %d)", g)
 	}
-	// ...but once MaxCarry evidence-free rounds pass, the next applied
+	// ...but once maxCarry evidence-free rounds pass, the next applied
 	// epoch drops them back to the default group instead of pinning every
 	// past hot range tight forever.
-	r.RegroupNow() // carried round 2 (no change -> no epoch)
-	r.RegroupNow() // carried round 3: past MaxCarry, but shift too small alone
+	r.regroupNow() // carried round 2 (no change -> no epoch)
+	r.regroupNow() // carried round 3: past maxCarry, but shift too small alone
 	r.IngestStats("n1", wire.StatsResponse{KeySamples: hotColdSamples("c", 8, 8)})
-	if !r.RegroupNow() {
+	if !r.regroupNow() {
 		t.Fatal("second migration did not bump the epoch")
 	}
 	if g := r.Current().GroupOf(oldHot); g != r.Current().Default() {
@@ -254,7 +254,7 @@ func TestIngestStatsEmptyReportClearsNode(t *testing.T) {
 	// The node's sampler drains (all keys decayed out): its cached samples
 	// must clear, leaving too few keys to recluster.
 	r.IngestStats("n1", wire.StatsResponse{})
-	if r.RegroupNow() {
+	if r.regroupNow() {
 		t.Fatal("reclustered from a stale sample cache")
 	}
 	if r.Current().Epoch() != 0 {
@@ -270,7 +270,7 @@ func TestRegrouperMigratesControllerModels(t *testing.T) {
 	sink := newUpdateSink()
 	r := newTestRegrouper(t, ctl, sink)
 	r.IngestStats("n1", wire.StatsResponse{KeySamples: hotColdSamples("a", 10, 10)})
-	if !r.RegroupNow() {
+	if !r.regroupNow() {
 		t.Fatal("initial regroup failed")
 	}
 
@@ -298,7 +298,7 @@ func TestRegrouperMigratesControllerModels(t *testing.T) {
 		})
 	}
 	r.IngestStats("n1", wire.StatsResponse{KeySamples: samples})
-	if !r.RegroupNow() {
+	if !r.regroupNow() {
 		t.Fatal("membership change did not bump the epoch")
 	}
 	if r.Current().Epoch() != 2 {

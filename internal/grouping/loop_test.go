@@ -1,4 +1,4 @@
-package grouping_test
+package grouping
 
 import (
 	"fmt"
@@ -8,7 +8,6 @@ import (
 
 	"harmony/internal/cluster"
 	"harmony/internal/core"
-	"harmony/internal/grouping"
 	"harmony/internal/sim"
 	"harmony/internal/wire"
 )
@@ -21,7 +20,7 @@ import (
 // traffic keeps flowing.
 func TestOnlineRegroupingLoopEndToEnd(t *testing.T) {
 	s := sim.New(3)
-	initial, err := grouping.Uniform([]float64{0.02, 0.6}, 1)
+	initial, err := Uniform([]float64{0.02, 0.6}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,18 +41,18 @@ func TestOnlineRegroupingLoopEndToEnd(t *testing.T) {
 		GroupFn:         initial.GroupOf,
 		GroupTolerances: initial.Tolerances(),
 	})
-	rg, err := grouping.New(grouping.Config{
+	rg, err := New(Config{
 		Self:         "harmony-monitor",
 		Nodes:        c.NodeIDs(),
 		K:            2,
 		MinTolerance: 0.02,
 		MaxTolerance: 0.6,
 		Interval:     500 * time.Millisecond,
-		MinKeys:      24,
+		minKeys:      24,
 		Seed:         3,
 		Controller:   ctl,
 		Initial:      initial,
-		OnRegroup: func(a *grouping.Assignment) {
+		OnRegroup: func(a *Assignment) {
 			t.Logf("epoch %d: len=%d hot3->%d cold42->%d tols=%v",
 				a.Epoch(), a.Len(), a.GroupOf([]byte("hot3")), a.GroupOf([]byte("cold42")), a.Tolerances())
 		},

@@ -31,11 +31,11 @@ type Config struct {
 	// latest node samples, re-clusters, and — only when the grouping
 	// actually changed — bumps the epoch and broadcasts.
 	Interval time.Duration
-	// MinKeys gates clustering: below this many merged sampled keys the
+	// minKeys gates clustering: below this many merged sampled keys the
 	// regrouper stays on the current assignment (zero means 8*K). It keeps
 	// cold-start and drained clusters from thrashing on noise.
-	MinKeys int
-	// MaxCarry bounds how many consecutive reclusterings a non-default key
+	minKeys int
+	// maxCarry bounds how many consecutive reclusterings a non-default key
 	// survives without fresh evidence (zero means 8, negative disables
 	// carry-over). Carried keys keep their group so sampled-tail flicker
 	// does not churn epochs, but a key that stays unsampled that long —
@@ -43,7 +43,7 @@ type Config struct {
 	// node's export — falls back to the default group at the next applied
 	// epoch instead of staying pinned tight forever (and instead of
 	// growing every broadcast's key map without bound).
-	MaxCarry int
+	maxCarry int
 	// Seed makes clustering deterministic.
 	Seed int64
 	// Controller, when set, is regrouped in lockstep with the broadcast:
@@ -102,11 +102,11 @@ func New(cfg Config, rt sim.Runtime, send transport.Sender) (*Regrouper, error) 
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
 	}
-	if cfg.MinKeys <= 0 {
-		cfg.MinKeys = 8 * cfg.K
+	if cfg.minKeys <= 0 {
+		cfg.minKeys = 8 * cfg.K
 	}
-	if cfg.MaxCarry == 0 {
-		cfg.MaxCarry = 8
+	if cfg.maxCarry == 0 {
+		cfg.maxCarry = 8
 	}
 	cat, err := core.NewCategorizer(cfg.K, cfg.Seed)
 	if err != nil {
@@ -158,7 +158,7 @@ func (r *Regrouper) Start() {
 	if r.stop != nil {
 		return
 	}
-	r.stop = sim.Every(r.rt, func() time.Duration { return r.cfg.Interval }, func() { r.RegroupNow() })
+	r.stop = sim.Every(r.rt, func() time.Duration { return r.cfg.Interval }, func() { r.regroupNow() })
 }
 
 // Stop halts periodic regrouping.
@@ -183,12 +183,12 @@ func (r *Regrouper) Epochs() uint64 {
 	return r.bumps
 }
 
-// RegroupNow merges the latest samples and re-clusters immediately,
+// regroupNow merges the latest samples and re-clusters immediately,
 // applying a new epoch when the learned grouping differs from the current
 // one. It reports whether an epoch was applied. Exposed for tests and for
 // deployments that want to trigger regrouping on external signals instead
 // of (or in addition to) the timer.
-func (r *Regrouper) RegroupNow() bool {
+func (r *Regrouper) regroupNow() bool {
 	r.mu.Lock()
 	merged := core.NewKeyStats()
 	weight := make(map[string]float64)
@@ -201,7 +201,7 @@ func (r *Regrouper) RegroupNow() bool {
 	cur := r.cur
 	r.mu.Unlock()
 
-	if merged.Len() < r.cfg.MinKeys {
+	if merged.Len() < r.cfg.minKeys {
 		return false
 	}
 	if err := r.cat.Recluster(merged, r.cfg.MinTolerance, r.cfg.MaxTolerance); err != nil {
@@ -220,7 +220,7 @@ func (r *Regrouper) RegroupNow() bool {
 	// happens on evidence — the key reappears with cold features and the
 	// clusterer reassigns it — or, for keys that never reappear (a
 	// migrated-away hotspot buried below every node's export cutoff),
-	// after MaxCarry consecutive evidence-free rounds, so the tight group
+	// after maxCarry consecutive evidence-free rounds, so the tight group
 	// cannot accrete every hot range the workload ever had.
 	r.mu.Lock()
 	for key := range r.carried {
@@ -236,20 +236,20 @@ func (r *Regrouper) RegroupNow() bool {
 			delete(r.carried, key) // fresh evidence
 			continue
 		}
-		if r.cfg.MaxCarry < 0 {
+		if r.cfg.maxCarry < 0 {
 			continue
 		}
 		r.carried[key]++
-		if r.carried[key] <= r.cfg.MaxCarry {
+		if r.carried[key] <= r.cfg.maxCarry {
 			assign[key] = g
 		}
 	}
 	r.mu.Unlock()
-	candidate, err := NewAssignment(cur.Epoch()+1, tols, len(tols)-1, assign)
+	candidate, err := newAssignment(cur.Epoch()+1, tols, len(tols)-1, assign)
 	if err != nil {
 		return false
 	}
-	if cur.EquivalentTo(candidate) {
+	if cur.equivalentTo(candidate) {
 		// The workload still clusters the way it did: keep the epoch (and
 		// every node's counters) instead of churning the whole pipeline.
 		return false
@@ -290,7 +290,7 @@ func (r *Regrouper) RegroupNow() bool {
 		parents[g] = best
 	}
 
-	// Claim the epoch before announcing it: a concurrent RegroupNow that
+	// Claim the epoch before announcing it: a concurrent regroupNow that
 	// won the race already moved r.cur, and broadcasting a second,
 	// different epoch-(e+1) assignment would leave this regrouper's view
 	// divergent from what the nodes and controller installed (they ignore
@@ -306,7 +306,7 @@ func (r *Regrouper) RegroupNow() bool {
 	cb := r.cfg.OnRegroup
 	r.mu.Unlock()
 
-	update := candidate.ToWire()
+	update := candidate.toWire()
 	for _, n := range r.cfg.Nodes {
 		r.send.Send(r.cfg.Self, n, update)
 	}

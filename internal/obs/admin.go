@@ -51,7 +51,7 @@ func StartAdmin(addr string, cfg AdminConfig) (*Admin, error) {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if cfg.Registry != nil {
-			cfg.Registry.WriteProm(w)
+			cfg.Registry.writeProm(w)
 		}
 	})
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
@@ -81,7 +81,7 @@ func StartAdmin(addr string, cfg AdminConfig) (*Admin, error) {
 			since = n
 		}
 		if cfg.Trace != nil {
-			cfg.Trace.WriteJSONL(w, since)
+			cfg.Trace.writeJSONL(w, since)
 		}
 	})
 	if cfg.Faults != nil {

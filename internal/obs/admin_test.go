@@ -22,7 +22,7 @@ type promScrape struct {
 }
 
 // parseProm parses the Prometheus text exposition format strictly enough to
-// round-trip what WriteProm emits: # HELP/# TYPE lines, then
+// round-trip what writeProm emits: # HELP/# TYPE lines, then
 // name{labels} value samples.
 func parseProm(t *testing.T, body string) promScrape {
 	t.Helper()
@@ -268,14 +268,14 @@ func TestRegistryDeterministicOrder(t *testing.T) {
 		emit(Metric{Name: "mmm_metric", Type: Gauge, Labels: []Label{{Name: "g", Value: "1"}}, Value: 4})
 	})
 	var b1, b2 strings.Builder
-	if err := reg.WriteProm(&b1); err != nil {
+	if err := reg.writeProm(&b1); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.WriteProm(&b2); err != nil {
+	if err := reg.writeProm(&b2); err != nil {
 		t.Fatal(err)
 	}
 	if b1.String() != b2.String() {
-		t.Fatal("WriteProm not deterministic")
+		t.Fatal("writeProm not deterministic")
 	}
 	aaa := strings.Index(b1.String(), "aaa_metric")
 	g1 := strings.Index(b1.String(), `mmm_metric{g="1"}`)

@@ -21,7 +21,7 @@ import (
 	"harmony/internal/wire"
 )
 
-// histStripes is the stripe count of a ConcurrentHist. Eight stripes keep
+// histStripes is the stripe count of a concurrentHist. Eight stripes keep
 // the TryLock cascade short while making same-instant collisions rare at
 // the parallelism the hot paths run (GOMAXPROCS-ish goroutines).
 const (
@@ -37,23 +37,23 @@ type histStripe struct {
 	h  stats.Histogram
 }
 
-// ConcurrentHist is a striped, merge-able latency histogram safe for
-// concurrent recording. Record takes one of histStripes independent locks —
+// concurrentHist is a striped, merge-able latency histogram safe for
+// concurrent recording. record takes one of histStripes independent locks —
 // chosen by a rotating index, falling through to the first free stripe via
 // TryLock — so concurrent recorders almost never serialize on each other,
-// and never allocate. Snapshot merges the stripes into one plain
+// and never allocate. snapshot merges the stripes into one plain
 // stats.Histogram (bucket counts are exact under merge; see
 // stats.Histogram.Merge).
 //
 // The zero value is ready to use.
-type ConcurrentHist struct {
+type concurrentHist struct {
 	rotor   atomic.Uint32
 	stripes [histStripes]histStripe
 }
 
-// Record adds one observation. It is safe for concurrent use and performs
+// record adds one observation. It is safe for concurrent use and performs
 // no allocation.
-func (c *ConcurrentHist) Record(d time.Duration) {
+func (c *concurrentHist) record(d time.Duration) {
 	start := c.rotor.Add(1)
 	for i := uint32(0); i < histStripes; i++ {
 		s := &c.stripes[(start+i)&histStripeMask]
@@ -70,11 +70,11 @@ func (c *ConcurrentHist) Record(d time.Duration) {
 	s.mu.Unlock()
 }
 
-// Snapshot merges every stripe into one histogram. Each stripe is copied
+// snapshot merges every stripe into one histogram. Each stripe is copied
 // consistently under its lock; the merge is not a cross-stripe
 // point-in-time snapshot (counters are monotonic, so concurrent recording
 // skews the result by at most the records in flight).
-func (c *ConcurrentHist) Snapshot() stats.Histogram {
+func (c *concurrentHist) snapshot() stats.Histogram {
 	var out stats.Histogram
 	for i := range c.stripes {
 		s := &c.stripes[i]
@@ -86,8 +86,8 @@ func (c *ConcurrentHist) Snapshot() stats.Histogram {
 	return out
 }
 
-// Reset clears every stripe.
-func (c *ConcurrentHist) Reset() {
+// reset clears every stripe.
+func (c *concurrentHist) reset() {
 	for i := range c.stripes {
 		s := &c.stripes[i]
 		s.mu.Lock()
@@ -120,20 +120,20 @@ func (k OpKind) String() string {
 // slot 0 absorbs out-of-range input).
 const levelSlots = 8
 
-// OpLevelHist holds one ConcurrentHist per (operation kind, consistency
+// OpLevelHist holds one concurrentHist per (operation kind, consistency
 // level) pair — the per-operation latency surface the paper's analysis
 // wants split by the level the operation was served at. Both dimensions are
 // fixed arrays, so recording involves no map lookups and no allocation; a
 // nil *OpLevelHist is an always-off recorder (Record is a no-op), which is
 // how the hot paths stay untouched when observability is disabled.
 type OpLevelHist struct {
-	hists [opKindCount][levelSlots]ConcurrentHist
+	hists [opKindCount][levelSlots]concurrentHist
 }
 
 // NewOpLevelHist allocates an operation × level histogram family.
 func NewOpLevelHist() *OpLevelHist { return &OpLevelHist{} }
 
-// Record adds one observation for (op, level). Out-of-range levels clamp to
+// record adds one observation for (op, level). Out-of-range levels clamp to
 // slot 0; a nil receiver drops the observation.
 func (o *OpLevelHist) Record(op OpKind, level wire.ConsistencyLevel, d time.Duration) {
 	if o == nil {
@@ -146,7 +146,7 @@ func (o *OpLevelHist) Record(op OpKind, level wire.ConsistencyLevel, d time.Dura
 	if l < 0 || l >= levelSlots {
 		l = 0
 	}
-	o.hists[op][l].Record(d)
+	o.hists[op][l].record(d)
 }
 
 // OpLevelSnapshot is one populated (op, level) cell of an OpLevelHist.
@@ -165,7 +165,7 @@ func (o *OpLevelHist) Snapshot() []OpLevelSnapshot {
 	var out []OpLevelSnapshot
 	for op := OpKind(0); op < opKindCount; op++ {
 		for l := 0; l < levelSlots; l++ {
-			h := o.hists[op][l].Snapshot()
+			h := o.hists[op][l].snapshot()
 			if h.Count() == 0 {
 				continue
 			}

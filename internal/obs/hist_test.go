@@ -24,14 +24,14 @@ func TestConcurrentHistMatchesSerial(t *testing.T) {
 		}
 	}
 
-	var ch ConcurrentHist
+	var ch concurrentHist
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(ds []time.Duration) {
 			defer wg.Done()
 			for _, d := range ds {
-				ch.Record(d)
+				ch.record(d)
 			}
 		}(samples[g])
 	}
@@ -44,7 +44,7 @@ func TestConcurrentHistMatchesSerial(t *testing.T) {
 		}
 	}
 
-	got := ch.Snapshot()
+	got := ch.snapshot()
 	if got.Count() != serial.Count() {
 		t.Fatalf("count = %d, want %d", got.Count(), serial.Count())
 	}
@@ -62,10 +62,10 @@ func TestConcurrentHistMatchesSerial(t *testing.T) {
 }
 
 func TestConcurrentHistReset(t *testing.T) {
-	var ch ConcurrentHist
-	ch.Record(time.Millisecond)
-	ch.Reset()
-	if h := ch.Snapshot(); h.Count() != 0 {
+	var ch concurrentHist
+	ch.record(time.Millisecond)
+	ch.reset()
+	if h := ch.snapshot(); h.Count() != 0 {
 		t.Fatalf("count after reset = %d", h.Count())
 	}
 }
@@ -73,9 +73,9 @@ func TestConcurrentHistReset(t *testing.T) {
 // The hot-path contract: recording allocates nothing, including through the
 // op × level dispatch.
 func TestRecordZeroAlloc(t *testing.T) {
-	var ch ConcurrentHist
-	if a := testing.AllocsPerRun(1000, func() { ch.Record(time.Millisecond) }); a != 0 {
-		t.Fatalf("ConcurrentHist.Record allocates %v/op", a)
+	var ch concurrentHist
+	if a := testing.AllocsPerRun(1000, func() { ch.record(time.Millisecond) }); a != 0 {
+		t.Fatalf("concurrentHist.record allocates %v/op", a)
 	}
 	olh := NewOpLevelHist()
 	if a := testing.AllocsPerRun(1000, func() {
@@ -122,11 +122,11 @@ func TestOpLevelHistSnapshotOrder(t *testing.T) {
 }
 
 func BenchmarkConcurrentHistRecord(b *testing.B) {
-	var ch ConcurrentHist
+	var ch concurrentHist
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			ch.Record(time.Millisecond)
+			ch.record(time.Millisecond)
 		}
 	})
 }

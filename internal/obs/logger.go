@@ -14,21 +14,21 @@ import (
 type LogLevel int32
 
 const (
-	LogDebug LogLevel = iota
-	LogInfo
-	LogWarn
-	LogError
+	logDebug LogLevel = iota
+	logInfo
+	logWarn
+	logError
 )
 
 func (l LogLevel) String() string {
 	switch l {
-	case LogDebug:
+	case logDebug:
 		return "debug"
-	case LogInfo:
+	case logInfo:
 		return "info"
-	case LogWarn:
+	case logWarn:
 		return "warn"
-	case LogError:
+	case logError:
 		return "error"
 	}
 	return fmt.Sprintf("level(%d)", int32(l))
@@ -39,15 +39,15 @@ func (l LogLevel) String() string {
 func ParseLogLevel(s string) (LogLevel, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "debug":
-		return LogDebug, nil
+		return logDebug, nil
 	case "info", "":
-		return LogInfo, nil
+		return logInfo, nil
 	case "warn", "warning":
-		return LogWarn, nil
+		return logWarn, nil
 	case "error":
-		return LogError, nil
+		return logError, nil
 	}
-	return LogInfo, fmt.Errorf("unknown log level %q (want debug|info|warn|error)", s)
+	return logInfo, fmt.Errorf("unknown log level %q (want debug|info|warn|error)", s)
 }
 
 // Logger is a leveled, prefix-stamped diagnostic logger. Every line carries
@@ -74,8 +74,8 @@ func NewLogger(w io.Writer, name string, level LogLevel) *Logger {
 	return l
 }
 
-// SetLevel changes the minimum emitted severity.
-func (l *Logger) SetLevel(level LogLevel) {
+// setLevel changes the minimum emitted severity.
+func (l *Logger) setLevel(level LogLevel) {
 	if l != nil {
 		l.level.Store(int32(level))
 	}
@@ -84,7 +84,7 @@ func (l *Logger) SetLevel(level LogLevel) {
 // Level returns the current minimum severity.
 func (l *Logger) Level() LogLevel {
 	if l == nil {
-		return LogError + 1
+		return logError + 1
 	}
 	return LogLevel(l.level.Load())
 }
@@ -102,10 +102,8 @@ func (l *Logger) emit(level LogLevel, format string, args ...any) {
 	l.out.Printf("[%s] %s: %s", l.name, level, fmt.Sprintf(format, args...))
 }
 
-func (l *Logger) Debugf(format string, args ...any) { l.emit(LogDebug, format, args...) }
-func (l *Logger) Infof(format string, args ...any)  { l.emit(LogInfo, format, args...) }
-func (l *Logger) Warnf(format string, args ...any)  { l.emit(LogWarn, format, args...) }
-func (l *Logger) Errorf(format string, args ...any) { l.emit(LogError, format, args...) }
+func (l *Logger) Infof(format string, args ...any)  { l.emit(logInfo, format, args...) }
+func (l *Logger) Errorf(format string, args ...any) { l.emit(logError, format, args...) }
 
 // Logf adapts the logger to the plain func(string, ...any) hooks older
 // config structs expose; messages arrive at info level. A nil logger yields

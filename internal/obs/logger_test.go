@@ -7,8 +7,8 @@ import (
 
 func TestParseLogLevel(t *testing.T) {
 	cases := map[string]LogLevel{
-		"debug": LogDebug, "INFO": LogInfo, "": LogInfo,
-		"warn": LogWarn, "Warning": LogWarn, "error": LogError,
+		"debug": logDebug, "INFO": logInfo, "": logInfo,
+		"warn": logWarn, "Warning": logWarn, "error": logError,
 	}
 	for in, want := range cases {
 		got, err := ParseLogLevel(in)
@@ -23,10 +23,10 @@ func TestParseLogLevel(t *testing.T) {
 
 func TestLoggerLevelFilterAndPrefix(t *testing.T) {
 	var buf strings.Builder
-	l := NewLogger(&buf, "node-3", LogWarn)
-	l.Debugf("dropped %d", 1)
+	l := NewLogger(&buf, "node-3", logWarn)
+	l.emit(logDebug, "dropped %d", 1)
 	l.Infof("dropped %d", 2)
-	l.Warnf("kept %d", 3)
+	l.emit(logWarn, "kept %d", 3)
 	l.Errorf("kept %d", 4)
 
 	out := buf.String()
@@ -38,13 +38,13 @@ func TestLoggerLevelFilterAndPrefix(t *testing.T) {
 		t.Fatalf("missing prefixed lines:\n%s", out)
 	}
 
-	l.SetLevel(LogDebug)
-	if !l.Enabled(LogDebug) {
-		t.Fatal("SetLevel(debug) not applied")
+	l.setLevel(logDebug)
+	if !l.Enabled(logDebug) {
+		t.Fatal("setLevel(debug) not applied")
 	}
-	l.Debugf("now visible")
+	l.emit(logDebug, "now visible")
 	if !strings.Contains(buf.String(), "[node-3] debug: now visible") {
-		t.Fatalf("debug line missing after SetLevel:\n%s", buf.String())
+		t.Fatalf("debug line missing after setLevel:\n%s", buf.String())
 	}
 
 	var nl *Logger

@@ -16,14 +16,14 @@ type MetricType uint8
 const (
 	Gauge MetricType = iota
 	Counter
-	Summary
+	summaryMetric
 )
 
 func (t MetricType) String() string {
 	switch t {
 	case Counter:
 		return "counter"
-	case Summary:
+	case summaryMetric:
 		return "summary"
 	default:
 		return "gauge"
@@ -36,12 +36,12 @@ type Label struct {
 	Value string
 }
 
-// Metric is one exported series sample. Family, when non-empty, names the
+// Metric is one exported series sample. family, when non-empty, names the
 // metric family the series belongs to for # TYPE purposes — summaries use
 // it so name_sum/name_count attach to the quantile family.
 type Metric struct {
 	Name   string
-	Family string
+	family string
 	Help   string
 	Type   MetricType
 	Labels []Label
@@ -71,25 +71,25 @@ func (r *Registry) Register(c Collector) {
 	r.mu.Unlock()
 }
 
-// Gather runs every collector and returns the samples sorted by family,
-// then name, then label values — the deterministic order WriteProm (and the
+// gather runs every collector and returns the samples sorted by family,
+// then name, then label values — the deterministic order writeProm (and the
 // golden tests) rely on.
-func (r *Registry) Gather() []Metric {
+func (r *Registry) gather() []Metric {
 	r.mu.Lock()
 	cs := append([]Collector(nil), r.collectors...)
 	r.mu.Unlock()
 	var out []Metric
 	for _, c := range cs {
 		c(func(m Metric) {
-			if m.Family == "" {
-				m.Family = m.Name
+			if m.family == "" {
+				m.family = m.Name
 			}
 			out = append(out, m)
 		})
 	}
 	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Family != out[j].Family {
-			return out[i].Family < out[j].Family
+		if out[i].family != out[j].family {
+			return out[i].family < out[j].family
 		}
 		if out[i].Name != out[j].Name {
 			return out[i].Name < out[j].Name
@@ -118,22 +118,22 @@ func escapeLabel(v string) string {
 	return v
 }
 
-// WriteProm renders the gathered metrics in the Prometheus text exposition
+// writeProm renders the gathered metrics in the Prometheus text exposition
 // format (version 0.0.4): one # HELP/# TYPE pair per family, then each
 // series as name{labels} value.
-func (r *Registry) WriteProm(w io.Writer) error {
+func (r *Registry) writeProm(w io.Writer) error {
 	var lastFamily string
-	for _, m := range r.Gather() {
-		if m.Family != lastFamily {
+	for _, m := range r.gather() {
+		if m.family != lastFamily {
 			if m.Help != "" {
-				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", m.Family, m.Help); err != nil {
+				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", m.family, m.Help); err != nil {
 					return err
 				}
 			}
-			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", m.Family, m.Type); err != nil {
+			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", m.family, m.Type); err != nil {
 				return err
 			}
-			lastFamily = m.Family
+			lastFamily = m.family
 		}
 		if _, err := io.WriteString(w, m.Name); err != nil {
 			return err
@@ -173,10 +173,10 @@ var summaryQuantiles = []struct {
 	{1.0, "1"},
 }
 
-// EmitHistogram emits one stats.Histogram as a Prometheus summary family:
+// emitHistogram emits one stats.Histogram as a Prometheus summary family:
 // quantile series in seconds, plus _sum and _count. labels are the base
 // labels every series carries (quantile is appended to them).
-func EmitHistogram(emit func(Metric), family, help string, labels []Label, h *stats.Histogram) {
+func emitHistogram(emit func(Metric), family, help string, labels []Label, h *stats.Histogram) {
 	if h.Count() == 0 {
 		return
 	}
@@ -185,16 +185,16 @@ func EmitHistogram(emit func(Metric), family, help string, labels []Label, h *st
 		ql = append(ql, labels...)
 		ql = append(ql, Label{Name: "quantile", Value: sq.label})
 		emit(Metric{
-			Name: family, Family: family, Help: help, Type: Summary,
+			Name: family, family: family, Help: help, Type: summaryMetric,
 			Labels: ql, Value: h.Quantile(sq.q).Seconds(),
 		})
 	}
 	emit(Metric{
-		Name: family + "_sum", Family: family, Type: Summary,
+		Name: family + "_sum", family: family, Type: summaryMetric,
 		Labels: labels, Value: h.Sum().Seconds(),
 	})
 	emit(Metric{
-		Name: family + "_count", Family: family, Type: Summary,
+		Name: family + "_count", family: family, Type: summaryMetric,
 		Labels: labels, Value: float64(h.Count()),
 	})
 }
@@ -212,7 +212,7 @@ func OpLatencyCollector(hist *OpLevelHist, extra ...Label) Collector {
 				Label{Name: "level", Value: cell.Level.String()},
 			)
 			h := cell.Hist
-			EmitHistogram(emit, "harmony_op_latency_seconds",
+			emitHistogram(emit, "harmony_op_latency_seconds",
 				"Coordinated operation latency by operation kind and consistency level.",
 				labels, &h)
 		}

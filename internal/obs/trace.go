@@ -164,9 +164,9 @@ func (t *Trace) Since(seq uint64) []Event {
 	return out
 }
 
-// WriteJSONL writes the events with Seq > since as JSON Lines, oldest
+// writeJSONL writes the events with Seq > since as JSON Lines, oldest
 // first — the dump format of the admin endpoint's /trace.
-func (t *Trace) WriteJSONL(w io.Writer, since uint64) error {
+func (t *Trace) writeJSONL(w io.Writer, since uint64) error {
 	enc := json.NewEncoder(w)
 	for _, e := range t.Since(since) {
 		if err := enc.Encode(e); err != nil {

@@ -136,7 +136,7 @@ func TestTraceWriteJSONL(t *testing.T) {
 	tr.Add(Event{Kind: EventDivergenceHold, Group: 2, Divergence: 0.3})
 
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf, 0); err != nil {
+	if err := tr.writeJSONL(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	var evs []Event

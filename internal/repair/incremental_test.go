@@ -223,8 +223,8 @@ func TestIncrementalSessionsConverge(t *testing.T) {
 	if da, db := dump(p.ea), dump(p.eb); da != db {
 		t.Fatalf("engines diverged after session:\n a=%s\n b=%s", da, db)
 	}
-	if st := p.ma.Stats(); st.SessionsCompleted != 1 {
-		t.Fatalf("SessionsCompleted = %d, want 1", st.SessionsCompleted)
+	if st := p.ma.Stats(); st.sessionsCompleted != 1 {
+		t.Fatalf("sessionsCompleted = %d, want 1", st.sessionsCompleted)
 	}
 	// Steady state: further mutations + sessions must not rebuild trees.
 	_, scansA0 := p.ma.TreeCache().Builds()

@@ -108,17 +108,17 @@ type session struct {
 
 // Stats are cumulative counters of the subsystem's work.
 type Stats struct {
-	SessionsStarted   uint64
-	SessionsCompleted uint64
-	SessionsTimedOut  uint64
-	SessionsAbandoned uint64 // doomed sessions cut short by a recovery trigger
-	RangesChecked     uint64 // ranges diffed across sessions
-	RangesDivergent   uint64
-	LeavesSynced      uint64 // divergent leaves streamed (initiator side)
-	RowsStreamed      uint64 // rows sent in RangeSync, both roles
+	sessionsStarted   uint64
+	sessionsCompleted uint64
+	sessionsTimedOut  uint64
+	sessionsAbandoned uint64 // doomed sessions cut short by a recovery trigger
+	rangesChecked     uint64 // ranges diffed across sessions
+	rangesDivergent   uint64
+	leavesSynced      uint64 // divergent leaves streamed (initiator side)
+	rowsStreamed      uint64 // rows sent in RangeSync, both roles
 	BytesStreamed     uint64 // key+payload bytes of those rows
 	RowsHealed        uint64 // rows applied locally that changed the engine
-	AgeHealedMs       uint64 // summed capped age of healed rows
+	ageHealedMs       uint64 // summed capped age of healed rows
 }
 
 // NewManager builds the repair plan and tree cache for a node. Wire
@@ -127,7 +127,7 @@ type Stats struct {
 // sessions.
 func NewManager(cfg Config, rt sim.Runtime, send transport.Sender) *Manager {
 	opts := cfg.Options.withDefaults()
-	plan := BuildPlan(cfg.Ring, cfg.Strategy, cfg.Self)
+	plan := buildPlan(cfg.Ring, cfg.Strategy, cfg.Self)
 	return &Manager{
 		cfg:    cfg,
 		opts:   opts,
@@ -196,7 +196,7 @@ func (m *Manager) Stop() {
 // goroutine: the work hops onto the node's runtime.
 func (m *Manager) PeerRecovered(peer ring.NodeID) {
 	m.rt.After(0, func() {
-		if _, shares := m.plan.Shared[peer]; !shares {
+		if _, shares := m.plan.shared[peer]; !shares {
 			return
 		}
 		// A session opened while the peer was down is doomed — its
@@ -205,7 +205,7 @@ func (m *Manager) PeerRecovered(peer ring.NodeID) {
 		// when repair matters most. Abandon it and start fresh.
 		if id, busy := m.byPeer[peer]; busy {
 			if s, ok := m.active[id]; ok {
-				m.bump(func(st *Stats) { st.SessionsAbandoned++ })
+				m.bump(func(st *Stats) { st.sessionsAbandoned++ })
 				m.finish(s)
 			}
 		}
@@ -252,7 +252,7 @@ func (m *Manager) pickPeer() (ring.NodeID, bool) {
 }
 
 func (m *Manager) startSession(peer ring.NodeID) {
-	ranges := m.plan.Shared[peer]
+	ranges := m.plan.shared[peer]
 	if len(ranges) == 0 {
 		return
 	}
@@ -264,10 +264,10 @@ func (m *Manager) startSession(peer ring.NodeID) {
 	m.active[s.id] = s
 	m.activeN.Store(int64(len(m.active)))
 	m.byPeer[peer] = s.id
-	m.bump(func(st *Stats) { st.SessionsStarted++ })
+	m.bump(func(st *Stats) { st.sessionsStarted++ })
 	s.cancel = m.rt.After(sessionTimeout, func() {
 		if _, live := m.active[s.id]; live {
-			m.bump(func(st *Stats) { st.SessionsTimedOut++ })
+			m.bump(func(st *Stats) { st.sessionsTimedOut++ })
 			m.finish(s)
 		}
 	})
@@ -330,12 +330,12 @@ func (m *Manager) onTreeResponse(from ring.NodeID, resp wire.TreeResponse) {
 		}
 	}
 	m.bump(func(st *Stats) {
-		st.RangesChecked += uint64(len(resp.Trees))
-		st.RangesDivergent += uint64(divergent)
-		st.LeavesSynced += uint64(len(leaves))
+		st.rangesChecked += uint64(len(resp.Trees))
+		st.rangesDivergent += uint64(divergent)
+		st.leavesSynced += uint64(len(leaves))
 	})
 	if len(leaves) == 0 {
-		m.bump(func(st *Stats) { st.SessionsCompleted++ })
+		m.bump(func(st *Stats) { st.sessionsCompleted++ })
 		m.finish(s)
 		return
 	}
@@ -371,7 +371,7 @@ func (m *Manager) onTreeResponse(from ring.NodeID, resp wire.TreeResponse) {
 }
 
 // maxSyncBytes caps one RangeSync chunk's row payload (both directions),
-// keeping frames well under the wire codec's MaxFrame. It is deliberately
+// keeping frames well under the wire codec's frame limit. It is deliberately
 // generous: the responder takes one engine pass per request chunk, so
 // fewer, larger chunks amortize that scan over more leaves.
 const maxSyncBytes = 4 << 20
@@ -462,7 +462,7 @@ func (m *Manager) onRangeSync(from ring.NodeID, msg wire.RangeSync) {
 	}
 	if msg.Done {
 		if s, ok := m.active[msg.ID]; ok && s.peer == from {
-			m.bump(func(st *Stats) { st.SessionsCompleted++ })
+			m.bump(func(st *Stats) { st.sessionsCompleted++ })
 			m.finish(s)
 		}
 	}
@@ -495,7 +495,7 @@ func (m *Manager) applyEntries(entries []wire.SyncEntry) map[string]bool {
 		}
 		m.bump(func(st *Stats) {
 			st.RowsHealed++
-			st.AgeHealedMs += uint64(age.Milliseconds())
+			st.ageHealedMs += uint64(age.Milliseconds())
 		})
 		if m.cfg.OnHealed != nil {
 			m.cfg.OnHealed(e.Key, e.Value, age)
@@ -511,7 +511,7 @@ func (m *Manager) accountStream(entries []wire.SyncEntry) {
 		bytes += uint64(len(e.Key) + len(e.Value.Data))
 	}
 	m.bump(func(st *Stats) {
-		st.RowsStreamed += rows
+		st.rowsStreamed += rows
 		st.BytesStreamed += bytes
 	})
 }

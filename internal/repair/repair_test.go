@@ -108,7 +108,7 @@ func TestPlanSharedRangesAreSymmetric(t *testing.T) {
 	plans := map[ring.NodeID]Plan{}
 	for i := 0; i < 5; i++ {
 		id := ring.NodeID(fmt.Sprintf("n%d", i))
-		plans[id] = BuildPlan(rng, strat, id)
+		plans[id] = buildPlan(rng, strat, id)
 	}
 	asSet := func(rs []wire.TokenRange) map[wire.TokenRange]bool {
 		out := make(map[wire.TokenRange]bool, len(rs))
@@ -118,8 +118,8 @@ func TestPlanSharedRangesAreSymmetric(t *testing.T) {
 		return out
 	}
 	for a, pa := range plans {
-		for b, shared := range pa.Shared {
-			back := asSet(plans[b].Shared[a])
+		for b, shared := range pa.shared {
+			back := asSet(plans[b].shared[a])
 			if len(back) != len(shared) {
 				t.Fatalf("asymmetric shared ranges: %s->%s %d vs %s->%s %d",
 					a, b, len(shared), b, a, len(back))
@@ -152,7 +152,7 @@ func TestPlanSharedRangesAreSymmetric(t *testing.T) {
 func TestTreeCacheRebuildsOnlyInvalidatedRanges(t *testing.T) {
 	rng, strat := testRing(t, 2)
 	e := storage.NewEngine(storage.Options{})
-	plan := BuildPlan(rng, strat, "n0")
+	plan := buildPlan(rng, strat, "n0")
 	c := NewTreeCache(e, plan.Ranges, 8)
 	for i := 0; i < 500; i++ {
 		key := []byte(fmt.Sprintf("key%04d", i))
@@ -226,8 +226,8 @@ func TestSessionMakesEnginesIdentical(t *testing.T) {
 		t.Fatalf("engines differ after session:\nA:\n%s\nB:\n%s", got, want)
 	}
 	st := p.ma.Stats()
-	if st.SessionsCompleted != 1 {
-		t.Fatalf("SessionsCompleted = %d, want 1", st.SessionsCompleted)
+	if st.sessionsCompleted != 1 {
+		t.Fatalf("sessionsCompleted = %d, want 1", st.sessionsCompleted)
 	}
 	if st.RowsHealed == 0 || p.mb.Stats().RowsHealed == 0 {
 		t.Fatalf("expected healing on both sides, got initiator=%d responder=%d",
@@ -238,7 +238,7 @@ func TestSessionMakesEnginesIdentical(t *testing.T) {
 	s1 := p.ma.Stats()
 	p.ma.startSession(p.bID)
 	s2 := p.ma.Stats()
-	if s2.RowsStreamed != s1.RowsStreamed || s2.RangesDivergent != s1.RangesDivergent {
+	if s2.rowsStreamed != s1.rowsStreamed || s2.rangesDivergent != s1.rangesDivergent {
 		t.Fatalf("converged session still streamed rows: %+v -> %+v", s1, s2)
 	}
 }
@@ -267,7 +267,7 @@ func TestBytesStreamedTracksDivergence(t *testing.T) {
 		}
 		p.ma.startSession(p.bID)
 		st := p.ma.Stats()
-		if st.SessionsCompleted != 1 {
+		if st.sessionsCompleted != 1 {
 			t.Fatalf("session did not complete: %+v", st)
 		}
 		if got, want := dump(p.ea), dump(p.eb); got != want {
@@ -303,10 +303,10 @@ func TestZeroDivergenceStreamsNothing(t *testing.T) {
 	}
 	p.ma.startSession(p.bID)
 	st := p.ma.Stats()
-	if st.SessionsCompleted != 1 || st.RowsStreamed != 0 || st.BytesStreamed != 0 {
+	if st.sessionsCompleted != 1 || st.rowsStreamed != 0 || st.BytesStreamed != 0 {
 		t.Fatalf("identical engines still streamed: %+v", st)
 	}
-	if rb := p.mb.Stats().RowsStreamed; rb != 0 {
+	if rb := p.mb.Stats().rowsStreamed; rb != 0 {
 		t.Fatalf("responder streamed %d rows for identical engines", rb)
 	}
 }
@@ -331,7 +331,7 @@ func TestPeerRecoveredJumpsQueue(t *testing.T) {
 	m0.PeerRecovered("n3")
 	s.RunFor(10 * time.Millisecond)
 	st := m0.Stats()
-	if st.SessionsStarted != 1 || st.SessionsCompleted != 1 {
+	if st.sessionsStarted != 1 || st.sessionsCompleted != 1 {
 		t.Fatalf("recovery trigger did not run a session: %+v", st)
 	}
 	if _, busy := m0.byPeer["n3"]; busy {
@@ -360,8 +360,8 @@ func TestPeriodicSchedulerCyclesPeers(t *testing.T) {
 	defer mgr.Stop()
 	s.RunFor(time.Second)
 	st := mgr.Stats()
-	if st.SessionsCompleted < 3 {
-		t.Fatalf("expected at least one full cycle over 3 peers, completed %d", st.SessionsCompleted)
+	if st.sessionsCompleted < 3 {
+		t.Fatalf("expected at least one full cycle over 3 peers, completed %d", st.sessionsCompleted)
 	}
 }
 
@@ -390,7 +390,7 @@ func TestMismatchedLeafCountsStillConverge(t *testing.T) {
 	if got, want := dump(p.ea), dump(p.eb); got != want {
 		t.Fatalf("engines differ after mismatched-leaf session:\nA:\n%s\nB:\n%s", got, want)
 	}
-	if p.ma.Stats().SessionsCompleted != 1 {
+	if p.ma.Stats().sessionsCompleted != 1 {
 		t.Fatalf("session did not complete: %+v", p.ma.Stats())
 	}
 	// And in the other direction (the 64-leaf node initiating).

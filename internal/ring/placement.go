@@ -58,7 +58,7 @@ func (r *Ring) placementFor(s Strategy) *placement {
 	return actual.(*placement)
 }
 
-// sortedByProximity returns nodes in SortByProximity order from origin:
+// sortedByProximity returns nodes in sortByProximity order from origin:
 // nodes itself when it already is in that order, a sorted copy otherwise.
 // Either way the argument is left as it was.
 func (t *Topology) sortedByProximity(origin NodeID, nodes []NodeID) []NodeID {
@@ -74,7 +74,7 @@ func (t *Topology) sortedByProximity(origin NodeID, nodes []NodeID) []NodeID {
 	}
 	sorted := make([]NodeID, len(nodes)) // exactly sized, like the table's own rows
 	copy(sorted, nodes)
-	t.SortByProximity(origin, sorted)
+	t.sortByProximity(origin, sorted)
 	return sorted
 }
 

@@ -68,7 +68,7 @@ func checkAgainstWalk(t *testing.T, r *Ring, s Strategy, rng *rand.Rand) {
 	}
 	sortedFrom := func(o NodeID, set []NodeID) []NodeID {
 		sorted := slices.Clone(set)
-		r.topo.SortByProximity(o, sorted)
+		r.topo.sortByProximity(o, sorted)
 		return sorted
 	}
 	for _, tok := range probeTokens(r, rng) {
@@ -167,8 +167,7 @@ func (everyOther) Replicas(r *Ring, tok Token) []NodeID {
 	})
 	return out
 }
-func (everyOther) ReplicationFactor() int { return 3 }
-func (everyOther) Name() string           { return "everyOther" }
+func (everyOther) Name() string { return "everyOther" }
 
 func TestCustomStrategyIsWalkedPerCall(t *testing.T) {
 	r, err := Build(twoDCTopology(t), 8)
@@ -186,7 +185,7 @@ func TestCustomStrategyIsWalkedPerCall(t *testing.T) {
 			t.Fatalf("custom strategy: got %v, want %v", got, want)
 		}
 		got[0] = "scribbled" // the caller owns a custom strategy's result
-		r.topo.SortByProximity(origin, want)
+		r.topo.sortByProximity(origin, want)
 		if got := view.ReplicasForKey(key); !slices.Equal(got, want) {
 			t.Fatalf("custom strategy view: got %v, want %v", got, want)
 		}

@@ -123,8 +123,8 @@ func (t *Topology) Distance(a, b NodeID) int {
 	}
 }
 
-// SortByProximity orders nodes by Distance from origin (stable for ties).
-func (t *Topology) SortByProximity(origin NodeID, nodes []NodeID) {
+// sortByProximity orders nodes by Distance from origin (stable for ties).
+func (t *Topology) sortByProximity(origin NodeID, nodes []NodeID) {
 	sort.SliceStable(nodes, func(i, j int) bool {
 		return t.Distance(origin, nodes[i]) < t.Distance(origin, nodes[j])
 	})
@@ -223,9 +223,6 @@ type Strategy interface {
 	// Replicas returns the ordered replica list for tok; the first entry is
 	// the primary. The result length is min(rf, cluster size).
 	Replicas(r *Ring, tok Token) []NodeID
-	// ReplicationFactor returns the total number of replicas the strategy
-	// aims to place.
-	ReplicationFactor() int
 	// Name identifies the strategy for diagnostics.
 	Name() string
 }
@@ -246,9 +243,6 @@ func (s SimpleStrategy) Replicas(r *Ring, tok Token) []NodeID {
 	})
 	return out
 }
-
-// ReplicationFactor implements Strategy.
-func (s SimpleStrategy) ReplicationFactor() int { return s.RF }
 
 // Name implements Strategy.
 func (s SimpleStrategy) Name() string { return "SimpleStrategy" }
@@ -301,9 +295,6 @@ func (s NetworkTopologyStrategy) Replicas(r *Ring, tok Token) []NodeID {
 	}
 	return out
 }
-
-// ReplicationFactor implements Strategy.
-func (s NetworkTopologyStrategy) ReplicationFactor() int { return s.RF }
 
 // Name implements Strategy.
 func (s NetworkTopologyStrategy) Name() string { return "NetworkTopologyStrategy" }

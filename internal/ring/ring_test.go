@@ -73,7 +73,7 @@ func TestDistance(t *testing.T) {
 func TestSortByProximity(t *testing.T) {
 	topo := twoDCTopology(t)
 	nodes := []NodeID{"dc2-r1-n1", "dc1-r2-n1", "dc1-r1-n2", "dc1-r1-n1"}
-	topo.SortByProximity("dc1-r1-n1", nodes)
+	topo.sortByProximity("dc1-r1-n1", nodes)
 	want := []NodeID{"dc1-r1-n1", "dc1-r1-n2", "dc1-r2-n1", "dc2-r1-n1"}
 	for i := range want {
 		if nodes[i] != want[i] {

@@ -44,7 +44,7 @@ type Status struct {
 }
 
 // status assembles the /status document from live subsystem snapshots.
-func (s *Server) status() Status {
+func (s *server) status() Status {
 	m := s.node.Snapshot()
 	st := Status{
 		Node:           string(s.cfg.ID),
@@ -104,7 +104,7 @@ func groupStatuses(m cluster.Metrics) []GroupStatus {
 // per-group tallies, storage gauges, transport counters with per-peer queue
 // depth, repair gauges, and the op×level latency summaries. Every series
 // carries a node label so multi-node scrapes merge cleanly.
-func (s *Server) buildRegistry() *obs.Registry {
+func (s *server) buildRegistry() *obs.Registry {
 	reg := obs.NewRegistry()
 	base := []obs.Label{{Name: "node", Value: string(s.cfg.ID)}}
 	reg.Register(s.clusterCollector(base))
@@ -126,7 +126,7 @@ func withLabel(base []obs.Label, extra ...obs.Label) []obs.Label {
 	return append(out, extra...)
 }
 
-func (s *Server) clusterCollector(base []obs.Label) obs.Collector {
+func (s *server) clusterCollector(base []obs.Label) obs.Collector {
 	return func(emit func(obs.Metric)) {
 		m := s.node.Snapshot()
 		c := func(name, help string, v uint64) { sample(emit, obs.Counter, name, help, base, float64(v)) }
@@ -179,7 +179,7 @@ func (s *Server) clusterCollector(base []obs.Label) obs.Collector {
 	}
 }
 
-func (s *Server) storageCollector(base []obs.Label) obs.Collector {
+func (s *server) storageCollector(base []obs.Label) obs.Collector {
 	return func(emit func(obs.Metric)) {
 		st := s.node.Engine().Stats()
 		g := func(name, help string, v float64) { sample(emit, obs.Gauge, name, help, base, v) }
@@ -198,7 +198,7 @@ func (s *Server) storageCollector(base []obs.Label) obs.Collector {
 	}
 }
 
-func (s *Server) transportCollector(base []obs.Label) obs.Collector {
+func (s *server) transportCollector(base []obs.Label) obs.Collector {
 	return func(emit func(obs.Metric)) {
 		st := s.tcp.Stats()
 		c := func(name, help string, v uint64) { sample(emit, obs.Counter, name, help, base, float64(v)) }

@@ -50,7 +50,7 @@ func httpGet(t *testing.T, url string) (int, string) {
 // live counters; /trace answers well-formed.
 func TestServerAdminEndpoint(t *testing.T) {
 	addr := reservePort(t)
-	s, err := New(Config{
+	s, err := newServer(config{
 		ID:        "n1",
 		Listen:    addr,
 		Members:   []Member{{ID: "n1", Addr: addr}},
@@ -62,8 +62,8 @@ func TestServerAdminEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	if s.AdminAddr() == "" {
+	defer s.stop()
+	if s.adminAddr() == "" {
 		t.Fatal("admin endpoint not started")
 	}
 
@@ -106,7 +106,7 @@ func TestServerAdminEndpoint(t *testing.T) {
 		}
 	}
 
-	base := "http://" + s.AdminAddr()
+	base := "http://" + s.adminAddr()
 	code, body := httpGet(t, base+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics status %d", code)
@@ -190,7 +190,7 @@ func promValue(t *testing.T, body, series string) float64 {
 // TestServerRejectsBadLogLevel pins the -log-level validation path.
 func TestServerRejectsBadLogLevel(t *testing.T) {
 	addr := reservePort(t)
-	_, err := New(Config{
+	_, err := newServer(config{
 		ID:       "n1",
 		Listen:   addr,
 		Members:  []Member{{ID: "n1", Addr: addr}},

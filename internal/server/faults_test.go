@@ -42,15 +42,15 @@ func httpPost(t *testing.T, url, body string) (int, string) {
 func TestLiveFaultEndpointPartitions(t *testing.T) {
 	addr1, addr2 := reservePort(t), reservePort(t)
 	members := []Member{{ID: "n1", Addr: addr1}, {ID: "n2", Addr: addr2}}
-	mk := func(id ring.NodeID, listen string) *Server {
-		s, err := New(Config{
+	mk := func(id ring.NodeID, listen string) *server {
+		s, err := newServer(config{
 			ID: id, Listen: listen, Members: members, RF: 2,
 			AdminAddr: "127.0.0.1:0", LogLevel: "error", Logf: func(string, ...any) {},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(s.Close)
+		t.Cleanup(s.stop)
 		return s
 	}
 	s1 := mk("n1", addr1)
@@ -88,7 +88,7 @@ func TestLiveFaultEndpointPartitions(t *testing.T) {
 		t.Fatalf("pre-cut ALL write: %v", err)
 	}
 
-	base := "http://" + s1.AdminAddr()
+	base := "http://" + s1.adminAddr()
 	code, body := httpPost(t, base+"/faults", `{"partition":{"a":["n1"],"b":["*"]}}`)
 	if code != http.StatusOK {
 		t.Fatalf("POST /faults: %d %s", code, body)

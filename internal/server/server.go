@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
-	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -36,9 +35,9 @@ type Member struct {
 	Rack string
 }
 
-// ParseCluster parses a comma-separated "id=addr/dc/rack" cluster
+// parseCluster parses a comma-separated "id=addr/dc/rack" cluster
 // description (the -cluster flag format).
-func ParseCluster(spec string) ([]Member, error) {
+func parseCluster(spec string) ([]Member, error) {
 	var out []Member
 	for _, entry := range strings.Split(spec, ",") {
 		entry = strings.TrimSpace(entry)
@@ -82,8 +81,8 @@ func FormatCluster(members []Member) string {
 	return strings.Join(parts, ",")
 }
 
-// Config assembles one storage node.
-type Config struct {
+// config assembles one storage node.
+type config struct {
 	// ID must appear in Members; Listen is the local bind address.
 	ID     ring.NodeID
 	Listen string
@@ -133,7 +132,7 @@ type Config struct {
 	// address: /metrics (Prometheus text), /status (JSON snapshot),
 	// /trace (control-loop + node event JSONL), /faults (fault-injection
 	// control), /debug/pprof/* and /debug/vars. Use ":0" for an ephemeral
-	// port (see Server.AdminAddr).
+	// port (see server.adminAddr).
 	AdminAddr string
 	// LogLevel filters node diagnostics: "debug", "info" (default),
 	// "warn", "error". An unknown value is a construction error.
@@ -143,9 +142,9 @@ type Config struct {
 	Logf func(string, ...any)
 }
 
-// Server is a running storage node.
-type Server struct {
-	cfg       Config
+// server is a running storage node.
+type server struct {
+	cfg       config
 	rt        *sim.RealRuntime
 	tcp       *transport.TCPNode
 	faults    *faults.Plane
@@ -153,14 +152,13 @@ type Server struct {
 	gossiper  *gossip.Gossiper
 	node      *cluster.Node
 	dataDir   *storage.DataDir // owned by the engine once the node exists
-	logger    *obs.Logger
 	opHist    *obs.OpLevelHist
 	trace     *obs.Trace
 	admin     *obs.Admin
 }
 
-// New builds and starts a node: listening, gossiping, serving.
-func New(cfg Config) (*Server, error) {
+// newServer builds and starts a node: listening, gossiping, serving.
+func newServer(cfg config) (*server, error) {
 	lvl, err := obs.ParseLogLevel(cfg.LogLevel)
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
@@ -207,10 +205,9 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: ring: %w", err)
 	}
 
-	s := &Server{
+	s := &server{
 		cfg:    cfg,
 		rt:     sim.NewRealRuntime(),
-		logger: logger,
 		opHist: obs.NewOpLevelHist(),
 		trace:  obs.NewTrace(1024),
 	}
@@ -297,7 +294,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.HotKeys > 0 {
 		ccfg.Groups = 2
-		ccfg.GroupFn = HotColdGroupFn(cfg.HotKeys)
+		ccfg.GroupFn = hotColdGroupFn(cfg.HotKeys)
 	}
 	s.node = cluster.New(ccfg, s.rt, out)
 
@@ -319,7 +316,7 @@ func New(cfg Config) (*Server, error) {
 			Faults:   s.faults,
 		})
 		if err != nil {
-			s.Close()
+			s.stop()
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		s.admin = admin
@@ -328,11 +325,11 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// HotColdGroupFn is the standard two-group partition: YCSB key indexes
+// hotColdGroupFn is the standard two-group partition: YCSB key indexes
 // below hotKeys are group 0 (hot), everything else group 1. Exported so the
 // bench's client-side controllers install the byte-identical function the
 // server nodes tally with.
-func HotColdGroupFn(hotKeys int64) func(key []byte) int {
+func hotColdGroupFn(hotKeys int64) func(key []byte) int {
 	return func(key []byte) int {
 		if idx, ok := ycsb.KeyIndex(key); ok && idx < hotKeys {
 			return 0
@@ -341,15 +338,12 @@ func HotColdGroupFn(hotKeys int64) func(key []byte) int {
 	}
 }
 
-// Addr is the transport's bound listen address.
-func (s *Server) Addr() net.Addr { return s.tcp.Addr() }
-
 // aliveMembers counts cluster members (self included — the detector always
 // believes in itself) the gossip detector currently holds UP. It feeds
 // StatsResponse.AliveMembers so the monitor, and through it the
 // controller's availability clamp, sees each side of a partition shrink to
 // the members it can actually reach.
-func (s *Server) aliveMembers() int {
+func (s *server) aliveMembers() int {
 	n := 0
 	for _, id := range s.memberIDs {
 		if s.gossiper.Alive(id) {
@@ -359,33 +353,17 @@ func (s *Server) aliveMembers() int {
 	return n
 }
 
-// Node exposes the cluster node (tests, embedders).
-func (s *Server) Node() *cluster.Node { return s.node }
-
-// Transport exposes the TCP endpoint (stats).
-func (s *Server) Transport() *transport.TCPNode { return s.tcp }
-
-// Faults exposes the node's fault plane (tests, embedders); the admin
-// endpoint drives the same plane via POST /faults.
-func (s *Server) Faults() *faults.Plane { return s.faults }
-
-// AdminAddr is the admin endpoint's bound address ("" when disabled) —
-// useful with Config.AdminAddr ":0".
-func (s *Server) AdminAddr() string {
+// adminAddr is the admin endpoint's bound address ("" when disabled) —
+// useful with config.AdminAddr ":0".
+func (s *server) adminAddr() string {
 	if s.admin == nil {
 		return ""
 	}
 	return s.admin.Addr()
 }
 
-// Trace exposes the node's event ring (tests, embedders).
-func (s *Server) Trace() *obs.Trace { return s.trace }
-
-// Logger exposes the node's leveled logger.
-func (s *Server) Logger() *obs.Logger { return s.logger }
-
-// Close stops serving: admin, gossip, node, transport, runtime, data dir.
-func (s *Server) Close() {
+// stop stops serving: admin, gossip, node, transport, runtime, data dir.
+func (s *server) stop() {
 	if s.admin != nil {
 		_ = s.admin.Close()
 		s.admin = nil
@@ -399,7 +377,7 @@ func (s *Server) Close() {
 	s.closePartial()
 }
 
-func (s *Server) closePartial() {
+func (s *server) closePartial() {
 	if s.tcp != nil {
 		_ = s.tcp.Close()
 	}
@@ -452,12 +430,12 @@ func Main(args []string) int {
 		return 2
 	}
 	logger := obs.NewLogger(nil, *id, lvl)
-	members, err := ParseCluster(*clusterSpec)
+	members, err := parseCluster(*clusterSpec)
 	if err != nil {
 		logger.Errorf("-cluster: %v", err)
 		return 1
 	}
-	s, err := New(Config{
+	s, err := newServer(config{
 		ID:               ring.NodeID(*id),
 		Listen:           *listen,
 		Members:          members,
@@ -482,11 +460,11 @@ func Main(args []string) int {
 		logger.Errorf("%v", err)
 		return 1
 	}
-	logger.Infof("serving on %s (rf=%d, %d members)", s.Addr(), *rf, len(members))
+	logger.Infof("serving on %s (rf=%d, %d members)", s.tcp.Addr(), *rf, len(members))
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
 	<-sigs
 	logger.Infof("shutting down")
-	s.Close()
+	s.stop()
 	return 0
 }

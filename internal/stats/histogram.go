@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -154,8 +153,8 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 // P99 is shorthand for Quantile(0.99), the statistic the paper plots.
 func (h *Histogram) P99() time.Duration { return h.Quantile(0.99) }
 
-// P95 is shorthand for Quantile(0.95).
-func (h *Histogram) P95() time.Duration { return h.Quantile(0.95) }
+// p95 is shorthand for Quantile(0.95).
+func (h *Histogram) p95() time.Duration { return h.Quantile(0.95) }
 
 // Median is shorthand for Quantile(0.5).
 func (h *Histogram) Median() time.Duration { return h.Quantile(0.5) }
@@ -184,24 +183,5 @@ func (h *Histogram) Reset() { *h = Histogram{} }
 // String summarizes the distribution.
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v max=%v",
-		h.total, h.Mean(), h.Median(), h.P95(), h.P99(), h.Max())
-}
-
-// ExactPercentile computes the exact percentile of a slice of durations, the
-// reference the tests validate Histogram accuracy against.
-func ExactPercentile(samples []time.Duration, q float64) time.Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := make([]time.Duration, len(samples))
-	copy(s, samples)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(math.Ceil(q*float64(len(s)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
+		h.total, h.Mean(), h.Median(), h.p95(), h.P99(), h.Max())
 }

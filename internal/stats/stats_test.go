@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -46,7 +47,7 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 		samples = append(samples, d)
 	}
 	for _, q := range []float64{0.5, 0.9, 0.99} {
-		exact := ExactPercentile(samples, q)
+		exact := exactPercentile(samples, q)
 		est := h.Quantile(q)
 		relErr := math.Abs(float64(est-exact)) / float64(exact)
 		if relErr > 0.10 {
@@ -182,18 +183,18 @@ func TestHistogramMonotoneQuantiles(t *testing.T) {
 
 func TestExactPercentile(t *testing.T) {
 	s := []time.Duration{5, 1, 4, 2, 3}
-	if got := ExactPercentile(s, 0.5); got != 3 {
+	if got := exactPercentile(s, 0.5); got != 3 {
 		t.Fatalf("median = %v, want 3", got)
 	}
-	if got := ExactPercentile(s, 1.0); got != 5 {
+	if got := exactPercentile(s, 1.0); got != 5 {
 		t.Fatalf("p100 = %v, want 5", got)
 	}
-	if got := ExactPercentile(nil, 0.5); got != 0 {
+	if got := exactPercentile(nil, 0.5); got != 0 {
 		t.Fatalf("empty = %v, want 0", got)
 	}
 	// input must not be mutated
 	if s[0] != 5 {
-		t.Fatal("ExactPercentile mutated input")
+		t.Fatal("exactPercentile mutated input")
 	}
 }
 
@@ -214,4 +215,23 @@ func BenchmarkHistogramP99(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.P99()
 	}
+}
+
+// exactPercentile computes the exact percentile of a slice of durations, the
+// reference the tests validate Histogram accuracy against.
+func exactPercentile(samples []time.Duration, q float64) time.Duration {
+	if len(samples) == 0 {
+		return 0
+	}
+	s := make([]time.Duration, len(samples))
+	copy(s, samples)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	idx := int(math.Ceil(q*float64(len(s)))) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= len(s) {
+		idx = len(s) - 1
+	}
+	return s[idx]
 }

@@ -91,9 +91,9 @@ type PersistOptions struct {
 	// SegmentBytes rotates a shard's active segment past this size;
 	// <= 0 means 64 MiB.
 	SegmentBytes int64
-	// MaxSealedSegments triggers a shard compaction when more sealed
+	// maxSealedSegments triggers a shard compaction when more sealed
 	// segments than this accumulate; <= 0 means 4.
-	MaxSealedSegments int
+	maxSealedSegments int
 }
 
 // DataDir is an exclusively-locked, version-stamped storage directory.

@@ -22,7 +22,7 @@ func persistOpts(dir string, shards int, segBytes int64) Options {
 			Path:              dir,
 			FsyncInterval:     time.Hour, // timer never fires; tests sync explicitly
 			SegmentBytes:      segBytes,
-			MaxSealedSegments: 3,
+			maxSealedSegments: 3,
 		},
 	}
 }

@@ -91,7 +91,7 @@ func (g *fsyncGate) setHold(hold bool) {
 func groupCommitOpts(dir string, segBytes int64) Options {
 	return Options{
 		Shards:  1,
-		Persist: &PersistOptions{Path: dir, SegmentBytes: segBytes, MaxSealedSegments: 3},
+		Persist: &PersistOptions{Path: dir, SegmentBytes: segBytes, maxSealedSegments: 3},
 	}
 }
 

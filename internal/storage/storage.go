@@ -171,12 +171,12 @@ func Open(opts Options) (*Engine, error) {
 	if po.SegmentBytes <= 0 {
 		po.SegmentBytes = 64 << 20
 	}
-	if po.MaxSealedSegments <= 0 {
-		po.MaxSealedSegments = 4
+	if po.maxSealedSegments <= 0 {
+		po.maxSealedSegments = 4
 	}
 	e.persist = newPersistState(dd, po.FsyncInterval)
 	for i := range e.shards {
-		d, err := openDiskShard(filepath.Join(dd.Path(), fmt.Sprintf("shard-%03d", i)), po.SegmentBytes, po.MaxSealedSegments)
+		d, err := openDiskShard(filepath.Join(dd.Path(), fmt.Sprintf("shard-%03d", i)), po.SegmentBytes, po.maxSealedSegments)
 		if err != nil {
 			for j := range i {
 				e.shards[j].disk.closeAll()

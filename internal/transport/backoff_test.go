@@ -39,16 +39,16 @@ func backoffState(g *peerGroup) (backoff time.Duration, fails, dials uint64) {
 }
 
 // TestDialBackoffDoublesToCap pins the redial schedule: the first failed
-// dial arms DialBackoff, each subsequent failure doubles it, and it clamps
-// at DialBackoffMax while the failure counter keeps climbing monotonically.
+// dial arms dialBackoff, each subsequent failure doubles it, and it clamps
+// at dialBackoffMax while the failure counter keeps climbing monotonically.
 func TestDialBackoffDoublesToCap(t *testing.T) {
 	rt := sim.NewRealRuntime()
 	defer rt.Stop()
 	n, err := NewTCPNode(TCPConfig{
 		ID:             "a",
 		Peers:          map[ring.NodeID]string{"b": deadAddr(t)},
-		DialBackoff:    10 * time.Millisecond,
-		DialBackoffMax: 80 * time.Millisecond,
+		dialBackoff:    10 * time.Millisecond,
+		dialBackoffMax: 80 * time.Millisecond,
 		Logf:           func(string, ...any) {},
 	}, rt, nil)
 	if err != nil {
@@ -91,8 +91,8 @@ func TestDialBackoffGateFailsFast(t *testing.T) {
 	n, err := NewTCPNode(TCPConfig{
 		ID:             "a",
 		Peers:          map[ring.NodeID]string{"b": deadAddr(t)},
-		DialBackoff:    time.Minute, // nothing re-arms during the test
-		DialBackoffMax: time.Minute,
+		dialBackoff:    time.Minute, // nothing re-arms during the test
+		dialBackoffMax: time.Minute,
 		Logf:           func(string, ...any) {},
 	}, rt, nil)
 	if err != nil {
@@ -125,7 +125,7 @@ func TestDialBackoffGateFailsFast(t *testing.T) {
 // TestDialBackoffResetsOnSuccess grows the backoff against a dead address,
 // then brings a real listener up at that address and verifies a successful
 // dial resets the schedule to zero so the next failure starts over at
-// DialBackoff, not where the last outage left off.
+// dialBackoff, not where the last outage left off.
 func TestDialBackoffResetsOnSuccess(t *testing.T) {
 	rtA, rtB := sim.NewRealRuntime(), sim.NewRealRuntime()
 	defer rtA.Stop()
@@ -134,8 +134,8 @@ func TestDialBackoffResetsOnSuccess(t *testing.T) {
 	a, err := NewTCPNode(TCPConfig{
 		ID:             "a",
 		Peers:          map[ring.NodeID]string{"b": addr},
-		DialBackoff:    10 * time.Millisecond,
-		DialBackoffMax: 80 * time.Millisecond,
+		dialBackoff:    10 * time.Millisecond,
+		dialBackoffMax: 80 * time.Millisecond,
 		Logf:           func(string, ...any) {},
 	}, rtA, nil)
 	if err != nil {
@@ -189,8 +189,8 @@ func TestCloseDuringBackoffReleasesFast(t *testing.T) {
 	n, err := NewTCPNode(TCPConfig{
 		ID:             "a",
 		Peers:          map[ring.NodeID]string{"b": deadAddr(t)},
-		DialBackoff:    time.Hour,
-		DialBackoffMax: time.Hour,
+		dialBackoff:    time.Hour,
+		dialBackoffMax: time.Hour,
 		Logf:           func(string, ...any) {},
 	}, rt, nil)
 	if err != nil {

@@ -81,17 +81,17 @@ func (q *ServiceQueue) serve(d *delivery) {
 	d.deliverTo(q.h)
 }
 
-// QueueStats is a snapshot of queue behaviour.
-type QueueStats struct {
-	Depth    int
-	MaxDepth int
-	Served   uint64
-	BusyFor  time.Duration
+// queueStats is a snapshot of queue behaviour.
+type queueStats struct {
+	depth    int
+	maxDepth int
+	served   uint64
+	busyFor  time.Duration
 }
 
-// Stats returns current queue statistics (call from the queue's runtime).
-func (q *ServiceQueue) Stats() QueueStats {
-	return QueueStats{Depth: q.depth, MaxDepth: q.maxDepth, Served: q.served, BusyFor: q.busyFor}
+// stats returns current queue statistics (call from the queue's runtime).
+func (q *ServiceQueue) stats() queueStats {
+	return queueStats{depth: q.depth, maxDepth: q.maxDepth, served: q.served, busyFor: q.busyFor}
 }
 
 var _ Handler = (*ServiceQueue)(nil)

@@ -57,14 +57,14 @@ type TCPConfig struct {
 	// tolerates reordering — the simulated fabric delivers with random
 	// delays — but single-stream peers keep strict order).
 	Streams int
-	// MaxPending caps one stream's unflushed bytes; enqueues past the cap
+	// maxPending caps one stream's unflushed bytes; enqueues past the cap
 	// drop the frame (counted, like packet loss under overload). Zero
 	// means 4 MiB.
-	MaxPending int
-	// DialBackoff is the first redial delay after a failed dial and
-	// DialBackoffMax the cap it doubles toward. Zero means 50ms and 2s.
-	DialBackoff    time.Duration
-	DialBackoffMax time.Duration
+	maxPending int
+	// dialBackoff is the first redial delay after a failed dial and
+	// dialBackoffMax the cap it doubles toward. Zero means 50ms and 2s.
+	dialBackoff    time.Duration
+	dialBackoffMax time.Duration
 }
 
 // TCPStats is a snapshot of an endpoint's transport counters.
@@ -152,9 +152,9 @@ func NewTCPNode(cfg TCPConfig, rt sim.Runtime, h Handler) (*TCPNode, error) {
 		logf:           cfg.Logf,
 		handler:        h,
 		streamsPerPeer: cfg.Streams,
-		maxPending:     cfg.MaxPending,
-		backoffMin:     cfg.DialBackoff,
-		backoffMax:     cfg.DialBackoffMax,
+		maxPending:     cfg.maxPending,
+		backoffMin:     cfg.dialBackoff,
+		backoffMax:     cfg.dialBackoffMax,
 		peers:          make(map[ring.NodeID]string, len(cfg.Peers)),
 		groups:         make(map[ring.NodeID]*peerGroup),
 	}

@@ -48,7 +48,7 @@ func TestTCPConcurrentSendersPooled(t *testing.T) {
 		Peers:   map[ring.NodeID]string{"b": b.Addr().String()},
 		Streams: 4,
 		// Large enough that backpressure never drops test frames.
-		MaxPending: 64 << 20,
+		maxPending: 64 << 20,
 	}, rtA, newSyncCapture())
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestTCPRedialAfterPeerRestart(t *testing.T) {
 	a, err := NewTCPNode(TCPConfig{
 		ID:          "a",
 		Peers:       map[ring.NodeID]string{"b": addr},
-		DialBackoff: 5 * time.Millisecond,
+		dialBackoff: 5 * time.Millisecond,
 	}, rtA, newSyncCapture())
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestTCPAliasingContractRetainedValues(t *testing.T) {
 	a, err := NewTCPNode(TCPConfig{
 		ID:         "a",
 		Peers:      map[ring.NodeID]string{"b": b.Addr().String()},
-		MaxPending: 64 << 20,
+		maxPending: 64 << 20,
 	}, rtA, newSyncCapture())
 	if err != nil {
 		t.Fatal(err)

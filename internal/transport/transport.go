@@ -48,7 +48,7 @@ type Bus struct {
 	net   *simnet.Net
 	plane *faults.Plane
 	// endpoints holds one entry per ID ever registered or sent from.
-	// Unregister clears the entry's registered flag instead of deleting it,
+	// unregister clears the entry's registered flag instead of deleting it,
 	// so a message in flight keeps a pointer it can re-check at delivery
 	// without a second map lookup.
 	endpoints map[ring.NodeID]*busEndpoint
@@ -100,8 +100,8 @@ func (b *Bus) endpointLocked(id ring.NodeID) *busEndpoint {
 	return ep
 }
 
-// Unregister detaches an endpoint; in-flight messages to it are dropped.
-func (b *Bus) Unregister(id ring.NodeID) {
+// unregister detaches an endpoint; in-flight messages to it are dropped.
+func (b *Bus) unregister(id ring.NodeID) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if ep := b.endpoints[id]; ep != nil {

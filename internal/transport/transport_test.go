@@ -115,7 +115,7 @@ func TestBusUnregisterDropsInFlight(t *testing.T) {
 	sink := &capture{rt: s}
 	bus.Register("b", s, sink)
 	bus.Send("a", "b", wire.Ping{ID: 1})
-	bus.Unregister("b") // before delivery fires
+	bus.unregister("b") // before delivery fires
 	s.RunUntilIdle(10)
 	if len(sink.msgs) != 0 {
 		t.Fatal("message delivered to unregistered endpoint")
@@ -165,12 +165,12 @@ func TestServiceQueueSerializesLoad(t *testing.T) {
 			t.Fatalf("msg %d served at %v, want %vms", i, got, want)
 		}
 	}
-	st := q.Stats()
-	if st.Served != 3 || st.MaxDepth != 3 || st.Depth != 0 {
+	st := q.stats()
+	if st.served != 3 || st.maxDepth != 3 || st.depth != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.BusyFor != 30*time.Millisecond {
-		t.Fatalf("busy = %v", st.BusyFor)
+	if st.busyFor != 30*time.Millisecond {
+		t.Fatalf("busy = %v", st.busyFor)
 	}
 }
 
@@ -252,8 +252,8 @@ func TestSimulatedDeliveryDoesNotAllocate(t *testing.T) {
 	if got := s.Events() - events; got != 201*8*2 {
 		t.Fatalf("%d events for %d messages: the two hops must stay two events", got, 201*8)
 	}
-	if sink.n != 202*8 || q.Stats().Served != 202*8 {
-		t.Fatalf("delivered %d, served %d, want %d", sink.n, q.Stats().Served, 202*8)
+	if sink.n != 202*8 || q.stats().served != 202*8 {
+		t.Fatalf("delivered %d, served %d, want %d", sink.n, q.stats().served, 202*8)
 	}
 }
 

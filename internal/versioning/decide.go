@@ -40,12 +40,12 @@ func lastWriterWins(incoming, current wire.Value) bool {
 // timestamp comparison bit-for-bit.
 func Decide(incoming, current wire.Value) (take, concurrent bool) {
 	if len(incoming.Clock) > 0 && len(current.Clock) > 0 {
-		switch Compare(Clock(incoming.Clock), Clock(current.Clock)) {
-		case Descends:
+		switch compare(Clock(incoming.Clock), Clock(current.Clock)) {
+		case relDescends:
 			return true, false
-		case DescendedBy, Equal:
+		case relDescendedBy, relEqual:
 			return false, false
-		case Concurrent:
+		case relConcurrent:
 			return lastWriterWins(incoming, current), true
 		}
 	}

@@ -15,30 +15,30 @@ import (
 	"harmony/internal/wire"
 )
 
-// Relation is the causal relationship between two clocks.
-type Relation int8
+// relation is the causal relationship between two clocks.
+type relation int8
 
 // Causal relationships.
 const (
-	// Equal: identical histories.
-	Equal Relation = iota
-	// Descends: the left clock has seen everything the right has, and more.
-	Descends
-	// DescendedBy: the right clock dominates the left.
-	DescendedBy
-	// Concurrent: each side has writes the other has not seen — siblings.
-	Concurrent
+	// relEqual: identical histories.
+	relEqual relation = iota
+	// relDescends: the left clock has seen everything the right has, and more.
+	relDescends
+	// relDescendedBy: the right clock dominates the left.
+	relDescendedBy
+	// relConcurrent: each side has writes the other has not seen — siblings.
+	relConcurrent
 )
 
-func (r Relation) String() string {
+func (r relation) String() string {
 	switch r {
-	case Equal:
+	case relEqual:
 		return "equal"
-	case Descends:
+	case relDescends:
 		return "descends"
-	case DescendedBy:
+	case relDescendedBy:
 		return "descended-by"
-	case Concurrent:
+	case relConcurrent:
 		return "concurrent"
 	}
 	return "relation(?)"
@@ -106,10 +106,10 @@ func Normalize(c Clock) Clock {
 	return out[:w]
 }
 
-// Compare reports the causal relation of a to b. Both clocks must be
+// compare reports the causal relation of a to b. Both clocks must be
 // normalized (sorted, deduplicated) — clocks built via Stamp/Merge always
 // are.
-func Compare(a, b Clock) Relation {
+func compare(a, b Clock) relation {
 	var aHas, bHas bool // a (resp. b) has an entry exceeding the other
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -138,20 +138,20 @@ func Compare(a, b Clock) Relation {
 	}
 	switch {
 	case aHas && bHas:
-		return Concurrent
+		return relConcurrent
 	case aHas:
-		return Descends
+		return relDescends
 	case bHas:
-		return DescendedBy
+		return relDescendedBy
 	default:
-		return Equal
+		return relEqual
 	}
 }
 
-// Dominates reports whether a has observed everything in b (Equal counts).
-func Dominates(a, b Clock) bool {
-	r := Compare(a, b)
-	return r == Equal || r == Descends
+// dominates reports whether a has observed everything in b (relEqual counts).
+func dominates(a, b Clock) bool {
+	r := compare(a, b)
+	return r == relEqual || r == relDescends
 }
 
 // Merge returns the entrywise maximum of a and b in a fresh slice.
@@ -191,12 +191,12 @@ func Stamp(c Clock, node string, counter uint64) Clock {
 	return Merge(c, Clock{{Node: node, Counter: counter}})
 }
 
-// MaxCounter returns the largest counter in c (0 for the empty clock).
+// maxCounter returns the largest counter in c (0 for the empty clock).
 // Because Harmony's counters are coordinator write timestamps drawn from one
-// simulated/global clock, MaxCounter is a recency watermark: any value whose
+// simulated/global clock, maxCounter is a recency watermark: any value whose
 // write timestamp reaches it is at least as recent (in the LWW total order)
 // as every write the clock has observed.
-func MaxCounter(c Clock) uint64 {
+func maxCounter(c Clock) uint64 {
 	var m uint64
 	for _, e := range c {
 		if e.Counter > m {
@@ -212,14 +212,14 @@ func MaxCounter(c Clock) uint64 {
 // values, watermark entries folded in from other keys in the same session
 // bucket) — the value's timestamp reaches the token's recency watermark.
 // The timestamp fallback is sound under Harmony's single global write clock:
-// counters ARE timestamps, so ts >= MaxCounter(token) means the value is no
+// counters ARE timestamps, so ts >= maxCounter(token) means the value is no
 // older in the LWW order than anything the session has seen.
 func Covers(vc Clock, ts int64, token Clock) bool {
 	if len(token) == 0 {
 		return true
 	}
-	if len(vc) > 0 && Dominates(vc, token) {
+	if len(vc) > 0 && dominates(vc, token) {
 		return true
 	}
-	return ts > 0 && uint64(ts) >= MaxCounter(token)
+	return ts > 0 && uint64(ts) >= maxCounter(token)
 }

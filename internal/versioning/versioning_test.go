@@ -19,22 +19,22 @@ func ck(pairs ...any) Clock {
 func TestCompareBasics(t *testing.T) {
 	cases := []struct {
 		a, b Clock
-		want Relation
+		want relation
 	}{
-		{nil, nil, Equal},
-		{ck("a", 1), nil, Descends},
-		{nil, ck("a", 1), DescendedBy},
-		{ck("a", 1), ck("a", 1), Equal},
-		{ck("a", 2), ck("a", 1), Descends},
-		{ck("a", 1), ck("a", 2), DescendedBy},
-		{ck("a", 1, "b", 2), ck("a", 1), Descends},
-		{ck("a", 1), ck("b", 1), Concurrent},
-		{ck("a", 2, "b", 1), ck("a", 1, "b", 2), Concurrent},
-		{ck("a", 1, "b", 2, "c", 3), ck("a", 1, "b", 2, "c", 3), Equal},
+		{nil, nil, relEqual},
+		{ck("a", 1), nil, relDescends},
+		{nil, ck("a", 1), relDescendedBy},
+		{ck("a", 1), ck("a", 1), relEqual},
+		{ck("a", 2), ck("a", 1), relDescends},
+		{ck("a", 1), ck("a", 2), relDescendedBy},
+		{ck("a", 1, "b", 2), ck("a", 1), relDescends},
+		{ck("a", 1), ck("b", 1), relConcurrent},
+		{ck("a", 2, "b", 1), ck("a", 1, "b", 2), relConcurrent},
+		{ck("a", 1, "b", 2, "c", 3), ck("a", 1, "b", 2, "c", 3), relEqual},
 	}
 	for i, tc := range cases {
-		if got := Compare(tc.a, tc.b); got != tc.want {
-			t.Errorf("case %d: Compare(%v,%v)=%v want %v", i, tc.a, tc.b, got, tc.want)
+		if got := compare(tc.a, tc.b); got != tc.want {
+			t.Errorf("case %d: compare(%v,%v)=%v want %v", i, tc.a, tc.b, got, tc.want)
 		}
 	}
 }
@@ -71,12 +71,12 @@ func TestStampAndGet(t *testing.T) {
 	if got := c.Get("n3"); got != 0 {
 		t.Errorf("n3=%d want 0", got)
 	}
-	if MaxCounter(c) != 20 {
-		t.Errorf("MaxCounter=%d want 20", MaxCounter(c))
+	if maxCounter(c) != 20 {
+		t.Errorf("maxCounter=%d want 20", maxCounter(c))
 	}
 }
 
-// TestMergeProperties drives random clocks through Merge/Compare and checks
+// TestMergeProperties drives random clocks through Merge/compare and checks
 // the lattice laws: merge is commutative, idempotent, and the merge result
 // descends both inputs.
 func TestMergeProperties(t *testing.T) {
@@ -90,7 +90,7 @@ func TestMergeProperties(t *testing.T) {
 		}
 		return Normalize(c)
 	}
-	eq := func(a, b Clock) bool { return Compare(a, b) == Equal }
+	eq := func(a, b Clock) bool { return compare(a, b) == relEqual }
 	for i := 0; i < 2000; i++ {
 		a, b := randClock(), randClock()
 		m := Merge(a, b)
@@ -100,12 +100,12 @@ func TestMergeProperties(t *testing.T) {
 		if !eq(Merge(a, a), a) {
 			t.Fatalf("merge not idempotent: %v", a)
 		}
-		if !Dominates(m, a) || !Dominates(m, b) {
+		if !dominates(m, a) || !dominates(m, b) {
 			t.Fatalf("merge does not dominate inputs: %v %v -> %v", a, b, m)
 		}
-		// Compare antisymmetry.
-		ra, rb := Compare(a, b), Compare(b, a)
-		wantInv := map[Relation]Relation{Equal: Equal, Descends: DescendedBy, DescendedBy: Descends, Concurrent: Concurrent}
+		// compare antisymmetry.
+		ra, rb := compare(a, b), compare(b, a)
+		wantInv := map[relation]relation{relEqual: relEqual, relDescends: relDescendedBy, relDescendedBy: relDescends, relConcurrent: relConcurrent}
 		if rb != wantInv[ra] {
 			t.Fatalf("compare not antisymmetric: %v vs %v: %v / %v", a, b, ra, rb)
 		}
@@ -183,7 +183,7 @@ func TestCovers(t *testing.T) {
 	if !Covers(ck("n1", 120), 120, token) {
 		t.Error("ts above watermark covers even when vector path cannot prove it")
 	}
-	// Timestamp watermark: ts >= MaxCounter(token) covers.
+	// Timestamp watermark: ts >= maxCounter(token) covers.
 	if !Covers(nil, 100, token) {
 		t.Error("ts at watermark covers")
 	}

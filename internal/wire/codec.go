@@ -10,19 +10,19 @@ import (
 	"sync"
 )
 
-// Codec errors. ErrMalformed reports a field that decoded completely but
+// Codec errors. errMalformed reports a field that decoded completely but
 // holds a value its Go type cannot represent, such as a uint32 field
 // carrying 2^32.
 var (
-	ErrFrameTooLarge = errors.New("wire: frame exceeds maximum size")
-	ErrTruncated     = errors.New("wire: truncated payload")
-	ErrUnknownKind   = errors.New("wire: unknown message kind")
-	ErrMalformed     = errors.New("wire: malformed field")
+	errFrameTooLarge = errors.New("wire: frame exceeds maximum size")
+	errTruncated     = errors.New("wire: truncated payload")
+	errUnknownKind   = errors.New("wire: unknown message kind")
+	errMalformed     = errors.New("wire: malformed field")
 )
 
-// MaxFrame bounds a single encoded message; oversized frames indicate stream
+// maxFrame bounds a single encoded message; oversized frames indicate stream
 // corruption, not a legitimate payload.
-const MaxFrame = 16 << 20
+const maxFrame = 16 << 20
 
 // mode selects what a coder does with each field it is handed.
 type mode uint8
@@ -81,7 +81,7 @@ func (c *coder) uvarintIO(p *uint64) {
 	}
 	v, n := binary.Uvarint(c.b[c.off:])
 	if n <= 0 {
-		c.fail(ErrTruncated)
+		c.fail(errTruncated)
 		return
 	}
 	*p = v
@@ -102,7 +102,7 @@ func (c *coder) varint(p *int64) {
 func (c *coder) u32(p *uint32) {
 	v := uint64(*p)
 	if c.uvarint(&v); c.mode == reading && v > math.MaxUint32 {
-		c.fail(ErrMalformed)
+		c.fail(errMalformed)
 	} else if c.mode == reading {
 		*p = uint32(v)
 	}
@@ -121,7 +121,7 @@ func (c *coder) u8IO(p *uint8) {
 		return
 	}
 	if c.off >= len(c.b) {
-		c.fail(ErrTruncated)
+		c.fail(errTruncated)
 		return
 	}
 	*p = c.b[c.off]
@@ -154,7 +154,7 @@ func (c *coder) fixed64IO(p *uint64) {
 		return
 	}
 	if len(c.b)-c.off < 8 {
-		c.fail(ErrTruncated)
+		c.fail(errTruncated)
 		return
 	}
 	*p = binary.BigEndian.Uint64(c.b[c.off:])
@@ -196,7 +196,7 @@ func (c *coder) str(p *string) {
 func (c *coder) view() []byte {
 	n, k := binary.Uvarint(c.b[c.off:])
 	if k <= 0 || n > uint64(len(c.b)-c.off-k) {
-		c.fail(ErrTruncated)
+		c.fail(errTruncated)
 		return nil
 	}
 	c.off += k
@@ -219,7 +219,7 @@ func list[T any](c *coder, p *[]T) {
 		return
 	}
 	if n > uint64(len(c.b)-c.off) {
-		c.fail(ErrTruncated)
+		c.fail(errTruncated)
 		return
 	}
 	*p = make([]T, n)
@@ -478,12 +478,12 @@ func (c *coder) payload(m Message) bool {
 func bodySize(m Message) (int, error) {
 	c := coder{mode: sizing, n: 1} // n starts at the kind byte
 	if !c.payload(m) {
-		return 0, fmt.Errorf("%w: %T", ErrUnknownKind, m)
+		return 0, fmt.Errorf("%w: %T", errUnknownKind, m)
 	}
 	return c.n, nil
 }
 
-// prefixRoom is uvarintLen(MaxFrame), the longest length prefix.
+// prefixRoom is uvarintLen(maxFrame), the longest length prefix.
 const prefixRoom = 4
 
 // Encode serializes m into a self-delimiting frame appended to dst, in one
@@ -495,11 +495,11 @@ func Encode(dst []byte, m Message) ([]byte, error) {
 	start := len(dst)
 	c := coder{mode: writing, b: append(dst, make([]byte, prefixRoom+1)...)}
 	if !c.payload(m) {
-		return dst, fmt.Errorf("%w: %T", ErrUnknownKind, m)
+		return dst, fmt.Errorf("%w: %T", errUnknownKind, m)
 	}
 	size := len(c.b) - start - prefixRoom
-	if size > MaxFrame {
-		return dst, ErrFrameTooLarge
+	if size > maxFrame {
+		return dst, errFrameTooLarge
 	}
 	c.b[start+prefixRoom] = byte(m.Kind())
 	k := binary.PutUvarint(c.b[start:], uint64(size))
@@ -517,88 +517,88 @@ func decodeBody(body []byte, share bool) (Message, error) {
 	c.u8(&kind)
 	var m Message
 	switch Kind(kind) {
-	case KindReadRequest:
+	case kindReadRequest:
 		var v ReadRequest
 		v.code(&c)
 		m = v
-	case KindReadResponse:
+	case kindReadResponse:
 		var v ReadResponse
 		v.code(&c)
 		m = v
-	case KindWriteRequest:
+	case kindWriteRequest:
 		var v WriteRequest
 		v.code(&c)
 		m = v
-	case KindWriteResponse:
+	case kindWriteResponse:
 		var v WriteResponse
 		v.code(&c)
 		m = v
-	case KindReplicaRead:
+	case kindReplicaRead:
 		var v ReplicaRead
 		v.code(&c)
 		m = v
-	case KindReplicaReadResp:
+	case kindReplicaReadResp:
 		var v ReplicaReadResp
 		v.code(&c)
 		m = v
-	case KindMutation:
+	case kindMutation:
 		var v Mutation
 		v.code(&c)
 		m = v
-	case KindMutationAck:
+	case kindMutationAck:
 		var v MutationAck
 		v.code(&c)
 		m = v
-	case KindRepair:
+	case kindRepair:
 		var v Repair
 		v.code(&c)
 		m = v
-	case KindStatsRequest:
+	case kindStatsRequest:
 		var v StatsRequest
 		v.code(&c)
 		m = v
-	case KindStatsResponse:
+	case kindStatsResponse:
 		var v StatsResponse
 		v.code(&c)
 		m = v
-	case KindPing:
+	case kindPing:
 		var v Ping
 		v.code(&c)
 		m = v
-	case KindPong:
+	case kindPong:
 		var v Pong
 		v.code(&c)
 		m = v
-	case KindGossipSyn:
+	case kindGossipSyn:
 		var v GossipSyn
 		v.code(&c)
 		m = v
-	case KindGossipAck:
+	case kindGossipAck:
 		var v GossipAck
 		v.code(&c)
 		m = v
-	case KindError:
+	case kindError:
 		var v Error
 		v.code(&c)
 		m = v
-	case KindGroupUpdate:
+	case kindGroupUpdate:
 		var v GroupUpdate
 		v.code(&c)
 		m = v
-	case KindTreeRequest:
+	case kindTreeRequest:
 		var v TreeRequest
 		v.code(&c)
 		m = v
-	case KindTreeResponse:
+	case kindTreeResponse:
 		var v TreeResponse
 		v.code(&c)
 		m = v
-	case KindRangeSync:
+	case kindRangeSync:
 		var v RangeSync
 		v.code(&c)
 		m = v
 	default:
-		c.fail(fmt.Errorf("%w: %d", ErrUnknownKind, kind))
+		c.fail(fmt.Errorf("%w: %d", errUnknownKind, kind))
 	}
 	if c.err != nil {
 		return nil, c.err
@@ -607,7 +607,7 @@ func decodeBody(body []byte, share bool) (Message, error) {
 }
 
 // Decode parses one frame from b, returning the message and the number of
-// bytes consumed. It returns ErrTruncated when b does not hold a complete
+// bytes consumed. It returns errTruncated when b does not hold a complete
 // frame yet (callers accumulating from a stream should read more). The
 // returned message owns its memory: every byte-slice field is copied out of
 // b, so the caller may reuse b immediately.
@@ -630,26 +630,26 @@ func DecodeShared(b []byte) (Message, int, error) {
 	return decode(b, true)
 }
 
-// DecodeBodyShared parses a frame body — the bytes after the length prefix —
+// decodeBodyShared parses a frame body — the bytes after the length prefix —
 // in shared mode. It exists for transports that read the prefix themselves
 // (FrameReader reads the uvarint off the stream and the body into an owned
 // per-frame buffer) and want the zero-copy decode without re-framing. The
 // aliasing contract is DecodeShared's: the returned message's byte-slice
 // fields alias body, which must stay untouched while the message is live.
-func DecodeBodyShared(body []byte) (Message, error) {
+func decodeBodyShared(body []byte) (Message, error) {
 	return decodeBody(body, true)
 }
 
 func decode(b []byte, share bool) (Message, int, error) {
 	n, sz := binary.Uvarint(b)
 	if sz <= 0 {
-		return nil, 0, ErrTruncated
+		return nil, 0, errTruncated
 	}
-	if n > MaxFrame {
-		return nil, 0, ErrFrameTooLarge
+	if n > maxFrame {
+		return nil, 0, errFrameTooLarge
 	}
 	if uint64(len(b)-sz) < n {
-		return nil, 0, ErrTruncated
+		return nil, 0, errTruncated
 	}
 	m, err := decodeBody(b[sz:sz+int(n)], share)
 	if err != nil {

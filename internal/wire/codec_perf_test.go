@@ -269,29 +269,29 @@ func TestEncodeSizeConcurrentReadOnly(t *testing.T) {
 }
 
 // TestEncodeFrameSizeLimit covers the one-pass Encode at its bound: a body
-// of exactly MaxFrame bytes carries the longest prefix (prefixRoom bytes)
+// of exactly maxFrame bytes carries the longest prefix (prefixRoom bytes)
 // and round-trips, one byte more is rejected with dst returned unchanged.
 func TestEncodeFrameSizeLimit(t *testing.T) {
-	if uvarintLen(MaxFrame) != prefixRoom {
-		t.Fatalf("prefixRoom %d, want uvarintLen(MaxFrame) = %d", prefixRoom, uvarintLen(MaxFrame))
+	if uvarintLen(maxFrame) != prefixRoom {
+		t.Fatalf("prefixRoom %d, want uvarintLen(maxFrame) = %d", prefixRoom, uvarintLen(maxFrame))
 	}
 	// A Mutation body is 7 fixed bytes plus the length-prefixed data.
-	data := bytes.Repeat([]byte{0xab}, MaxFrame-7-prefixRoom)
+	data := bytes.Repeat([]byte{0xab}, maxFrame-7-prefixRoom)
 	dst := []byte("prefix")
 	b, err := Encode(dst, Mutation{Value: Value{Data: data}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b) != len(dst)+prefixRoom+MaxFrame || !bytes.Equal(b[:len(dst)], dst) {
-		t.Fatalf("frame is %d bytes, want %d after the untouched prefix", len(b), len(dst)+prefixRoom+MaxFrame)
+	if len(b) != len(dst)+prefixRoom+maxFrame || !bytes.Equal(b[:len(dst)], dst) {
+		t.Fatalf("frame is %d bytes, want %d after the untouched prefix", len(b), len(dst)+prefixRoom+maxFrame)
 	}
 	got, n, err := Decode(b[len(dst):])
-	if err != nil || n != prefixRoom+MaxFrame || !bytes.Equal(got.(Mutation).Value.Data, data) {
-		t.Fatalf("decode of a MaxFrame body: n=%d err=%v", n, err)
+	if err != nil || n != prefixRoom+maxFrame || !bytes.Equal(got.(Mutation).Value.Data, data) {
+		t.Fatalf("decode of a maxFrame body: n=%d err=%v", n, err)
 	}
 	data = append(data, 0xab)
 	b, err = Encode(dst, Mutation{Value: Value{Data: data}})
-	if !errors.Is(err, ErrFrameTooLarge) || string(b) != "prefix" {
+	if !errors.Is(err, errFrameTooLarge) || string(b) != "prefix" {
 		t.Fatalf("oversized body: err=%v, dst %q", err, b)
 	}
 }

@@ -62,7 +62,7 @@ func FuzzDecode(f *testing.F) {
 }
 
 // TestDecodeRejectsOversizedUint32 hand-builds frames whose uint32 fields
-// carry a uvarint of 2^32. Decoding must reject them with ErrMalformed
+// carry a uvarint of 2^32. Decoding must reject them with errMalformed
 // rather than wrap the value to group or leaf 0; one below, the same frames
 // decode to MaxUint32.
 func TestDecodeRejectsOversizedUint32(t *testing.T) {
@@ -81,26 +81,26 @@ func TestDecodeRejectsOversizedUint32(t *testing.T) {
 		got   func(Message) uint32
 	}{
 		{"GroupUpdate.Default",
-			func(v uint64) []byte { return frame(KindGroupUpdate, uv(1), uv(0), uv(v), uv(0)) },
+			func(v uint64) []byte { return frame(kindGroupUpdate, uv(1), uv(0), uv(v), uv(0)) },
 			func(m Message) uint32 { return m.(GroupUpdate).Default }},
 		{"GroupAssign.Group",
 			func(v uint64) []byte {
-				return frame(KindGroupUpdate, uv(1), uv(0), uv(0), uv(1), uv(1), []byte("k"), uv(v))
+				return frame(kindGroupUpdate, uv(1), uv(0), uv(0), uv(1), uv(1), []byte("k"), uv(v))
 			},
 			func(m Message) uint32 { return m.(GroupUpdate).Entries[0].Group }},
 		{"RangeSync.LeafCount",
-			func(v uint64) []byte { return frame(KindRangeSync, uv(1), uv(v), uv(0), uv(0), []byte{0, 0}) },
+			func(v uint64) []byte { return frame(kindRangeSync, uv(1), uv(v), uv(0), uv(0), []byte{0, 0}) },
 			func(m Message) uint32 { return m.(RangeSync).LeafCount }},
 		{"LeafRef.Leaf",
 			func(v uint64) []byte {
-				return frame(KindRangeSync, uv(1), uv(64), uv(1), tokens, uv(v), uv(0), []byte{0, 0})
+				return frame(kindRangeSync, uv(1), uv(64), uv(1), tokens, uv(v), uv(0), []byte{0, 0})
 			},
 			func(m Message) uint32 { return m.(RangeSync).Leaves[0].Leaf }},
 	}
 	for _, tc := range cases {
 		for name, decode := range map[string]func([]byte) (Message, int, error){"Decode": Decode, "DecodeShared": DecodeShared} {
-			if m, _, err := decode(tc.frame(1 << 32)); !errors.Is(err, ErrMalformed) {
-				t.Errorf("%s: %s of 2^32 returned (%#v, %v), want ErrMalformed", tc.field, name, m, err)
+			if m, _, err := decode(tc.frame(1 << 32)); !errors.Is(err, errMalformed) {
+				t.Errorf("%s: %s of 2^32 returned (%#v, %v), want errMalformed", tc.field, name, m, err)
 			}
 			m, _, err := decode(tc.frame(math.MaxUint32))
 			if err != nil {

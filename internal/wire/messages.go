@@ -39,27 +39,27 @@ type Kind uint8
 
 // Message kinds. Values are part of the wire format; do not reorder.
 const (
-	KindInvalid Kind = iota
-	KindReadRequest
-	KindReadResponse
-	KindWriteRequest
-	KindWriteResponse
-	KindReplicaRead
-	KindReplicaReadResp
-	KindMutation
-	KindMutationAck
-	KindRepair
-	KindStatsRequest
-	KindStatsResponse
-	KindPing
-	KindPong
-	KindGossipSyn
-	KindGossipAck
-	KindError
-	KindGroupUpdate
-	KindTreeRequest
-	KindTreeResponse
-	KindRangeSync
+	kindInvalid Kind = iota
+	kindReadRequest
+	kindReadResponse
+	kindWriteRequest
+	kindWriteResponse
+	kindReplicaRead
+	kindReplicaReadResp
+	kindMutation
+	kindMutationAck
+	kindRepair
+	kindStatsRequest
+	kindStatsResponse
+	kindPing
+	kindPong
+	kindGossipSyn
+	kindGossipAck
+	kindError
+	kindGroupUpdate
+	kindTreeRequest
+	kindTreeResponse
+	kindRangeSync
 )
 
 var kindNames = [...]string{
@@ -527,10 +527,10 @@ type ErrorCode uint8
 
 // Error codes.
 const (
-	ErrUnknown ErrorCode = iota
+	errUnknown ErrorCode = iota
 	ErrTimeout
 	ErrUnavailable
-	ErrBadRequest
+	errBadRequest
 	// ErrOverloaded is the coordinator's fail-fast reply when its bounded
 	// in-flight op budget is exhausted: load is shed immediately instead of
 	// queueing work that would time out anyway.
@@ -543,7 +543,7 @@ func (e ErrorCode) String() string {
 		return "timeout"
 	case ErrUnavailable:
 		return "unavailable"
-	case ErrBadRequest:
+	case errBadRequest:
 		return "bad-request"
 	case ErrOverloaded:
 		return "overloaded"
@@ -557,23 +557,23 @@ type Message interface {
 }
 
 // Kind implementations.
-func (ReadRequest) Kind() Kind     { return KindReadRequest }
-func (ReadResponse) Kind() Kind    { return KindReadResponse }
-func (WriteRequest) Kind() Kind    { return KindWriteRequest }
-func (WriteResponse) Kind() Kind   { return KindWriteResponse }
-func (ReplicaRead) Kind() Kind     { return KindReplicaRead }
-func (ReplicaReadResp) Kind() Kind { return KindReplicaReadResp }
-func (Mutation) Kind() Kind        { return KindMutation }
-func (MutationAck) Kind() Kind     { return KindMutationAck }
-func (Repair) Kind() Kind          { return KindRepair }
-func (StatsRequest) Kind() Kind    { return KindStatsRequest }
-func (StatsResponse) Kind() Kind   { return KindStatsResponse }
-func (Ping) Kind() Kind            { return KindPing }
-func (Pong) Kind() Kind            { return KindPong }
-func (GossipSyn) Kind() Kind       { return KindGossipSyn }
-func (GossipAck) Kind() Kind       { return KindGossipAck }
-func (Error) Kind() Kind           { return KindError }
-func (GroupUpdate) Kind() Kind     { return KindGroupUpdate }
-func (TreeRequest) Kind() Kind     { return KindTreeRequest }
-func (TreeResponse) Kind() Kind    { return KindTreeResponse }
-func (RangeSync) Kind() Kind       { return KindRangeSync }
+func (ReadRequest) Kind() Kind     { return kindReadRequest }
+func (ReadResponse) Kind() Kind    { return kindReadResponse }
+func (WriteRequest) Kind() Kind    { return kindWriteRequest }
+func (WriteResponse) Kind() Kind   { return kindWriteResponse }
+func (ReplicaRead) Kind() Kind     { return kindReplicaRead }
+func (ReplicaReadResp) Kind() Kind { return kindReplicaReadResp }
+func (Mutation) Kind() Kind        { return kindMutation }
+func (MutationAck) Kind() Kind     { return kindMutationAck }
+func (Repair) Kind() Kind          { return kindRepair }
+func (StatsRequest) Kind() Kind    { return kindStatsRequest }
+func (StatsResponse) Kind() Kind   { return kindStatsResponse }
+func (Ping) Kind() Kind            { return kindPing }
+func (Pong) Kind() Kind            { return kindPong }
+func (GossipSyn) Kind() Kind       { return kindGossipSyn }
+func (GossipAck) Kind() Kind       { return kindGossipAck }
+func (Error) Kind() Kind           { return kindError }
+func (GroupUpdate) Kind() Kind     { return kindGroupUpdate }
+func (TreeRequest) Kind() Kind     { return kindTreeRequest }
+func (TreeResponse) Kind() Kind    { return kindTreeResponse }
+func (RangeSync) Kind() Kind       { return kindRangeSync }

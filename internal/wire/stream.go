@@ -41,7 +41,7 @@ func (f Frame) Release() {
 }
 
 // FrameReader parses length-prefixed wire frames from a byte stream into
-// owned, pooled per-frame buffers and decodes them with DecodeBodyShared.
+// owned, pooled per-frame buffers and decodes them with decodeBodyShared.
 // Unlike Reader — which reuses one receive buffer across frames and must
 // therefore copy every byte field out — FrameReader gives each frame its own
 // buffer, so the decoded message borrows instead of copying and the buffer
@@ -71,8 +71,8 @@ func (fr *FrameReader) Next() (Message, Frame, error) {
 		}
 		return nil, Frame{}, fmt.Errorf("wire: frame prefix: %w", err)
 	}
-	if size > MaxFrame {
-		return nil, Frame{}, ErrFrameTooLarge
+	if size > maxFrame {
+		return nil, Frame{}, errFrameTooLarge
 	}
 	bp := recvPool.Get().(*[]byte)
 	if cap(*bp) < int(size) {
@@ -87,7 +87,7 @@ func (fr *FrameReader) Next() (Message, Frame, error) {
 		}
 		return nil, Frame{}, fmt.Errorf("wire: frame body: %w", err)
 	}
-	m, err := DecodeBodyShared(body)
+	m, err := decodeBodyShared(body)
 	if err != nil {
 		putRecvBuf(bp)
 		return nil, Frame{}, err

@@ -110,12 +110,12 @@ func TestFrameReaderTruncatedBody(t *testing.T) {
 }
 
 func TestFrameReaderOversizedFrame(t *testing.T) {
-	// A prefix claiming more than MaxFrame must be rejected before any
+	// A prefix claiming more than maxFrame must be rejected before any
 	// allocation of that size.
 	prefix := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x7f} // ~34 GiB uvarint
 	fr := NewFrameReader(bytes.NewReader(prefix))
-	if _, _, err := fr.Next(); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("oversized frame: err=%v, want ErrFrameTooLarge", err)
+	if _, _, err := fr.Next(); !errors.Is(err, errFrameTooLarge) {
+		t.Fatalf("oversized frame: err=%v, want errFrameTooLarge", err)
 	}
 }
 

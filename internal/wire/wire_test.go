@@ -354,7 +354,7 @@ func TestSize(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	if KindReadRequest.String() != "read-req" {
+	if kindReadRequest.String() != "read-req" {
 		t.Fatal("kind name")
 	}
 	if Kind(200).String() == "" {

@@ -77,9 +77,9 @@ type Report struct {
 	Errors     int64
 	// ThroughputOps is operations per virtual second.
 	ThroughputOps float64
-	// ReadLatency / UpdateLatency are client-observed distributions.
+	// ReadLatency / updateLatency are client-observed distributions.
 	ReadLatency   stats.Histogram
-	UpdateLatency stats.Histogram
+	updateLatency stats.Histogram
 	// StaleReads / ShadowSamples are the cluster's dual-read staleness
 	// counters accumulated during the run (valid when Shadow was set).
 	StaleReads    uint64
@@ -152,7 +152,6 @@ type Runner struct {
 	errors      int64
 	reads       int64
 	updates     int64
-	inserted    int64
 	stopped     bool
 	started     time.Time
 	baseline    cluster.Metrics
@@ -194,12 +193,6 @@ func NewRunner(cfg RunConfig, s *sim.Sim, c *cluster.Cluster) (*Runner, error) {
 	if err := cfg.Workload.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Workload.InsertProportion > 0 && cfg.Workload.RequestDistribution != DistLatest {
-		// Inserts grow the keyspace; only the latest chooser tracks that
-		// shape faithfully for reads. Others still work, keys just stay
-		// in the initial range.
-		_ = cfg
-	}
 	if cfg.Threads <= 0 {
 		return nil, fmt.Errorf("ycsb: threads must be positive")
 	}
@@ -209,7 +202,7 @@ func NewRunner(cfg RunConfig, s *sim.Sim, c *cluster.Cluster) (*Runner, error) {
 	if cfg.OpTimeout <= 0 {
 		cfg.OpTimeout = 5 * time.Second
 	}
-	chooser, err := cfg.Workload.chooser()
+	chooser, err := cfg.Workload.NewChooser()
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +214,6 @@ func NewRunner(cfg RunConfig, s *sim.Sim, c *cluster.Cluster) (*Runner, error) {
 		chooser: chooser,
 		active:  cfg.Threads,
 	}
-	r.inserted = cfg.Workload.RecordCount
 	// Pre-generate a pool of payloads; YCSB writes random field data, and
 	// reusing a pool keeps the simulator allocation-light.
 	r.valuePool = make([][]byte, 64)
@@ -313,7 +305,7 @@ func (r *Runner) startOpenLoop() {
 	r.arrivalStop = sim.Every(r.s,
 		func() time.Duration { return dist.SampleDuration(gap, rng, time.Second) },
 		func() {
-			if r.Stopped() {
+			if r.done() {
 				return
 			}
 			th := r.threads[nextTh%len(r.threads)]
@@ -332,8 +324,8 @@ func (r *Runner) Stop() {
 	}
 }
 
-// Stopped reports whether Stop was called or the op budget is exhausted.
-func (r *Runner) Stopped() bool {
+// done reports whether Stop was called or the op budget is exhausted.
+func (r *Runner) done() bool {
 	return r.stopped || (r.cfg.Operations > 0 && r.issued >= r.cfg.Operations)
 }
 
@@ -349,7 +341,7 @@ func (r *Runner) SetActiveThreads(n int) {
 	}
 	r.active = n
 	for _, th := range r.threads {
-		if th.parked && th.idx < n && !r.Stopped() {
+		if th.parked && th.idx < n && !r.done() {
 			th.parked = false
 			th := th
 			r.s.Post(func() { r.next(th) })
@@ -363,7 +355,7 @@ func (r *Runner) Completed() int64 { return r.completed }
 // next is the closed-loop continuation: a thread issues its next operation
 // unless the run stopped or the thread was deactivated.
 func (r *Runner) next(th *thread) {
-	if r.Stopped() || th.idx >= r.active {
+	if r.done() || th.idx >= r.active {
 		th.parked = true
 		return
 	}
@@ -373,32 +365,18 @@ func (r *Runner) next(th *thread) {
 // issue dispatches one operation on a thread's driver.
 func (r *Runner) issue(th *thread) {
 	r.issued++
-	op := r.chooseOp(th.rng)
-	switch op {
-	case OpRead:
+	if r.chooseOp(th.rng) == opRead {
 		r.doRead(th)
-	case OpUpdate:
+	} else {
 		r.doUpdate(th)
-	case OpInsert:
-		r.doInsert(th)
-	case OpReadModifyWrite:
-		r.doRMW(th)
 	}
 }
 
-func (r *Runner) chooseOp(rng *rand.Rand) OpType {
-	w := r.cfg.Workload
-	p := rng.Float64()
-	switch {
-	case p < w.ReadProportion:
-		return OpRead
-	case p < w.ReadProportion+w.UpdateProportion:
-		return OpUpdate
-	case p < w.ReadProportion+w.UpdateProportion+w.InsertProportion:
-		return OpInsert
-	default:
-		return OpReadModifyWrite
+func (r *Runner) chooseOp(rng *rand.Rand) opType {
+	if rng.Float64() < r.cfg.Workload.ReadProportion {
+		return opRead
 	}
+	return opUpdate
 }
 
 func (r *Runner) pickKey(rng *rand.Rand) []byte {
@@ -429,35 +407,6 @@ func (r *Runner) doUpdate(th *thread) {
 	th.write(key, r.value(th.rng), func(res client.WriteResult) {
 		r.updates++
 		r.finish(th, start, &r.updateLat, res.Err)
-	})
-}
-
-func (r *Runner) doInsert(th *thread) {
-	r.inserted++
-	key := Key(r.inserted - 1)
-	r.chooser.SetItemCount(r.inserted)
-	start := r.s.Now()
-	th.write(key, r.value(th.rng), func(res client.WriteResult) {
-		r.updates++
-		r.finish(th, start, &r.updateLat, res.Err)
-	})
-}
-
-func (r *Runner) doRMW(th *thread) {
-	key := r.pickKey(th.rng)
-	start := r.s.Now()
-	th.read(key, func(res client.ReadResult) {
-		r.reads++
-		if res.Err != nil {
-			r.finish(th, start, &r.readLat, res.Err)
-			return
-		}
-		r.readLat.Record(r.s.Now().Sub(start))
-		wstart := r.s.Now()
-		th.write(key, r.value(th.rng), func(wres client.WriteResult) {
-			r.updates++
-			r.finish(th, wstart, &r.updateLat, wres.Err)
-		})
 	})
 }
 
@@ -542,11 +491,11 @@ func (r *Runner) RunMeasured(warmup time.Duration, ops int64) (Report, error) {
 	return r.Report(), nil
 }
 
-// RunOps is the common synchronous pattern: start, simulate until the op
+// runOps is the common synchronous pattern: start, simulate until the op
 // budget completes, and report. The budget must be set in the config.
-func (r *Runner) RunOps() (Report, error) {
+func (r *Runner) runOps() (Report, error) {
 	if r.cfg.Operations <= 0 {
-		return Report{}, fmt.Errorf("ycsb: RunOps requires an operation budget")
+		return Report{}, fmt.Errorf("ycsb: runOps requires an operation budget")
 	}
 	r.Start()
 	for r.completed < r.cfg.Operations {
@@ -573,7 +522,7 @@ func (r *Runner) Report() Report {
 		Updates:         r.updates,
 		Errors:          r.errors,
 		ReadLatency:     r.readLat,
-		UpdateLatency:   r.updateLat,
+		updateLatency:   r.updateLat,
 		StaleReads:      after.ShadowStale - r.baseline.ShadowStale,
 		ShadowSamples:   after.ShadowSamples - r.baseline.ShadowSamples,
 		SessionUpgrades: after.SessionUpgrades - r.baseline.SessionUpgrades,

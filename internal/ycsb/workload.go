@@ -1,41 +1,36 @@
 // Package ycsb reimplements the workload model of the Yahoo! Cloud Serving
-// Benchmark, which the paper drives Cassandra with: a mix of operation types
-// chosen by proportion, keys drawn from a popularity distribution, and a
-// closed loop of client threads that each issue their next operation as soon
-// as the previous one completes. The standard workload presets (A, B, C, D,
-// F) are provided; the paper's evaluation uses Workload-A (update heavy,
+// Benchmark, which the paper drives Cassandra with: a mix of reads and
+// updates chosen by proportion over a fixed keyspace, keys drawn from a
+// popularity distribution, and a closed loop of client threads that each
+// issue their next operation as soon as the previous one completes. Only
+// the two mixes the paper evaluates are provided: Workload-A (update heavy,
 // 50/50) and Workload-B (read mostly, 95/5).
 package ycsb
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 
 	"harmony/internal/dist"
 )
 
-// OpType enumerates the operation kinds a workload mixes.
-type OpType int
+// opType enumerates the operation kinds a workload mixes.
+type opType int
 
 // Operation kinds.
 const (
-	OpRead OpType = iota
-	OpUpdate
-	OpInsert
-	OpReadModifyWrite
-	opKinds
+	opRead opType = iota
+	opUpdate
 )
 
 // String names the operation.
-func (o OpType) String() string {
+func (o opType) String() string {
 	switch o {
-	case OpRead:
+	case opRead:
 		return "read"
-	case OpUpdate:
+	case opUpdate:
 		return "update"
-	case OpInsert:
-		return "insert"
-	case OpReadModifyWrite:
-		return "read-modify-write"
 	}
 	return fmt.Sprintf("op(%d)", int(o))
 }
@@ -45,22 +40,17 @@ type Distribution string
 
 // Supported request distributions.
 const (
-	DistUniform  Distribution = "uniform"
-	DistZipfian  Distribution = "zipfian"
-	DistLatest   Distribution = "latest"
-	DistHotspot  Distribution = "hotspot"
-	DistScrambed Distribution = "scrambled" // scrambled zipfian (YCSB default)
+	DistUniform Distribution = "uniform"
+	DistZipfian Distribution = "zipfian"
 )
 
 // Workload describes an operation mix over a record keyspace.
 type Workload struct {
 	Name string
 	// Proportions must sum to ~1.
-	ReadProportion            float64
-	UpdateProportion          float64
-	InsertProportion          float64
-	ReadModifyWriteProportion float64
-	// RecordCount is the initial keyspace size.
+	ReadProportion   float64
+	UpdateProportion float64
+	// RecordCount is the keyspace size.
 	RecordCount int64
 	// ValueBytes is the payload size per record (the paper's rows are
 	// ~1 KiB after the YCSB default of 10 fields x 100 bytes).
@@ -71,7 +61,7 @@ type Workload struct {
 
 // Validate checks the mix.
 func (w Workload) Validate() error {
-	sum := w.ReadProportion + w.UpdateProportion + w.InsertProportion + w.ReadModifyWriteProportion
+	sum := w.ReadProportion + w.UpdateProportion
 	if sum < 0.999 || sum > 1.001 {
 		return fmt.Errorf("ycsb: %s proportions sum to %v, want 1.0", w.Name, sum)
 	}
@@ -84,8 +74,8 @@ func (w Workload) Validate() error {
 	return nil
 }
 
-// Standard presets, mirroring the YCSB core workload definitions. Record
-// counts default to 100k and are overridden by experiment configs.
+// The paper's two mixes, mirroring the YCSB core workload definitions.
+// Record counts default to 100k and are overridden by experiment configs.
 
 // WorkloadA is update heavy: 50% reads, 50% updates (the paper's primary
 // workload, "heavy read-update").
@@ -105,70 +95,44 @@ func WorkloadB() Workload {
 	}
 }
 
-// WorkloadC is read only.
-func WorkloadC() Workload {
-	return Workload{
-		Name: "workload-c", ReadProportion: 1,
-		RecordCount: 100_000, ValueBytes: 1024, RequestDistribution: DistZipfian,
-	}
-}
-
-// WorkloadD is read latest: new records are inserted and the most recent are
-// read disproportionately.
-func WorkloadD() Workload {
-	return Workload{
-		Name: "workload-d", ReadProportion: 0.95, InsertProportion: 0.05,
-		RecordCount: 100_000, ValueBytes: 1024, RequestDistribution: DistLatest,
-	}
-}
-
-// WorkloadF is read-modify-write: a read of a key followed by an update to
-// it.
-func WorkloadF() Workload {
-	return Workload{
-		Name: "workload-f", ReadProportion: 0.5, ReadModifyWriteProportion: 0.5,
-		RecordCount: 100_000, ValueBytes: 1024, RequestDistribution: DistZipfian,
-	}
-}
-
-// Presets returns all built-in workloads keyed by their short letter.
-func Presets() map[string]Workload {
-	return map[string]Workload{
-		"a": WorkloadA(), "b": WorkloadB(), "c": WorkloadC(),
-		"d": WorkloadD(), "f": WorkloadF(),
-	}
-}
-
-// chooser builds the key chooser for the workload.
-func (w Workload) chooser() (dist.KeyChooser, error) {
+// NewChooser builds the request-key chooser for the workload; exported for
+// harnesses that drive the cluster outside the closed-loop Runner (e.g. the
+// open-loop load generator behind Fig. 4(b)).
+func (w Workload) NewChooser() (dist.KeyChooser, error) {
 	switch w.RequestDistribution {
 	case DistUniform:
 		return dist.NewUniformChooser(w.RecordCount), nil
-	case DistZipfian:
-		return dist.NewZipfianChooser(w.RecordCount), nil
-	case DistScrambed:
-		return dist.NewScrambledZipfianChooser(w.RecordCount), nil
-	case DistLatest:
-		return dist.NewLatestChooser(w.RecordCount), nil
-	case DistHotspot:
-		return dist.NewHotspotChooser(w.RecordCount, 0.2, 0.8), nil
-	case "":
+	case DistZipfian, "":
 		return dist.NewZipfianChooser(w.RecordCount), nil
 	}
 	return nil, fmt.Errorf("ycsb: unknown distribution %q", w.RequestDistribution)
 }
 
-// NewChooser builds the request-key chooser for the workload; exported for
-// harnesses that drive the cluster outside the closed-loop Runner (e.g. the
-// open-loop load generator behind Fig. 4(b)).
-func (w Workload) NewChooser() (dist.KeyChooser, error) { return w.chooser() }
-
-// Key renders the canonical YCSB key name for an index.
-func Key(i int64) []byte { return []byte(fmt.Sprintf("user%010d", i)) }
+// Key renders the canonical YCSB key name for an index: the bytes of
+// fmt.Sprintf("user%010d", i), built without the formatter.
+func Key(i int64) []byte {
+	u, width := uint64(i), 10
+	if i < 0 {
+		u, width = -u, 9 // the sign counts toward the width
+	}
+	var num [20]byte
+	digits := strconv.AppendUint(num[:0], u, 10)
+	pad := max(width-len(digits), 0)
+	key := make([]byte, 0, len("user-")+pad+len(digits))
+	key = append(key, "user"...)
+	if i < 0 {
+		key = append(key, '-')
+	}
+	for ; pad > 0; pad-- {
+		key = append(key, '0')
+	}
+	return append(key, digits...)
+}
 
 // KeyIndex parses the record index back out of a canonical YCSB key; ok is
-// false for keys not produced by Key. Group functions use it to tag
-// operations by key range without allocating.
+// false for keys not produced by Key, including digit strings past
+// math.MaxInt64. Group functions use it to tag operations by key range
+// without allocating.
 func KeyIndex(key []byte) (int64, bool) {
 	if len(key) < 5 || string(key[:4]) != "user" {
 		return 0, false
@@ -178,7 +142,11 @@ func KeyIndex(key []byte) (int64, bool) {
 		if c < '0' || c > '9' {
 			return 0, false
 		}
-		n = n*10 + int64(c-'0')
+		d := int64(c - '0')
+		if n > (math.MaxInt64-d)/10 {
+			return 0, false
+		}
+		n = n*10 + d
 	}
 	return n, true
 }

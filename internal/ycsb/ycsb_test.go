@@ -1,6 +1,8 @@
 package ycsb
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -12,12 +14,12 @@ import (
 )
 
 func TestWorkloadPresetsValid(t *testing.T) {
-	for name, w := range Presets() {
+	for _, w := range []Workload{WorkloadA(), WorkloadB()} {
 		if err := w.Validate(); err != nil {
-			t.Errorf("preset %s invalid: %v", name, err)
+			t.Errorf("preset %s invalid: %v", w.Name, err)
 		}
-		if _, err := w.chooser(); err != nil {
-			t.Errorf("preset %s chooser: %v", name, err)
+		if _, err := w.NewChooser(); err != nil {
+			t.Errorf("preset %s chooser: %v", w.Name, err)
 		}
 	}
 }
@@ -39,7 +41,7 @@ func TestWorkloadValidation(t *testing.T) {
 		t.Fatal("zero value size accepted")
 	}
 	bad := Workload{Name: "x", ReadProportion: 1, RecordCount: 10, ValueBytes: 8, RequestDistribution: "mystery"}
-	if _, err := bad.chooser(); err == nil {
+	if _, err := bad.NewChooser(); err == nil {
 		t.Fatal("unknown distribution accepted")
 	}
 }
@@ -48,10 +50,27 @@ func TestKeyFormat(t *testing.T) {
 	if got := string(Key(42)); got != "user0000000042" {
 		t.Fatalf("key = %q", got)
 	}
+	cases := []int64{0, 9, -1, -9, -10, -123456789, -1234567890, math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+	for p := int64(10); p > 0 && p <= math.MaxInt64/10*10; p *= 10 {
+		cases = append(cases, p-1, p, p+1, -p+1, -p, -p-1)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10_000; i++ {
+		v := rng.Int63() >> rng.Intn(63)
+		if rng.Intn(2) == 0 {
+			v = -v
+		}
+		cases = append(cases, v)
+	}
+	for _, i := range cases {
+		if got, want := string(Key(i)), fmt.Sprintf("user%010d", i); got != want {
+			t.Fatalf("Key(%d) = %q, want %q", i, got, want)
+		}
+	}
 }
 
 func TestOpTypeString(t *testing.T) {
-	if OpRead.String() != "read" || OpReadModifyWrite.String() != "read-modify-write" {
+	if opRead.String() != "read" || opUpdate.String() != "update" || opType(7).String() != "op(7)" {
 		t.Fatal("op names")
 	}
 }
@@ -93,7 +112,7 @@ func TestRunnerCompletesOpBudget(t *testing.T) {
 		Operations: 2000,
 		Seed:       42,
 	})
-	rep, err := r.RunOps()
+	rep, err := r.runOps()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +133,7 @@ func TestRunnerCompletesOpBudget(t *testing.T) {
 	if ratio < 0.4 || ratio > 0.6 {
 		t.Fatalf("read ratio = %v, want ~0.5", ratio)
 	}
-	if rep.ReadLatency.Count() == 0 || rep.UpdateLatency.Count() == 0 {
+	if rep.ReadLatency.Count() == 0 || rep.updateLatency.Count() == 0 {
 		t.Fatal("latency histograms empty")
 	}
 }
@@ -126,7 +145,7 @@ func TestRunnerWorkloadBMix(t *testing.T) {
 		Operations: 2000,
 		Seed:       7,
 	})
-	rep, err := r.RunOps()
+	rep, err := r.runOps()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +157,7 @@ func TestRunnerWorkloadBMix(t *testing.T) {
 
 func TestRunnerLoadPopulatesAllReplicas(t *testing.T) {
 	s, c, _ := newRunner(t, RunConfig{
-		Workload: smallWorkload(WorkloadC()),
+		Workload: smallWorkload(WorkloadB()),
 		Threads:  1,
 		Seed:     9,
 	})
@@ -222,7 +241,7 @@ func TestRunnerShadowMeasuresStaleness(t *testing.T) {
 		ShadowEvery: 1,
 		Policy:      client.Fixed{},
 	})
-	rep, err := r.RunOps()
+	rep, err := r.runOps()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +265,7 @@ func TestRunnerStrongConsistencyZeroStale(t *testing.T) {
 		ShadowEvery: 1,
 		Policy:      client.Fixed{Read: wire.All},
 	})
-	rep, err := r.RunOps()
+	rep, err := r.runOps()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,71 +290,34 @@ func TestRunnerRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestRunnerInsertGrowsKeyspace(t *testing.T) {
-	_, _, r := newRunner(t, RunConfig{
-		Workload:   smallWorkload(WorkloadD()),
-		Threads:    4,
-		Operations: 2000,
-		Seed:       17,
-	})
-	before := r.inserted
-	rep, err := r.RunOps()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.inserted <= before {
-		t.Fatal("inserts did not grow the keyspace")
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("%d errors", rep.Errors)
-	}
-}
-
-func TestRunnerRMWDoesBoth(t *testing.T) {
-	_, _, r := newRunner(t, RunConfig{
-		Workload:   smallWorkload(WorkloadF()),
-		Threads:    4,
-		Operations: 1000,
-		Seed:       19,
-	})
-	rep, err := r.RunOps()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Reads == 0 || rep.Updates == 0 {
-		t.Fatalf("RMW mix: reads=%d updates=%d", rep.Reads, rep.Updates)
-	}
-	// F is 50% read + 50% RMW. Every RMW performs one read and one update,
-	// so sub-operation counts are reads ≈ N and updates ≈ N/2: ratio ~2.
-	ratio := float64(rep.Reads) / float64(rep.Updates)
-	if ratio < 1.6 || ratio > 2.5 {
-		t.Fatalf("read:update ratio = %v, want ~2", ratio)
-	}
-}
-
 func TestChooseOpDistribution(t *testing.T) {
 	r := &Runner{cfg: RunConfig{Workload: WorkloadA()}}
 	rng := rand.New(rand.NewSource(1))
-	counts := map[OpType]int{}
+	counts := map[opType]int{}
 	for i := 0; i < 10000; i++ {
 		counts[r.chooseOp(rng)]++
 	}
-	if counts[OpRead] < 4500 || counts[OpRead] > 5500 {
-		t.Fatalf("read count = %d, want ~5000", counts[OpRead])
+	if counts[opRead] < 4500 || counts[opRead] > 5500 {
+		t.Fatalf("read count = %d, want ~5000", counts[opRead])
 	}
-	if counts[OpInsert] != 0 || counts[OpReadModifyWrite] != 0 {
+	if counts[opRead]+counts[opUpdate] != 10000 {
 		t.Fatalf("unexpected op kinds: %v", counts)
 	}
 }
 
 func TestKeyIndexRoundTrip(t *testing.T) {
-	for _, i := range []int64{0, 1, 99, 100_000, 9_999_999_999} {
+	for _, i := range []int64{0, 1, 99, 100_000, 9_999_999_999, math.MaxInt64} {
 		got, ok := KeyIndex(Key(i))
 		if !ok || got != i {
 			t.Fatalf("KeyIndex(Key(%d)) = %d, %v", i, got, ok)
 		}
 	}
-	for _, bad := range [][]byte{nil, []byte("user"), []byte("userX000000001"), []byte("customer1")} {
+	for _, bad := range [][]byte{
+		nil, []byte("user"), []byte("userX000000001"), []byte("customer1"),
+		// past math.MaxInt64: must not wrap to a negative index or 0
+		[]byte("user9223372036854775808"), []byte("user18446744073709551616"),
+		[]byte("user99999999999999999999"), []byte("user-0000000001"),
+	} {
 		if _, ok := KeyIndex(bad); ok {
 			t.Fatalf("KeyIndex(%q) accepted", bad)
 		}
@@ -409,7 +391,7 @@ func TestRunnerReportsGroupStaleness(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Load()
-	rep, err := r.RunOps()
+	rep, err := r.runOps()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +429,7 @@ func TestRunnerPolicyShapesEveryRead(t *testing.T) {
 		Policy:     allReads{},
 	})
 	_ = s
-	if _, err := r.RunOps(); err != nil {
+	if _, err := r.runOps(); err != nil {
 		t.Fatal(err)
 	}
 	m := c.AggregateMetrics()
@@ -471,7 +453,7 @@ func TestRunnerSessionMode(t *testing.T) {
 		Policy:     client.Fixed{Read: wire.Session},
 		Sessions:   true,
 	})
-	rep, err := r.RunOps()
+	rep, err := r.runOps()
 	if err != nil {
 		t.Fatal(err)
 	}
