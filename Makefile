@@ -37,11 +37,12 @@ repair-test:
 # model), then the node's side of the same contract (acks after their
 # round and in order, reads served during a round, Stop with acks queued),
 # recovery from a data dir followed by repair, a TCP cluster reopened from
-# its members' data dirs, and the runtime's never-blocking self-post the
-# ack drain leans on.
+# its members' data dirs, the runtime's never-blocking self-post the ack
+# drain leans on, and the one version order across in-memory and durable
+# engines, reopen from hints, newest() and the SESSION cover check.
 storage-test:
 	$(GO) test -race -timeout 15m ./internal/storage/
-	$(GO) test -race -timeout 15m -run 'Durable|CommitLog|PostSelf|SelfSend' ./internal/cluster/ ./internal/integration/ ./internal/sim/ ./internal/transport/
+	$(GO) test -race -timeout 15m -run 'Durable|CommitLog|PostSelf|SelfSend|VersionOrder' ./internal/cluster/ ./internal/integration/ ./internal/sim/ ./internal/transport/
 
 # Live observability smoke: boot a real server with -admin-addr and curl
 # /metrics, /status, /trace, /debug/vars and a 1s CPU profile, failing on

@@ -172,10 +172,23 @@ func goldenDigest(t *testing.T, seed int64, faulted bool) uint64 {
 
 func TestGoldenTrajectory(t *testing.T) {
 	t.Parallel()
-	// Recorded at the parent of the substrate change (commit 24c4ed1).
+	// Recorded at the parent of the substrate change (commit 24c4ed1), and
+	// re-recorded once by the change that deleted vector clocks (the child
+	// of 36f53b2, data format 2), for two stated reasons. Messages lost their
+	// clock bytes, and simnet charges bytes over bandwidth, so deliveries
+	// land earlier: that alone gives every unfaulted digest below (the old
+	// code with only clock bytes dropped from the codec reproduces them).
+	// The faulted runs also held 200-260 applies per seed where the old
+	// vector-clock order and the timestamp order disagreed. All came from
+	// 48-59 client retries that reused their first attempt's timestamp
+	// (TsHint) on a coordinator whose copy already held a newer write: the
+	// clock stamped on the retry descended from that write, so storage let
+	// the older retry overwrite it. Storage now ranks them by timestamp, as
+	// newest() always did (the old code with clock bytes dropped and
+	// timestamp-order arbitration reproduces these digests).
 	want := map[bool][]uint64{
-		false: {0xe36c6ffff24f4847, 0x2b99d5b1a241bebe, 0x868507c6b8a6b59a},
-		true:  {0xc44db4a33d0b7bdf, 0x1e6248336764c281, 0xdf0b14b6cff0548f},
+		false: {0xa1bd210996596c32, 0x067bcf882d6eca4a, 0x170ea3aef003ccc9},
+		true:  {0x67dbb3ef54420218, 0xc66908e93bc17966, 0xfe3d31e1b5a3b2b0},
 	}
 	for _, faulted := range []bool{false, true} {
 		for i, seed := range []int64{1, 2, 3} {

@@ -30,7 +30,6 @@ import (
 	"harmony/internal/sim"
 	"harmony/internal/stats"
 	"harmony/internal/transport"
-	"harmony/internal/wire"
 	"harmony/internal/ycsb"
 )
 
@@ -494,27 +493,15 @@ func (w *liveWorker) step() {
 		})
 		return
 	}
-	// The dual-read staleness probe (§V-F literal), bounded by the
-	// real-time condition: the primary read was stale only if the strong
-	// read surfaces a version that is newer than what we got AND was
-	// stamped before the primary read was ISSUED — a write the reader was
-	// entitled to observe. Versions stamped while the probe is in flight
-	// are concurrent updates, not staleness (the naive dual read counts
-	// the hot keys' update rate). Timestamps are coordinator wall clocks;
-	// every process shares this host's clock, so they are comparable.
-	issuedAt := start.UnixNano()
-	w.drv.Read(key, func(primary client.ReadResult) {
+	// The dual-read staleness probe (§V-F literal); VerifyRead counts only
+	// versions stamped before the primary read was issued.
+	w.drv.VerifyRead(key, func(primary client.ReadResult, stale bool) {
 		if primary.Err != nil {
 			w.tally.read(g, 0, primary.Err, true, false)
-			w.step()
-			return
-		}
-		w.drv.ReadAtOnce(key, wire.All, func(strong client.ReadResult) {
-			stale := strong.Err == nil && strong.Found &&
-				strong.Ts > primary.Ts && strong.Ts <= issuedAt
+		} else {
 			w.tally.read(g, time.Since(start), nil, true, stale)
-			w.step()
-		})
+		}
+		w.step()
 	})
 }
 

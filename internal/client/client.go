@@ -137,16 +137,14 @@ type ReadResult struct {
 	Found    bool
 	Value    []byte
 	Ts       int64
-	Clock    []wire.ClockEntry // version vector clock (empty for legacy values)
 	Achieved wire.ConsistencyLevel
 	Err      error
 }
 
 // WriteResult is delivered to write callbacks.
 type WriteResult struct {
-	Ts    int64
-	Clock []wire.ClockEntry // clock the coordinator stamped on the write
-	Err   error
+	Ts  int64
+	Err error
 }
 
 // Driver issues operations against the cluster. All methods must be called
@@ -174,7 +172,7 @@ type logicalOp struct {
 	value  []byte
 	del    bool
 	level  wire.ConsistencyLevel
-	token  []wire.ClockEntry
+	token  int64
 	shadow bool
 	tsHint int64
 
@@ -272,7 +270,7 @@ func (d *Driver) Read(key []byte, cb func(ReadResult)) {
 
 // ReadAt fetches key at an explicit consistency level.
 func (d *Driver) ReadAt(key []byte, level wire.ConsistencyLevel, cb func(ReadResult)) {
-	d.readToken(key, level, nil, d.opts.MaxAttempts, true, cb)
+	d.readToken(key, level, 0, d.opts.MaxAttempts, true, cb)
 }
 
 // ReadAtOnce fetches key at an explicit level with a single attempt and no
@@ -283,13 +281,13 @@ func (d *Driver) ReadAt(key []byte, level wire.ConsistencyLevel, cb func(ReadRes
 // degraded — a refused ALL read during a partition is deterministic until
 // membership changes, and retrying it buys nothing.
 func (d *Driver) ReadAtOnce(key []byte, level wire.ConsistencyLevel, cb func(ReadResult)) {
-	d.readToken(key, level, nil, 1, false, cb)
+	d.readToken(key, level, 0, 1, false, cb)
 }
 
 // readToken fetches key at level carrying a session token: at wire.Session
 // the coordinator must answer with a version covering the token (Session
 // maintains tokens); at other levels the cluster ignores it.
-func (d *Driver) readToken(key []byte, level wire.ConsistencyLevel, token []wire.ClockEntry, maxAttempts int, hedge bool, cb func(ReadResult)) {
+func (d *Driver) readToken(key []byte, level wire.ConsistencyLevel, token int64, maxAttempts int, hedge bool, cb func(ReadResult)) {
 	if level == 0 {
 		level = wire.One
 	}
@@ -484,9 +482,17 @@ func (d *Driver) wrapErr(op *logicalOp, base error, detail string) error {
 // VerifyRead performs the paper's literal dual-read staleness measurement:
 // one read at the adaptive level followed by one at ALL, comparing
 // timestamps. The callback receives the primary result and whether it was
-// stale relative to the strong read. Note the measurement perturbs the
-// system exactly as §V-F warns.
+// stale relative to the strong read. The primary read was stale only if the
+// strong read surfaces a version that is newer than what it got AND was
+// stamped before the primary read was issued — a write the reader was
+// entitled to observe. Versions stamped while the probe is in flight are
+// concurrent updates, not staleness (counting them measures the key's
+// update rate). Timestamps are coordinator clocks, compared against the
+// driver's runtime clock, so the filter assumes the two agree (one host's
+// clock, or the simulator's). Note the measurement perturbs the system
+// exactly as §V-F warns.
 func (d *Driver) VerifyRead(key []byte, cb func(primary ReadResult, stale bool)) {
+	issuedAt := d.rt.Now().UnixNano()
 	d.Read(key, func(primary ReadResult) {
 		if primary.Err != nil {
 			cb(primary, false)
@@ -496,7 +502,8 @@ func (d *Driver) VerifyRead(key []byte, cb func(primary ReadResult, stale bool))
 		// verdict, and retrying it would amplify the measurement's load
 		// exactly when the cluster is degraded.
 		d.ReadAtOnce(key, wire.All, func(strong ReadResult) {
-			stale := strong.Err == nil && strong.Found && strong.Ts > primary.Ts
+			stale := strong.Err == nil && strong.Found &&
+				strong.Ts > primary.Ts && strong.Ts <= issuedAt
 			cb(primary, stale)
 		})
 	})
@@ -529,13 +536,12 @@ func (d *Driver) Deliver(_ ring.NodeID, m wire.Message) {
 				Found:    msg.Found,
 				Value:    msg.Value.Data,
 				Ts:       msg.Value.Timestamp,
-				Clock:    msg.Value.Clock,
 				Achieved: msg.Achieved,
 			}, WriteResult{})
 		}
 	case wire.WriteResponse:
 		if op, ok := d.pending[msg.ID]; ok && !op.isRead {
-			d.finish(op, ReadResult{}, WriteResult{Ts: msg.Timestamp, Clock: msg.Clock})
+			d.finish(op, ReadResult{}, WriteResult{Ts: msg.Timestamp})
 		}
 	case wire.Error:
 		op, ok := d.pending[msg.ID]

@@ -2,6 +2,7 @@ package client
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -240,6 +241,65 @@ func TestVerifyReadFresh(t *testing.T) {
 	s.RunUntilIdle(100)
 	if stale {
 		t.Fatal("equal timestamps flagged stale")
+	}
+}
+
+// TestVerifyReadIgnoresVersionsStampedAfterIssue: the ALL leg surfaces a
+// version stamped after the primary read was issued, a concurrent write the
+// reader could not have seen, so the read is not stale.
+func TestVerifyReadIgnoresVersionsStampedAfterIssue(t *testing.T) {
+	var s *sim.Sim
+	s, drv, _ := newFixture(t, func(m wire.Message) wire.Message {
+		req := m.(wire.ReadRequest)
+		ts := int64(5)
+		if req.Level == wire.All {
+			ts = s.Now().UnixNano() + 1
+		}
+		return wire.ReadResponse{ID: req.ID, Found: true, Value: wire.Value{Timestamp: ts}}
+	})
+	stale, done := true, false
+	drv.VerifyRead([]byte("k"), func(_ ReadResult, st bool) { stale, done = st, true })
+	s.RunUntilIdle(100)
+	if !done || stale {
+		t.Fatalf("done=%v stale=%v: a version stamped after issue counted as stale", done, stale)
+	}
+}
+
+// TestSessionTokenIsWatermark: a Session's token for a key range is the
+// highest timestamp it has written or read there, sent only on reads at
+// wire.Session, and a read answering below the key's watermark counts as a
+// regression.
+func TestSessionTokenIsWatermark(t *testing.T) {
+	readTs := int64(0)
+	var tokens []int64
+	s, drv, _ := newFixture(t, func(m wire.Message) wire.Message {
+		switch req := m.(type) {
+		case wire.WriteRequest:
+			return wire.WriteResponse{ID: req.ID, OK: true, Timestamp: 100}
+		case wire.ReadRequest:
+			tokens = append(tokens, req.Token)
+			return wire.ReadResponse{ID: req.ID, Found: true, Value: wire.Value{Timestamp: readTs}}
+		}
+		return nil
+	})
+	sess := NewSession(drv)
+	key := []byte("k")
+	read := func(level wire.ConsistencyLevel, ts int64) {
+		readTs = ts
+		sess.ReadAt(key, level, func(ReadResult) {})
+		s.RunUntilIdle(100)
+	}
+	read(wire.Session, 40) // nothing seen yet: token 0
+	sess.Write(key, []byte("v"), func(WriteResult) {})
+	s.RunUntilIdle(100)
+	read(wire.Session, 100) // the write raised the token to 100
+	read(wire.One, 150)     // ONE carries no token; the read raises it to 150
+	read(wire.Session, 120) // below the 150 watermark: a regression
+	if want := []int64{0, 100, 0, 150}; !slices.Equal(tokens, want) {
+		t.Fatalf("tokens sent %v, want %v", tokens, want)
+	}
+	if sess.Regressions() != 1 {
+		t.Fatalf("regressions = %d, want 1", sess.Regressions())
 	}
 }
 

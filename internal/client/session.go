@@ -3,23 +3,22 @@ package client
 import (
 	"hash/fnv"
 
-	"harmony/internal/versioning"
 	"harmony/internal/wire"
 )
 
 // sessionBuckets is the token-table width: keys hash onto this many
-// key-range buckets, each holding one high-water vector clock. More buckets
+// key-range buckets, each holding one high-water timestamp. More buckets
 // mean fewer cross-key watermark collisions (a hot neighbor inflating the
-// token another key's reads must satisfy) at a few words per bucket.
+// token another key's reads must satisfy) at one word per bucket.
 const sessionBuckets = 64
 
 // Session is the client's documented entry point: Driver operations wrapped
 // with session guarantees. It maintains compact session tokens — one
-// high-water vector clock per key-range bucket, folded from every
+// high-water write timestamp per key-range bucket, raised by every
 // acknowledged write and observed read — and attaches them to reads issued
-// at wire.Session, where the coordinator must answer with a version covering
-// the token (read-your-writes + monotonic reads, usually at single-replica
-// cost).
+// at wire.Session, where the coordinator must answer with a version stamped
+// at or after the token (read-your-writes + monotonic reads, usually at
+// single-replica cost).
 //
 // A Session works over ANY policy. At levels other than wire.Session the
 // cluster enforces nothing, but the Session still tracks what it has seen
@@ -30,7 +29,7 @@ const sessionBuckets = 64
 // context; callbacks run there too.
 type Session struct {
 	d       *Driver
-	buckets [sessionBuckets]versioning.Clock
+	buckets [sessionBuckets]int64
 	// lastSeen is the per-key high-water timestamp of everything this
 	// session wrote or read, the ground truth Regressions is judged
 	// against.
@@ -51,23 +50,19 @@ func (s *Session) Driver() *Driver { return s.d }
 
 // bucket maps a key to its token bucket with a fixed hash (FNV-1a), so a
 // seeded run assigns every key the same bucket each time.
-func (s *Session) bucket(key []byte) *versioning.Clock {
+func (s *Session) bucket(key []byte) *int64 {
 	h := fnv.New64a()
 	h.Write(key)
 	return &s.buckets[h.Sum64()%sessionBuckets]
 }
 
-// observe folds an operation's outcome into the session state: the version
-// clock raises the key range's token, the timestamp raises the per-key
-// watermark. A read answering below the watermark is a regression — the
-// session had already seen (or written) something newer.
-func (s *Session) observe(key []byte, ts int64, clock []wire.ClockEntry, isRead bool) {
-	b := s.bucket(key)
-	if len(clock) > 0 {
-		*b = versioning.Merge(*b, versioning.Clock(clock))
-	} else if ts > 0 {
-		// Legacy clock-less value: keep the watermark honest anyway.
-		*b = versioning.Stamp(*b, "", uint64(ts))
+// observe folds an operation's outcome into the session state: the
+// timestamp raises the key range's token and the per-key watermark. A read
+// answering below the watermark is a regression — the session had already
+// seen (or written) something newer.
+func (s *Session) observe(key []byte, ts int64, isRead bool) {
+	if b := s.bucket(key); ts > *b {
+		*b = ts
 	}
 	k := string(key)
 	if isRead && ts < s.lastSeen[k] {
@@ -87,26 +82,26 @@ func (s *Session) Read(key []byte, cb func(ReadResult)) {
 
 // ReadAt fetches key at an explicit level under the session's guarantees.
 func (s *Session) ReadAt(key []byte, level wire.ConsistencyLevel, cb func(ReadResult)) {
-	var token []wire.ClockEntry
+	var token int64
 	if level == wire.Session {
-		token = []wire.ClockEntry(*s.bucket(key))
+		token = *s.bucket(key)
 	}
 	s.reads++
 	s.d.readToken(key, level, token, s.d.opts.MaxAttempts, true, func(res ReadResult) {
 		if res.Err == nil {
-			s.observe(key, res.Ts, res.Clock, true)
+			s.observe(key, res.Ts, true)
 		}
 		cb(res)
 	})
 }
 
-// Write stores value under key and folds the acknowledged write's clock into
-// the session token, so subsequent SESSION reads observe it.
+// Write stores value under key and folds the acknowledged write's timestamp
+// into the session token, so subsequent SESSION reads observe it.
 func (s *Session) Write(key, value []byte, cb func(WriteResult)) {
 	s.writes++
 	s.d.Write(key, value, func(res WriteResult) {
 		if res.Err == nil {
-			s.observe(key, res.Ts, res.Clock, false)
+			s.observe(key, res.Ts, false)
 		}
 		cb(res)
 	})
@@ -117,7 +112,7 @@ func (s *Session) Delete(key []byte, cb func(WriteResult)) {
 	s.writes++
 	s.d.Delete(key, func(res WriteResult) {
 		if res.Err == nil {
-			s.observe(key, res.Ts, res.Clock, false)
+			s.observe(key, res.Ts, false)
 		}
 		cb(res)
 	})

@@ -25,7 +25,6 @@ import (
 	"harmony/internal/sim"
 	"harmony/internal/storage"
 	"harmony/internal/transport"
-	"harmony/internal/versioning"
 	"harmony/internal/wire"
 )
 
@@ -218,10 +217,10 @@ type readOp struct {
 	blockedOnRepair bool
 	repairAcksLeft  int
 	repairIDs       []uint64
-	// SESSION state: the client's normalized token, the full live replica
-	// set held back for escalation, how many replicas were dead at issue
-	// time, and how many re-poll rounds have run.
-	token     versioning.Clock
+	// SESSION state: the client's timestamp watermark, the full live
+	// replica set held back for escalation, how many replicas were dead at
+	// issue time, and how many re-poll rounds have run.
+	token     int64
 	sessLive  []ring.NodeID
 	sessDead  int
 	escalated bool
@@ -240,7 +239,6 @@ type writeOp struct {
 	acks      int
 	responded bool
 	ts        int64
-	clock     []wire.ClockEntry // stamped on the value; echoed to the client
 	cancel    func()
 	level     wire.ConsistencyLevel
 	// start is the coordination start time, set only when the node records
@@ -583,7 +581,7 @@ func (n *Node) coordinateRead(client ring.NodeID, req wire.ReadRequest) {
 		level:    level,
 	}
 	if level == wire.Session {
-		op.token = versioning.Normalize(versioning.Clock(req.Token))
+		op.token = req.Token
 		op.sessLive = live
 		op.sessDead = dead
 	}
@@ -659,8 +657,7 @@ func (n *Node) onReplicaReadResp(from ring.NodeID, resp wire.ReplicaReadResp) {
 // the ordinary read timeout report honest unavailability rather than ever
 // serving the session a regression.
 func (n *Node) sessionProgress(op *readOp) {
-	best, _ := newest(op.got)
-	if versioning.Covers(versioning.Clock(best.Clock), best.Timestamp, op.token) {
+	if best, _ := newest(op.got); covers(best, op.token) {
 		n.respondRead(op)
 		return
 	}
@@ -686,6 +683,15 @@ func (n *Node) sessionProgress(op *readOp) {
 	n.rt.After(sessionRetry, func() { n.sessionRepoll(opID) })
 }
 
+// covers reports whether v satisfies a SESSION token, a timestamp
+// watermark: v is at or above Value{Timestamp: token}, the lowest version
+// stamped at the watermark, in the version order — it was written no
+// earlier than anything the session has seen. A missing key (the zero
+// Value) covers only the empty token.
+func covers(v wire.Value, token int64) bool {
+	return v.Compare(wire.Value{Timestamp: token}) >= 0
+}
+
 // sessionRepoll re-contacts every live replica of a still-unsatisfied
 // SESSION read. Duplicate responses are harmless: newest() is idempotent and
 // the op completes on the first covering answer.
@@ -698,21 +704,35 @@ func (n *Node) sessionRepoll(id uint64) {
 	op.total += len(op.sessLive)
 }
 
-// newest returns the freshest value among the responses (ok=false when no
-// replica had the key).
+// newest returns the newest value among the responses in the version order
+// (ok=false when no replica had the key).
 func newest(got []wire.ReplicaReadResp) (wire.Value, bool) {
 	var best wire.Value
 	found := false
 	for _, r := range got {
-		if !r.Found {
-			continue
-		}
-		if !found || r.Value.Fresh(best) {
+		if r.Found && (!found || r.Value.Compare(best) > 0) {
 			best = r.Value
 			found = true
 		}
 	}
 	return best, found
+}
+
+// behind reports whether replica response r lacks best: it has no version
+// of the key, or an older one.
+func behind(r wire.ReplicaReadResp, best wire.Value) bool {
+	return !r.Found || best.Compare(r.Value) > 0
+}
+
+// repairBehind sends best as a background wire.Repair to every replica whose
+// response is behind it.
+func (n *Node) repairBehind(op *readOp, best wire.Value) {
+	for i, r := range op.got {
+		if behind(r, best) {
+			n.send.Send(n.cfg.ID, op.from[i], wire.Repair{Key: op.key, Value: best})
+			n.counters.repairsSent.Add(1)
+		}
+	}
 }
 
 func (n *Node) respondRead(op *readOp) {
@@ -722,7 +742,7 @@ func (n *Node) respondRead(op *readOp) {
 	// replicas, waits for their acks, and only then answers the client.
 	if op.level == wire.All && found {
 		for i, r := range op.got {
-			if !r.Found || best.Fresh(r.Value) {
+			if behind(r, best) {
 				id := n.opID()
 				op.repairAcksLeft++
 				op.repairIDs = append(op.repairIDs, id)
@@ -776,13 +796,7 @@ func (n *Node) finishRead(op *readOp) {
 	}
 	// Background repair; CL=ALL repairs synchronously in respondRead.
 	if n.cfg.ReadRepairChance > 0 && found && op.level != wire.All {
-		for i, r := range op.got {
-			if !r.Found || best.Fresh(r.Value) {
-				target := op.from[i]
-				n.send.Send(n.cfg.ID, target, wire.Repair{Key: op.key, Value: best})
-				n.counters.repairsSent.Add(1)
-			}
-		}
+		n.repairBehind(op, best)
 	}
 	if op.responded {
 		n.cleanupRead(op)
@@ -829,12 +843,7 @@ func (n *Node) readTimeout(id uint64) {
 	// Repair with whatever arrived.
 	if n.cfg.ReadRepairChance > 0 {
 		if best, found := newest(op.got); found {
-			for i, r := range op.got {
-				if !r.Found || best.Fresh(r.Value) {
-					n.send.Send(n.cfg.ID, op.from[i], wire.Repair{Key: op.key, Value: best})
-					n.counters.repairsSent.Add(1)
-				}
-			}
+			n.repairBehind(op, best)
 		}
 	}
 	n.cleanupRead(op)
@@ -862,23 +871,13 @@ func (n *Node) coordinateWrite(client ring.NodeID, req wire.WriteRequest) {
 		// coordinator's own subsequent stamps stay strictly increasing.
 		n.lastTS = ts
 	}
-	// Stamp the value's vector clock: the local copy's history (when this
-	// coordinator is a replica of the key) merged with this write. The clock
-	// is fixed here and replicated verbatim, so replicas never disagree on a
-	// version's identity.
-	var prev versioning.Clock
-	if cur, ok := n.engine.Get(req.Key); ok {
-		prev = versioning.Clock(cur.Clock)
-	}
-	clock := versioning.Stamp(prev, string(n.cfg.ID), uint64(ts))
-	v := wire.Value{Data: req.Value, Timestamp: ts, Tombstone: req.Delete, Clock: clock}
+	v := wire.Value{Data: req.Value, Timestamp: ts, Tombstone: req.Delete}
 	op := &writeOp{
 		id:       n.opID(),
 		client:   client,
 		clientID: req.ID,
 		need:     req.Level.BlockFor(len(reps)),
 		ts:       ts,
-		clock:    clock,
 		level:    req.Level,
 	}
 	if n.cfg.OpHist != nil {
@@ -981,7 +980,7 @@ func (n *Node) onMutationAck(from ring.NodeID, ack wire.MutationAck) {
 		if n.cfg.OpHist != nil && !op.start.IsZero() {
 			n.cfg.OpHist.Record(obs.OpWrite, op.level, n.rt.Now().Sub(op.start))
 		}
-		n.send.Send(n.cfg.ID, op.client, wire.WriteResponse{ID: op.clientID, OK: true, Timestamp: op.ts, Clock: op.clock})
+		n.send.Send(n.cfg.ID, op.client, wire.WriteResponse{ID: op.clientID, OK: true, Timestamp: op.ts})
 	}
 	if op.acks >= op.total {
 		if op.cancel != nil {

@@ -192,7 +192,7 @@ func (s *server) storageCollector(base []obs.Label) obs.Collector {
 		c("harmony_storage_writes_total", "Engine apply operations.", st.Writes)
 		c("harmony_storage_reads_total", "Engine read operations.", st.Reads)
 		c("harmony_storage_compactions_total", "Segment compactions completed.", st.Compactions)
-		c("harmony_storage_siblings_total", "Applies that arbitrated causally concurrent versions.", st.Siblings)
+		c("harmony_storage_siblings_total", "Applies whose incoming and held versions shared a timestamp but differed in content.", st.Siblings)
 		c("harmony_storage_fsyncs_total", "Fsync calls issued by group-commit rounds.", st.Fsyncs)
 		c("harmony_storage_fsync_batched_ops_total", "Appends covered by those fsync rounds.", st.FsyncBatchedOps)
 	}

@@ -58,8 +58,9 @@ const (
 	lockName     = "LOCK"
 
 	// dataFormat is stamped into MANIFEST; an engine refuses a data dir
-	// written by a different format.
-	dataFormat = 1
+	// written by a different format. Format 2 dropped the vector clock from
+	// records and hint entries.
+	dataFormat = 2
 
 	// recordHeader is the CRC32 prefix in front of every wire frame.
 	recordHeader = 4
@@ -68,7 +69,7 @@ const (
 	// length prefix cannot drive a giant allocation.
 	maxRecordBytes = 1 << 30
 
-	hintMagic = "HNT1"
+	hintMagic = "HNT2"
 )
 
 // PersistOptions configure the bitcask backend slotted behind the Engine.
@@ -233,15 +234,14 @@ func syncDir(path string) error {
 
 // diskEntry is one keydir slot: where the newest record for a key lives,
 // plus the version metadata the engine needs to arbitrate an incoming write
-// without touching disk (arbitration reads Data only on same-timestamp
-// sibling tie-breaks, which pread the full record on demand).
+// without touching disk (arbitration reads Data only when timestamp and
+// tombstone flag tie, and then preads the full record on demand).
 type diskEntry struct {
-	seg   *segment
-	off   int64
-	size  uint32
-	ts    int64
-	tomb  bool
-	clock []wire.ClockEntry
+	seg  *segment
+	off  int64
+	size uint32
+	ts   int64
+	tomb bool
 }
 
 // segment is one append-only data file.
@@ -272,25 +272,15 @@ type diskShard struct {
 }
 
 // keydirEntryBytes estimates the resident heap cost of one keydir entry: the
-// map slot (key string header + bytes, entry pointer), the diskEntry
-// allocation, and its vector-clock slice. The keydir is the durable engine's
-// RAM ceiling, so the estimate is maintained incrementally on every insert
-// and clock change rather than recomputed by walking the map at scrape time.
-func keydirEntryBytes(keyLen int, clock []wire.ClockEntry) int64 {
-	const entryFixed = 64 + // diskEntry: seg ptr, off, size, ts, tomb, clock header
+// map slot (key string header + bytes, entry pointer) and the diskEntry
+// allocation. The keydir is the durable engine's RAM ceiling, so the
+// estimate is maintained incrementally on every insert rather than
+// recomputed by walking the map at scrape time.
+func keydirEntryBytes(keyLen int) int64 {
+	const entryFixed = 48 + // diskEntry: seg ptr, off, size, ts, tomb (40 B, 48 B size class)
 		16 + // key string header held by the map
 		16 // amortized map bucket share for the key/value slots
-	return entryFixed + int64(keyLen) + clockBytes(clock)
-}
-
-// clockBytes estimates the heap bytes of a vector clock: per entry, the
-// ClockEntry struct (string header + counter) plus the node-id bytes.
-func clockBytes(clock []wire.ClockEntry) int64 {
-	b := int64(0)
-	for i := range clock {
-		b += 24 + int64(len(clock[i].Node))
-	}
-	return b
+	return entryFixed + int64(keyLen)
 }
 
 func segPath(dir string, id uint64) string {
@@ -406,12 +396,11 @@ func (d *diskShard) load(key string, seg *segment, off int64, size uint32, v wir
 	if e, ok := d.keydir[key]; ok {
 		e.seg.dead += int64(e.size)
 		e.seg.live--
-		d.keydirBytes += clockBytes(v.Clock) - clockBytes(e.clock)
 		e.seg, e.off, e.size = seg, off, size
-		e.ts, e.tomb, e.clock = v.Timestamp, v.Tombstone, v.Clock
+		e.ts, e.tomb = v.Timestamp, v.Tombstone
 	} else {
-		d.keydir[key] = &diskEntry{seg: seg, off: off, size: size, ts: v.Timestamp, tomb: v.Tombstone, clock: v.Clock}
-		d.keydirBytes += keydirEntryBytes(len(key), v.Clock)
+		d.keydir[key] = &diskEntry{seg: seg, off: off, size: size, ts: v.Timestamp, tomb: v.Tombstone}
+		d.keydirBytes += keydirEntryBytes(len(key))
 	}
 	seg.live++
 }
@@ -492,39 +481,37 @@ scan:
 	return nil
 }
 
-// hint file layout: "HNT1", then per live key
+// hint file layout: "HNT2", then per live key
 //
 //	uvarint keyLen | key | uvarint off | uvarint size | uvarint ts (zigzag)
-//	| flags byte (bit0 tombstone) | uvarint clockLen
-//	| clockLen × (uvarint nodeLen | node | uvarint counter)
+//	| flags byte (bit0 tombstone)
 //
 // then a trailing CRC32 over everything after the magic. Hints are pure
 // optimization: any parse or bounds failure falls back to scanning the data
 // file, so a stale or torn hint can never corrupt recovery.
+
+// appendHint appends one hint entry: key's record, held at off in the
+// segment the hint describes.
+func appendHint(buf []byte, key string, off int64, e *diskEntry) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(key)))
+	buf = append(buf, key...)
+	buf = binary.AppendUvarint(buf, uint64(off))
+	buf = binary.AppendUvarint(buf, uint64(e.size))
+	buf = binary.AppendVarint(buf, e.ts)
+	var flags byte
+	if e.tomb {
+		flags |= 1
+	}
+	return append(buf, flags)
+}
 
 // writeHint snapshots the keydir entries that live in seg (which is about
 // to seal) into seg's hint file via write-temp-fsync-rename.
 func (d *diskShard) writeHint(seg *segment) error {
 	buf := append(make([]byte, 0, 64*1024), hintMagic...)
 	for k, e := range d.keydir {
-		if e.seg != seg {
-			continue
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(k)))
-		buf = append(buf, k...)
-		buf = binary.AppendUvarint(buf, uint64(e.off))
-		buf = binary.AppendUvarint(buf, uint64(e.size))
-		buf = binary.AppendVarint(buf, e.ts)
-		var flags byte
-		if e.tomb {
-			flags |= 1
-		}
-		buf = append(buf, flags)
-		buf = binary.AppendUvarint(buf, uint64(len(e.clock)))
-		for _, ce := range e.clock {
-			buf = binary.AppendUvarint(buf, uint64(len(ce.Node)))
-			buf = append(buf, ce.Node...)
-			buf = binary.AppendUvarint(buf, ce.Counter)
+		if e.seg == seg {
+			buf = appendHint(buf, k, e.off, e)
 		}
 	}
 	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[len(hintMagic):]))
@@ -584,34 +571,10 @@ func (d *diskShard) loadHint(seg *segment) bool {
 		body = body[n:]
 		flags := body[0]
 		body = body[1:]
-		clockLen, n := binary.Uvarint(body)
-		if n <= 0 || clockLen > 1<<16 {
-			return false
-		}
-		body = body[n:]
-		var clock []wire.ClockEntry
-		if clockLen > 0 {
-			clock = make([]wire.ClockEntry, 0, clockLen)
-			for range clockLen {
-				nodeLen, n := binary.Uvarint(body)
-				if n <= 0 || uint64(len(body)-n) < nodeLen {
-					return false
-				}
-				body = body[n:]
-				node := string(body[:nodeLen])
-				body = body[nodeLen:]
-				counter, n := binary.Uvarint(body)
-				if n <= 0 {
-					return false
-				}
-				body = body[n:]
-				clock = append(clock, wire.ClockEntry{Node: node, Counter: counter})
-			}
-		}
 		if int64(off)+int64(size) > seg.size || size < recordHeader {
 			return false
 		}
-		entries = append(entries, staged{key, int64(off), uint32(size), wire.Value{Timestamp: ts, Tombstone: flags&1 != 0, Clock: clock}})
+		entries = append(entries, staged{key, int64(off), uint32(size), wire.Value{Timestamp: ts, Tombstone: flags&1 != 0}})
 	}
 	// Apply only after the whole hint parsed — a partial apply followed by
 	// a data scan would double-count dead bytes.
@@ -643,12 +606,11 @@ func (d *diskShard) append(key []byte, v wire.Value, ent *diskEntry) error {
 	if ent != nil {
 		ent.seg.dead += int64(ent.size)
 		ent.seg.live--
-		d.keydirBytes += clockBytes(v.Clock) - clockBytes(ent.clock)
 		ent.seg, ent.off, ent.size = active, off, uint32(len(rec))
-		ent.ts, ent.tomb, ent.clock = v.Timestamp, v.Tombstone, v.Clock
+		ent.ts, ent.tomb = v.Timestamp, v.Tombstone
 	} else {
-		d.keydir[string(key)] = &diskEntry{seg: active, off: off, size: uint32(len(rec)), ts: v.Timestamp, tomb: v.Tombstone, clock: v.Clock}
-		d.keydirBytes += keydirEntryBytes(len(key), v.Clock)
+		d.keydir[string(key)] = &diskEntry{seg: active, off: off, size: uint32(len(rec)), ts: v.Timestamp, tomb: v.Tombstone}
+		d.keydirBytes += keydirEntryBytes(len(key))
 	}
 	active.live++
 	d.dirty.Store(1)
@@ -785,25 +747,8 @@ func (d *diskShard) compact() error {
 			stagedOff[p.e] = p.off
 		}
 		for k, e := range d.keydir {
-			off, ok := stagedOff[e]
-			if !ok {
-				continue
-			}
-			hbuf = binary.AppendUvarint(hbuf, uint64(len(k)))
-			hbuf = append(hbuf, k...)
-			hbuf = binary.AppendUvarint(hbuf, uint64(off))
-			hbuf = binary.AppendUvarint(hbuf, uint64(e.size))
-			hbuf = binary.AppendVarint(hbuf, e.ts)
-			var flags byte
-			if e.tomb {
-				flags |= 1
-			}
-			hbuf = append(hbuf, flags)
-			hbuf = binary.AppendUvarint(hbuf, uint64(len(e.clock)))
-			for _, ce := range e.clock {
-				hbuf = binary.AppendUvarint(hbuf, uint64(len(ce.Node)))
-				hbuf = append(hbuf, ce.Node...)
-				hbuf = binary.AppendUvarint(hbuf, ce.Counter)
+			if off, ok := stagedOff[e]; ok {
+				hbuf = appendHint(hbuf, k, off, e)
 			}
 		}
 		hbuf = binary.BigEndian.AppendUint32(hbuf, crc32.ChecksumIEEE(hbuf[len(hintMagic):]))

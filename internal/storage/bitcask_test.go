@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -52,8 +53,7 @@ func dump(e *Engine) []byte {
 }
 
 // randValue builds a random value; small timestamp ranges force ties and
-// rejects, and occasional clocks exercise the sibling tie-break path that
-// preads the old record.
+// rejects, and with them the tie-break that preads the old record.
 func randValue(rng *rand.Rand) wire.Value {
 	v := wire.Value{
 		Data:      make([]byte, rng.Intn(40)),
@@ -61,14 +61,6 @@ func randValue(rng *rand.Rand) wire.Value {
 		Tombstone: rng.Intn(10) == 0,
 	}
 	rng.Read(v.Data)
-	if rng.Intn(3) == 0 {
-		for i := 0; i <= rng.Intn(2); i++ {
-			v.Clock = append(v.Clock, wire.ClockEntry{
-				Node:    fmt.Sprintf("n%d", rng.Intn(3)),
-				Counter: uint64(1 + rng.Intn(5)),
-			})
-		}
-	}
 	return v
 }
 
@@ -432,15 +424,20 @@ func TestDataDirLocked(t *testing.T) {
 }
 
 func TestDataDirVersionMismatch(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("format=99\nshards=4\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := AcquireDataDir(dir); err == nil {
-		t.Fatal("acquire of a version-mismatched data dir succeeded")
-	}
-	if _, err := Open(Options{Persist: &PersistOptions{Path: dir}}); err == nil {
-		t.Fatal("Open of a version-mismatched data dir succeeded")
+	// format=1 is what the clock-carrying format wrote; its records would
+	// decode as garbage under format 2, so it must be refused like any
+	// other foreign version.
+	for _, manifest := range []string{"format=99\nshards=4\n", "format=1\nshards=1\n"} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(manifest), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := AcquireDataDir(dir); err == nil || !strings.Contains(err.Error(), "version mismatch") {
+			t.Fatalf("%q: acquire of a version-mismatched data dir: err = %v", manifest, err)
+		}
+		if _, err := Open(Options{Persist: &PersistOptions{Path: dir}}); err == nil || !strings.Contains(err.Error(), "version mismatch") {
+			t.Fatalf("%q: Open of a version-mismatched data dir: err = %v", manifest, err)
+		}
 	}
 }
 
@@ -585,7 +582,7 @@ func TestScanReentrancy(t *testing.T) {
 }
 
 // The keydir byte estimate must grow with inserts, stay flat on plain
-// overwrites, track clock growth, and survive reopen; the fsync-batch
+// overwrites, and survive reopen; the fsync-batch
 // counters must cover every group-committed append.
 func TestPersistKeydirBytesAndFsyncStats(t *testing.T) {
 	dir := t.TempDir()
@@ -614,7 +611,7 @@ func TestPersistKeydirBytesAndFsyncStats(t *testing.T) {
 		t.Fatalf("fsync-batched ops = %d, want >= 100", st.FsyncBatchedOps)
 	}
 
-	// Clock-free overwrites relocate records but add no keydir residency.
+	// Overwrites relocate records but add no keydir residency.
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("key-%04d", i)
 		if _, err := e.Apply([]byte(k), wire.Value{Data: []byte("v2"), Timestamp: int64(1000 + i)}); err != nil {
@@ -625,23 +622,12 @@ func TestPersistKeydirBytesAndFsyncStats(t *testing.T) {
 		t.Fatalf("keydir bytes after overwrite = %d, want %d", got, afterInsert)
 	}
 
-	// A vector clock appearing on a key grows the estimate.
-	v := wire.Value{Data: []byte("v3"), Timestamp: 5000,
-		Clock: []wire.ClockEntry{{Node: "n1", Counter: 1}, {Node: "n2", Counter: 2}}}
-	if _, err := e.Apply([]byte("key-0000"), v); err != nil {
-		t.Fatal(err)
-	}
-	withClock := e.Stats().KeydirBytes
-	if withClock <= afterInsert {
-		t.Fatalf("keydir bytes with clock = %d, want > %d", withClock, afterInsert)
-	}
-
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 	e2 := mustOpen(t, Options{Shards: 2, Persist: &PersistOptions{Path: dir}})
 	defer e2.Close()
-	if got := e2.Stats().KeydirBytes; got != withClock {
-		t.Fatalf("keydir bytes after reopen = %d, want %d", got, withClock)
+	if got := e2.Stats().KeydirBytes; got != afterInsert {
+		t.Fatalf("keydir bytes after reopen = %d, want %d", got, afterInsert)
 	}
 }

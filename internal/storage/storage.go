@@ -1,7 +1,8 @@
 // Package storage implements a node-local storage engine: the newest
-// version of every key a replica holds, arbitrated on write by
-// versioning.Decide (causal order when both versions carry vector clocks,
-// last-writer-wins for concurrent siblings and clock-less values).
+// version of every key a replica holds, arbitrated on write by the store's
+// one version order, wire.Value.Compare (last-writer-wins on the timestamp,
+// ties settled by tombstone, then data bytes), so replicas that received the
+// same versions in any order hold the same winner.
 //
 // By default — and in the simulator, which runs thousands of node instances
 // — the engine is a lock-striped in-memory map. For the real TCP deployment
@@ -24,7 +25,6 @@ import (
 	"slices"
 	"sync"
 
-	"harmony/internal/versioning"
 	"harmony/internal/wire"
 )
 
@@ -46,7 +46,7 @@ type shard struct {
 
 	reads    uint64
 	writes   uint64
-	siblings uint64 // concurrent versions settled by last-writer-wins
+	siblings uint64 // same-timestamp versions with different contents
 
 	_ [80]byte // pad to 128 bytes
 }
@@ -227,12 +227,11 @@ func fnv64a(b []byte) uint64 {
 	return h
 }
 
-// Apply writes v under key if it wins the engine's version comparison
-// against what is already held: causal (vector-clock) order when both
-// versions carry clocks, last-writer-wins for concurrent siblings and
-// clock-less values (versioning.Decide). It reports whether
-// the value was applied, and returns once the outcome is as durable as the
-// engine's mode makes it: Apply is ApplyTicket followed by WaitDurable.
+// Apply writes v under key if it is newer than what is already held in the
+// version order (wire.Value.Compare); a replay of the held version is not
+// newer and changes nothing. It reports whether the value was applied, and
+// returns once the outcome is as durable as the engine's mode makes it:
+// Apply is ApplyTicket followed by WaitDurable.
 func (e *Engine) Apply(key []byte, v wire.Value) (bool, error) {
 	applied, ticket, err := e.ApplyTicket(key, v)
 	if err != nil {
@@ -277,11 +276,7 @@ func (e *Engine) ApplyTicket(key []byte, v wire.Value) (applied bool, ticket uin
 	s.writes++
 	if p, ok := s.vals[string(key)]; ok {
 		old, hadOld = *p, true
-		take, conc := versioning.Decide(v, old)
-		if conc {
-			s.siblings++
-		}
-		if !take {
+		if !s.arbitrate(v, old) {
 			s.mu.Unlock()
 			return false, 0, nil
 		}
@@ -337,7 +332,7 @@ func (e *Engine) applyDisk(s *shard, key []byte, v wire.Value) (bool, uint64, er
 	ent := d.keydir[string(key)]
 	if ent != nil {
 		hadOld = true
-		old = wire.Value{Timestamp: ent.ts, Tombstone: ent.tomb, Clock: ent.clock}
+		old = wire.Value{Timestamp: ent.ts, Tombstone: ent.tomb}
 		if e.needOldData(v, old) {
 			full, err := d.readValue(ent)
 			if err != nil {
@@ -346,11 +341,7 @@ func (e *Engine) applyDisk(s *shard, key []byte, v wire.Value) (bool, uint64, er
 			}
 			old = full
 		}
-		take, conc := versioning.Decide(v, old)
-		if conc {
-			s.siblings++
-		}
-		if !take {
+		if !s.arbitrate(v, old) {
 			// Under the shard lock, so the winner's ticket is already issued.
 			ticket, err := e.persist.pending()
 			s.mu.Unlock()
@@ -373,15 +364,25 @@ func (e *Engine) applyDisk(s *shard, key []byte, v wire.Value) (bool, uint64, er
 }
 
 // needOldData reports whether version arbitration (or the hook) can observe
-// the stored value's Data, requiring a pread of the old record. Decide
-// touches Data only on the same-timestamp both-clock-bearing sibling
-// tie-break; the OnReplace hook (whose consumers digest the replaced row's
-// bytes) always needs it.
+// the stored value's Data, requiring a pread of the old record. The order
+// reaches Data only when timestamp and tombstone flag tie; the OnReplace
+// hook (whose consumers digest the replaced row's bytes) always needs it.
 func (e *Engine) needOldData(incoming, old wire.Value) bool {
 	if e.onReplace != nil {
 		return true
 	}
-	return incoming.Timestamp == old.Timestamp && len(incoming.Clock) > 0 && len(old.Clock) > 0
+	return incoming.Timestamp == old.Timestamp && incoming.Tombstone == old.Tombstone
+}
+
+// arbitrate reports whether incoming replaces the held version old, and
+// counts a sibling when the two share a timestamp but differ in content.
+// Caller holds the shard lock.
+func (s *shard) arbitrate(incoming, old wire.Value) bool {
+	c := incoming.Compare(old)
+	if c != 0 && incoming.Timestamp == old.Timestamp {
+		s.siblings++
+	}
+	return c > 0
 }
 
 // Get returns the newest value for key. ok is false when the key was never
@@ -578,9 +579,10 @@ type Stats struct {
 	Reads  uint64
 	// Compactions counts persistent segment compactions.
 	Compactions uint64
-	// Siblings counts applies where the incoming and held versions were
-	// causally concurrent and last-writer-wins had to arbitrate — the store's
-	// conflict-rate gauge.
+	// Siblings counts applies where the incoming and held versions shared a
+	// timestamp but differed in content, so the version order's tie-break
+	// (tombstone, then data bytes) decided — the store's conflict-rate
+	// gauge.
 	Siblings uint64
 	LiveKeys int
 	Shards   int

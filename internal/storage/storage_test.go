@@ -10,7 +10,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"harmony/internal/versioning"
 	"harmony/internal/wire"
 )
 
@@ -51,10 +50,47 @@ func TestLastWriterWins(t *testing.T) {
 	if string(got.Data) != "new" {
 		t.Fatalf("got %q, want new", got.Data)
 	}
-	// Equal timestamps: existing value wins (stable merges).
-	applied, _ = e.Apply([]byte("k"), val("tie", 20))
-	if applied {
-		t.Fatal("tie write applied")
+	// Equal timestamps: the version order breaks the tie on the data bytes,
+	// and an exact replay changes nothing.
+	if applied, _ = e.Apply([]byte("k"), val("abc", 20)); applied {
+		t.Fatal("lower-byte tie applied")
+	}
+	if applied, _ = e.Apply([]byte("k"), val("new", 20)); applied {
+		t.Fatal("replay applied")
+	}
+	if applied, _ = e.Apply([]byte("k"), val("tie", 20)); !applied {
+		t.Fatal("higher-byte tie rejected")
+	}
+}
+
+// TestSiblingConvergence applies the same pair of same-timestamp versions to
+// two engines in opposite orders: both must keep the same winner
+// byte-for-byte (the anti-entropy convergence requirement) and count one
+// sibling each.
+func TestSiblingConvergence(t *testing.T) {
+	s1, s2 := val("from-a", 7), val("from-b", 7)
+	key := []byte("k")
+	e1 := NewEngine(Options{Shards: 1})
+	e2 := NewEngine(Options{Shards: 1})
+	for _, step := range []struct {
+		e *Engine
+		v wire.Value
+	}{{e1, s1}, {e1, s2}, {e2, s2}, {e2, s1}} {
+		if _, err := step.e.Apply(key, step.v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v1, ok1 := e1.Get(key)
+	v2, ok2 := e2.Get(key)
+	if !ok1 || !ok2 {
+		t.Fatal("value missing after sibling resolution")
+	}
+	if string(v1.Data) != "from-b" || string(v2.Data) != "from-b" {
+		t.Fatalf("replicas hold %q and %q, want from-b on both", v1.Data, v2.Data)
+	}
+	if e1.Stats().Siblings != 1 || e2.Stats().Siblings != 1 {
+		t.Errorf("sibling counters: e1=%d e2=%d, want 1 and 1",
+			e1.Stats().Siblings, e2.Stats().Siblings)
 	}
 }
 
@@ -258,28 +294,35 @@ func TestStatsLiveKeys(t *testing.T) {
 }
 
 // modelValue draws from a small version space so histories hit every
-// arbitration case: clock-less LWW, causal descent, concurrent clocks at
-// the same timestamp (siblings settled by last-writer-wins) and tombstones.
+// arbitration case: a newer or older timestamp, and at equal timestamps a
+// tombstone against data, different data, and an exact replay.
 func modelValue(rng *rand.Rand) wire.Value {
 	v := wire.Value{Data: []byte{byte('a' + rng.Intn(4))}, Timestamp: int64(1 + rng.Intn(8))}
 	if rng.Intn(6) == 0 {
 		v.Data, v.Tombstone = nil, true
 	}
-	if rng.Intn(2) == 0 {
-		for n := range 3 {
-			if rng.Intn(2) == 0 {
-				v.Clock = append(v.Clock, wire.ClockEntry{Node: fmt.Sprintf("n%d", n), Counter: uint64(1 + rng.Intn(3))})
-			}
-		}
-	}
 	return v
 }
 
+// refNewer is the version order spelled out apart from wire.Value.Compare:
+// a newer timestamp wins; at equal timestamps a tombstone beats data, then
+// the higher byte string wins; an identical version is not newer.
+func refNewer(v, old wire.Value) bool {
+	if v.Timestamp != old.Timestamp {
+		return v.Timestamp > old.Timestamp
+	}
+	if v.Tombstone != old.Tombstone {
+		return v.Tombstone
+	}
+	return string(v.Data) > string(old.Data)
+}
+
 // TestMemoryEngineMatchesReference pits the in-memory engine against a plain
-// map that applies versioning.Decide itself, over random histories: Get of
-// every key, ScanVersions over random bounds, LiveKeys and Siblings, and the
-// sequence of OnReplace calls (accepted mutations only, each with the
-// version it displaced).
+// map that applies the version order itself, over random histories: Get of
+// every key, ScanVersions over random bounds, LiveKeys and Siblings
+// (same-timestamp versions with different contents), and the sequence of
+// OnReplace calls (accepted mutations only, each with the version it
+// displaced).
 func TestMemoryEngineMatchesReference(t *testing.T) {
 	type replace struct {
 		key    string
@@ -299,13 +342,9 @@ func TestMemoryEngineMatchesReference(t *testing.T) {
 			k := fmt.Sprintf("k%02d", rng.Intn(16))
 			v := modelValue(rng)
 			old, hadOld := ref[k]
-			take := true
-			if hadOld {
-				var conc bool
-				take, conc = versioning.Decide(v, old)
-				if conc {
-					siblings++
-				}
+			take := !hadOld || refNewer(v, old)
+			if hadOld && v.Timestamp == old.Timestamp && (take || refNewer(old, v)) {
+				siblings++
 			}
 			if take {
 				ref[k] = v

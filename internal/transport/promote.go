@@ -25,7 +25,7 @@ import "harmony/internal/wire"
 // Keys applied to the storage engine (Mutation.Key, Repair.Key, SyncEntry
 // .Key) are safe un-promoted: the engine interns them via string conversion.
 // Every other kind decodes byte-free or into freshly allocated slices
-// (clocks, gossip digests, Merkle leaves), so it passes through untouched.
+// (gossip digests, Merkle leaves), so it passes through untouched.
 // When adding a message kind or a new retention site, extend this table.
 func promote(m wire.Message) wire.Message {
 	switch v := m.(type) {

@@ -227,19 +227,10 @@ func list[T any](c *coder, p *[]T) {
 
 // The field lists: the order of the calls is the order of the bytes.
 
-func (c *coder) clock(p *[]ClockEntry) {
-	list(c, p)
-	for i := range *p {
-		c.str(&(*p)[i].Node)
-		c.uvarint(&(*p)[i].Counter)
-	}
-}
-
 func (v *Value) code(c *coder) {
 	c.bytes(&v.Data)
 	c.varint(&v.Timestamp)
 	c.bool(&v.Tombstone)
-	c.clock(&v.Clock)
 }
 
 func (r *TokenRange) code(c *coder) {
@@ -252,7 +243,7 @@ func (m *ReadRequest) code(c *coder) {
 	c.bytes(&m.Key)
 	c.u8((*uint8)(&m.Level))
 	c.bool(&m.Shadow)
-	c.clock(&m.Token)
+	c.varint(&m.Token)
 	c.uvarint(&m.DeadlineMs)
 }
 
@@ -278,7 +269,6 @@ func (m *WriteResponse) code(c *coder) {
 	c.uvarint(&m.ID)
 	c.bool(&m.OK)
 	c.varint(&m.Timestamp)
-	c.clock(&m.Clock)
 }
 
 func (m *ReplicaRead) code(c *coder) {

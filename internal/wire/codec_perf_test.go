@@ -275,8 +275,8 @@ func TestEncodeFrameSizeLimit(t *testing.T) {
 	if uvarintLen(maxFrame) != prefixRoom {
 		t.Fatalf("prefixRoom %d, want uvarintLen(maxFrame) = %d", prefixRoom, uvarintLen(maxFrame))
 	}
-	// A Mutation body is 7 fixed bytes plus the length-prefixed data.
-	data := bytes.Repeat([]byte{0xab}, maxFrame-7-prefixRoom)
+	// A Mutation body is 6 fixed bytes plus the length-prefixed data.
+	data := bytes.Repeat([]byte{0xab}, maxFrame-6-prefixRoom)
 	dst := []byte("prefix")
 	b, err := Encode(dst, Mutation{Value: Value{Data: data}})
 	if err != nil {

@@ -30,6 +30,8 @@
 package wire
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"time"
 )
@@ -169,34 +171,35 @@ func LevelForCount(x, rf int) ConsistencyLevel {
 	}
 }
 
-// ClockEntry is one coordinator's component of a vector clock: the highest
-// write timestamp the value has observed through that coordinator. Counters
-// are write timestamps (UnixNano of the coordinating write), so a value's
-// clock doubles as a causal history and a recency watermark.
-type ClockEntry struct {
-	Node    string
-	Counter uint64
-}
-
 // Value is a timestamped cell. Timestamps are the write coordinator's clock
-// in nanoseconds; conflict resolution is last-writer-wins by default, exactly
-// the reconciliation Cassandra applies on read, with the vector Clock
-// available for causal comparison and pluggable sibling resolution
-// (internal/versioning).
+// in nanoseconds. Versions of one key are ranked by Compare, the store's one
+// version order: last-writer-wins on the timestamp, exactly the
+// reconciliation Cassandra applies, made total so every replica settles a
+// set of versions to the same winner whatever order it received them in.
 type Value struct {
 	Data      []byte
 	Timestamp int64 // UnixNano of the coordinating write
 	Tombstone bool
-	// Clock is the value's vector clock, stamped by the write coordinator:
-	// the previous version's clock merged with (coordinator, Timestamp).
-	// Empty for legacy/bulk-loaded values, which compare purely by
-	// Timestamp.
-	Clock []ClockEntry
 }
 
-// Fresh reports whether v is newer than other (ties broken toward v=false so
-// merges are stable).
-func (v Value) Fresh(other Value) bool { return v.Timestamp > other.Timestamp }
+// Compare places v against other in the version order: the newer timestamp
+// wins; at equal timestamps a tombstone beats data (a delete is explicit
+// intent), then the higher byte order of Data wins. It returns +1 when v is
+// newer, -1 when other is, and 0 only when the two are the same version
+// (equal timestamp, tombstone flag and data). Storage arbitration, the read
+// coordinator's choice of answer and read repair all rank versions with it.
+func (v Value) Compare(other Value) int {
+	switch {
+	case v.Timestamp != other.Timestamp:
+		return cmp.Compare(v.Timestamp, other.Timestamp)
+	case v.Tombstone != other.Tombstone:
+		if v.Tombstone {
+			return 1
+		}
+		return -1
+	}
+	return bytes.Compare(v.Data, other.Data)
+}
 
 // Time returns the timestamp as a time.Time.
 func (v Value) Time() time.Time { return time.Unix(0, v.Timestamp) }
@@ -210,12 +213,13 @@ type ReadRequest struct {
 	// compared against the primary read to detect staleness — the paper's
 	// §V-F dual-read measurement.
 	Shadow bool
-	// Token is the client's session token for the key's range: high-water
-	// vector-clock entries from the session's previous reads and writes.
-	// Meaningful only at Level Session, where the coordinator must answer
-	// with a version covering the token (read-your-writes + monotonic
-	// reads) or widen the read until one is found.
-	Token []ClockEntry
+	// Token is the client's session token for the key's range: the highest
+	// write timestamp among the session's previous reads and writes of keys
+	// in that range. Meaningful only at Level Session, where the coordinator
+	// must answer with a version stamped at or after the token
+	// (read-your-writes + monotonic reads) or widen the read until one is
+	// found. Zero means the session has seen nothing there yet.
+	Token int64
 	// DeadlineMs is the client's remaining per-op budget in milliseconds at
 	// send time. Relative (not an absolute wall time) so it needs no clock
 	// agreement between client and coordinator. The coordinator clamps its
@@ -258,13 +262,12 @@ type WriteRequest struct {
 
 // WriteResponse acknowledges a WriteRequest.
 type WriteResponse struct {
-	ID        uint64
-	OK        bool
+	ID uint64
+	OK bool
+	// Timestamp is the one the coordinator stamped on the written value;
+	// sessions fold it into their token so subsequent SESSION reads observe
+	// the write.
 	Timestamp int64
-	// Clock is the vector clock the coordinator stamped on the written
-	// value; sessions fold it into their token so subsequent SESSION reads
-	// observe the write.
-	Clock []ClockEntry
 }
 
 // ReplicaRead is a coordinator-to-replica data read.

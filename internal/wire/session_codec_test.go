@@ -8,39 +8,21 @@ import (
 	"testing/quick"
 )
 
-// clockFrom builds a clock from parallel fuzz inputs, trimming to the
-// shorter slice so every generated pair is usable.
-func clockFrom(nodes []string, counters []uint64) []ClockEntry {
-	n := len(nodes)
-	if len(counters) < n {
-		n = len(counters)
-	}
-	if n == 0 {
-		return nil
-	}
-	c := make([]ClockEntry, n)
-	for i := 0; i < n; i++ {
-		c[i] = ClockEntry{Node: nodes[i], Counter: counters[i]}
-	}
-	return c
-}
-
 // TestRoundTripPropertySessionToken drives the session-token-bearing
-// messages through encode/decode with randomized clocks: the token on
-// ReadRequest, the stamped clock on WriteResponse, and the version clock
-// inside Value. bodySize must agree with the encoding for each (the
+// messages through encode/decode with randomized timestamps: the watermark
+// token on ReadRequest, the stamped timestamp on WriteResponse, and the
+// version inside Value. bodySize must agree with the encoding for each (the
 // zero-copy framing contract).
 func TestRoundTripPropertySessionToken(t *testing.T) {
-	if err := quick.Check(func(id uint64, key []byte, ts int64, nodes []string, counters []uint64) bool {
+	if err := quick.Check(func(id uint64, key []byte, ts, token int64, tomb bool) bool {
 		if len(key) == 0 {
 			key = nil // the codec decodes empty as nil
 		}
-		clock := clockFrom(nodes, counters)
 		for _, in := range []Message{
-			ReadRequest{ID: id, Key: key, Level: Session, Token: clock},
-			WriteResponse{ID: id, OK: true, Timestamp: ts, Clock: clock},
-			ReadResponse{ID: id, Found: true, Value: Value{Data: key, Timestamp: ts, Clock: clock}},
-			Mutation{ID: id, Key: key, Value: Value{Data: key, Timestamp: ts, Clock: clock}},
+			ReadRequest{ID: id, Key: key, Level: Session, Token: token},
+			WriteResponse{ID: id, OK: true, Timestamp: ts},
+			ReadResponse{ID: id, Found: true, Value: Value{Data: key, Timestamp: ts, Tombstone: tomb}},
+			Mutation{ID: id, Key: key, Value: Value{Data: key, Timestamp: ts, Tombstone: tomb}},
 		} {
 			want, err := bodySize(in)
 			if err != nil {
@@ -68,22 +50,17 @@ func TestRoundTripPropertySessionToken(t *testing.T) {
 	}
 }
 
-// TestSessionTokenEncodeZeroAllocs pins the session extensions to the
-// zero-copy path: encoding token- and clock-bearing messages into a
-// pre-sized buffer must not allocate, exactly like their legacy shapes.
+// TestSessionTokenEncodeZeroAllocs pins the session messages to the
+// zero-copy path: encoding token-bearing messages into a pre-sized buffer
+// must not allocate.
 func TestSessionTokenEncodeZeroAllocs(t *testing.T) {
-	clock := []ClockEntry{
-		{Node: "node-000001", Counter: 1234567},
-		{Node: "node-000002", Counter: 7},
-		{Node: "node-000003", Counter: 1 << 50},
-	}
 	msgs := []Message{
-		ReadRequest{ID: 7, Key: []byte("user00001234"), Level: Session, Token: clock},
-		WriteResponse{ID: 4, OK: true, Timestamp: 99, Clock: clock},
+		ReadRequest{ID: 7, Key: []byte("user00001234"), Level: Session, Token: 1 << 50},
+		WriteResponse{ID: 4, OK: true, Timestamp: 99},
 		Mutation{ID: 42, Key: bytes.Repeat([]byte("k"), 24),
-			Value: Value{Data: bytes.Repeat([]byte("v"), 1024), Timestamp: 1234567, Clock: clock}},
+			Value: Value{Data: bytes.Repeat([]byte("v"), 1024), Timestamp: 1234567}},
 		ReadResponse{ID: 9, Found: true, Achieved: Session,
-			Value: Value{Data: bytes.Repeat([]byte("p"), 256), Timestamp: 55, Clock: clock}},
+			Value: Value{Data: bytes.Repeat([]byte("p"), 256), Timestamp: 55}},
 	}
 	buf := make([]byte, 0, 8192)
 	for _, m := range msgs {
@@ -95,7 +72,7 @@ func TestSessionTokenEncodeZeroAllocs(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("%T: Encode with session clock allocates %.1f/op, want 0", m, allocs)
+			t.Errorf("%T: Encode with session token allocates %.1f/op, want 0", m, allocs)
 		}
 	}
 }

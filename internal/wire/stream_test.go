@@ -34,8 +34,7 @@ func (t *trickleReader) Read(p []byte) (int, error) {
 func streamTestMessages() []Message {
 	return []Message{
 		ReadRequest{ID: 1, Key: []byte("user0000000001"), Level: Quorum, Shadow: true},
-		Mutation{ID: 2, Key: []byte("k2"), Value: Value{Data: bytes.Repeat([]byte{0xab}, 300), Timestamp: 42,
-			Clock: []ClockEntry{{Node: "n1", Counter: 7}}}},
+		Mutation{ID: 2, Key: []byte("k2"), Value: Value{Data: bytes.Repeat([]byte{0xab}, 300), Timestamp: 42}},
 		ReplicaRead{ID: 3, Key: []byte("k3")},
 		StatsResponse{ID: 4, Reads: 9, Groups: []GroupCounters{{Reads: 1, Writes: 2}},
 			KeySamples: []KeySample{{Key: []byte("hot"), Reads: 1.5}}},

@@ -60,16 +60,12 @@ func allSampleMessages() []Message {
 			Entries: []SyncEntry{{Key: []byte("sk"), Value: Value{Data: []byte("sv"), Timestamp: 44}}, {Key: []byte("dead"), Value: Value{Timestamp: 45, Tombstone: true}}},
 			Reply:   true},
 		RangeSync{ID: 23, Done: true},
-		ReadRequest{ID: 24, Key: []byte("sk"), Level: Session,
-			Token: []ClockEntry{{Node: "n1", Counter: 7}, {Node: "n2", Counter: 1 << 40}}},
+		ReadRequest{ID: 24, Key: []byte("sk"), Level: Session, Token: 1 << 40},
 		ReadResponse{ID: 25, Found: true, Achieved: Session,
-			Value: Value{Data: []byte("sv"), Timestamp: 88, Clock: []ClockEntry{{Node: "n1", Counter: 88}}}},
-		WriteResponse{ID: 26, OK: true, Timestamp: 99,
-			Clock: []ClockEntry{{Node: "a", Counter: 99}, {Node: "b", Counter: 3}}},
-		Mutation{ID: 27, Key: []byte("ck"), Value: Value{Data: []byte("cv"), Timestamp: 5,
-			Clock: []ClockEntry{{Node: "n3", Counter: 5}}}},
-		Repair{Key: []byte("rp2"), Value: Value{Timestamp: 6, Tombstone: true,
-			Clock: []ClockEntry{{Node: "", Counter: 1}, {Node: "n4", Counter: 6}}}},
+			Value: Value{Data: []byte("sv"), Timestamp: 88}},
+		WriteResponse{ID: 26, OK: true, Timestamp: 99},
+		Mutation{ID: 27, Key: []byte("ck"), Value: Value{Data: []byte("cv"), Timestamp: 5}},
+		Repair{Key: []byte("rp2"), Value: Value{Timestamp: 6, Tombstone: true}},
 	}
 }
 
