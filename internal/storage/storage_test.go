@@ -94,6 +94,73 @@ func TestSiblingConvergence(t *testing.T) {
 	}
 }
 
+// TestApplySiblingsDeterministic pins the apply decision between two
+// same-timestamp versions: exactly one of the two arrival orders applies the
+// second, and the winner is the same either way — a tombstone over data, then
+// the higher data bytes.
+func TestApplySiblingsDeterministic(t *testing.T) {
+	tomb := wire.Value{Timestamp: 7, Tombstone: true}
+	for _, tc := range []struct{ lo, hi wire.Value }{
+		{val("x", 7), val("y", 7)},
+		{val("y", 7), tomb},
+		{wire.Value{Timestamp: 7, Tombstone: true, Data: []byte("a")}, wire.Value{Timestamp: 7, Tombstone: true, Data: []byte("b")}},
+	} {
+		for _, order := range [][2]wire.Value{{tc.lo, tc.hi}, {tc.hi, tc.lo}} {
+			e := NewEngine(Options{})
+			if _, err := e.Apply([]byte("k"), order[0]); err != nil {
+				t.Fatal(err)
+			}
+			applied, err := e.Apply([]byte("k"), order[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := order[1].Compare(tc.hi) == 0; applied != want {
+				t.Errorf("%+v over %+v: applied=%v, want %v", order[1], order[0], applied, want)
+			}
+			if got, _ := e.Get([]byte("k")); got.Compare(tc.hi) != 0 {
+				t.Errorf("%+v then %+v: engine holds %+v, want %+v", order[0], order[1], got, tc.hi)
+			}
+		}
+	}
+}
+
+// TestApplyNewerTimestampWins pins the timestamp half of the apply decision
+// against a held version: a strictly newer timestamp applies whatever its
+// data, an older one is rejected, and an exact replay changes nothing.
+func TestApplyNewerTimestampWins(t *testing.T) {
+	for _, tc := range []struct {
+		v    wire.Value
+		want bool
+	}{
+		{val("b", 11), true},
+		{val("", 11), true},
+		{wire.Value{Timestamp: 11, Tombstone: true}, true},
+		{val("a", 10), false},
+		{val("z", 9), false},
+		{wire.Value{Timestamp: 9, Tombstone: true}, false},
+	} {
+		e := NewEngine(Options{})
+		cur := val("a", 10)
+		if _, err := e.Apply([]byte("k"), cur); err != nil {
+			t.Fatal(err)
+		}
+		applied, err := e.Apply([]byte("k"), tc.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if applied != tc.want {
+			t.Errorf("%+v over %+v: applied=%v, want %v", tc.v, cur, applied, tc.want)
+		}
+		want := cur
+		if tc.want {
+			want = tc.v
+		}
+		if got, _ := e.Get([]byte("k")); got.Compare(want) != 0 {
+			t.Errorf("%+v over %+v: engine holds %+v, want %+v", tc.v, cur, got, want)
+		}
+	}
+}
+
 func TestTombstone(t *testing.T) {
 	e := NewEngine(Options{})
 	e.Apply([]byte("k"), val("v", 10))
